@@ -23,7 +23,11 @@
 
 open Types
 
+(* [tv]/[tk] repeat the triplet's value and round tag from its key, so the
+   per-broadcaster index can match a trip without its key. *)
 type trip = {
+  tv : value;
+  tk : int;
   mutable init_from_p : float option;  (* arrival of (init,...) actually from p *)
   echo : Recv_log.t;
   init2 : Recv_log.t;
@@ -39,15 +43,20 @@ type t = {
   g : general;
   ctx : ctx;
   trips : (node_id * value * int, trip) Hashtbl.t;
+      (* the only structure that is ever iterated: replay order (and so the
+         order of the sends it triggers), cleanup and fingerprints all
+         follow it *)
+  by_p : trip list array;
+      (* the arrival path's index: [by_p.(p)] holds exactly the trips of
+         [trips] whose broadcaster is [p], for [p] in [0, n). A delivery
+         scans the handful of (v, k) pairs one broadcaster has in flight
+         instead of hashing a fresh key tuple; an out-of-range [p] (only
+         Byzantine garbage) goes through [trips]. Kept in step wherever
+         trips are added or removed. *)
   broadcasters : Recv_log.t;  (* node -> local time added; same decay rules *)
   mutable tau_g : float option;
   mutable on_accept : p:node_id -> v:value -> k:int -> unit;
   mutable on_broadcaster : node_id -> unit;
-  (* One-entry lookup cache: during an agreement almost every message hits
-     the same (p, v, k) triplet, so caching the last key dodges the tuple
-     allocation and polymorphic hash per arrival. Invalidated wherever trips
-     are removed. *)
-  mutable cached : ((node_id * value * int) * trip) option;
 }
 
 let create ~ctx ~g =
@@ -55,11 +64,11 @@ let create ~ctx ~g =
     g;
     ctx;
     trips = Hashtbl.create 8;
+    by_p = Array.make ctx.params.Params.n [];
     broadcasters = Recv_log.create ();
     tau_g = None;
     on_accept = (fun ~p:_ ~v:_ ~k:_ -> ());
     on_broadcaster = (fun _ -> ());
-    cached = None;
   }
 
 let set_on_accept t f = t.on_accept <- f
@@ -68,45 +77,59 @@ let set_on_broadcaster t f = t.on_broadcaster <- f
 let now t = t.ctx.local_time ()
 let prm t = t.ctx.params
 
+let indexed t p = p >= 0 && p < Array.length t.by_p
+
+let new_trip t ((p, v, k) as key) =
+  let tr =
+    {
+      tv = v;
+      tk = k;
+      init_from_p = None;
+      echo = Recv_log.create ();
+      init2 = Recv_log.create ();
+      echo2 = Recv_log.create ();
+      sent_echo = false;
+      sent_init2 = false;
+      sent_echo2 = false;
+      accepted_at = None;
+      last_activity = now t;
+    }
+  in
+  Hashtbl.replace t.trips key tr;
+  if indexed t p then t.by_p.(p) <- tr :: t.by_p.(p);
+  tr
+
 let trip_of t key =
   match Hashtbl.find_opt t.trips key with
   | Some tr -> tr
-  | None ->
-      let tr =
-        {
-          init_from_p = None;
-          echo = Recv_log.create ();
-          init2 = Recv_log.create ();
-          echo2 = Recv_log.create ();
-          sent_echo = false;
-          sent_init2 = false;
-          sent_echo2 = false;
-          accepted_at = None;
-          last_activity = now t;
-        }
-      in
-      Hashtbl.replace t.trips key tr;
-      tr
+  | None -> new_trip t key
 
-(* Cached variant for the arrival path: [p]/[v]/[k] arrive unpacked, so a
-   cache hit allocates neither the key tuple nor an option. *)
+let rec scan_index t ~p ~v ~k = function
+  | [] -> new_trip t (p, v, k)
+  | tr :: rest ->
+      if tr.tk = k && (tr.tv == v || String.equal tr.tv v) then tr
+      else scan_index t ~p ~v ~k rest
+
+(* The arrival path: [p]/[v]/[k] arrive unpacked, so a hit in the
+   broadcaster's index allocates nothing. *)
 let trip_of_parts t ~p ~v ~k =
-  match t.cached with
-  | Some (((cp, cv, ck) as key), tr)
-    when cp = p && ck = k && (cv == v || String.equal cv v) ->
-      (key, tr)
-  | Some _ | None ->
-      let key = (p, v, k) in
-      let tr = trip_of t key in
-      t.cached <- Some (key, tr);
-      (key, tr)
+  if indexed t p then scan_index t ~p ~v ~k t.by_p.(p) else trip_of t (p, v, k)
+
+(* Drop doomed trips from the table and from their broadcaster's index. *)
+let remove_trips t doomed =
+  List.iter
+    (fun (((p, _, _) as key), tr) ->
+      Hashtbl.remove t.trips key;
+      if indexed t p then t.by_p.(p) <- List.filter (fun x -> x != tr) t.by_p.(p))
+    doomed
 
 let broadcaster_count t = Recv_log.count t.broadcasters
 let broadcasters t = Recv_log.senders t.broadcasters
 
 let send t kind ~p ~v ~k = t.ctx.send_all (Mb { kind; p; g = t.g; v; k })
 
-let do_accept t ~tau (p, v, k) tr =
+let do_accept t ~tau ~p tr =
+  let v = tr.tv and k = tr.tk in
   tr.accepted_at <- Some tau;
   t.ctx.trace (Ssba_sim.Trace.Mb_accept { g = t.g; p; v; k });
   t.on_accept ~p ~v ~k
@@ -114,7 +137,7 @@ let do_accept t ~tau (p, v, k) tr =
 (* Evaluate blocks W–Z for one triplet; no-op until the anchor is known.
    [tau] is the caller's local time — threaded in so the arrival path reads
    the clock exactly once. *)
-let eval t ~tau ((p, v, k) as key) tr =
+let eval t ~tau ~p tr =
   match t.tau_g with
   | None -> ()
   | Some tg ->
@@ -122,6 +145,7 @@ let eval t ~tau ((p, v, k) as key) tr =
       let phi = pm.Params.phi in
       let n_f = Params.quorum pm in
       let n_2f = Params.weak_quorum pm in
+      let v = tr.tv and k = tr.tk in
       (* Deadlines tau_g + (2k + c) * Phi for c = 0, 1, 2. Each keeps the
          exact arithmetic shape [tg +. (float (2k + c) *. phi)] — the
          comparisons below sit on digest-pinned boundaries. *)
@@ -141,7 +165,7 @@ let eval t ~tau ((p, v, k) as key) tr =
           send t Init2 ~p ~v ~k
         end;
         if Recv_log.count tr.echo >= n_f && tr.accepted_at = None then
-          do_accept t ~tau key tr
+          do_accept t ~tau ~p tr
       end;
       (* Y *)
       if tau <= deadline2 then begin
@@ -164,7 +188,7 @@ let eval t ~tau ((p, v, k) as key) tr =
         send t Echo2 ~p ~v ~k
       end;
       if Recv_log.count tr.echo2 >= n_f && tr.accepted_at = None then
-        do_accept t ~tau key tr
+        do_accept t ~tau ~p tr
 
 (* Block V: this node broadcasts (p = self). *)
 let broadcast t ~v ~k = send t Init ~p:t.ctx.self ~v ~k
@@ -202,14 +226,13 @@ let set_anchor t tau_g =
         Recv_log.is_empty tr.echo && Recv_log.is_empty tr.init2
         && Recv_log.is_empty tr.echo2
         && tr.init_from_p = None && tr.accepted_at = None
-      then doomed := key :: !doomed)
+      then doomed := (key, tr) :: !doomed)
     t.trips;
-  List.iter (Hashtbl.remove t.trips) !doomed;
-  t.cached <- None;
+  remove_trips t !doomed;
   Recv_log.decay t.broadcasters ~horizon;
   t.ctx.trace (Ssba_sim.Trace.Anchor_set { g = t.g; tau_g });
   let tau = now t in
-  Hashtbl.iter (fun key tr -> eval t ~tau key tr) t.trips
+  Hashtbl.iter (fun (p, _, _) tr -> eval t ~tau ~p tr) t.trips
 
 let anchor t = t.tau_g
 
@@ -219,14 +242,14 @@ let handle_message t ~sender ~kind ~p ~v ~k =
      cannot inflate memory. *)
   if k >= 1 && k <= (prm t).Params.f + 1 then begin
     let tau = now t in
-    let key, tr = trip_of_parts t ~p ~v ~k in
+    let tr = trip_of_parts t ~p ~v ~k in
     tr.last_activity <- tau;
     (match kind with
     | Init -> if sender = p && tr.init_from_p = None then tr.init_from_p <- Some tau
     | Echo -> Recv_log.note tr.echo ~sender ~at:tau
     | Init2 -> Recv_log.note tr.init2 ~sender ~at:tau
     | Echo2 -> Recv_log.note tr.echo2 ~sender ~at:tau);
-    eval t ~tau key tr
+    eval t ~tau ~p tr
   end
 
 (* Figure 3's cleanup: decay anything older than (2f+3) * Phi. *)
@@ -251,10 +274,9 @@ let cleanup t =
       | Some _ | None -> ());
       if
         tr.last_activity < horizon || tr.last_activity > tau
-      then doomed := key :: !doomed)
+      then doomed := (key, tr) :: !doomed)
     t.trips;
-  List.iter (Hashtbl.remove t.trips) !doomed;
-  t.cached <- None;
+  remove_trips t !doomed;
   Recv_log.sanitize t.broadcasters ~now:tau;
   Recv_log.decay t.broadcasters ~horizon;
   match t.tau_g with
@@ -263,7 +285,7 @@ let cleanup t =
 
 let reset t =
   Hashtbl.reset t.trips;
-  t.cached <- None;
+  Array.fill t.by_p 0 (Array.length t.by_p) [];
   Recv_log.clear t.broadcasters;
   t.tau_g <- None
 

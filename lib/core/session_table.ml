@@ -12,7 +12,11 @@
    anchor is established. At most one session per General is live at a time
    (the protocol serializes executions per General; concurrency comes from
    many Generals via the channels extension), so a side index general->slot
-   keeps lookup O(1); the anchor component is what monitors and the run
+   keeps lookup O(1). General ids are small dense ints ([0, n * channels)),
+   so the index is a plain int array indexed by id: -1 marks an absent
+   General, and an id outside the array is absent too. It starts at the
+   table's capacity and grows (by doubling, never shrinking) only when a
+   larger id is inserted. The anchor component is what monitors and the run
    report key on.
 
    Lifecycle. Dead sessions are garbage-collected by a caller-supplied
@@ -41,7 +45,7 @@ type 'a slot = {
 
 type 'a t = {
   slots : 'a slot array;
-  index : (Types.general, int) Hashtbl.t;
+  mutable index : int array;  (* General id -> slot, -1 = absent *)
   mutable seq : int;
   mutable live : int;
   mutable peak_live : int;
@@ -56,7 +60,7 @@ let create ~capacity =
     slots =
       Array.init capacity (fun _ ->
           { sl_g = -1; sl_anchor = None; sl_payload = None; sl_active = 0.0; sl_stamp = 0 });
-    index = Hashtbl.create capacity;
+    index = Array.make capacity (-1);
     seq = 0;
     live = 0;
     peak_live = 0;
@@ -78,15 +82,25 @@ let stats t =
     rejected_at_capacity = t.rejected_at_capacity;
   }
 
+(* The slot holding [g]'s session, or -1. *)
+let slot_of t g = if g >= 0 && g < Array.length t.index then t.index.(g) else -1
+
+let unindex t g = if g >= 0 && g < Array.length t.index then t.index.(g) <- -1
+
+let reindex t g i =
+  let len = Array.length t.index in
+  if g >= len then begin
+    let grown = Array.make (max (g + 1) (2 * len)) (-1) in
+    Array.blit t.index 0 grown 0 len;
+    t.index <- grown
+  end;
+  t.index.(g) <- i
+
 let find t g =
-  match Hashtbl.find_opt t.index g with
-  | None -> None
-  | Some i -> t.slots.(i).sl_payload
+  match slot_of t g with -1 -> None | i -> t.slots.(i).sl_payload
 
 let anchor t g =
-  match Hashtbl.find_opt t.index g with
-  | None -> None
-  | Some i -> t.slots.(i).sl_anchor
+  match slot_of t g with -1 -> None | i -> t.slots.(i).sl_anchor
 
 let free_slot t =
   let rec scan i = if t.slots.(i).sl_payload = None then i else scan (i + 1) in
@@ -111,21 +125,25 @@ let evict t =
   let i = !best in
   let sl = t.slots.(i) in
   let victim = sl.sl_g in
-  Hashtbl.remove t.index victim;
+  unindex t victim;
   sl.sl_payload <- None;
   t.live <- t.live - 1;
   t.evicted <- t.evicted + 1;
   (i, victim)
 
+let check_id g =
+  if g < 0 then invalid_arg "Session_table.insert: negative General id"
+
 let insert_reporting t ~g ~now payload =
-  (match Hashtbl.find_opt t.index g with
-  | Some i ->
+  check_id g;
+  (match slot_of t g with
+  | -1 -> ()
+  | i ->
       (* replacing the session for g in place *)
       let sl = t.slots.(i) in
       sl.sl_payload <- None;
-      Hashtbl.remove t.index g;
-      t.live <- t.live - 1
-  | None -> ());
+      unindex t g;
+      t.live <- t.live - 1);
   let i, victim =
     if t.live >= Array.length t.slots then
       let i, v = evict t in
@@ -139,7 +157,7 @@ let insert_reporting t ~g ~now payload =
   sl.sl_payload <- Some payload;
   sl.sl_active <- now;
   sl.sl_stamp <- t.seq;
-  Hashtbl.replace t.index g i;
+  reindex t g i;
   t.live <- t.live + 1;
   if t.live > t.peak_live then t.peak_live <- t.live;
   victim
@@ -151,38 +169,36 @@ let insert t ~g ~now payload = ignore (insert_reporting t ~g ~now payload)
    refusal is counted separately from eviction so overload reports can tell
    "we turned work away" apart from "we dropped someone else's state". *)
 let try_insert t ~g ~now payload =
-  match Hashtbl.find_opt t.index g with
-  | Some _ ->
-      insert t ~g ~now payload;
-      true
-  | None ->
-      if t.live >= Array.length t.slots then begin
-        t.rejected_at_capacity <- t.rejected_at_capacity + 1;
-        false
-      end
-      else begin
-        insert t ~g ~now payload;
-        true
-      end
+  check_id g;
+  if slot_of t g >= 0 then begin
+    insert t ~g ~now payload;
+    true
+  end
+  else if t.live >= Array.length t.slots then begin
+    t.rejected_at_capacity <- t.rejected_at_capacity + 1;
+    false
+  end
+  else begin
+    insert t ~g ~now payload;
+    true
+  end
 
 let touch t g ~now =
-  match Hashtbl.find_opt t.index g with
-  | None -> ()
-  | Some i ->
+  match slot_of t g with
+  | -1 -> ()
+  | i ->
       let sl = t.slots.(i) in
       if now > sl.sl_active then sl.sl_active <- now
 
 let set_anchor t g anchor =
-  match Hashtbl.find_opt t.index g with
-  | None -> ()
-  | Some i -> t.slots.(i).sl_anchor <- Some anchor
+  match slot_of t g with -1 -> () | i -> t.slots.(i).sl_anchor <- Some anchor
 
 let remove t g =
-  match Hashtbl.find_opt t.index g with
-  | None -> ()
-  | Some i ->
+  match slot_of t g with
+  | -1 -> ()
+  | i ->
       t.slots.(i).sl_payload <- None;
-      Hashtbl.remove t.index g;
+      unindex t g;
       t.live <- t.live - 1
 
 let iter t f =
@@ -214,7 +230,7 @@ let gc t ~dead =
       | None -> ()
       | Some p ->
           if dead ~active:sl.sl_active p then begin
-            Hashtbl.remove t.index sl.sl_g;
+            unindex t sl.sl_g;
             sl.sl_payload <- None;
             t.live <- t.live - 1;
             t.gced <- t.gced + 1

@@ -10,7 +10,11 @@
     A session enters as [(G, None)] and is re-keyed in place to
     [(G, Some tau_g)] when its anchor is established; at most one session
     per General is live at a time (per-General executions are serialized by
-    the protocol — concurrency comes from distinct (channelled) Generals). *)
+    the protocol — concurrency comes from distinct (channelled) Generals).
+
+    General ids index a plain array: lookups on any id — negative, or larger
+    than any inserted one — answer "absent" and never raise; inserting a
+    negative id raises [Invalid_argument]. *)
 
 type stats = {
   capacity : int;
@@ -38,7 +42,8 @@ val find : 'a t -> Types.general -> 'a option
 val anchor : 'a t -> Types.general -> float option
 
 (** Insert a fresh [(g, None)] session. Replaces any existing session for
-    [g]; evicts the least-recently-active session when full. *)
+    [g]; evicts the least-recently-active session when full. Raises
+    [Invalid_argument] when [g < 0]. *)
 val insert : 'a t -> g:Types.general -> now:float -> 'a -> unit
 
 (** Like {!insert}, but reports the General whose live session was evicted to

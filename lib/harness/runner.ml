@@ -126,7 +126,7 @@ type net_iface = {
   inject_garbage : rng:Rng.t -> values:value list -> count:int -> unit;
   scramble_transport : rng:Rng.t -> unit;
   scramble_pool : values:value list -> unit;
-      (* trash the delivery arena's free envelope slots (its own RNG stream;
+      (* trash the delivery arena's free descriptors (its own RNG stream;
          armed descriptors and results untouched) *)
   counts : unit -> net_counts;
 }

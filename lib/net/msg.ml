@@ -8,10 +8,11 @@
    deliver arbitrary garbage; property checks never trust forged envelopes.
 
    Fields are mutable solely so the network can pool envelope records for
-   in-flight messages (the delivery arena): only the network writes them, and
-   only between deliveries. Handlers must treat envelopes as read-only
-   snapshots valid for the duration of the call — copy fields out, never
-   retain the record. *)
+   in-flight messages (the delivery arena): one record serves every delivery
+   of a broadcast, with [dst] rewritten before each handler call. Only the
+   network writes them, and only between deliveries. Handlers must treat
+   envelopes as read-only snapshots valid for the duration of the call —
+   copy fields out, never retain the record. *)
 
 type 'a t = {
   mutable src : int;

@@ -4,10 +4,11 @@
     cannot forge it. The [forged] flag exists only for the incoherent-period
     garbage the transient-fault injector delivers.
 
-    Fields are mutable solely for the network's envelope pool (records are
-    recycled between deliveries). Handlers receive an envelope as a read-only
-    snapshot valid for the duration of the call: copy fields out, never
-    retain the record or write to it. *)
+    Fields are mutable solely for the network's delivery arena: one record
+    serves every delivery of a broadcast, its [dst] rewritten before each
+    handler call, and records are recycled between broadcasts. Handlers
+    receive an envelope as a read-only snapshot valid for the duration of
+    the call: copy fields out, never retain the record or write to it. *)
 
 type 'a t = {
   mutable src : int;

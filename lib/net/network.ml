@@ -38,14 +38,19 @@ type 'a handler = 'a Msg.t -> unit
 type reorder = { prob : float; extra : float }
 
 (* A pooled fan-out: one engine batch entry (the sub-event keys live in
-   [fan_batch]) plus the arena of envelope records it delivers, one per
-   scheduled delivery, parallel to the batch's key slots. Descriptors and
-   their envelope slots are recycled through a free stack once the last
-   sub-event has fired, so steady-state delivery allocates no new slots
-   beyond the peak number of concurrently in-flight broadcasts. *)
+   [fan_batch]), ONE envelope shared by all of its deliveries, and a
+   destination column parallel to the batch's key slots. The sub-events of a
+   fan-out differ only in their destination, so [fire_fanout] writes the
+   slot's destination into the shared envelope just before the handler runs
+   (handlers may not retain an envelope, see {!Msg}). A descriptor starts
+   with [n] slots and grows only when duplicated copies need room.
+   Descriptors are recycled through a free stack once the last sub-event has
+   fired, so steady-state delivery allocates nothing beyond the peak number
+   of concurrently in-flight broadcasts. *)
 type 'a fanout = {
   fan_batch : Event_queue.batch;
-  mutable fan_msgs : 'a Msg.t array;
+  fan_msg : 'a Msg.t;
+  mutable fan_dsts : int array;
 }
 
 type 'a t = {
@@ -61,7 +66,7 @@ type 'a t = {
   mutable pool : 'a fanout array;  (* free stack of recycled descriptors *)
   mutable pool_top : int;
   c_pool_fanouts : Metrics.counter;  (* descriptors ever allocated *)
-  c_pool_slots : Metrics.counter;  (* envelope slots ever allocated *)
+  c_pool_slots : Metrics.counter;  (* delivery slots ever allocated *)
   g_pool_in_use : Metrics.gauge;  (* descriptors currently armed *)
   mutable delay : Delay.t;
   mutable handlers : 'a handler option array;
@@ -266,59 +271,63 @@ let release_fanout t fo =
   t.pool_top <- t.pool_top + 1;
   Metrics.add t.g_pool_in_use (-1.0)
 
-(* Sub-event [j] of a batch pops: deliver its envelope, and recycle the
-   descriptor once the last sub-event has fired. Release happens after the
-   handler returns, so the envelope stays valid for the duration of the
-   call; re-entrant sends from inside the handler acquire other
-   descriptors. *)
+(* Sub-event [j] of a batch pops: point the shared envelope at slot [j]'s
+   destination, deliver it, and recycle the descriptor once the last
+   sub-event has fired. Release happens after the handler returns, so the
+   envelope stays valid for the duration of the call; re-entrant sends from
+   inside the handler acquire other descriptors. *)
 let fire_fanout t fo j =
   let b = fo.fan_batch in
-  deliver t fo.fan_msgs.(j);
+  let m = fo.fan_msg in
+  m.Msg.dst <- fo.fan_dsts.(j);
+  deliver t m;
   if b.Event_queue.b_next >= b.Event_queue.b_count then release_fanout t fo
 
-let new_fanout t =
+let new_fanout t msg =
   Metrics.incr t.c_pool_fanouts;
+  Metrics.incr ~by:t.n t.c_pool_slots;
   let fo =
     {
-      fan_batch = Event_queue.make_batch ~capacity:(2 * t.n) ();
-      fan_msgs = [||];
+      fan_batch = Event_queue.make_batch ~capacity:t.n ();
+      fan_msg = msg;
+      fan_dsts = Array.make t.n 0;
     }
   in
   fo.fan_batch.Event_queue.b_fire <- (fun j -> fire_fanout t fo j);
   fo
 
-let acquire_fanout t =
+(* Take a descriptor off the free stack (or allocate one) and stamp its
+   envelope with the fields every sub-event shares. *)
+let acquire_fanout t ~src ~dst ~sent_at ~forged payload =
   Metrics.add t.g_pool_in_use 1.0;
-  if t.pool_top > 0 then begin
-    t.pool_top <- t.pool_top - 1;
-    t.pool.(t.pool_top)
-  end
-  else new_fanout t
+  let fo =
+    if t.pool_top > 0 then begin
+      t.pool_top <- t.pool_top - 1;
+      t.pool.(t.pool_top)
+    end
+    else new_fanout t (Msg.make ~src ~dst ~sent_at payload)
+  in
+  Msg.set fo.fan_msg ~src ~dst ~sent_at ~forged payload;
+  fo
 
-(* Fill envelope slot [i], growing the key arrays and the envelope arena in
-   lockstep. New arena slots are distinct records allocated once and counted
-   in [net.pool.slots]; after warm-up this is pure mutation. *)
-let slot_msg t fo i ~src ~dst ~sent_at ~forged payload =
+(* Arm slot [i] for [dst]: record its delivery time and reserve its
+   tie-break seq — in the very order the per-entry scheme called
+   [Engine.schedule], which is what keeps batched runs bit-identical to the
+   old per-send scheme. A slot past the descriptor's capacity (only a
+   duplicated copy can need one) grows the key arrays and the destination
+   column in lockstep, counted in [net.pool.slots]. *)
+let arm_slot t fo i ~dst ~at =
   let b = fo.fan_batch in
-  Event_queue.ensure_batch_capacity b (i + 1);
-  let cap = Event_queue.batch_capacity b in
-  let olen = Array.length fo.fan_msgs in
-  if olen < cap then begin
+  let olen = Array.length fo.fan_dsts in
+  if i >= olen then begin
+    Event_queue.ensure_batch_capacity b (i + 1);
+    let cap = Event_queue.batch_capacity b in
     Metrics.incr ~by:(cap - olen) t.c_pool_slots;
-    fo.fan_msgs <-
-      Array.init cap (fun k ->
-          if k < olen then fo.fan_msgs.(k)
-          else Msg.make ~src ~dst ~sent_at payload)
+    let dsts = Array.make cap 0 in
+    Array.blit fo.fan_dsts 0 dsts 0 olen;
+    fo.fan_dsts <- dsts
   end;
-  let m = fo.fan_msgs.(i) in
-  Msg.set m ~src ~dst ~sent_at ~forged payload;
-  m
-
-(* Arm slot [i]: record its delivery time and reserve its tie-break seq — in
-   the very order the per-entry scheme called [Engine.schedule], which is
-   what keeps batched runs bit-identical to the old per-send scheme. *)
-let arm_slot t fo i ~at =
-  let b = fo.fan_batch in
+  fo.fan_dsts.(i) <- dst;
   b.Event_queue.b_ats.(i) <- at;
   b.Event_queue.b_seqs.(i) <- Engine.next_seq t.engine;
   t.in_flight <- t.in_flight + 1;
@@ -334,9 +343,9 @@ let finish_fanout t fo count =
     let b = fo.fan_batch in
     let ats = b.Event_queue.b_ats
     and seqs = b.Event_queue.b_seqs
-    and msgs = fo.fan_msgs in
+    and dsts = fo.fan_dsts in
     for i = 1 to count - 1 do
-      let at = ats.(i) and seq = seqs.(i) and m = msgs.(i) in
+      let at = ats.(i) and seq = seqs.(i) and dst = dsts.(i) in
       let j = ref i in
       while
         !j > 0
@@ -344,12 +353,12 @@ let finish_fanout t fo count =
       do
         ats.(!j) <- ats.(!j - 1);
         seqs.(!j) <- seqs.(!j - 1);
-        msgs.(!j) <- msgs.(!j - 1);
+        dsts.(!j) <- dsts.(!j - 1);
         decr j
       done;
       ats.(!j) <- at;
       seqs.(!j) <- seq;
-      msgs.(!j) <- m
+      dsts.(!j) <- dst
     done;
     b.Event_queue.b_count <- count;
     b.Event_queue.b_next <- 0;
@@ -367,9 +376,10 @@ let finish_fanout t fo count =
    or lost. Toggling any one fault therefore never shifts the samples
    another concern (or a surviving message) observes. *)
 let send_range t ~src ~first ~last payload =
-  let fo = acquire_fanout t in
   let tr = Engine.trace t.engine in
   let now = Engine.now t.engine in
+  let fo = acquire_fanout t ~src ~dst:first ~sent_at:now ~forged:false payload in
+  let m = fo.fan_msg in
   let count = ref 0 in
   for dst = first to last do
     count_sent t payload;
@@ -391,7 +401,7 @@ let send_range t ~src ~first ~last payload =
     else if blocked then count_dropped t ~src ~dst ~reason:"partition" payload
     else if lost then count_dropped t ~src ~dst ~reason:"loss" payload
     else begin
-      let m = slot_msg t fo !count ~src ~dst ~sent_at:now ~forged:false payload in
+      m.Msg.dst <- dst;
       let extra =
         match t.reorder with
         | Some { prob; extra } when reorder_roll < prob && extra > 0.0 ->
@@ -406,15 +416,14 @@ let send_range t ~src ~first ~last payload =
       in
       let d = delay +. extra in
       if d < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
-      arm_slot t fo !count ~at:(now +. d);
+      arm_slot t fo !count ~dst ~at:(now +. d);
       incr count;
       if dup_roll < t.dup_prob then begin
         (* A duplicated copy enters the accounting as [duplicated] (not sent)
            and then flows through delivery/drop like any message, so the
            generalized conservation identity keeps holding. Its delay is
            drawn from the dup stream: duplication must not consume delay
-           samples. The copy gets its own arena slot carrying the same
-           envelope fields. *)
+           samples. The copy gets its own slot in the same descriptor. *)
         Metrics.incr t.c_duplicated;
         if Trace.is_enabled tr then
           Engine.record t.engine ~node:src
@@ -422,9 +431,7 @@ let send_range t ~src ~first ~last payload =
         let dup_delay = Delay.draw t.delay ~rng:t.dup_rng ~src ~dst ~now in
         let d2 = dup_delay +. extra in
         if d2 < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
-        ignore
-          (slot_msg t fo !count ~src ~dst ~sent_at:now ~forged:false payload);
-        arm_slot t fo !count ~at:(now +. d2);
+        arm_slot t fo !count ~dst ~at:(now +. d2);
         incr count
       end
     end
@@ -446,29 +453,32 @@ let inject_forged t ~claimed_src ~dst ~delay payload =
   if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
   count_sent t payload;
   let now = Engine.now t.engine in
-  let fo = acquire_fanout t in
-  ignore (slot_msg t fo 0 ~src:claimed_src ~dst ~sent_at:now ~forged:true payload);
-  arm_slot t fo 0 ~at:(now +. delay);
+  let fo =
+    acquire_fanout t ~src:claimed_src ~dst ~sent_at:now ~forged:true payload
+  in
+  arm_slot t fo 0 ~dst ~at:(now +. delay);
   finish_fanout t fo 1
 
 (* ---- arena scrambling (transient-fault injection) ----------------------- *)
 
-(* Corrupt the payloads (and headers) of every FREE descriptor's envelope
-   slots — the Session_table safety pattern: a transient fault may trash
-   values, never the pool's capacity or occupancy. Free slots are fully
-   overwritten on acquire, so this is semantically invisible to subsequent
-   deliveries; the test suite pins both properties. Draws come from the
-   arena's own stream, so scrambling never shifts a fault-concern sample. *)
+(* Corrupt every FREE descriptor's envelope and destination column — the
+   Session_table safety pattern: a transient fault may trash values, never
+   the pool's capacity or occupancy. A free descriptor's envelope and slots
+   are fully overwritten on acquire and arm, so this is semantically
+   invisible to subsequent deliveries; the test suite pins both properties.
+   Draws come from the arena's own stream, so scrambling never shifts a
+   fault-concern sample. *)
 let scramble_pool t ~payload =
   let rng = t.pool_rng in
   for k = 0 to t.pool_top - 1 do
     let fo = t.pool.(k) in
-    for i = 0 to Array.length fo.fan_msgs - 1 do
-      Msg.set fo.fan_msgs.(i)
-        ~src:(Rng.int rng (max 1 t.n))
-        ~dst:(Rng.int rng (max 1 t.n))
-        ~sent_at:(Rng.float rng 1.0e9)
-        ~forged:(Rng.bool rng) (payload rng)
+    Msg.set fo.fan_msg
+      ~src:(Rng.int rng (max 1 t.n))
+      ~dst:(Rng.int rng (max 1 t.n))
+      ~sent_at:(Rng.float rng 1.0e9)
+      ~forged:(Rng.bool rng) (payload rng);
+    for i = 0 to Array.length fo.fan_dsts - 1 do
+      fo.fan_dsts.(i) <- Rng.int rng (max 1 t.n)
     done
   done
 

@@ -117,29 +117,33 @@ val reset_counters : 'a t -> unit
 
     Broadcasts (and unicast sends) are batched: each send call arms ONE
     engine heap entry — a fan-out descriptor expanding to its per-receiver
-    deliveries in the exact (at, seq) order the per-entry scheme produced —
-    and the envelope records for in-flight messages live in a pooled arena,
-    recycled when the descriptor's last sub-event fires. Steady-state
-    delivery therefore allocates no descriptors or envelope slots beyond the
-    peak concurrent need; the registry tracks [net.pool.fanouts] /
-    [net.pool.slots] (monotonic allocation counters, not reset by
-    {!reset_counters} — the arena persists across scenario reuse) and
-    [net.pool.in_use]. *)
+    deliveries in the exact (at, seq) order the per-entry scheme produced.
+    A descriptor holds one envelope shared by all of its deliveries and a
+    destination per delivery slot; the slot's destination is written into
+    the envelope just before its handler (or the delay override) sees it.
+    A descriptor starts with [n] slots and grows only when duplicated copies
+    need more. Descriptors live in a pooled arena, recycled when the last
+    sub-event fires, so steady-state delivery allocates no descriptors or
+    slots beyond the peak concurrent need; the registry tracks
+    [net.pool.fanouts] / [net.pool.slots] (monotonic allocation counters,
+    not reset by {!reset_counters} — the arena persists across scenario
+    reuse) and [net.pool.in_use]. *)
 
 (** Fan-out descriptors ever allocated ([net.pool.fanouts]). *)
 val pool_fanouts_allocated : 'a t -> int
 
-(** Envelope slots ever allocated ([net.pool.slots]). *)
+(** Delivery slots ever allocated ([net.pool.slots]): [n] per descriptor,
+    plus growth for duplicated copies. *)
 val pool_slots_allocated : 'a t -> int
 
 (** Descriptors currently sitting in the free stack. *)
 val pool_free : 'a t -> int
 
 (** [scramble_pool t ~payload] overwrites every free descriptor's envelope
-    slots with garbage drawn from the arena's own RNG stream ([payload]
-    builds a garbage payload from it) — transient-fault injection for the
-    arena, on the [Session_table] safety pattern: values may be trashed,
-    capacity and occupancy never. Free slots are fully overwritten on
-    acquire, so results are unaffected; armed (in-flight) descriptors are
-    not touched. *)
+    and destination slots with garbage drawn from the arena's own RNG stream
+    ([payload] builds a garbage payload from it) — transient-fault injection
+    for the arena, on the [Session_table] safety pattern: values may be
+    trashed, capacity and occupancy never. Free descriptors are fully
+    overwritten on acquire, so results are unaffected; armed (in-flight)
+    descriptors are not touched. *)
 val scramble_pool : 'a t -> payload:(Ssba_sim.Rng.t -> 'a) -> unit

@@ -41,8 +41,9 @@ type event =
   | Service_queue of { g : int; depth : int }
       (** proposal parked in the bounded pending queue; [depth] after *)
   | Service_mode of { degraded : bool; live : int }
-  | Session_evict of { g : int }
       (** overload detector flipped the service mode *)
+  | Session_evict of { g : int }
+      (** a full session table evicted General [g]'s session to make room *)
   | Ext of { kind : string; render : unit -> string }
       (** generic extension: [render] runs only when the event is printed or
           exported *)

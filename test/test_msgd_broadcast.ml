@@ -161,6 +161,127 @@ let test_duplicate_senders () =
   done;
   check_int "one sender is not a quorum" 0 (Fake.count_kind h.fake "init'")
 
+(* ----- the arrival path's per-broadcaster index ------------------------- *)
+
+let index_of s sub ~from =
+  let ls = String.length s and lsub = String.length sub in
+  let rec go i =
+    if i + lsub > ls then raise Not_found
+    else if String.sub s i lsub = sub then i
+    else go (i + 1)
+  in
+  go from
+
+(* The trips table as the fingerprint prints it: (p, v, k) -> echo count.
+   The fingerprint walks the table itself, never the arrival path's index. *)
+let table h =
+  let buf = Buffer.create 256 in
+  Mb.fingerprint buf h.mb;
+  String.split_on_char ';' (Buffer.contents buf)
+  |> List.filter_map (fun piece ->
+         if String.length piece > 2 && String.sub piece 0 2 = "t:" then
+           let eq = String.index piece '=' in
+           match String.split_on_char '/' (String.sub piece 2 (eq - 2)) with
+           | [ p; v; k ] ->
+               let e = index_of piece "|e" ~from:eq + 2 in
+               let log = String.sub piece e (index_of piece "|i2" ~from:e - e) in
+               let echoes =
+                 List.length (List.filter (( = ) ',') (List.of_seq (String.to_seq log)))
+               in
+               Some ((int_of_string p, v, int_of_string k), echoes)
+           | _ -> None
+         else None)
+
+let fresh_sender = ref 100
+
+(* Deliver an echo from a never-seen sender to [key] and check it landed in
+   the table's trip for [key], with exactly one more echo than before. A
+   stale index entry would swallow the echo outside the table; a missing one
+   would start a second trip and drop the first one's echoes. *)
+let check_arrival label h ((p, v, k) as key) =
+  let before = Option.value ~default:0 (List.assoc_opt key (table h)) in
+  incr fresh_sender;
+  msg h ~sender:!fresh_sender Types.Echo ~p ~v ~k;
+  match List.assoc_opt key (table h) with
+  | Some after ->
+      check_int (Printf.sprintf "%s: (%d, %s, %d)" label p v k) (before + 1) after
+  | None -> Alcotest.failf "%s: the echo for (%d, %s, %d) missed the table" label p v k
+
+(* Every key the table holds, plus every key ever probed (so a trip that
+   left the table is probed too). *)
+let check_all label h known =
+  let keys = List.sort_uniq compare (known @ List.map fst (table h)) in
+  List.iter (check_arrival label h) keys
+
+let test_index_tracks_table () =
+  let h = mk ~anchor:`None () in
+  let n = params.Params.n in
+  let keys =
+    List.concat_map
+      (fun p -> [ (p, "m", 1); (p, "x", 1); (p, "m", 2) ])
+      [ 1; 3; 5; -1; n ]
+  in
+  let early, late = List.partition (fun (p, _, _) -> p <> 5) keys in
+  let log_echoes ks =
+    List.iter
+      (fun (p, v, k) -> List.iter (fun s -> msg h ~sender:s Types.Echo ~p ~v ~k) [ 1; 2 ])
+      ks
+  in
+  log_echoes early;
+  Fake.advance h.fake (5.0 *. d);
+  log_echoes late;
+  (* the anchor purges everything logged before tau_g - d: the early trips *)
+  Mb.set_anchor h.mb h.fake.Fake.now;
+  check_bool "purge left only the late trips" true
+    (List.sort compare (List.map fst (table h)) = List.sort compare late);
+  check_all "after the set_anchor purge" h keys;
+  (* cleanup decays trips idle past (2f+3) Phi; keep two of them busy *)
+  let horizon = float_of_int ((2 * params.Params.f) + 3) *. phi in
+  Fake.advance h.fake (horizon /. 2.0);
+  let busy = [ (3, "m", 1); (n, "x", 1) ] in
+  List.iter (check_arrival "busy" h) busy;
+  Fake.advance h.fake ((horizon /. 2.0) +. d);
+  Mb.cleanup h.mb;
+  check_bool "cleanup kept exactly the busy trips" true
+    (List.sort compare (List.map fst (table h)) = List.sort compare busy);
+  check_all "after a cleanup decay" h keys;
+  Mb.reset h.mb;
+  check_bool "reset empties the table" true (table h = []);
+  check_all "after reset" h keys;
+  Mb.reset h.mb;
+  Mb.scramble (Ssba_sim.Rng.create 5) ~values:[ "m"; "x" ] h.mb;
+  check_all "after scramble" h keys
+
+(* One broadcaster, two values, two round tags: four independent trips
+   behind one index entry, fed interleaved. *)
+let test_one_broadcaster_interleaved () =
+  let h = mk () in
+  let trips = [ (3, "m", 1); (3, "x", 1); (3, "m", 2); (3, "x", 2) ] in
+  List.iter
+    (fun s -> List.iter (fun (p, v, k) -> msg h ~sender:s Types.Echo ~p ~v ~k) trips)
+    [ 1; 2; 3; 4 ];
+  check_int "an init' per trip at n-2f echoes" 4 (Fake.count_kind h.fake "init'");
+  check_bool "no trip accepted on 4 echoes" true (!(h.accepts) = []);
+  List.iter (fun (p, v, k) -> msg h ~sender:5 Types.Echo ~p ~v ~k) trips;
+  check_bool "each trip accepted once, on its own fifth echo" true
+    (List.rev !(h.accepts) = trips)
+
+(* Byzantine garbage names broadcasters outside [0, n): those trips live in
+   the table only, and must not mix with an in-range broadcaster's. *)
+let test_out_of_range_broadcasters () =
+  let h = mk () in
+  let n = params.Params.n in
+  let trips = [ (-1, "m", 1); (n, "m", 1); (0, "m", 1) ] in
+  List.iter
+    (fun s -> List.iter (fun (p, v, k) -> msg h ~sender:s Types.Echo ~p ~v ~k) trips)
+    [ 1; 2; 3; 4 ];
+  check_bool "no accepts on 4 echoes each" true (!(h.accepts) = []);
+  List.iter (fun (p, v, k) -> msg h ~sender:5 Types.Echo ~p ~v ~k) trips;
+  check_bool "p = -1 and p = n accepted through the table" true
+    (List.rev !(h.accepts) = trips);
+  check_bool "all three in the table" true
+    (List.sort compare (List.map fst (table h)) = List.sort compare trips)
+
 let suite =
   [
     case "init triggers echo (W)" test_init_triggers_echo;
@@ -181,4 +302,9 @@ let suite =
     case "cleanup drops future anchor" test_cleanup_drops_future_anchor;
     case "reset" test_reset;
     case "duplicate senders" test_duplicate_senders;
+    case "index tracks the table (purge, decay, reset, scramble)"
+      test_index_tracks_table;
+    case "one broadcaster, two values, two rounds" test_one_broadcaster_interleaved;
+    case "out-of-range broadcasters go through the table"
+      test_out_of_range_broadcasters;
   ]

@@ -1,19 +1,22 @@
 (* Tests for the network's pooled delivery arena.
 
-   The fan-out pool is the tentpole's "steady-state delivery allocates
-   nothing" claim made checkable: descriptors and envelope slots are counted
-   by monotonic metrics ([net.pool.fanouts] / [net.pool.slots]), so a
-   recycling bug shows up as counter growth, not as a profiler session. The
-   scramble tests hold the arena to the Session_table safety pattern: a
-   transient fault may trash pooled VALUES, never the pool's capacity or
-   occupancy — and since free slots are fully overwritten on acquire,
-   delivered payloads are unaffected. *)
+   The fan-out pool makes "steady-state delivery allocates nothing"
+   checkable: descriptors and delivery slots are counted by monotonic
+   metrics ([net.pool.fanouts] / [net.pool.slots]), so a recycling bug
+   shows up as counter growth, not as a profiler session. A descriptor
+   shares one envelope across its deliveries and rewrites [dst] per slot;
+   the envelope tests pin what every handler (and the delay override) must
+   still see. The scramble tests hold the arena to the Session_table safety
+   pattern: a transient fault may trash pooled VALUES, never the pool's
+   capacity or occupancy — and since free descriptors are fully overwritten
+   on acquire, delivered payloads are unaffected. *)
 
 open Helpers
 module Engine = Ssba_sim.Engine
 module Metrics = Ssba_sim.Metrics
 module Rng = Ssba_sim.Rng
 module Net = Ssba_net.Network
+module Msg = Ssba_net.Msg
 module Delay = Ssba_net.Delay
 
 let mk ?(n = 5) ?(delay = Delay.fixed 0.1) () =
@@ -38,7 +41,7 @@ let test_slot_reuse_after_pop () =
   done;
   check_int "no new descriptors in steady state" fanouts
     (Net.pool_fanouts_allocated net);
-  check_int "no new envelope slots in steady state" slots
+  check_int "no new delivery slots in steady state" slots
     (Net.pool_slots_allocated net);
   check_int "free stack back to its resting level" free (Net.pool_free net)
 
@@ -71,7 +74,7 @@ let test_zero_alloc_beyond_peak () =
   done;
   check_bool "zero descriptors allocated beyond peak" true
     (Metrics.find_counter m "net.pool.fanouts" = peak_fanouts);
-  check_bool "zero envelope slots allocated beyond peak" true
+  check_bool "zero delivery slots allocated beyond peak" true
     (Metrics.find_counter m "net.pool.slots" = peak_slots)
 
 (* Scrambling the free pool: occupancy and capacity invariant, deliveries
@@ -126,10 +129,104 @@ let test_scramble_digest_neutral () =
   check_bool "scrambled and clean runs deliver identically" true
     (deliveries false = deliveries true)
 
+(* A broadcast to n receivers takes n slots, not 2n; a duplicated copy is
+   the only thing that grows a descriptor past them. *)
+let test_slots_per_descriptor () =
+  let n = 7 in
+  let engine, net = mk ~n () in
+  let got = ref 0 in
+  for i = 0 to n - 1 do
+    Net.set_handler net i (fun _ -> incr got)
+  done;
+  Net.broadcast net ~src:0 "one";
+  ignore (Engine.run engine);
+  check_int "one descriptor" 1 (Net.pool_fanouts_allocated net);
+  check_int "n slots for n receivers" n (Net.pool_slots_allocated net);
+  Net.set_dup_prob net 1.0;
+  Net.broadcast net ~src:1 "twice";
+  ignore (Engine.run engine);
+  check_int "the same descriptor, recycled" 1 (Net.pool_fanouts_allocated net);
+  check_int "duplicates grew it to 2n" (2 * n) (Net.pool_slots_allocated net);
+  check_int "every copy delivered" (n + (2 * n)) !got
+
+(* Every handler gets its own id as [dst] and the sender's src, sent_at,
+   forged flag and payload, although one envelope serves the whole fan-out
+   — under loss, duplication at probability 1 (which pushes descriptors
+   past their n slots), reordering, forged injections and a delay override
+   that reads [dst]. *)
+let test_shared_envelope_fields () =
+  let n = 7 in
+  let engine, net = mk ~n ~delay:(Delay.uniform ~lo:0.01 ~hi:0.2) () in
+  Net.set_drop_prob net 0.3;
+  Net.set_dup_prob net 1.0;
+  Net.set_reorder net (Some { Net.prob = 0.5; extra = 0.3 });
+  (* the override sees each slot's destination; it slows even receivers *)
+  let routed = ref [] in
+  Net.set_delay_override net
+    (Some
+       (fun m ->
+         routed := (m.Msg.payload, m.Msg.dst) :: !routed;
+         if m.Msg.dst mod 2 = 0 then Some (0.05 *. float_of_int (m.Msg.dst + 1))
+         else None));
+  let got = ref [] in
+  for i = 0 to n - 1 do
+    Net.set_handler net i (fun m ->
+        got :=
+          (i, m.Msg.dst, m.Msg.src, m.Msg.sent_at, m.Msg.forged, m.Msg.payload)
+          :: !got)
+  done;
+  (* payload -> (src, sent_at, forged) *)
+  let sent = Hashtbl.create 16 in
+  for k = 0 to 11 do
+    let at = 0.04 *. float_of_int k in
+    Engine.schedule engine ~at (fun () ->
+        let payload = Printf.sprintf "m%d" k in
+        if k mod 4 = 3 then begin
+          Hashtbl.replace sent payload (5, at, true);
+          Net.inject_forged net ~claimed_src:5 ~dst:(k mod n) ~delay:0.1 payload
+        end
+        else begin
+          Hashtbl.replace sent payload (k mod n, at, false);
+          Net.broadcast net ~src:(k mod n) payload
+        end)
+  done;
+  ignore (Engine.run engine);
+  check_int "conservation" (Net.messages_attempted net)
+    (Net.messages_delivered net + Net.messages_dropped net);
+  check_bool "descriptors grew past n slots" true
+    (Net.pool_slots_allocated net > n * Net.pool_fanouts_allocated net);
+  check_int "every delivery reached a handler" (Net.messages_delivered net)
+    (List.length !got);
+  List.iter
+    (fun (i, dst, src, sent_at, forged, payload) ->
+      let src', at', forged' = Hashtbl.find sent payload in
+      check_int "dst is the receiving handler's id" i dst;
+      check_int (payload ^ ": src") src' src;
+      check_float (payload ^ ": sent_at") at' sent_at;
+      check_bool (payload ^ ": forged") forged' forged)
+    !got;
+  (* each routed (payload, dst) arrives twice (dup_prob 1), and nothing
+     arrives that the override did not route, forged injections aside *)
+  let broadcast_deliveries =
+    List.filter_map
+      (fun (i, _, _, _, forged, payload) ->
+        if forged then None else Some (payload, i))
+      !got
+    |> List.sort compare
+  in
+  let routed_twice =
+    List.concat_map (fun r -> [ r; r ]) !routed |> List.sort compare
+  in
+  check_bool "the override saw every delivered slot's dst" true
+    (broadcast_deliveries = routed_twice)
+
 let suite =
   [
     case "slot reuse after pop" test_slot_reuse_after_pop;
     case "zero pool allocation beyond peak" test_zero_alloc_beyond_peak;
     case "scramble preserves pool shape" test_scramble_preserves_pool_shape;
     case "scramble is digest-neutral" test_scramble_digest_neutral;
+    case "n slots per descriptor, growth only for duplicates"
+      test_slots_per_descriptor;
+    case "shared envelope: per-slot dst, sender's fields" test_shared_envelope_fields;
   ]

@@ -135,6 +135,176 @@ let test_scramble_corrupts_values_never_structure () =
   St.gc t ~dead:(fun ~active:_ p -> !p = -1);
   check_bool "scrambled sessions collectable" true (St.live t <= 4)
 
+(* ----- the array index against a naive association-list model ---------- *)
+
+(* The model keeps the same facts as the table minus the slot layout:
+   sessions as (g, entry), eviction by least (active, stamp), the same
+   counters. General ids run past the initial index size (the capacity), so
+   the index's growth path is exercised; negative ids probe absence. *)
+type entry = { anchor : float option; payload : int; active : float; stamp : int }
+
+type model = {
+  cap : int;
+  mutable entries : (int * entry) list;
+  mutable seq : int;
+  mutable peak : int;
+  mutable evicted : int;
+  mutable gced : int;
+  mutable rejected : int;
+}
+
+type op =
+  | Insert of int * float * int  (* via insert_reporting: victim compared *)
+  | Try_insert of int * float * int
+  | Touch of int * float
+  | Set_anchor of int * float
+  | Remove of int
+  | Gc of float  (* sessions last active before the cutoff are dead *)
+
+let m_live m = List.length m.entries
+let m_find m g = Option.map (fun e -> e.payload) (List.assoc_opt g m.entries)
+
+let m_anchor m g =
+  Option.bind (List.assoc_opt g m.entries) (fun e -> e.anchor)
+
+let m_insert m g now payload =
+  m.entries <- List.remove_assoc g m.entries;
+  let victim =
+    if m_live m >= m.cap then begin
+      let vg, _ =
+        List.fold_left
+          (fun ((_, b) as best) ((_, e) as cand) ->
+            if e.active < b.active || (e.active = b.active && e.stamp < b.stamp)
+            then cand
+            else best)
+          (List.hd m.entries) (List.tl m.entries)
+      in
+      m.entries <- List.remove_assoc vg m.entries;
+      m.evicted <- m.evicted + 1;
+      Some vg
+    end
+    else None
+  in
+  m.seq <- m.seq + 1;
+  m.entries <- (g, { anchor = None; payload; active = now; stamp = m.seq }) :: m.entries;
+  m.peak <- max m.peak (m_live m);
+  victim
+
+let m_update m g f =
+  m.entries <- List.map (fun (g', e) -> if g' = g then (g', f e) else (g', e)) m.entries
+
+let apply t m = function
+  | Insert (g, now, p) ->
+      let got = St.insert_reporting t ~g ~now p in
+      got = m_insert m g now p
+  | Try_insert (g, now, p) ->
+      let expect =
+        if List.mem_assoc g m.entries || m_live m < m.cap then begin
+          ignore (m_insert m g now p);
+          true
+        end
+        else begin
+          m.rejected <- m.rejected + 1;
+          false
+        end
+      in
+      St.try_insert t ~g ~now p = expect
+  | Touch (g, now) ->
+      St.touch t g ~now;
+      m_update m g (fun e -> if now > e.active then { e with active = now } else e);
+      true
+  | Set_anchor (g, a) ->
+      St.set_anchor t g a;
+      m_update m g (fun e -> { e with anchor = Some a });
+      true
+  | Remove g ->
+      St.remove t g;
+      m.entries <- List.remove_assoc g m.entries;
+      true
+  | Gc cutoff ->
+      St.gc t ~dead:(fun ~active _ -> active < cutoff);
+      let dead, kept = List.partition (fun (_, e) -> e.active < cutoff) m.entries in
+      m.entries <- kept;
+      m.gced <- m.gced + List.length dead;
+      true
+
+let agrees t m =
+  let probes = [ min_int; -7; -1 ] @ List.init 206 Fun.id @ [ max_int ] in
+  List.for_all (fun g -> St.find t g = m_find m g && St.anchor t g = m_anchor m g) probes
+  && St.live t = m_live m
+  && St.stats t
+     = {
+         St.capacity = m.cap;
+         live = m_live m;
+         peak_live = m.peak;
+         evicted = m.evicted;
+         gced = m.gced;
+         rejected_at_capacity = m.rejected;
+       }
+  &&
+  let listed = ref [] in
+  St.iter t (fun ~g ~anchor p -> listed := (g, anchor, p) :: !listed);
+  List.sort compare !listed
+  = List.sort compare (List.map (fun (g, e) -> (g, e.anchor, e.payload)) m.entries)
+
+let gen_ops =
+  QCheck.Gen.(
+    (* a hot set of small ids for collisions, plus ids up to 200; times on a
+       coarse grid so activity ties (the stamp tie-break) are common *)
+    let id = frequency [ (3, int_bound 6); (2, int_bound 200) ] in
+    let any_id = frequency [ (6, id); (1, int_range (-3) (-1)) ] in
+    let time = map float_of_int (int_bound 12) in
+    pair (int_range 1 6)
+      (list_size (int_range 1 80)
+         (frequency
+            [
+              (5, map3 (fun g t p -> Insert (g, t, p)) id time small_nat);
+              (3, map3 (fun g t p -> Try_insert (g, t, p)) id time small_nat);
+              (3, map2 (fun g t -> Touch (g, t)) any_id time);
+              (2, map2 (fun g t -> Set_anchor (g, t +. 0.5)) any_id time);
+              (2, map (fun g -> Remove g) any_id);
+              (1, map (fun t -> Gc t) time);
+            ])))
+
+let print_op = function
+  | Insert (g, t, p) -> Printf.sprintf "insert %d@%g=%d" g t p
+  | Try_insert (g, t, p) -> Printf.sprintf "try_insert %d@%g=%d" g t p
+  | Touch (g, t) -> Printf.sprintf "touch %d@%g" g t
+  | Set_anchor (g, a) -> Printf.sprintf "anchor %d=%g" g a
+  | Remove g -> Printf.sprintf "remove %d" g
+  | Gc t -> Printf.sprintf "gc <%g" t
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"array-indexed table matches an association-list model"
+    ~count:400
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map print_op ops)))
+       gen_ops)
+    (fun (cap, ops) ->
+      let t : int St.t = St.create ~capacity:cap in
+      let m =
+        { cap; entries = []; seq = 0; peak = 0; evicted = 0; gced = 0; rejected = 0 }
+      in
+      List.for_all (fun op -> apply t m op && agrees t m) ops)
+
+let test_negative_ids_absent () =
+  let t : int St.t = St.create ~capacity:2 in
+  St.insert t ~g:0 ~now:1.0 10;
+  List.iter
+    (fun g ->
+      check_bool "absent" true (St.find t g = None && St.anchor t g = None);
+      St.touch t g ~now:5.0;
+      St.set_anchor t g 1.0;
+      St.remove t g)
+    [ -1; -2; min_int ];
+  check_bool "the real session untouched" true (St.find t 0 = Some 10);
+  check_int "still one live" 1 (St.live t);
+  Alcotest.check_raises "inserting a negative id is refused"
+    (Invalid_argument "Session_table.insert: negative General id") (fun () ->
+      St.insert t ~g:(-1) ~now:2.0 0)
+
 let suite =
   [
     case "capacity validated" test_capacity_validated;
@@ -145,4 +315,6 @@ let suite =
     case "GC bound over 5000 sequential sessions" test_gc_bound_under_sequential_sessions;
     case "GC grace spares newborns" test_gc_grace_spares_newborns;
     case "scramble corrupts values, never structure" test_scramble_corrupts_values_never_structure;
+    qcheck prop_matches_model;
+    case "negative ids absent, never raise" test_negative_ids_absent;
   ]
