@@ -133,21 +133,10 @@ let ignoring t v =
    it keeps message complexity at the O(n^2)-per-agreement the round
    structure implies, and every proof only needs each send to happen once per
    condition epoch. *)
-let sent_tbl t = function
-  | Support -> t.guard.Separation.sent_support
-  | Approve -> t.guard.Separation.sent_approve
-  | Ready -> t.guard.Separation.sent_ready
-
 let send t kind v =
   let tau = now t in
-  let tbl = sent_tbl t kind in
-  let recently =
-    match Hashtbl.find_opt tbl v with
-    | Some s -> s <= tau && tau -. s < (p t).Params.d
-    | None -> false
-  in
-  if not recently then begin
-    Hashtbl.replace tbl v tau;
+  if not (Separation.sent_within_d t.guard ~params:(p t) ~now:tau kind v) then begin
+    Separation.record_send t.guard kind v ~at:tau;
     t.ctx.send_all (Ia { kind; g = t.g; v });
     (* IG3 self-monitoring timestamps: first execution after invocation. *)
     let sep = t.guard in
@@ -162,11 +151,7 @@ let send t kind v =
   end
 
 let support_sent_recently t =
-  let tau = now t in
-  let d = (p t).Params.d in
-  Hashtbl.fold
-    (fun _ s acc -> acc || (s <= tau && tau -. s >= 0.0 && tau -. s <= d))
-    t.guard.Separation.sent_support false
+  Separation.support_sent_within_d t.guard ~params:(p t) ~now:(now t)
 
 (* Block N4: the I-accept. *)
 let do_accept t v =
@@ -299,31 +284,37 @@ let handle_message t ~kind ~sender ~v =
     eval t v
   end
 
-(* Figure 2's cleanup block, run periodically (every d) by the node. *)
+(* Decay a table of receive logs, dropping the logs left empty. *)
+let sweep_logs tbl ~now ~horizon =
+  Hashtbl.iter
+    (fun _ log ->
+      Recv_log.sanitize log ~now;
+      Recv_log.decay log ~horizon)
+    tbl;
+  let empty = Hashtbl.fold (fun v l acc -> if Recv_log.is_empty l then v :: acc else acc) tbl [] in
+  List.iter (Hashtbl.remove tbl) empty
+
+let prune tbl keep =
+  let doomed = Hashtbl.fold (fun v x acc -> if keep x then acc else v :: acc) tbl [] in
+  List.iter (Hashtbl.remove tbl) doomed
+
+(* Figure 2's cleanup block, run periodically (every d) by the node. After
+   the post-return reset most tables are empty, and an empty one is skipped
+   without walking its buckets. *)
 let cleanup t =
   let tau = now t in
   let prm = p t in
   let horizon = tau -. prm.Params.delta_rmv in
-  let sweep tbl =
-    Hashtbl.iter
-      (fun _ log ->
-        Recv_log.sanitize log ~now:tau;
-        Recv_log.decay log ~horizon)
-      tbl;
-    let empty = Hashtbl.fold (fun v l acc -> if Recv_log.is_empty l then v :: acc else acc) tbl [] in
-    List.iter (Hashtbl.remove tbl) empty
-  in
-  sweep t.support;
-  sweep t.approve;
-  sweep t.ready;
-  let prune tbl keep =
-    let doomed = Hashtbl.fold (fun v x acc -> if keep x then acc else v :: acc) tbl [] in
-    List.iter (Hashtbl.remove tbl) doomed
-  in
-  prune t.i_values (fun r -> r <= tau && tau -. r <= prm.Params.delta_rmv);
-  prune t.ready_flag (fun s -> s <= tau && tau -. s <= prm.Params.delta_rmv);
-  prune t.ignore_until (fun until ->
-      until > tau && until <= tau +. (4.0 *. prm.Params.d));
+  if Hashtbl.length t.support > 0 then sweep_logs t.support ~now:tau ~horizon;
+  if Hashtbl.length t.approve > 0 then sweep_logs t.approve ~now:tau ~horizon;
+  if Hashtbl.length t.ready > 0 then sweep_logs t.ready ~now:tau ~horizon;
+  if Hashtbl.length t.i_values > 0 then
+    prune t.i_values (fun r -> r <= tau && tau -. r <= prm.Params.delta_rmv);
+  if Hashtbl.length t.ready_flag > 0 then
+    prune t.ready_flag (fun s -> s <= tau && tau -. s <= prm.Params.delta_rmv);
+  if Hashtbl.length t.ignore_until > 0 then
+    prune t.ignore_until (fun until ->
+        until > tau && until <= tau +. (4.0 *. prm.Params.d));
   (* The persistent variables decay in the guard; its cleanup is idempotent,
      so running it here *and* in the node's guard sweep is harmless. *)
   Separation.cleanup t.guard ~params:prm ~now:tau;
@@ -440,15 +431,16 @@ let scramble rng ~values t =
       if Ssba_sim.Rng.bool rng then Hashtbl.replace t.i_values v (rtime ());
       if Ssba_sim.Rng.bool rng then Hashtbl.replace t.ready_flag v (rtime ());
       if Ssba_sim.Rng.bool rng then begin
-        let sets = Time_set.create () in
-        Time_set.add sets (rtime ());
-        Time_set.add sets (rtime ());
-        Hashtbl.replace t.guard.Separation.last_gm v sets
+        let a = rtime () in
+        let b = rtime () in
+        Separation.plant_last_gm t.guard v [ a; b ]
       end;
-      if Ssba_sim.Rng.bool rng then
-        Hashtbl.replace
-          (sent_tbl t (Ssba_sim.Rng.pick rng [| Support; Approve; Ready |]))
-          v (rtime ());
+      if Ssba_sim.Rng.bool rng then begin
+        (* The stamp is drawn before the kind: the draw order is pinned. *)
+        let at = rtime () in
+        let kind = Ssba_sim.Rng.pick rng [| Support; Approve; Ready |] in
+        Separation.record_send t.guard kind v ~at
+      end;
       if Ssba_sim.Rng.bool rng then Hashtbl.replace t.ignore_until v (rtime ()));
   if Ssba_sim.Rng.bool rng then t.guard.Separation.last_g <- Some (rtime ());
   if Ssba_sim.Rng.bool rng then t.guard.Separation.invoked_at <- Some (rtime ());

@@ -257,26 +257,29 @@ let cleanup t =
   let tau = now t in
   let pm = prm t in
   let horizon = tau -. (float_of_int ((2 * pm.Params.f) + 3) *. pm.Params.phi) in
-  let doomed = ref [] in
-  Hashtbl.iter
-    (fun key tr ->
-      Recv_log.sanitize tr.echo ~now:tau;
-      Recv_log.sanitize tr.init2 ~now:tau;
-      Recv_log.sanitize tr.echo2 ~now:tau;
-      Recv_log.decay tr.echo ~horizon;
-      Recv_log.decay tr.init2 ~horizon;
-      Recv_log.decay tr.echo2 ~horizon;
-      (match tr.init_from_p with
-      | Some at when at > tau || at < horizon -> tr.init_from_p <- None
-      | Some _ | None -> ());
-      (match tr.accepted_at with
-      | Some at when at > tau -> tr.accepted_at <- None
-      | Some _ | None -> ());
-      if
-        tr.last_activity < horizon || tr.last_activity > tau
-      then doomed := (key, tr) :: !doomed)
-    t.trips;
-  remove_trips t !doomed;
+  (* After the post-return reset the table is usually empty: skip it
+     without walking its buckets. *)
+  if Hashtbl.length t.trips > 0 then begin
+    let doomed = ref [] in
+    Hashtbl.iter
+      (fun key tr ->
+        Recv_log.sanitize tr.echo ~now:tau;
+        Recv_log.sanitize tr.init2 ~now:tau;
+        Recv_log.sanitize tr.echo2 ~now:tau;
+        Recv_log.decay tr.echo ~horizon;
+        Recv_log.decay tr.init2 ~horizon;
+        Recv_log.decay tr.echo2 ~horizon;
+        (match tr.init_from_p with
+        | Some at when at > tau || at < horizon -> tr.init_from_p <- None
+        | Some _ | None -> ());
+        (match tr.accepted_at with
+        | Some at when at > tau -> tr.accepted_at <- None
+        | Some _ | None -> ());
+        if tr.last_activity < horizon || tr.last_activity > tau then
+          doomed := (key, tr) :: !doomed)
+      t.trips;
+    remove_trips t !doomed
+  end;
   Recv_log.sanitize t.broadcasters ~now:tau;
   Recv_log.decay t.broadcasters ~horizon;
   match t.tau_g with

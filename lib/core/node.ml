@@ -32,9 +32,10 @@ type t = {
   instances : Ss_byz_agree.t Session_table.t;
       (* the session table: one live (logical G, anchor) session per slot,
          fixed capacity, deterministic eviction, quiescence GC *)
-  guards : (general, Separation.t) Hashtbl.t;
-      (* the per-General separation guards; they outlive their sessions and
-         are only dropped once fully decayed (and no session holds them) *)
+  guards : Separation.t option array;
+      (* the per-General separation guards, indexed by logical General id
+         (length n * channels); they outlive their sessions and are only
+         dropped once fully decayed (and no session holds them) *)
   blackout : bool;
       (* the Initiator-Accept re-initiation blackout knob; false only in the
          model checker's weakened-oracle sensitivity runs *)
@@ -82,11 +83,11 @@ let ctx_of t =
   }
 
 let guard_of t g =
-  match Hashtbl.find_opt t.guards g with
+  match t.guards.(g) with
   | Some s -> s
   | None ->
       let s = Separation.create () in
-      Hashtbl.replace t.guards g s;
+      t.guards.(g) <- Some s;
       s
 
 (* A fresh session joins the table as (g, None) and is re-keyed to
@@ -190,16 +191,15 @@ let start_cleanup t =
          Initiator is still in flight. *)
       Session_table.gc t.instances ~dead:(fun ~active inst ->
           tau -. active > 4.0 *. d && Ss_byz_agree.quiescent inst);
-      let doomed =
-        Hashtbl.fold
-          (fun g sep acc ->
+      let guards = t.guards in
+      for g = 0 to Array.length guards - 1 do
+        match guards.(g) with
+        | None -> ()
+        | Some sep ->
             Separation.cleanup sep ~params:t.params ~now:tau;
             if Separation.is_idle sep && Session_table.find t.instances g = None
-            then g :: acc
-            else acc)
-          t.guards []
-      in
-      List.iter (Hashtbl.remove t.guards) doomed;
+            then guards.(g) <- None
+      done;
       Engine.schedule_after t.engine
         ~delay:(Clock.real_of_local_duration t.clock d)
         tick
@@ -228,7 +228,7 @@ let create_on ?(channels = 1) ?session_capacity ?(blackout = true)
       blackout;
       admission;
       instances = Session_table.create ~capacity;
-      guards = Hashtbl.create 4;
+      guards = Array.make (params.Params.n * channels) None;
       returns = [];
       subscribers = [];
       observers = [];
@@ -375,12 +375,14 @@ let fingerprint buf t =
       (fun (a, _) (b, _) -> compare a b)
       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
-  List.iter
-    (fun (g, sep) ->
-      Printf.bprintf buf "guard%d=" g;
-      Separation.fingerprint buf sep;
-      Buffer.add_char buf ';')
-    (sorted t.guards);
+  Array.iteri
+    (fun g -> function
+      | None -> ()
+      | Some sep ->
+          Printf.bprintf buf "guard%d=" g;
+          Separation.fingerprint buf sep;
+          Buffer.add_char buf ';')
+    t.guards;
   List.iter
     (fun (g, s) -> Printf.bprintf buf "ig1:%d=%h;" g s)
     (sorted t.last_init_at);

@@ -87,7 +87,8 @@ val propose : ?channel:int -> t -> value -> (unit, propose_error) result
 
 (** The per-General agreement session (found in the session table or created
     on demand, keyed (logical G, anchor)); the argument is a logical General
-    id. Touches the session's activity time. *)
+    id in [\[0, n * channels)] (raises [Invalid_argument] otherwise). Touches
+    the session's activity time. *)
 val instance : t -> general -> Ss_byz_agree.t
 
 (** The physical node behind a logical General id ([g mod n]). *)

@@ -28,39 +28,59 @@
      been reset or collected; keeping them here makes the self-watchdog
      immune to session lifecycle.
 
-   All fields are deliberately transparent (see the .mli): the guard is
-   shared mutable state between Initiator_accept and Node, not an
-   abstraction boundary. *)
+   The scalar fields are transparent (see the .mli): Initiator_accept reads
+   and writes them directly. The per-value state — last(G,m) and the three
+   send times — is private, kept as one array of entries sorted by value.
+   Every node sweeps every guard once per d, so [cleanup] is one pass over
+   that array that allocates nothing per entry and compacts decayed entries
+   out in place, and [is_idle] is O(1).
+
+   A send time of [neg_infinity] means "never sent": it fails every
+   freshness predicate below, decays to itself, and is not printed by
+   [fingerprint]. An entry lives while its last(G,m) set is non-empty or one
+   of its send times is not [neg_infinity]; [cleanup] drops it otherwise, so
+   [len = 0] iff nothing per-value is left. *)
 
 open Types
 
+type entry = {
+  v : value;
+  gm : Time_set.t;  (* last(G,m): sorted set-times *)
+  sent : float array;  (* per-kind send times, indexed by [slot] *)
+}
+
+type per_value = {
+  mutable entries : entry array;  (* [0, len) live, ascending by value *)
+  mutable len : int;
+}
+
 type t = {
   mutable last_g : float option;  (* last(G): set at N4 *)
-  last_gm : (value, Time_set.t) Hashtbl.t;  (* last(G,m): sorted set-times *)
-  sent_support : (value, float) Hashtbl.t;
-  sent_approve : (value, float) Hashtbl.t;
-  sent_ready : (value, float) Hashtbl.t;
   mutable session_value : (value * float) option;
       (* (first engaged value, engagement time) — the blackout *)
   mutable invoked_at : float option;
   mutable l4_at : float option;
   mutable m4_at : float option;
   mutable n4_at : float option;
+  per_value : per_value;
 }
+
+(* Fills the free tail of [entries] so compacted-out entries are not kept
+   reachable; never read. *)
+let vacant = { v = ""; gm = Time_set.create (); sent = [||] }
 
 let create () =
   {
     last_g = None;
-    last_gm = Hashtbl.create 4;
-    sent_support = Hashtbl.create 4;
-    sent_approve = Hashtbl.create 4;
-    sent_ready = Hashtbl.create 4;
     session_value = None;
     invoked_at = None;
     l4_at = None;
     m4_at = None;
     n4_at = None;
+    per_value = { entries = [||]; len = 0 };
   }
+
+let slot = function Support -> 0 | Approve -> 1 | Ready -> 2
 
 (* last(G,m) expiry horizon: 2 * Delta_rmv + 9d (Figure 2, cleanup). *)
 let last_gm_expiry (p : Params.t) = (2.0 *. p.Params.delta_rmv) +. (9.0 *. p.Params.d)
@@ -71,26 +91,79 @@ let last_g_expiry (p : Params.t) = p.Params.delta_0 -. (6.0 *. p.Params.d)
 (* Blackout horizon: the i_value freshness window (Definition 8). *)
 let session_value_expiry (p : Params.t) = p.Params.delta_rmv
 
-let set_last_gm t v ~at =
-  let sets =
-    match Hashtbl.find_opt t.last_gm v with
-    | Some s -> s
-    | None ->
-        let s = Time_set.create () in
-        Hashtbl.replace t.last_gm v s;
-        s
-  in
-  Time_set.add sets at
+(* Index of the first entry whose value is >= [v], in [0, len]. *)
+let lower_bound pv v =
+  let lo = ref 0 and hi = ref pv.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if String.compare (Array.unsafe_get pv.entries mid).v v < 0 then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
+
+(* Index of [v]'s entry, or -1. *)
+let find pv v =
+  let i = lower_bound pv v in
+  if i < pv.len && String.equal (Array.unsafe_get pv.entries i).v v then i else -1
+
+(* [v]'s entry, inserted in order (with nothing recorded) if absent. *)
+let entry pv v =
+  let i = lower_bound pv v in
+  if i < pv.len && String.equal pv.entries.(i).v v then pv.entries.(i)
+  else begin
+    if pv.len = Array.length pv.entries then begin
+      let grown = Array.make (max 2 (2 * pv.len)) vacant in
+      Array.blit pv.entries 0 grown 0 pv.len;
+      pv.entries <- grown
+    end;
+    Array.blit pv.entries i pv.entries (i + 1) (pv.len - i);
+    let e = { v; gm = Time_set.create (); sent = Array.make 3 neg_infinity } in
+    pv.entries.(i) <- e;
+    pv.len <- pv.len + 1;
+    e
+  end
+
+let set_last_gm t v ~at = Time_set.add (entry t.per_value v).gm at
 
 let last_gm_defined_at t ~params v ~at =
-  match Hashtbl.find_opt t.last_gm v with
-  | None -> false
-  | Some sets -> Time_set.defined_at sets ~at ~expiry:(last_gm_expiry params)
+  let pv = t.per_value in
+  let i = find pv v in
+  i >= 0
+  && Time_set.defined_at pv.entries.(i).gm ~at ~expiry:(last_gm_expiry params)
 
 let last_g_defined t ~params ~now =
   match t.last_g with
   | None -> false
   | Some s -> s <= now && now -. s <= last_g_expiry params
+
+(* Duplicate suppression: was ([kind], [v]) sent at some [s] with
+   [s <= now] and [now - s < d]? *)
+let sent_within_d t ~params ~now kind v =
+  let pv = t.per_value in
+  let i = find pv v in
+  i >= 0
+  &&
+  let s = pv.entries.(i).sent.(slot kind) in
+  s <= now && now -. s < params.Params.d
+
+let record_send t kind v ~at = (entry t.per_value v).sent.(slot kind) <- at
+
+(* K1's test: a support for any value sent within [now - d, now]. *)
+let support_sent_within_d t ~params ~now =
+  let pv = t.per_value in
+  let d = params.Params.d in
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < pv.len do
+    let s = pv.entries.(!i).sent.(0) in
+    if s <= now && now -. s >= 0.0 && now -. s <= d then found := true;
+    incr i
+  done;
+  !found
+
+let plant_last_gm t v stamps =
+  let gm = (entry t.per_value v).gm in
+  Time_set.clear gm;
+  List.iter (Time_set.add gm) stamps
 
 (* The blackout query: is there a fresh engagement for a *different* value? *)
 let blackout_blocks t ~params ~now v =
@@ -114,70 +187,84 @@ let note_session_value t ~params ~now v =
    N4 resetting the session's i_values. *)
 let clear_session_value t = t.session_value <- None
 
+(* A stamp survives decay only if it is neither in the future nor older than
+   [horizon]. Written as the positive test so that a NaN stamp decays. *)
+let[@inline] stale ~now ~horizon = function
+  | Some s -> not (s <= now && now -. s <= horizon)
+  | None -> false
+
+(* Decay every entry and compact the live ones to the front, keeping their
+   order. A helper rather than inline in [cleanup] so that [gm_lo] arrives
+   boxed once per guard and the per-entry [Time_set] call passes it on
+   without allocating. *)
+let decay_entries pv ~params ~now ~gm_lo =
+  let sent_horizon = 2.0 *. params.Params.delta_rmv in
+  let kept = ref 0 in
+  for i = 0 to pv.len - 1 do
+    let e = pv.entries.(i) in
+    Time_set.retain_range e.gm ~lo:gm_lo ~hi:now;
+    let sent = e.sent in
+    let live = ref (not (Time_set.is_empty e.gm)) in
+    for k = 0 to 2 do
+      let s = sent.(k) in
+      if s <= now && now -. s <= sent_horizon then live := true
+      else sent.(k) <- neg_infinity
+    done;
+    if !live then begin
+      if !kept < i then pv.entries.(!kept) <- e;
+      incr kept
+    end
+  done;
+  if !kept < pv.len then begin
+    Array.fill pv.entries !kept (pv.len - !kept) vacant;
+    pv.len <- !kept
+  end
+
 (* Figure 2's decay rules for the persistent variables; run every d. Safe to
    run both from the session's cleanup and from the node's guard sweep —
    pruning is idempotent. *)
 let cleanup t ~params ~now =
-  let prune tbl keep =
-    let doomed = Hashtbl.fold (fun v x acc -> if keep x then acc else v :: acc) tbl [] in
-    List.iter (Hashtbl.remove tbl) doomed
-  in
-  (match t.last_g with
-  | Some s when s > now || now -. s > last_g_expiry params -> t.last_g <- None
-  | Some _ | None -> ());
-  let gm_horizon = now -. (last_gm_expiry params +. params.Params.d) in
-  let gm_doomed = ref [] in
-  Hashtbl.iter
-    (fun v sets ->
-      Time_set.retain_range sets ~lo:gm_horizon ~hi:now;
-      if Time_set.is_empty sets then gm_doomed := v :: !gm_doomed)
-    t.last_gm;
-  List.iter (Hashtbl.remove t.last_gm) !gm_doomed;
-  let keep_sent s = s <= now && now -. s <= 2.0 *. params.Params.delta_rmv in
-  prune t.sent_support keep_sent;
-  prune t.sent_approve keep_sent;
-  prune t.sent_ready keep_sent;
+  if stale ~now ~horizon:(last_g_expiry params) t.last_g then t.last_g <- None;
+  let pv = t.per_value in
+  if pv.len > 0 then
+    decay_entries pv ~params ~now
+      ~gm_lo:(now -. (last_gm_expiry params +. params.Params.d));
   (match t.session_value with
-  | Some (_, s) when s > now || now -. s > session_value_expiry params ->
+  | Some (_, s) when not (s <= now && now -. s <= session_value_expiry params) ->
       t.session_value <- None
   | Some _ | None -> ());
-  let stale = function
-    | Some s when s > now || now -. s > params.Params.delta_rmv -> true
-    | Some _ | None -> false
-  in
-  if stale t.invoked_at then t.invoked_at <- None;
-  if stale t.l4_at then t.l4_at <- None;
-  if stale t.m4_at then t.m4_at <- None;
-  if stale t.n4_at then t.n4_at <- None
+  let rmv = params.Params.delta_rmv in
+  if stale ~now ~horizon:rmv t.invoked_at then t.invoked_at <- None;
+  if stale ~now ~horizon:rmv t.l4_at then t.l4_at <- None;
+  if stale ~now ~horizon:rmv t.m4_at then t.m4_at <- None;
+  if stale ~now ~horizon:rmv t.n4_at then t.n4_at <- None
 
 (* Canonical state fingerprint for the model checker's visited set: every
-   behaviour-relevant field, hashtables in sorted key order, floats printed
-   exactly (%h). *)
+   behaviour-relevant field, per-value state in ascending value order (the
+   entries' own order), floats printed exactly (%h). *)
 let fingerprint buf t =
   let fopt buf = function
     | None -> Buffer.add_string buf "-"
     | Some x -> Printf.bprintf buf "%h" x
   in
-  let sorted tbl =
-    List.sort
-      (fun (a, _) (b, _) -> compare a b)
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-  in
+  let pv = t.per_value in
   Printf.bprintf buf "sep{lg=%a;" fopt t.last_g;
+  for i = 0 to pv.len - 1 do
+    let e = pv.entries.(i) in
+    if not (Time_set.is_empty e.gm) then begin
+      Printf.bprintf buf "gm:%s=" e.v;
+      List.iter (fun at -> Printf.bprintf buf "%h," at) (Time_set.to_list e.gm);
+      Buffer.add_char buf ';'
+    end
+  done;
   List.iter
-    (fun (v, sets) ->
-      Printf.bprintf buf "gm:%s=" v;
-      List.iter (fun at -> Printf.bprintf buf "%h," at) (Time_set.to_list sets);
-      Buffer.add_char buf ';')
-    (sorted t.last_gm);
-  let sent tag tbl =
-    List.iter
-      (fun (v, s) -> Printf.bprintf buf "%s:%s=%h;" tag v s)
-      (sorted tbl)
-  in
-  sent "ss" t.sent_support;
-  sent "sa" t.sent_approve;
-  sent "sr" t.sent_ready;
+    (fun (tag, kind) ->
+      for i = 0 to pv.len - 1 do
+        let e = pv.entries.(i) in
+        let s = e.sent.(slot kind) in
+        if s <> neg_infinity then Printf.bprintf buf "%s:%s=%h;" tag e.v s
+      done)
+    [ ("ss", Support); ("sa", Approve); ("sr", Ready) ];
   (match t.session_value with
   | None -> Buffer.add_string buf "sv=-;"
   | Some (v, s) -> Printf.bprintf buf "sv=%s@%h;" v s);
@@ -187,10 +274,7 @@ let fingerprint buf t =
 (* Fully decayed: nothing left worth keeping — the node drops such guards. *)
 let is_idle t =
   t.last_g = None
-  && Hashtbl.length t.last_gm = 0
-  && Hashtbl.length t.sent_support = 0
-  && Hashtbl.length t.sent_approve = 0
-  && Hashtbl.length t.sent_ready = 0
+  && t.per_value.len = 0
   && t.session_value = None
   && t.invoked_at = None
   && t.l4_at = None

@@ -307,13 +307,15 @@ let cleanup t =
   let horizon = tau -. (pm.Params.delta_agr +. (3.0 *. pm.Params.d)) in
   (* Erase accepted broadcasts older than (2f+1) Phi + 3d. Rebuild a list
      only when it actually has doomed entries — on most ticks none do, and
-     the filter-copy per round tag per tick was pure allocation churn. *)
-  Hashtbl.iter
-    (fun k l ->
-      if List.exists (fun (_, _, at) -> at > tau || at < horizon) l then
-        Hashtbl.replace t.accepts k
-          (List.filter (fun (_, _, at) -> at <= tau && at >= horizon) l))
-    t.accepts;
+     the filter-copy per round tag per tick was pure allocation churn. An
+     empty table (the common case once the session is reset) is skipped. *)
+  if Hashtbl.length t.accepts > 0 then
+    Hashtbl.iter
+      (fun k l ->
+        if List.exists (fun (_, _, at) -> at > tau || at < horizon) l then
+          Hashtbl.replace t.accepts k
+            (List.filter (fun (_, _, at) -> at <= tau && at >= horizon) l))
+      t.accepts;
   (* Transient-fault repairs; unreachable in correct operation. *)
   (match t.tau_g with
   | Some tg when tg > tau -> full_reset t

@@ -148,4 +148,140 @@ let test_busy_while_running () =
   ;
   Cluster.run c
 
-let suite = suite @ [ case "Busy while running" test_busy_while_running ]
+
+(* ----- separation-guard lifecycle ----------------------------------------- *)
+
+(* [(id, text)] for every [guardN=sep{...}] entry of a node fingerprint, in
+   print order. *)
+let guards_of fp =
+  let tag = "guard" in
+  let k = String.length tag in
+  let rec go i acc =
+    match String.index_from_opt fp i 'g' with
+    | None -> List.rev acc
+    | Some j when j + k <= String.length fp && String.sub fp j k = tag -> (
+        let eq = String.index_from fp j '=' in
+        match int_of_string_opt (String.sub fp (j + k) (eq - j - k)) with
+        | Some id ->
+            let close = String.index_from fp eq '}' in
+            go (close + 1) ((id, String.sub fp (eq + 1) (close - eq)) :: acc)
+        | None -> go (j + 1) acc)
+    | Some j -> go (j + 1) acc
+  in
+  go 0 []
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* The latest last(G,m) set-time in a guard's text ("gm:v=s1,s2,;"). *)
+let last_gm_stamp text =
+  List.fold_left
+    (fun acc part ->
+      match String.index_opt part '=' with
+      | Some eq when String.length part > 3 && String.sub part 0 3 = "gm:" ->
+          List.fold_left
+            (fun acc x -> if x = "" then acc else Float.max acc (float_of_string x))
+            acc
+            (String.split_on_char ',' (String.sub part (eq + 1) (String.length part - eq - 1)))
+      | Some _ | None -> acc)
+    neg_infinity (String.split_on_char ';' text)
+
+let idle_guard = "sep{lg=-;sv=-;ig3=-,-,-,-}"
+
+(* With two channels, logical General n + 1 (node 1's second channel) runs
+   one agreement. Node 0 holds a guard for it while the session is live,
+   keeps it after the session is collected while last(G,m) still holds
+   stamps, drops it at the first tick that finds it idle, and creates a
+   fresh one when a later message names that General. Node 0 is observed
+   halfway between its cleanup ticks (every d from time 0, perfect clock). *)
+let test_guard_lifecycle () =
+  let n = 4 in
+  let params = Params.default n in
+  let d = params.Params.d in
+  let engine = Engine.create () in
+  let net =
+    Ssba_net.Network.create ~engine ~n
+      ~delay:(Ssba_net.Delay.fixed (0.1 *. d))
+      ~rng:(Ssba_sim.Rng.create 5) ()
+  in
+  let nodes =
+    Array.init n (fun id ->
+        Node.create ~channels:2 ~id ~params ~clock:Ssba_sim.Clock.perfect
+          ~engine ~net ())
+  in
+  let g = n + 1 and low = 2 in
+  let now = ref (0.5 *. d) in
+  let observe () =
+    let buf = Buffer.create 1024 in
+    Node.fingerprint buf nodes.(0);
+    let fp = Buffer.contents buf in
+    let guards = guards_of fp in
+    let ids = List.map fst guards in
+    check_bool "guards print in ascending id" true (List.sort_uniq compare ids = ids);
+    (contains fp (Printf.sprintf "sess%d[" g), List.assoc_opt g guards, ids)
+  in
+  let step () =
+    now := !now +. d;
+    ignore (Engine.run ~until:!now engine);
+    observe ()
+  in
+  Engine.schedule engine ~at:(2.0 *. d) (fun () ->
+      check_bool "proposal on channel 1" true
+        (Node.propose ~channel:1 nodes.(1) "x" = Ok ()));
+  (* a lower id joins once guard g exists, so print order is not creation
+     order *)
+  Engine.schedule engine ~at:(20.0 *. d) (fun () ->
+      check_bool "proposal by General 2" true (Node.propose nodes.(low) "y" = Ok ()));
+  let rec until ~limit what pred =
+    if limit = 0 then Alcotest.failf "never observed: %s" what;
+    let o = step () in
+    if pred o then o else until ~limit:(limit - 1) what pred
+  in
+  ignore
+    (until ~limit:20 "a live session with its guard" (fun (live, guard, _) ->
+         live && guard <> None));
+  let _, guard, _ =
+    until ~limit:100 "the session collected" (fun (live, _, _) -> not live)
+  in
+  (match guard with
+  | Some text ->
+      check_bool "guard survives the session's GC with last(G,m) stamps" true
+        (contains text "gm:")
+  | None -> Alcotest.fail "guard dropped together with its session");
+  let saw_both = ref false in
+  let last_text = ref "" in
+  ignore
+    (until ~limit:400 "the guard dropped" (fun (live, guard, ids) ->
+         check_bool "no new session meanwhile" false live;
+         if ids = [ low; g ] then saw_both := true;
+         match guard with
+         | Some text ->
+             check_bool "a guard is never left idle after a tick" false
+               (text = idle_guard);
+             last_text := text;
+             false
+         | None -> true));
+  check_bool "both guards printed, lower id first" true !saw_both;
+  (* dropped at the first tick past its last last(G,m) stamp's horizon: the
+     tick before this observation is at !now - d/2, the previous one a whole
+     d earlier *)
+  let expires =
+    last_gm_stamp !last_text +. Separation.last_gm_expiry params +. d
+  in
+  check_bool "not dropped before last(G,m) decayed" true (!now -. (0.5 *. d) > expires);
+  check_bool "dropped at the first tick after" true (!now -. (1.5 *. d) <= expires);
+  Engine.schedule engine ~at:(!now +. (0.1 *. d)) (fun () ->
+      Ssba_net.Network.broadcast net ~src:3
+        (Types.Ia { kind = Types.Support; g; v = "z" }));
+  let live, guard, _ = step () in
+  check_bool "a later message opens a session" true live;
+  check_bool "with a fresh guard" true (guard = Some idle_guard)
+
+let suite =
+  suite
+  @ [
+      case "Busy while running" test_busy_while_running;
+      case "separation guard lifecycle" test_guard_lifecycle;
+    ]

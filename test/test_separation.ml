@@ -171,6 +171,276 @@ let test_blackout_keeps_relay_value_blind () =
   | [ ("b", _) ] -> ()
   | _ -> Alcotest.fail "expected the relay path to accept \"b\"")
 
+(* ---- the guard against its reference model ----------------------------- *)
+
+(* Random operation sequences over one to four values, applied to the
+   current [Separation] and to [Ref_separation] (the four-hashtable guard
+   every pinned digest was recorded under). After every step each query and
+   the fingerprint bytes must agree. Stamps are drawn relative to the
+   current time: recent, in the future, far in the past, or exactly
+   [now -. e] for each expiry horizon [e] the guard uses; time advances by
+   multiples of d/64.
+
+   Under the default parameters d is not a binary fraction, so [now -. s]
+   rarely lands exactly on a horizon. The second run therefore uses
+   d = 2^-10 with no drift or skew: every horizon is then a small multiple
+   of d, all stamp arithmetic is exact, and each [<] / [<=] boundary is hit
+   exactly. *)
+
+type stamp =
+  | Recent of float  (* now - x d *)
+  | Future of float  (* now + x d *)
+  | Edge of int  (* now - (horizons p).(i) *)
+  | Far  (* far past *)
+
+type op =
+  | Set_gm of int * stamp
+  | Plant_gm of int * stamp * stamp
+  | Send of Types.ia_kind * int * stamp
+  | Note of int
+  | Clear_sv
+  | Scalar of int * stamp option  (* last_g, invoked_at, l4_at, m4_at, n4_at *)
+  | Sv of int * stamp
+  | Cleanup
+  | Advance of float  (* x d *)
+
+let pool = [| "m"; "a"; "zz"; "ab" |]
+
+let horizons p =
+  let d = p.Params.d in
+  let e = Separation.last_gm_expiry p in
+  [|
+    e +. d;
+    e;
+    Separation.last_g_expiry p;
+    Separation.session_value_expiry p;
+    2.0 *. p.Params.delta_rmv;
+    p.Params.delta_rmv;
+    d;
+  |]
+
+let at_of p now = function
+  | Recent x -> now -. (x *. p.Params.d)
+  | Future x -> now +. (x *. p.Params.d)
+  | Edge i -> now -. (horizons p).(i)
+  | Far -> now -. (10.0 *. p.Params.delta_rmv)
+
+let gen_ops =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun nvals ->
+    let value = int_bound (nvals - 1) in
+    let frac hi = map (fun k -> float_of_int k /. 64.0) (int_bound (hi * 64)) in
+    let stamp =
+      frequency
+        [
+          (4, map (fun x -> Recent x) (frac 3));
+          (1, map (fun x -> Future x) (frac 2));
+          (3, map (fun i -> Edge i) (int_bound 6));
+          (1, return Far);
+        ]
+    in
+    let kind = oneofl [ Types.Support; Types.Approve; Types.Ready ] in
+    list_size (int_range 1 60)
+      (frequency
+         [
+           (4, map2 (fun v s -> Set_gm (v, s)) value stamp);
+           (1, map3 (fun v a b -> Plant_gm (v, a, b)) value stamp stamp);
+           (4, map3 (fun k v s -> Send (k, v, s)) kind value stamp);
+           (2, map (fun v -> Note v) value);
+           (1, return Clear_sv);
+           (2, map2 (fun i s -> Scalar (i, s)) (int_bound 4) (opt stamp));
+           (1, map2 (fun v s -> Sv (v, s)) value stamp);
+           (3, return Cleanup);
+           (4, map (fun x -> Advance x) (frac 2));
+           (1, map (fun k -> Advance (float_of_int k)) (int_range 10 90));
+         ]))
+
+let print_ops ops =
+  let st = function
+    | Recent x -> Printf.sprintf "now-%gd" x
+    | Future x -> Printf.sprintf "now+%gd" x
+    | Edge i -> Printf.sprintf "edge%d" i
+    | Far -> "far"
+  in
+  String.concat "; "
+    (List.map
+       (function
+         | Set_gm (v, s) -> Printf.sprintf "gm %s %s" pool.(v) (st s)
+         | Plant_gm (v, a, b) -> Printf.sprintf "plant %s %s %s" pool.(v) (st a) (st b)
+         | Send (k, v, s) ->
+             Printf.sprintf "sent %s %s %s" (Types.string_of_ia_kind k) pool.(v) (st s)
+         | Note v -> Printf.sprintf "note %s" pool.(v)
+         | Clear_sv -> "clear"
+         | Scalar (i, s) ->
+             Printf.sprintf "scalar%d %s" i (match s with None -> "-" | Some s -> st s)
+         | Sv (v, s) -> Printf.sprintf "sv %s %s" pool.(v) (st s)
+         | Cleanup -> "cleanup"
+         | Advance x -> Printf.sprintf "+%gd" x)
+       ops)
+
+let apply p cur rf now = function
+  | Set_gm (v, s) ->
+      let at = at_of p now s in
+      Separation.set_last_gm cur pool.(v) ~at;
+      Ref_separation.set_last_gm rf pool.(v) ~at
+  | Plant_gm (v, a, b) ->
+      let a = at_of p now a and b = at_of p now b in
+      Separation.plant_last_gm cur pool.(v) [ a; b ];
+      (* what the old [Initiator_accept.scramble] did *)
+      let sets = Time_set.create () in
+      Time_set.add sets a;
+      Time_set.add sets b;
+      Hashtbl.replace rf.Ref_separation.last_gm pool.(v) sets
+  | Send (k, v, s) ->
+      let at = at_of p now s in
+      Separation.record_send cur k pool.(v) ~at;
+      Hashtbl.replace (Ref_separation.sent_tbl rf k) pool.(v) at
+  | Note v ->
+      Separation.note_session_value cur ~params:p ~now pool.(v);
+      Ref_separation.note_session_value rf ~params:p ~now pool.(v)
+  | Clear_sv ->
+      Separation.clear_session_value cur;
+      Ref_separation.clear_session_value rf
+  | Scalar (i, s) -> (
+      let x = Option.map (at_of p now) s in
+      match i with
+      | 0 ->
+          cur.Separation.last_g <- x;
+          rf.Ref_separation.last_g <- x
+      | 1 ->
+          cur.Separation.invoked_at <- x;
+          rf.Ref_separation.invoked_at <- x
+      | 2 ->
+          cur.Separation.l4_at <- x;
+          rf.Ref_separation.l4_at <- x
+      | 3 ->
+          cur.Separation.m4_at <- x;
+          rf.Ref_separation.m4_at <- x
+      | _ ->
+          cur.Separation.n4_at <- x;
+          rf.Ref_separation.n4_at <- x)
+  | Sv (v, s) ->
+      let x = Some (pool.(v), at_of p now s) in
+      cur.Separation.session_value <- x;
+      rf.Ref_separation.session_value <- x
+  | Cleanup ->
+      Separation.cleanup cur ~params:p ~now;
+      Ref_separation.cleanup rf ~params:p ~now
+  | Advance _ -> ()
+
+(* Every query, per value and kind where it takes one, plus the bytes. *)
+let disagreement p cur rf now =
+  let fails = ref [] in
+  let agree what a b = if a <> b then fails := what :: !fails in
+  Array.iter
+    (fun v ->
+      List.iter
+        (fun at ->
+          agree
+            (Printf.sprintf "last_gm_defined_at %s %h" v at)
+            (Separation.last_gm_defined_at cur ~params:p v ~at)
+            (Ref_separation.last_gm_defined_at rf ~params:p v ~at))
+        [ now; now -. p.Params.d ];
+      agree ("blackout_blocks " ^ v)
+        (Separation.blackout_blocks cur ~params:p ~now v)
+        (Ref_separation.blackout_blocks rf ~params:p ~now v);
+      List.iter
+        (fun k ->
+          agree
+            (Printf.sprintf "sent_within_d %s %s" (Types.string_of_ia_kind k) v)
+            (Separation.sent_within_d cur ~params:p ~now k v)
+            (Ref_separation.sent_within_d rf ~params:p ~now k v))
+        [ Types.Support; Types.Approve; Types.Ready ])
+    pool;
+  agree "last_g_defined"
+    (Separation.last_g_defined cur ~params:p ~now)
+    (Ref_separation.last_g_defined rf ~params:p ~now);
+  agree "support_sent_within_d"
+    (Separation.support_sent_within_d cur ~params:p ~now)
+    (Ref_separation.support_sent_within_d rf ~params:p ~now);
+  agree "is_idle" (Separation.is_idle cur) (Ref_separation.is_idle rf);
+  let fc = Buffer.create 128 and fr = Buffer.create 128 in
+  Separation.fingerprint fc cur;
+  Ref_separation.fingerprint fr rf;
+  if Buffer.contents fc <> Buffer.contents fr then
+    fails :=
+      Printf.sprintf "fingerprint\n  cur %s\n  ref %s" (Buffer.contents fc)
+        (Buffer.contents fr)
+      :: !fails;
+  !fails
+
+let prop_matches_reference ~name p =
+  QCheck.Test.make
+    ~name:("guard answers and prints like the four-table reference, " ^ name)
+    ~count:300
+    (QCheck.make ~print:print_ops gen_ops)
+    (fun ops ->
+      let cur = Separation.create () and rf = Ref_separation.create () in
+      let now = ref 100.0 in
+      List.iteri
+        (fun i op ->
+          (match op with Advance x -> now := !now +. (x *. p.Params.d) | _ -> ());
+          apply p cur rf !now op;
+          match disagreement p cur rf !now with
+          | [] -> ()
+          | fails ->
+              QCheck.Test.fail_reportf "after step %d: %s" i
+                (String.concat "; " fails))
+        ops;
+      true)
+
+let exact_params = Params.default ~delta:(1.0 /. 1024.0) ~pi:0.0 ~rho:0.0 7
+
+(* ---- NaN stamps decay ---------------------------------------------------- *)
+
+(* A NaN in any scalar, or as a send time, is gone after one cleanup: each
+   stamp is kept only if [s <= now && now -. s <= e], which NaN fails. *)
+let test_nan_stamps_decay () =
+  let now = 100.0 in
+  let plants =
+    [
+      ("last_g", fun g -> g.Separation.last_g <- Some Float.nan);
+      ("session_value", fun g -> g.Separation.session_value <- Some ("a", Float.nan));
+      ("invoked_at", fun g -> g.Separation.invoked_at <- Some Float.nan);
+      ("l4_at", fun g -> g.Separation.l4_at <- Some Float.nan);
+      ("m4_at", fun g -> g.Separation.m4_at <- Some Float.nan);
+      ("n4_at", fun g -> g.Separation.n4_at <- Some Float.nan);
+      ("sent support", fun g -> Separation.record_send g Types.Support "a" ~at:Float.nan);
+      ("sent approve", fun g -> Separation.record_send g Types.Approve "a" ~at:Float.nan);
+      ("sent ready", fun g -> Separation.record_send g Types.Ready "a" ~at:Float.nan);
+    ]
+  in
+  List.iter
+    (fun (what, plant) ->
+      let g = Separation.create () in
+      plant g;
+      check_bool (what ^ ": planted") false (Separation.is_idle g);
+      Separation.cleanup g ~params ~now;
+      check_bool (what ^ ": idle after one cleanup") true (Separation.is_idle g))
+    plants
+
+(* ---- what scramble plants into the guard, pinned ------------------------- *)
+
+(* The fingerprints of 200 scrambled guards, before and after one cleanup d
+   later. Pins the values, stamps and kinds [Initiator_accept.scramble]
+   plants, and the order of its RNG draws (the send stamp is drawn before
+   its kind). *)
+let test_scramble_guard_pinned () =
+  let buf = Buffer.create 65536 in
+  for seed = 1 to 200 do
+    let fake, ctx = Fake.make params in
+    let ia = Ia.create ~ctx ~g:0 () in
+    Ia.scramble (Ssba_sim.Rng.create seed) ~values:[ "a"; "b"; "c" ] ia;
+    Separation.fingerprint buf (Ia.guard ia);
+    Buffer.add_char buf '\n';
+    Fake.advance fake d;
+    Ia.cleanup ia;
+    Separation.fingerprint buf (Ia.guard ia);
+    Buffer.add_char buf '\n'
+  done;
+  check_str "scrambled-guard digest" "bb9ac9784da6b2226d8a0c9aacc453ee"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     case "other value blocked within last(G)" test_accept_then_other_value_blocked_within_4d;
@@ -183,4 +453,8 @@ let suite =
     case "blackout: mid-window re-initiation" test_blackout_mid_window;
     case "blackout: expires past the separation window" test_blackout_past_separation_window;
     case "blackout: relay blocks stay value-blind" test_blackout_keeps_relay_value_blind;
+    Helpers.qcheck (prop_matches_reference ~name:"default params" params);
+    Helpers.qcheck (prop_matches_reference ~name:"exact boundaries" exact_params);
+    case "NaN stamps decay in one cleanup" test_nan_stamps_decay;
+    case "scrambled guard pinned" test_scramble_guard_pinned;
   ]
