@@ -36,12 +36,7 @@ let e2 () =
   let params = Params.default 7 in
   let sc =
     H.Scenario.default ~name:"bench" ~seed:2
-      ~roles:
-        [
-          ( 0,
-            H.Scenario.Byzantine
-              (Ssba_adversary.Strategies.two_faced_general ~v1:"a" ~v2:"b" ~at:0.05) );
-        ]
+      ~cast:[ (0, Ssba_adversary.Catalog.Two_faced_general { v1 = "a"; v2 = "b"; at = 0.05 }) ]
       ~horizon:(0.05 +. (2.0 *. params.Params.delta_agr))
       params
   in
@@ -91,52 +86,36 @@ let e4 () =
 let e5 () = run_correct_general ~n:13 ~seed:5 ()
 
 let e6 () =
-  let n = 10 in
-  let params = Params.default n in
+  let params = Params.default 10 in
   let eps = 0.1 *. params.Params.d in
-  let engine = Ssba_sim.Engine.create () in
-  let net =
-    Ssba_net.Network.create ~engine ~n ~delay:(Ssba_net.Delay.fixed eps)
-      ~rng:(Ssba_sim.Rng.create 6) ()
-  in
-  let colluders = [ 0; 1 ] in
-  List.init n (fun i -> i)
-  |> List.iter (fun id ->
-         if not (List.mem id colluders) then
-           ignore
-             (Core.Node.create ~id ~params ~clock:Ssba_sim.Clock.perfect ~engine
-                ~net ()));
   let st =
-    Ssba_adversary.Round_stretcher.make ~engine ~net ~params ~colluders ~v:"evil"
+    Ssba_adversary.Round_stretcher.make ~params ~colluders:[ 0; 1 ] ~v:"evil"
       ~t0:0.05 ~eps ()
   in
-  Ssba_adversary.Round_stretcher.launch st;
-  ignore (Ssba_sim.Engine.run ~until:(0.05 +. (2.0 *. params.Params.delta_agr)) engine)
+  let sc =
+    H.Scenario.default ~name:"bench" ~seed:6 ~clocks:H.Scenario.Perfect
+      ~delay:(Ssba_net.Delay.fixed eps)
+      ~cast:(Ssba_adversary.Round_stretcher.cast st)
+      ~horizon:(0.05 +. (2.0 *. params.Params.delta_agr))
+      params
+  in
+  ignore (H.Runner.run sc)
 
 let e7 () = run_correct_general ~n:16 ~seed:7 ()
 
 (* ----- transport workloads ---------------------------------------------- *)
 
 (* One framed agreement over a link with persistent loss p; with transport,
-   params are rebuilt at delta_eff exactly as Spec.params does. *)
+   params are rebuilt at delta_eff. *)
 let lossy_scenario ~n ~seed ~p ~transport () =
-  let base = Params.default n in
-  let tcfg =
-    Ssba_transport.Transport.config ~rto:(3.0 *. base.Params.delta) ()
-  in
-  let params =
-    if transport && p > 0.0 then
-      Params.default
-        ~delta:
-          (Params.delta_eff ~delta:base.Params.delta ~p
-             ~rto:tcfg.Ssba_transport.Transport.rto
-             ~retries:tcfg.Ssba_transport.Transport.retries)
-        n
-    else base
+  let transport =
+    if transport then
+      Some (Ssba_transport.Transport.config ~rto:(3.0 *. (Params.default n).Params.delta) ())
+    else None
   in
   let events = if p > 0.0 then [ H.Scenario.Loss { at = 0.0; p } ] else [] in
-  H.Scenario.default ~name:"bench-transport" ~seed ~events
-    ?transport:(if transport then Some tcfg else None)
+  let params = H.Scenario.effective_params ?transport n events in
+  H.Scenario.default ~name:"bench-transport" ~seed ~events ?transport
     ~proposals:[ { H.Scenario.g = 0; v = "m"; at = 0.05 } ]
     ~horizon:(0.05 +. (2.0 *. params.Params.delta_agr))
     params

@@ -216,12 +216,12 @@ let r_slack_arg =
       ( (fun s ->
           match P.r_slack_of_string s with
           | Some r -> Ok r
-          | None -> Error (`Msg (Fmt.str "expected legacy|widen|general, got %S" s))),
+          | None -> Error (`Msg (Fmt.str "expected legacy|widen, got %S" s))),
         fun ppf r -> Fmt.string ppf (P.r_slack_to_string r) )
   in
   Arg.(
     value & opt rs_conv P.default_r_slack
-    & info [ "r-slack" ] ~docv:"legacy|widen|general"
+    & info [ "r-slack" ] ~docv:"legacy|widen"
         ~doc:
           "Block-R gate variant every generated scenario runs under. \
            $(b,legacy) together with --edge-delays off reproduces the \

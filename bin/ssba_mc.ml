@@ -207,11 +207,11 @@ let r_slack_t =
       ( (fun s ->
           match P.r_slack_of_string s with
           | Some r -> Ok r
-          | None -> Error (`Msg (Fmt.str "expected legacy|widen|general, got %S" s))),
+          | None -> Error (`Msg (Fmt.str "expected legacy|widen, got %S" s))),
         fun ppf r -> Fmt.string ppf (P.r_slack_to_string r) )
   in
   Arg.(value & opt rs_conv P.default_r_slack
-       & info [ "r-slack" ] ~docv:"legacy|widen|general"
+       & info [ "r-slack" ] ~docv:"legacy|widen"
            ~doc:"Block-R gate variant to run the protocol core under.")
 
 let on_off name ~default ~doc =

@@ -48,69 +48,72 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
            ())
     else None
   in
-  (* With the transport masking a lossy link, the timeout cascade must be
-     built at the effective delay bound — same derivation as Spec.params. *)
-  let params =
-    match transport with
-    | Some c when loss > 0.0 ->
-        Core.Params.default
-          ~delta:
-            (Core.Params.delta_eff ~delta:base.Core.Params.delta ~p:loss
-               ~rto:c.Ssba_transport.Transport.rto
-               ~retries:c.Ssba_transport.Transport.retries)
-          n
-    | Some _ | None -> base
+  let link_faults =
+    (if loss > 0.0 then [ H.Scenario.Loss { at = 0.0; p = loss } ] else [])
+    @ (if dup > 0.0 then [ H.Scenario.Duplicate { at = 0.0; p = dup } ] else [])
+    @
+    if reorder > 0.0 then
+      [
+        H.Scenario.Reorder
+          { at = 0.0; prob = reorder; extra = 2.0 *. base.Core.Params.delta };
+      ]
+    else []
   in
+  (* With the transport masking a faulty link, the timeout cascade is built
+     at the effective delay bound of the link faults. *)
+  let params = H.Scenario.effective_params ?transport n link_faults in
   (match Core.Params.validate params with
   | Ok () -> ()
   | Error e ->
       prerr_endline e;
       exit 1);
   let d = params.Core.Params.d in
-  let module S = Ssba_adversary.Strategies in
+  let module C = Ssba_adversary.Catalog in
   let f = params.Core.Params.f in
-  let byz strategy = H.Scenario.Byzantine strategy in
-  let roles, proposals =
+  let proposal = [ { H.Scenario.g = general; v = value; at = propose_at } ] in
+  let cast, proposals =
     match attack with
-    | `None -> ([], [ { H.Scenario.g = general; v = value; at = propose_at } ])
-    | `Silent -> ([ (general, byz S.silent) ], [])
+    | `None -> ([], proposal)
+    | `Silent -> ([ (general, C.Silent) ], [])
     | `Spam ->
         ( List.init f (fun i ->
-              (n - 1 - i, byz (S.spam ~period:(5.0 *. d) ~values:[ value; "noise" ]))),
-          [ { H.Scenario.g = general; v = value; at = propose_at } ] )
+              (n - 1 - i, C.Spam { period_d = 5.0; values = [ value; "noise" ] })),
+          proposal )
     | `Two_faced ->
-        ([ (general, byz (S.two_faced_general ~v1:value ~v2:(value ^ "'") ~at:propose_at)) ], [])
+        ( [ (general, C.Two_faced_general { v1 = value; v2 = value ^ "'"; at = propose_at }) ],
+          [] )
     | `Stagger ->
-        ([ (general, byz (S.stagger_general ~v:value ~at:propose_at ~gap:(3.0 *. d))) ], [])
+        ([ (general, C.Stagger_general { v = value; at = propose_at; gap_d = 3.0 }) ], [])
     | `Partial ->
         ( [
             ( general,
-              byz
-                (S.partial_general ~v:value ~at:propose_at
-                   ~targets:(List.init (n - f) (fun i -> (general + 1 + i) mod n))) );
+              C.Partial_general
+                {
+                  v = value;
+                  at = propose_at;
+                  targets = List.init (n - f) (fun i -> (general + 1 + i) mod n);
+                } );
           ],
           [] )
     | `Equivocators ->
-        ( List.init f (fun i -> (n - 1 - i, byz (S.equivocator ~v1:value ~v2:(value ^ "'")))),
-          [ { H.Scenario.g = general; v = value; at = propose_at } ] )
-    | `Mimics ->
-        ( List.init f (fun i -> (n - 1 - i, byz (S.mimic ~delay:(2.0 *. d)))),
-          [ { H.Scenario.g = general; v = value; at = propose_at } ] )
+        ( List.init f (fun i -> (n - 1 - i, C.Equivocator { v1 = value; v2 = value ^ "'" })),
+          proposal )
+    | `Mimics -> (List.init f (fun i -> (n - 1 - i, C.Mimic { delay_d = 2.0 })), proposal)
   in
   (* The rejoin preset needs a Byzantine node to reform; give it one if the
      attack didn't already. *)
-  let roles =
+  let cast =
     match chaos with
-    | Some H.Chaos.Rejoin when roles = [] ->
+    | Some H.Chaos.Rejoin when cast = [] ->
         let node = if general = n - 1 then n - 2 else n - 1 in
-        [ (node, byz (S.spam ~period:(5.0 *. d) ~values:[ "noise" ])) ]
-    | _ -> roles
+        [ (node, C.Spam { period_d = 5.0; values = [ "noise" ] }) ]
+    | _ -> cast
   in
   let chaos_schedule =
     match chaos with
     | None -> None
     | Some pattern ->
-        let byzantine = List.map fst roles in
+        let byzantine = List.map fst cast in
         let correct =
           List.filter (fun i -> not (List.mem i byzantine)) (List.init n Fun.id)
         in
@@ -120,15 +123,7 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
     (if scramble then
        [ H.Scenario.Scramble { at = 0.0; values = [ value; "x"; "y" ]; net_garbage = 100 } ]
      else [])
-    @ (if loss > 0.0 then [ H.Scenario.Loss { at = 0.0; p = loss } ] else [])
-    @ (if dup > 0.0 then [ H.Scenario.Duplicate { at = 0.0; p = dup } ] else [])
-    @
-    if reorder > 0.0 then
-      [
-        H.Scenario.Reorder
-          { at = 0.0; prob = reorder; extra = 2.0 *. base.Core.Params.delta };
-      ]
-    else []
+    @ link_faults
   in
   let events, proposals, chaos_horizon =
     match chaos_schedule with
@@ -145,7 +140,7 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
   let proposals =
     if sessions <= 1 then proposals
     else
-      let byzantine = List.map fst roles in
+      let byzantine = List.map fst cast in
       proposals
       @ List.filter_map
           (fun i ->
@@ -190,7 +185,7 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
           (propose_at +. (4.0 *. params.Core.Params.delta_agr))
   in
   let sc =
-    H.Scenario.default ~name:"cli" ~seed ~roles ~proposals ~events ~horizon
+    H.Scenario.default ~name:"cli" ~seed ~cast ~proposals ~events ~horizon
       ~record_trace:(trace_flag || trace_out <> None)
       ?transport ~channels
       ~admission:(workload <> None)

@@ -22,7 +22,7 @@
 
 module H = Ssba_harness
 module Core = Ssba_core
-module S = Ssba_adversary.Strategies
+module C = Ssba_adversary.Catalog
 
 let show title (res : H.Runner.result) =
   Fmt.pr "@.== %s ==@." title;
@@ -49,26 +49,21 @@ let () =
   let n = 10 in
   let params = Core.Params.default n in
   let f = params.Core.Params.f in
-  let run name roles =
+  let run name cast =
     let sc =
-      H.Scenario.default ~name ~seed:7 ~roles
+      H.Scenario.default ~name ~seed:7 ~cast
         ~horizon:(4.0 *. params.Core.Params.delta_agr)
         params
     in
     show name (H.Runner.run sc)
   in
   run "two-faced General"
-    [ (0, H.Scenario.Byzantine (S.two_faced_general ~v1:"attack" ~v2:"retreat" ~at:0.02)) ];
+    [ (0, C.Two_faced_general { v1 = "attack"; v2 = "retreat"; at = 0.02 }) ];
   run "partial General (initiates towards n - f nodes only)"
     [
       ( 0,
-        H.Scenario.Byzantine
-          (S.partial_general ~v:"attack" ~at:0.02
-             ~targets:(List.init (n - f) (fun i -> i + 1))) );
+        C.Partial_general
+          { v = "attack"; at = 0.02; targets = List.init (n - f) (fun i -> i + 1) } );
     ];
   run "staggered General (spreads initiation over 3d steps)"
-    [
-      ( 0,
-        H.Scenario.Byzantine
-          (S.stagger_general ~v:"attack" ~at:0.02 ~gap:(3.0 *. params.Core.Params.d)) );
-    ]
+    [ (0, C.Stagger_general { v = "attack"; at = 0.02; gap_d = 3.0 }) ]

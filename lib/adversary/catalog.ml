@@ -1,10 +1,11 @@
 (* Enumerable strategy catalog.
 
-   A data mirror of Strategies: each constructor carries exactly the
-   parameters of the closure it instantiates, with durations in units of d so
-   an entry is meaningful under any Params.t. The fuzzer draws entries with
-   [generate], persists them through Ssba_fuzz.Spec's JSON codec, and walks
-   [simplify] when minimizing a failing scenario. *)
+   A data mirror of Strategies and the vocabulary of every scenario cast:
+   each constructor carries exactly the parameters of the closure it
+   instantiates, with durations in units of d so an entry is meaningful
+   under any Params.t. The runner instantiates entries, the fuzzer draws them
+   with [generate], persists them through Ssba_fuzz.Spec's JSON codec, and
+   walks [simplify] when minimizing a failing scenario. *)
 
 open Ssba_core.Types
 module Rng = Ssba_sim.Rng
@@ -25,7 +26,8 @@ type t =
          only when the caller opts into [~edges:true]. *)
   | Scripted of { steps : (float * node_id option * message) list }
       (* absolute-time send transcript; the model checker's counterexample
-         export. Never drawn by [generate] — only written by ssba_mc. *)
+         export and the round stretcher's colluders. Never drawn by
+         [generate]. *)
 
 let name = function
   | Silent -> "silent"

@@ -1,11 +1,12 @@
-(** First-class, enumerable descriptions of the {!Strategies} zoo.
+(** First-class, enumerable descriptions of the {!Strategies} zoo: the
+    vocabulary of a scenario's Byzantine cast.
 
-    {!Behavior.t} values are opaque closures; scenario generators and replay
-    files need data instead. A catalog entry is a plain constructor tree that
-    can be drawn at random, serialized, compared and shrunk, and turned into
-    the corresponding behaviour once the protocol constants are known. All
-    durations are expressed in multiples of [d] so one entry scales with any
-    parameter set. *)
+    {!Behavior.t} values are opaque closures; scenarios, generators and
+    replay files need data instead. A catalog entry is a plain constructor
+    tree that can be drawn at random, serialized, compared and shrunk, and
+    turned into the corresponding behaviour once the protocol constants are
+    known. All durations are expressed in multiples of [d] so one entry
+    scales with any parameter set. *)
 
 open Ssba_core.Types
 
@@ -24,8 +25,8 @@ type t =
           {!generate} draws it only under [~edges:true]. *)
   | Scripted of { steps : (float * node_id option * message) list }
       (** a fixed absolute-time send transcript ([None] dst = broadcast):
-          the model checker's counterexample export. {!generate} never
-          draws it. *)
+          the model checker's counterexample export and the
+          {!Round_stretcher}'s colluders. {!generate} never draws it. *)
 
 (** The strategy's name, matching {!Behavior.name} of its instantiation. *)
 val name : t -> string

@@ -43,16 +43,13 @@
 
    The choreography is expressed in absolute simulator time, so the scenario
    must use (near-)perfect clocks and a fixed small network delay; the E6
-   runner sets both up. *)
+   scenario sets both up. The attack compiles to a cast: each colluder runs
+   a [Catalog.Scripted] transcript of its own sends. *)
 
 open Ssba_core.Types
 module Params = Ssba_core.Params
-module Network = Ssba_net.Network
-module Engine = Ssba_sim.Engine
 
 type t = {
-  engine : Engine.t;
-  net : message Network.t;
   params : Params.t;
   colluders : node_id list;  (* head acts as the General *)
   correct : node_id list;
@@ -66,7 +63,7 @@ type t = {
          still unanimously, which the tests assert *)
 }
 
-let make ?(complete_round = false) ~engine ~net ~params ~colluders ~v ~t0 ~eps () =
+let make ?(complete_round = false) ~params ~colluders ~v ~t0 ~eps () =
   (match colluders with
   | [] -> invalid_arg "Round_stretcher.make: need at least the faulty General"
   | _ -> ());
@@ -77,22 +74,9 @@ let make ?(complete_round = false) ~engine ~net ~params ~colluders ~v ~t0 ~eps (
       (fun i -> not (List.mem i colluders))
       (List.init params.Params.n (fun i -> i))
   in
-  { engine; net; params; colluders; correct; v; t0; eps; complete_round }
+  { params; colluders; correct; v; t0; eps; complete_round }
 
-let take k l =
-  let rec go acc k = function
-    | [] -> List.rev acc
-    | _ when k = 0 -> List.rev acc
-    | x :: tl -> go (x :: acc) (k - 1) tl
-  in
-  if k < 0 then [] else go [] k l
-
-let send t ~src ~dst payload = Network.send t.net ~src ~dst payload
-
-let send_group t ~src ~dsts payload =
-  List.iter (fun dst -> send t ~src ~dst payload) dsts
-
-let at t time f = Engine.schedule t.engine ~at:time f
+let take k l = List.filteri (fun i _ -> i < k) l
 
 (* Expected number of T-boundary rounds the drip survives, and the local-time
    abort bound, for assertions in tests and experiment tables. *)
@@ -102,7 +86,9 @@ let expected_abort_phase t =
 (* In the decide variant block S fires at round 1, within deadline 3 Phi. *)
 let expected_decide_phase _t = 3
 
-let launch t =
+(* The choreography as (colluder, (time, destination, message)) sends, in
+   the order the attack performs them. *)
+let sends t =
   let p = t.params in
   let d = p.Params.d in
   let phi = p.Params.phi in
@@ -113,43 +99,58 @@ let launch t =
   let f1 = invited and f2 = invited in
   let f3 = take (Params.weak_quorum p) t.correct in
   let group_a = take (Params.weak_quorum p - fprime) t.correct in
+  let group ~src ~dsts time msg =
+    List.map (fun dst -> (src, (time, Some dst, msg))) dsts
+  in
+  let all_colluders ~dsts time msg =
+    List.concat_map (fun c -> group ~src:c ~dsts time msg) t.colluders
+  in
   (* Stage 1: IA-stretch. *)
-  at t t.t0 (fun () ->
-      send_group t ~src:g ~dsts:invited (Initiator { g; v = t.v }));
   let t_sup = t.t0 +. (2.0 *. d) -. (4.0 *. t.eps) in
-  at t t_sup (fun () ->
-      List.iter
-        (fun c -> send_group t ~src:c ~dsts:f1 (Ia { kind = Support; g; v = t.v }))
-        t.colluders);
   (* F1's approves go out once the colluder supports land, ~ t_sup + eps. *)
   let t_app = t_sup +. t.eps +. (3.0 *. d) -. (4.0 *. t.eps) in
-  at t t_app (fun () ->
-      List.iter
-        (fun c -> send_group t ~src:c ~dsts:f2 (Ia { kind = Approve; g; v = t.v }))
-        t.colluders);
+  let stretch =
+    group ~src:g ~dsts:invited t.t0 (Initiator { g; v = t.v })
+    @ all_colluders ~dsts:f1 t_sup (Ia { kind = Support; g; v = t.v })
+    @ all_colluders ~dsts:f2 t_app (Ia { kind = Approve; g; v = t.v })
+  in
   (* Stage 2: broadcaster drip, one colluder per round j = 1..f'. Anchors sit
      in [t0 - 2d, t0 - d + eps]; scheduling against the earliest keeps every
      arrival inside all correct nodes' W/X/Y deadlines. *)
   let anchor_est = t.t0 -. (2.0 *. d) in
-  List.iteri
-    (fun idx b ->
-      let j = idx + 1 in
-      let t_init = anchor_est +. (float_of_int (2 * j) *. phi) -. (2.0 *. d) in
-      at t t_init (fun () ->
-          send_group t ~src:b ~dsts:group_a (Mb { kind = Init; p = b; g; v = t.v; k = j }));
-      at t (t_init +. t.eps) (fun () ->
-          List.iter
-            (fun c ->
-              send_group t ~src:c ~dsts:f3 (Mb { kind = Echo; p = b; g; v = t.v; k = j }))
-            t.colluders))
-    t.colluders;
+  let drip =
+    List.concat
+      (List.mapi
+         (fun idx b ->
+           let j = idx + 1 in
+           let t_init = anchor_est +. (float_of_int (2 * j) *. phi) -. (2.0 *. d) in
+           group ~src:b ~dsts:group_a t_init (Mb { kind = Init; p = b; g; v = t.v; k = j })
+           @ all_colluders ~dsts:f3 (t_init +. t.eps)
+               (Mb { kind = Echo; p = b; g; v = t.v; k = j }))
+         t.colluders)
+  in
   (* Decide variant: an honest round-1 broadcast by the last colluder,
      delivered to everyone well before the W deadline (anchor + 2 Phi), so
      every correct node echoes, the echo quorum completes an X accept within
      the S(1) deadline and block S decides the Byzantine value at round 1. *)
-  if t.complete_round then begin
-    let b = List.nth t.colluders (List.length t.colluders - 1) in
-    let t_init = anchor_est +. (2.0 *. phi) -. (6.0 *. d) in
-    at t t_init (fun () ->
-        Network.broadcast t.net ~src:b (Mb { kind = Init; p = b; g; v = t.v; k = 1 }))
-  end
+  let honest =
+    if t.complete_round then
+      let b = List.nth t.colluders (fprime - 1) in
+      let t_init = anchor_est +. (2.0 *. phi) -. (6.0 *. d) in
+      [ (b, (t_init, None, Mb { kind = Init; p = b; g; v = t.v; k = 1 })) ]
+    else []
+  in
+  stretch @ drip @ honest
+
+(* The runner installs a cast in ascending id order and a scripted entry
+   schedules its steps in list order. No two groups of sends share a time, so
+   each colluder's steps in time order reproduce the attack's send order
+   exactly when the colluders are listed in ascending id. *)
+let cast t =
+  let sends = sends t in
+  List.map
+    (fun c ->
+      let steps = List.filter_map (fun (src, step) -> if src = c then Some step else None) sends in
+      let by_time (a, _, _) (b, _, _) = compare a b in
+      (c, Catalog.Scripted { steps = List.stable_sort by_time steps }))
+    (List.sort compare t.colluders)

@@ -18,17 +18,14 @@ open Ssba_core.Types
 
 type t
 
-(** [make ~engine ~net ~params ~colluders ~v ~t0 ~eps ()] prepares the
-    attack; [colluders] (head acts as the General) must be non-empty and
-    within the fault budget [f]. Correct nodes for the remaining ids must be
-    created by the caller. With [complete_round] the last colluder also
-    performs one honest round-1 broadcast, so every correct node *decides*
-    the Byzantine value through block S at round 1 (still unanimously)
-    instead of aborting. *)
+(** [make ~params ~colluders ~v ~t0 ~eps ()] prepares the attack;
+    [colluders] (head acts as the General) must be non-empty and within the
+    fault budget [f]. With [complete_round] the last colluder also performs
+    one honest round-1 broadcast, so every correct node *decides* the
+    Byzantine value through block S at round 1 (still unanimously) instead
+    of aborting. *)
 val make :
   ?complete_round:bool ->
-  engine:Ssba_sim.Engine.t ->
-  net:message Ssba_net.Network.t ->
   params:Ssba_core.Params.t ->
   colluders:node_id list ->
   v:value ->
@@ -37,8 +34,9 @@ val make :
   unit ->
   t
 
-(** Schedule the whole choreography on the engine. *)
-val launch : t -> unit
+(** The whole choreography as a scenario cast: one [Catalog.Scripted] entry
+    per colluder, holding its absolute-time sends in time order. *)
+val cast : t -> (node_id * Catalog.t) list
 
 (** The phase index [(min (2 f' + 5) (2f + 1))] at which every correct node
     is expected to abort — for assertions and experiment tables. *)

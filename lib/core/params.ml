@@ -19,27 +19,21 @@
    slack budget. The figure as written uses 4d, but [IA-1D] guarantees the
    General's value reaches every correct node within 5d of the earliest
    anchor, so the 4d gate is one d tighter than the proof needs. The knob
-   keeps all three behaviours co-resident so the model checker and the fuzz
+   keeps both behaviours co-resident so the model checker and the fuzz
    corpora can compare them:
-     Legacy        — Figure 1 verbatim: gate at 4d, block S counts only
-                     broadcasters distinct from the General;
-     Widen         — gate at 5d (the [IA-1D] slack), block S unchanged;
-     Count_general — gate stays at 4d, but a node that already I-accepted m
-                     counts the General's own msgd-broadcast of m as the
-                     r = 1 proof in block S. *)
-type r_slack = Legacy | Widen | Count_general
+     Legacy — Figure 1 verbatim: gate at 4d;
+     Widen  — gate at 5d (the [IA-1D] slack). *)
+type r_slack = Legacy | Widen
 
 let default_r_slack = Widen
 
 let r_slack_to_string = function
   | Legacy -> "legacy"
   | Widen -> "widen"
-  | Count_general -> "general"
 
 let r_slack_of_string = function
   | "legacy" -> Some Legacy
   | "widen" -> Some Widen
-  | "general" -> Some Count_general
   | _ -> None
 
 type t = {
@@ -107,10 +101,8 @@ let default ?f ?(delta = 0.001) ?(pi = 0.0001) ?(rho = 1e-4)
   with_r_slack (make ~n ~f ~delta ~pi ~rho) r_slack
 
 (* Block R's fast-path deadline: [tau - tau_g <= r_gate t] admits the round-0
-   decide. Under [Count_general] the gate itself stays at the figure's 4d —
-   the slack is recovered on the block-S side instead. *)
-let r_gate t =
-  (match t.r_slack with Widen -> 5.0 | Legacy | Count_general -> 4.0) *. t.d
+   decide. *)
+let r_gate t = (match t.r_slack with Widen -> 5.0 | Legacy -> 4.0) *. t.d
 
 (* Effective delay bound over a lossy link masked by the reliable transport
    (lib/transport). A frame lost with probability [p] is retransmitted on an
@@ -129,13 +121,6 @@ let delta_eff ~delta ~p ~rto ~retries =
     if retries < 0 then invalid_arg "Params.delta_eff: retries must be >= 0";
     delta +. (rto *. (ldexp 1.0 retries -. 1.0))
   end
-
-(* Probability that a payload is never delivered at all: the initial attempt
-   and every one of the [retries] retransmissions must be lost
-   independently. Campaigns pick [retries] to push this below the scale of
-   the corpus (e.g. p = 0.3, retries = 12 gives 0.3^13 ~ 1.6e-7). *)
-let residual_loss ~p ~retries =
-  if p <= 0.0 then 0.0 else p ** float_of_int (retries + 1)
 
 let validate t =
   if t.n <= 3 * t.f then

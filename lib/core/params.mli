@@ -5,11 +5,9 @@
     processed the message. *)
 
 (** Variant of block R's fast-path gate (Figure 1). [Legacy] is the figure
-    verbatim (4d gate, block S excludes the General); [Widen] raises the gate
-    to the 5d slack [IA-1D] actually guarantees; [Count_general] keeps the 4d
-    gate but lets a node that already I-accepted [m] count the General's own
-    msgd-broadcast as the [r = 1] proof in block S. *)
-type r_slack = Legacy | Widen | Count_general
+    verbatim (4d gate); [Widen] raises the gate to the 5d slack [IA-1D]
+    actually guarantees. *)
+type r_slack = Legacy | Widen
 
 (** The shipped default: [Widen], certified exhaustively by the [ssba_mc]
     [knife] config (experiment E15). *)
@@ -17,8 +15,7 @@ val default_r_slack : r_slack
 
 val r_slack_to_string : r_slack -> string
 
-(** Inverse of {!r_slack_to_string}; accepts ["legacy"], ["widen"],
-    ["general"]. *)
+(** Inverse of {!r_slack_to_string}; accepts ["legacy"] and ["widen"]. *)
 val r_slack_of_string : string -> r_slack option
 
 type t = {
@@ -57,8 +54,7 @@ val default :
   ?f:int -> ?delta:float -> ?pi:float -> ?rho:float -> ?r_slack:r_slack -> int -> t
 
 (** Block R's fast-path deadline: the round-0 decide fires when
-    [tau - tau_g <= r_gate t]. [5d] under [Widen], [4d] otherwise
-    ([Count_general] recovers the slack in block S instead). *)
+    [tau - tau_g <= r_gate t]. [5d] under [Widen], [4d] under [Legacy]. *)
 val r_gate : t -> float
 
 (** [delta_eff ~delta ~p ~rto ~retries] is the effective message-delay bound
@@ -69,10 +65,6 @@ val r_gate : t -> float
     Instantiate the cascade (via {!make} or {!default}) at this bound to keep
     the paper's timeouts sound over a persistently lossy link. *)
 val delta_eff : delta:float -> p:float -> rto:float -> retries:int -> float
-
-(** [residual_loss ~p ~retries = p^(retries+1)] — the probability the
-    transport exhausts its retry budget and the payload is never delivered. *)
-val residual_loss : p:float -> retries:int -> float
 
 (** Check the [n > 3f] resilience condition. *)
 val validate : t -> (unit, string) result

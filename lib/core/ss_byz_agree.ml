@@ -239,23 +239,12 @@ let handle_mb_accept t ~p ~v ~k =
        { p; v; k; tau = now t; tau_g = Option.value ~default:Float.nan t.tau_g });
   (* block S excludes the General; [t.g] may be a logical (channelled) id,
      so compare against the physical node behind it *)
-  let general = t.g mod (prm t).Params.n in
-  let record () =
+  if p <> t.g mod (prm t).Params.n then begin
     let cur = Option.value ~default:[] (Hashtbl.find_opt t.accepts k) in
     if not (List.exists (fun (p', v', _) -> p' = p && String.equal v v') cur)
     then Hashtbl.replace t.accepts k ((p, v, now t) :: cur);
     try_block_s t
-  in
-  if p <> general then record ()
-  else if
-    (* [Count_general] relaxation: a node that already I-accepted m may
-       count the General's own round-1 broadcast of m as the r = 1 proof —
-       the I-accept corroborates the value, so this broadcast is no longer
-       the General's unsupported word. Other rounds stay excluded. *)
-    (prm t).Params.r_slack = Params.Count_general
-    && k = 1
-    && (match t.own_iaccept with Some v' -> String.equal v v' | None -> false)
-  then record ()
+  end
 
 (* Block Q1: a node invokes the protocol upon the General's message. *)
 let invoke t ~v =

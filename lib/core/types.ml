@@ -71,12 +71,6 @@ let pp_return ppf r =
   Fmt.pf ppf "node=%d G=%d %a tauG=%.6f tau=%.6f rt=%.6f" r.node r.g pp_outcome
     r.outcome r.tau_g r.tau_ret r.rt_ret
 
-let equal_outcome a b =
-  match (a, b) with
-  | Decided x, Decided y -> String.equal x y
-  | Aborted, Aborted -> true
-  | Decided _, Aborted | Aborted, Decided _ -> false
-
 (* Execution context handed to the protocol state machines by the node glue.
    Keeping I/O behind these four callbacks makes every layer unit-testable
    with a fake context. Times are local-clock readings; [after_local]

@@ -48,7 +48,6 @@ val kind_of_message : message -> string
 val pp_message : Format.formatter -> message -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_return : Format.formatter -> return_info -> unit
-val equal_outcome : outcome -> outcome -> bool
 
 type ctx = {
   params : Params.t;

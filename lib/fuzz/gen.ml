@@ -15,6 +15,7 @@ module C = Ssba_adversary.Catalog
 module Ch = Ssba_harness.Chaos
 module T = Ssba_transport.Transport
 module W = Ssba_service.Workload
+module D = Ssba_net.Delay
 
 type config = {
   min_n : int;
@@ -103,7 +104,7 @@ let overload_config =
 
 let last_activity spec =
   let times =
-    List.map Spec.event_time spec.Spec.events
+    List.map S.event_time spec.Spec.events
     @ List.map (fun (p : S.proposal) -> p.S.at) spec.Spec.proposals
     @ List.concat_map (fun (_, c) -> C.activity_times c) spec.Spec.cast
   in
@@ -111,11 +112,14 @@ let last_activity spec =
 
 let min_horizon spec =
   let params = Spec.params spec in
+  let disruptive =
+    S.disruptive_event ~masked_link_faults:(spec.Spec.transport <> None)
+  in
   let tail =
     (* Only disruptions need the stabilization allowance; transport-masked
        link faults don't suspend the guarantees (and their inflated
        [delta_stb] would balloon the horizon for nothing). *)
-    if List.exists (Spec.disruptive spec) spec.Spec.events then
+    if List.exists disruptive spec.Spec.events then
       params.P.delta_stb
     else 0.0
   in
@@ -161,7 +165,7 @@ let spec rng cfg =
       let target = b *. params.P.d in
       target /. Float.of_int (int_of_float (Float.ceil (target /. params.P.delta)))
     in
-    Spec.Edge
+    D.Edge
       {
         atoms =
           [
@@ -198,7 +202,7 @@ let spec rng cfg =
              get probed at the comparison edges too; the extra draw only
              happens when [edge_delays] is on, keeping the legacy stream. *)
           (if cfg.edge_delays && Rng.bool rng then edge_atoms ()
-           else Spec.Uniform { lo = 0.05 *. params.P.delta; hi = params.P.delta });
+           else D.Uniform { lo = 0.05 *. params.P.delta; hi = params.P.delta });
         clocks =
           (if Rng.bool rng then S.Perfect
            else S.Drifting { rho = params.P.rho; max_offset = 0.1 });
@@ -294,7 +298,7 @@ let spec rng cfg =
     done
   end;
   let events =
-    List.stable_sort (fun a b -> compare (Spec.event_time a) (Spec.event_time b)) !events
+    List.stable_sort (fun a b -> compare (S.event_time a) (S.event_time b)) !events
   in
   (* 30 bits: exactly representable as a JSON double, so the replay file
      round-trips the seed bit-for-bit. *)
@@ -310,12 +314,12 @@ let spec rng cfg =
            4th equally-likely entry; without it the 3-way draw is the
            historical one, bit-for-bit. *)
         (match (if cfg.edge_delays then Rng.int rng 4 else Rng.int rng 3) with
-        | 0 -> Spec.Fixed (Rng.float_in_range rng ~lo:(0.05 *. params.P.delta) ~hi:params.P.delta)
+        | 0 -> D.Fixed (Rng.float_in_range rng ~lo:(0.05 *. params.P.delta) ~hi:params.P.delta)
         | 1 ->
             let lo = Rng.float_in_range rng ~lo:(0.05 *. params.P.delta) ~hi:(0.5 *. params.P.delta) in
-            Spec.Uniform { lo; hi = Rng.float_in_range rng ~lo ~hi:params.P.delta }
+            D.Uniform { lo; hi = Rng.float_in_range rng ~lo ~hi:params.P.delta }
         | 2 ->
-            Spec.Bimodal
+            D.Bimodal
               {
                 fast = Rng.float_in_range rng ~lo:(0.05 *. params.P.delta) ~hi:(0.3 *. params.P.delta);
                 slow = params.P.delta;

@@ -49,22 +49,6 @@ let default_config =
 let failed r = r.failures <> []
 let pp_failure ppf f = Fmt.pf ppf "[%s] %s" f.oracle f.detail
 
-(* The real time from which the paper's guarantees apply again: Delta_stb
-   after the last disruptive event. Heal only restores service, and
-   transport-masked link faults never suspend the guarantees at all (see
-   Spec.disruptive). *)
-let stabilized_after spec =
-  let params = Spec.params spec in
-  let disruptive =
-    List.filter_map
-      (fun e ->
-        if Spec.disruptive spec e then Some (Spec.event_time e) else None)
-      spec.Spec.events
-  in
-  match disruptive with
-  | [] -> 0.0
-  | ts -> List.fold_left max 0.0 ts +. params.P.delta_stb
-
 (* Match an accepted proposal to its episode: same General, first return
    within the termination window of the initiation. *)
 let episode_for episodes (p : S.proposal) ~params =
@@ -119,7 +103,7 @@ let run ?(config = default_config) spec =
   if config.assume_coherent then
     List.iter
       (fun v -> add "agreement" "%s" v)
-      (H.Checks.pairwise_agreement ~after:(stabilized_after spec) res)
+      (H.Checks.pairwise_agreement ~after:(H.Checks.stabilized_after sc) res)
   else
     List.iteri
       (fun idx (r : H.Checks.episode_report) ->
@@ -144,7 +128,7 @@ let run ?(config = default_config) spec =
      one coherent interval — that is exactly where §6.1 re-entitles them. *)
   let reliable =
     config.assume_coherent
-    || not (List.exists (Spec.disruptive spec) spec.Spec.events)
+    || not (List.exists (S.disruptive sc) spec.Spec.events)
   in
   let window = params.P.delta_agr +. (8.0 *. d) in
   (* The correct set a proposal's checks should use: the interval's cast

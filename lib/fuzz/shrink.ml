@@ -10,6 +10,7 @@ module S = Ssba_harness.Scenario
 module C = Ssba_adversary.Catalog
 module P = Ssba_core.Params
 module W = Ssba_service.Workload
+module D = Ssba_net.Delay
 
 type stats = { attempts : int; accepted : int }
 
@@ -84,16 +85,15 @@ let candidates spec =
   in
   let nodes = shrink_to 4 @ shrink_to (spec.n - 1) in
   let delay =
+    let fixed x = [ { spec with delay = D.Fixed x } ] in
     match spec.delay with
-    | Fixed _ -> []
-    | Uniform { lo; hi } | Bimodal { fast = lo; slow = hi; _ } ->
-        [ { spec with delay = Fixed (0.5 *. (lo +. hi)) } ]
+    | D.Fixed _ | D.Scaled _ -> []
+    | D.Uniform { lo; hi } | D.Bimodal { fast = lo; slow = hi; _ } -> fixed (0.5 *. (lo +. hi))
     (* boundary atoms flatten to the largest one — the boundary-dividing
        delay is usually the one doing the damage *)
-    | Edge { atoms } ->
-        [ { spec with delay = Fixed (List.fold_left Float.max 0.0 atoms) } ]
+    | D.Edge { atoms } -> fixed (List.fold_left Float.max 0.0 atoms)
     (* a scripted schedule collapses to its default delay *)
-    | Scripted { default; _ } -> [ { spec with delay = Fixed default } ]
+    | D.Scripted { default; _ } -> fixed default
   in
   let clocks =
     match spec.clocks with

@@ -12,33 +12,14 @@ module C = Ssba_adversary.Catalog
 module P = Ssba_core.Params
 module T = Ssba_transport.Transport
 module W = Ssba_service.Workload
-
-type delay =
-  | Fixed of float
-  | Uniform of { lo : float; hi : float }
-  | Bimodal of { fast : float; slow : float; slow_prob : float }
-  | Edge of { atoms : float list }
-      (* boundary sampling: every hop picks uniformly among a small set of
-         atoms chosen so that short chains of hops land exactly on the
-         protocol's comparison boundaries (4d, 5d, the 3d skew deadline, the
-         tau_g - d purge horizon). Interior draws never hit a [<=] boundary
-         exactly; this model exists to hammer them. *)
-  | Scripted of {
-      default : float;
-      links : ((node_id * node_id) * float list) list;
-          (* per (src, dst): the delay of that link's k-th send, in send
-             order; [default] once the list is exhausted (and for unlisted
-             links). The model checker's counterexample export — correct
-             nodes' send order is deterministic, so indexing by send count
-             reproduces the explored schedule exactly. *)
-    }
+module D = Ssba_net.Delay
 
 type t = {
   name : string;
   seed : int;
   n : int;
   f : int;
-  delay : delay;
+  delay : D.t;
   clocks : S.clocks;
   cast : (node_id * C.t) list;
   proposals : S.proposal list;
@@ -55,58 +36,10 @@ type t = {
          and a trace, and the oracle adds the service checks *)
 }
 
-let max_loss t =
-  List.fold_left
-    (fun acc -> function S.Loss { p; _ } -> Float.max acc p | _ -> acc)
-    0.0 t.events
-
-let max_reorder_extra t =
-  List.fold_left
-    (fun acc -> function S.Reorder { extra; _ } -> Float.max acc extra | _ -> acc)
-    0.0 t.events
-
-(* With a transport in the loop, the paper's timeout cascade must be built at
-   the effective delay bound: the base link delta, stretched by the worst
-   reordering extra the schedule installs, pushed through delta_eff for the
-   worst persistent loss rate. Without transport, the plain cascade. *)
 let params t =
-  match t.transport with
-  | None -> P.default ~f:t.f ~r_slack:t.r_slack t.n
-  | Some c ->
-      let base = P.default ~f:t.f t.n in
-      let delta =
-        P.delta_eff
-          ~delta:(base.P.delta +. max_reorder_extra t)
-          ~p:(max_loss t) ~rto:c.T.rto ~retries:c.T.retries
-      in
-      P.default ~f:t.f ~delta ~r_slack:t.r_slack t.n
-
-let compile_delay = function
-  | Fixed x -> Ssba_net.Delay.fixed x
-  | Uniform { lo; hi } -> Ssba_net.Delay.uniform ~lo ~hi
-  | Bimodal { fast; slow; slow_prob } -> Ssba_net.Delay.bimodal ~fast ~slow ~slow_prob
-  | Edge { atoms } ->
-      let arr = Array.of_list atoms in
-      Ssba_net.Delay.custom (fun ~rng ~src:_ ~dst:_ ~now:_ ->
-          arr.(Ssba_sim.Rng.int rng (Array.length arr)))
-  | Scripted { default; links } ->
-      (* Stateful per-link send counters: the k-th send on (src, dst) gets
-         the k-th scripted delay. Compile once per run — [to_scenario] is
-         called per execution, so the counters start fresh each time. *)
-      let scripts = Hashtbl.create 16 in
-      List.iter (fun (key, ds) -> Hashtbl.replace scripts key (Array.of_list ds)) links;
-      let counters = Hashtbl.create 16 in
-      Ssba_net.Delay.custom (fun ~rng:_ ~src ~dst ~now:_ ->
-          match Hashtbl.find_opt scripts (src, dst) with
-          | None -> default
-          | Some arr ->
-              let k = Option.value ~default:0 (Hashtbl.find_opt counters (src, dst)) in
-              Hashtbl.replace counters (src, dst) (k + 1);
-              if k < Array.length arr then arr.(k) else default)
+  S.effective_params ~f:t.f ~r_slack:t.r_slack ?transport:t.transport t.n t.events
 
 let to_scenario t =
-  let params = params t in
-  let d = params.P.d in
   (* Service specs need the workload's channel fan-out, admission-controlled
      proposals (the At_capacity backstop behind watermark shedding) and a
      trace for the oracle's queue/shed/drain checks. The trace and the
@@ -115,14 +48,9 @@ let to_scenario t =
   let channels = match t.service with None -> 1 | Some w -> w.W.channels in
   S.default ~name:t.name ~seed:t.seed ~horizon:t.horizon
     ~record_observations:true ~record_trace:(t.service <> None)
-    ~admission:(t.service <> None) ~channels ~delay:(compile_delay t.delay)
-    ~clocks:t.clocks
-    ~roles:
-      (List.map (fun (id, c) -> (id, S.Byzantine (C.to_behavior ~d c))) t.cast)
-    ~proposals:t.proposals ~events:t.events ?transport:t.transport
-    ?session_capacity:t.session_capacity ~blackout:t.blackout params
-
-let event_time = S.event_time
+    ~admission:(t.service <> None) ~channels ~delay:t.delay ~clocks:t.clocks
+    ~cast:t.cast ~proposals:t.proposals ~events:t.events ?transport:t.transport
+    ?session_capacity:t.session_capacity ~blackout:t.blackout (params t)
 
 let event_nodes = function
   | S.Crash { node; _ } | S.Recover { node; _ } | S.Reform { node; _ } ->
@@ -133,12 +61,6 @@ let event_nodes = function
   | S.Delay_restore _ ->
       []
 
-(* Events after which the paper's guarantees need a fresh [Delta_stb] before
-   they apply again — {!Ssba_harness.Scenario.disruptive_event}, with link
-   faults masked exactly when the spec carries a transport. *)
-let disruptive t e =
-  S.disruptive_event ~masked_link_faults:(t.transport <> None) e
-
 let catalog_nodes = function
   | C.Partial_general { targets; _ } -> targets
   | C.Scripted { steps } -> List.filter_map (fun (_, dst, _) -> dst) steps
@@ -146,9 +68,10 @@ let catalog_nodes = function
   | C.Stagger_general _ | C.Equivocator _ | C.Flip_flop _ | C.Gate_edge _ ->
       []
 
-let delay_nodes = function
-  | Scripted { links; _ } -> List.concat_map (fun ((s, d), _) -> [ s; d ]) links
-  | Fixed _ | Uniform _ | Bimodal _ | Edge _ -> []
+let rec delay_nodes = function
+  | D.Scripted { links; _ } -> List.concat_map (fun ((s, d), _) -> [ s; d ]) links
+  | D.Scaled { base; _ } -> delay_nodes base
+  | D.Fixed _ | D.Uniform _ | D.Bimodal _ | D.Edge _ -> []
 
 let max_referenced_id t =
   let ids =
@@ -159,8 +82,10 @@ let max_referenced_id t =
   in
   List.fold_left max (-1) ids
 
+(* Every range check is written so that NaN fails it. *)
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let within lo hi x = lo <= x && x <= hi in
   if t.n <= 3 * t.f then err "n=%d <= 3f=%d" t.n (3 * t.f)
   else if List.length t.cast > t.f then
     err "cast of %d exceeds fault budget f=%d" (List.length t.cast) t.f
@@ -172,42 +97,37 @@ let validate t =
   else if max_referenced_id t >= t.n then
     err "node id %d referenced but n=%d" (max_referenced_id t) t.n
   else if
-    List.exists
-      (fun (p : S.proposal) -> p.S.at < 0.0 || p.S.at > t.horizon)
-      t.proposals
+    not (List.for_all (fun (p : S.proposal) -> within 0.0 t.horizon p.S.at) t.proposals)
   then err "proposal outside [0, horizon]"
   else if
-    List.exists (fun e -> event_time e < 0.0 || event_time e > t.horizon) t.events
+    not (List.for_all (fun e -> within 0.0 t.horizon (S.event_time e)) t.events)
   then err "event outside [0, horizon]"
   else
     let rec sorted = function
-      | a :: (b :: _ as tl) -> event_time a <= event_time b && sorted tl
+      | a :: (b :: _ as tl) -> S.event_time a <= S.event_time b && sorted tl
       | [] | [ _ ] -> true
     in
     if not (sorted t.events) then err "events not sorted by time"
-    else if t.horizon <= 0.0 then err "non-positive horizon"
-    else if
-      match t.delay with
-      | Edge { atoms } -> atoms = [] || List.exists (fun x -> x < 0.0) atoms
-      | Fixed _ | Uniform _ | Bimodal _ | Scripted _ -> false
-    then err "edge delay model needs a non-empty list of non-negative atoms"
+    else if not (t.horizon > 0.0) then err "non-positive horizon"
+    else if not (D.valid t.delay) then err "delay model parameters out of range"
     else if
       match t.session_capacity with Some c -> c < 1 | None -> false
     then err "session_capacity must be >= 1"
     else if
-      List.exists
-        (function
-          | S.Drop_prob { p; _ } | S.Loss { p; _ } | S.Duplicate { p; _ } ->
-              p < 0.0 || p > 1.0
-          | S.Reorder { prob; extra; _ } ->
-              prob < 0.0 || prob > 1.0 || extra < 0.0
-          | S.Delay_surge { factor; _ } -> factor <= 0.0
-          | _ -> false)
-        t.events
+      not
+        (List.for_all
+           (function
+             | S.Drop_prob { p; _ } | S.Loss { p; _ } | S.Duplicate { p; _ } ->
+                 within 0.0 1.0 p
+             | S.Reorder { prob; extra; _ } -> within 0.0 1.0 prob && extra >= 0.0
+             | S.Delay_surge { factor; _ } -> factor > 0.0
+             | _ -> true)
+           t.events)
     then err "event probability outside [0, 1] (or bad reorder/surge knob)"
     else
       match t.transport with
-      | Some c when c.T.rto <= 0.0 || c.T.retries < 0 || c.T.window <= 0 || c.T.dedup <= 0
+      | Some c
+        when not (c.T.rto > 0.0 && c.T.retries >= 0 && c.T.window > 0 && c.T.dedup > 0)
         ->
           err "nonsensical transport config"
       | Some _ | None -> (
@@ -271,10 +191,10 @@ let int_list name j =
     (get_list name j)
 
 let delay_to_json = function
-  | Fixed x -> J.Obj [ ("model", str "fixed"); ("delay", num x) ]
-  | Uniform { lo; hi } ->
+  | D.Fixed x -> J.Obj [ ("model", str "fixed"); ("delay", num x) ]
+  | D.Uniform { lo; hi } ->
       J.Obj [ ("model", str "uniform"); ("lo", num lo); ("hi", num hi) ]
-  | Bimodal { fast; slow; slow_prob } ->
+  | D.Bimodal { fast; slow; slow_prob } ->
       J.Obj
         [
           ("model", str "bimodal");
@@ -282,9 +202,10 @@ let delay_to_json = function
           ("slow", num slow);
           ("slow_prob", num slow_prob);
         ]
-  | Edge { atoms } ->
+  | D.Edge { atoms } ->
       J.Obj [ ("model", str "edge"); ("atoms", J.Arr (List.map num atoms)) ]
-  | Scripted { default; links } ->
+  | D.Scaled _ -> invalid_arg "Spec.to_json: a delay surge is an event, not a spec delay"
+  | D.Scripted { default; links } ->
       J.Obj
         [
           ("model", str "scripted");
@@ -312,18 +233,18 @@ let float_list name j =
 
 let delay_of_json j =
   match get_str "model" j with
-  | "fixed" -> Fixed (get_float "delay" j)
-  | "uniform" -> Uniform { lo = get_float "lo" j; hi = get_float "hi" j }
+  | "fixed" -> D.Fixed (get_float "delay" j)
+  | "uniform" -> D.Uniform { lo = get_float "lo" j; hi = get_float "hi" j }
   | "bimodal" ->
-      Bimodal
+      D.Bimodal
         {
           fast = get_float "fast" j;
           slow = get_float "slow" j;
           slow_prob = get_float "slow_prob" j;
         }
-  | "edge" -> Edge { atoms = float_list "atoms" j }
+  | "edge" -> D.Edge { atoms = float_list "atoms" j }
   | "scripted" ->
-      Scripted
+      D.Scripted
         {
           default = get_float "default" j;
           links =
@@ -673,7 +594,7 @@ let of_json j =
           | Some s -> (
               match Option.bind (J.to_string_opt s) P.r_slack_of_string with
               | Some r -> r
-              | None -> fail "field \"r_slack\": expected legacy|widen|general"));
+              | None -> fail "field \"r_slack\": expected legacy|widen"));
         service =
           (match J.member "service" j with
           | None -> None
@@ -702,7 +623,7 @@ let load path =
   | s -> (
       match J.of_string (String.trim s) with
       | exception J.Parse_error e -> Error e
-      | j -> of_json j)
+      | j -> Result.bind (of_json j) (fun t -> Result.map (fun () -> t) (validate t)))
 
 let pp ppf t =
   Fmt.pf ppf

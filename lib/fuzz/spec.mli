@@ -1,41 +1,21 @@
 (** Serializable scenario descriptions — the fuzzer's unit of work.
 
-    {!Ssba_harness.Scenario.t} embeds closures (delay policies, Byzantine
-    behaviours), so it cannot be saved or shrunk. A spec is the fully-data
-    mirror: protocol size, an enumerable delay model, a
-    {!Ssba_adversary.Catalog} cast, proposals and environment events. It
-    compiles to a scenario with {!to_scenario}, round-trips through JSON
-    ({!to_json}/{!of_json}, lossless including float bits), and therefore
-    replays byte-for-byte: running the same spec twice yields the same
-    {!Ssba_harness.Checks.result_digest}. *)
+    A spec names a scenario in the fuzzer's own terms: the protocol size
+    ([n], [f] and the block-R gate, from which {!params} derives the
+    constants) and an optional service workload, beside the
+    {!Ssba_harness.Scenario} data it compiles to ({!to_scenario}). It
+    round-trips through JSON ({!to_json}/{!of_json}, lossless including
+    float bits), and therefore replays byte-for-byte: running the same spec
+    twice yields the same {!Ssba_harness.Checks.result_digest}. *)
 
 open Ssba_core.Types
-
-(** Enumerable subset of {!Ssba_net.Delay} (the closure-based policies are
-    not serializable and are never generated — except [Scripted], which the
-    model checker writes to pin an explored delivery schedule). *)
-type delay =
-  | Fixed of float
-  | Uniform of { lo : float; hi : float }
-  | Bimodal of { fast : float; slow : float; slow_prob : float }
-  | Edge of { atoms : float list }
-      (** boundary sampling: every hop picks uniformly among [atoms], chosen
-          so short chains of hops land exactly on the protocol's comparison
-          boundaries (4d, 5d, the 3d skew deadline); interior models never
-          hit a [<=] boundary exactly *)
-  | Scripted of {
-      default : float;
-      links : ((node_id * node_id) * float list) list;
-          (** per (src, dst): the delay of that link's k-th send, in send
-              order; [default] once exhausted and for unlisted links *)
-    }
 
 type t = {
   name : string;
   seed : int;  (** drives every random choice of the compiled scenario *)
   n : int;
   f : int;  (** [Params.default ~f n] supplies the remaining constants *)
-  delay : delay;
+  delay : Ssba_net.Delay.t;
   clocks : Ssba_harness.Scenario.clocks;
   cast : (node_id * Ssba_adversary.Catalog.t) list;  (** sorted by node id *)
   proposals : Ssba_harness.Scenario.proposal list;
@@ -64,42 +44,29 @@ type t = {
 }
 
 (** The protocol constants the compiled scenario runs under:
-    [Params.default ~f n], with [delta] replaced by the effective bound when
-    the spec carries a transport (see the [transport] field). *)
+    {!Ssba_harness.Scenario.effective_params} of [n], [f], [r_slack], the
+    transport and the event schedule. *)
 val params : t -> Ssba_core.Params.t
-
-(** Worst persistent-loss probability the event schedule installs; [0.0] if
-    none. *)
-val max_loss : t -> float
-
-(** Worst reordering extra delay the event schedule installs; [0.0]. *)
-val max_reorder_extra : t -> float
-
-(** Whether an event invalidates the paper's guarantees until [Delta_stb]
-    later. Heals never do; persistent link faults ([Loss]/[Duplicate]/
-    [Reorder]) do exactly when the spec runs no transport — masking them is
-    the transport's contract, and {!Oracle} holds it to that. *)
-val disruptive : t -> Ssba_harness.Scenario.event -> bool
 
 (** Compile to a runnable scenario (observations recorded, for the oracle's
     invariant monitor). *)
 val to_scenario : t -> Ssba_harness.Scenario.t
-
-(** The real time at which an event fires. *)
-val event_time : Ssba_harness.Scenario.event -> float
 
 (** Largest node id the spec mentions anywhere (cast, proposals, events,
     strategy targets); [-1] if none. Node-count shrinking checks this. *)
 val max_referenced_id : t -> int
 
 (** Structural sanity: [n > 3f], cast within the fault budget and node
-    range, events sorted and inside the horizon, proposals in range. *)
+    range, events sorted and inside the horizon, proposals in range, every
+    delay and fault parameter in range ({!Ssba_net.Delay.valid}). NaN fails
+    every check. *)
 val validate : t -> (unit, string) result
 
 val to_json : t -> Ssba_sim.Json.t
 val of_json : Ssba_sim.Json.t -> (t, string) result
 
-(** Save/load one spec as pretty-stable JSON text (the replay file format). *)
+(** Save/load one spec as pretty-stable JSON text (the replay file format).
+    [load] returns [Error] for a spec that fails {!validate}. *)
 val save : string -> t -> unit
 
 val load : string -> (t, string) result

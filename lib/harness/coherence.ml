@@ -63,10 +63,7 @@ let intervals (sc : Scenario.t) =
     | Scenario.Scramble _ -> true
     | Scenario.Reform { node; _ } ->
         let effective =
-          (match Scenario.role_of sc node with
-          | Scenario.Correct -> false
-          | Scenario.Byzantine _ -> true)
-          && not (Hashtbl.mem reformed node)
+          List.mem_assoc node sc.Scenario.cast && not (Hashtbl.mem reformed node)
         in
         if effective then Hashtbl.replace reformed node ();
         effective

@@ -13,6 +13,8 @@ module Clock = Ssba_sim.Clock
 module Network = Ssba_net.Network
 module Delay = Ssba_net.Delay
 module Node = Ssba_core.Node
+module C = Ssba_adversary.Catalog
+module RS = Ssba_adversary.Round_stretcher
 
 let section title = Printf.printf "\n### %s\n\n" title
 
@@ -37,13 +39,10 @@ let e1_validity ?(ns = [ 4; 7; 10; 16; 25; 31 ]) ?(seeds = [ 1; 2; 3; 4; 5 ]) ()
       List.iter
         (fun seed ->
           let t0 = 0.05 in
-          let roles =
-            (* the f fault slots are silent (crash) nodes, ids n-f .. n-1 *)
-            List.init f (fun i ->
-                (n - 1 - i, Scenario.Byzantine Ssba_adversary.Strategies.silent))
-          in
+          (* the f fault slots are silent (crash) nodes, ids n-f .. n-1 *)
+          let cast = List.init f (fun i -> (n - 1 - i, C.Silent)) in
           let sc =
-            Scenario.default ~name:"e1" ~seed ~roles
+            Scenario.default ~name:"e1" ~seed ~cast
               ~proposals:[ { g = 0; v = "alpha"; at = t0 } ]
               ~horizon:(t0 +. (4.0 *. params.Params.delta_agr))
               params
@@ -75,36 +74,29 @@ let e1_validity ?(ns = [ 4; 7; 10; 16; 25; 31 ]) ?(seeds = [ 1; 2; 3; 4; 5 ]) ()
 
 (* ----- E2: Agreement under faulty Generals (Thm 3, IA-2/IA-4) ----------- *)
 
-let e2_strategies params : (string * (node_id * Scenario.role) list) list =
-  let module S = Ssba_adversary.Strategies in
+let e2_strategies params : (string * (node_id * C.t) list) list =
   let n = params.Params.n in
   let f = params.Params.f in
-  let byz strategy = Scenario.Byzantine strategy in
   let extra_spam =
     (* fill the remaining fault budget with spamming participants *)
     List.init (max 0 (f - 1)) (fun i ->
-        ( n - 1 - i,
-          byz (S.spam ~period:(5.0 *. params.Params.d) ~values:[ "a"; "b" ]) ))
+        (n - 1 - i, C.Spam { period_d = 5.0; values = [ "a"; "b" ] }))
   in
   [
-    ("silent-general", (0, byz S.silent) :: extra_spam);
+    ("silent-general", (0, C.Silent) :: extra_spam);
     ( "two-faced-general",
-      (0, byz (S.two_faced_general ~v1:"a" ~v2:"b" ~at:0.05)) :: extra_spam );
+      (0, C.Two_faced_general { v1 = "a"; v2 = "b"; at = 0.05 }) :: extra_spam );
     ( "stagger-general",
-      (0, byz (S.stagger_general ~v:"a" ~at:0.05 ~gap:(3.0 *. params.Params.d)))
-      :: extra_spam );
+      (0, C.Stagger_general { v = "a"; at = 0.05; gap_d = 3.0 }) :: extra_spam );
     ( "partial-general",
       ( 0,
-        byz
-          (S.partial_general ~v:"a" ~at:0.05
-             ~targets:(List.init (n - f) (fun i -> i + 1))) )
+        C.Partial_general
+          { v = "a"; at = 0.05; targets = List.init (n - f) (fun i -> i + 1) } )
       :: extra_spam );
     ( "equivocators",
       (* correct General, f equivocating participants *)
-      List.init f (fun i -> (n - 1 - i, byz (S.equivocator ~v1:"a" ~v2:"b"))) );
-    ( "mimics",
-      List.init f (fun i ->
-          (n - 1 - i, byz (S.mimic ~delay:(2.0 *. params.Params.d)))) );
+      List.init f (fun i -> (n - 1 - i, C.Equivocator { v1 = "a"; v2 = "b" })) );
+    ( "mimics", List.init f (fun i -> (n - 1 - i, C.Mimic { delay_d = 2.0 })) );
   ]
 
 let e2_agreement ?(ns = [ 7; 10; 16; 25 ]) ?(seeds = [ 11; 12; 13 ]) () =
@@ -114,7 +106,7 @@ let e2_agreement ?(ns = [ 7; 10; 16; 25 ]) ?(seeds = [ 11; 12; 13 ]) () =
     (fun n ->
       let params = Params.default n in
       List.iter
-        (fun (attack, roles) ->
+        (fun (attack, cast) ->
           let episodes = ref 0 and decided = ref 0 and aborted = ref 0 in
           let violations = ref 0 in
           List.iter
@@ -122,11 +114,11 @@ let e2_agreement ?(ns = [ 7; 10; 16; 25 ]) ?(seeds = [ 11; 12; 13 ]) () =
               let proposals =
                 (* under participant-only attacks, node 0 is a correct
                    General and must still drive agreement through *)
-                if List.mem_assoc 0 roles then []
+                if List.mem_assoc 0 cast then []
                 else [ { Scenario.g = 0; v = "a"; at = 0.05 } ]
               in
               let sc =
-                Scenario.default ~name:attack ~seed ~roles ~proposals
+                Scenario.default ~name:attack ~seed ~cast ~proposals
                   ~horizon:(0.05 +. (4.0 *. params.Params.delta_agr))
                   params
               in
@@ -391,18 +383,30 @@ let e6_early_stop ?(n = 22) ?(fprimes = None) () =
     Table.create
       [ "f'"; "colluders"; "outcome"; "termination(Phi)"; "expected(Phi)" ]
   in
+  (* The stretcher's choreography runs on absolute time: perfect clocks and
+     a fixed small delay. *)
+  let world ~seed ?proposals ?cast horizon =
+    Runner.run
+      (Scenario.default ~name:"e6" ~seed ~clocks:Scenario.Perfect
+         ~delay:(Delay.fixed (0.1 *. params.Params.d))
+         ?cast ?proposals ~horizon params)
+  in
+  let stretched ~seed st =
+    let res =
+      world ~seed ~cast:(RS.cast st) (0.05 +. (3.0 *. params.Params.delta_agr))
+    in
+    let returns = res.Runner.returns in
+    (returns, Metrics.maximum (List.map (fun r -> (r.tau_ret -. r.tau_g) /. phi) returns))
+  in
   List.iter
     (fun fprime ->
       if fprime = 0 then begin
         (* no faults: correct General, fast-path decision *)
-        let sc =
-          Scenario.default ~name:"e6" ~seed:61 ~clocks:Scenario.Perfect
-            ~delay:(Delay.fixed (0.1 *. params.Params.d))
+        let res =
+          world ~seed:61
             ~proposals:[ { g = 0; v = "m"; at = 0.05 } ]
-            ~horizon:(0.05 +. (2.0 *. params.Params.delta_agr))
-            params
+            (0.05 +. (2.0 *. params.Params.delta_agr))
         in
-        let res = Runner.run sc in
         match Metrics.episodes res with
         | [ e ] ->
             Table.add_row tbl
@@ -416,85 +420,42 @@ let e6_early_stop ?(n = 22) ?(fprimes = None) () =
         | _ -> Table.add_row tbl [ "0"; "-"; "no episode"; "-"; "-" ]
       end
       else begin
-        let eps = 0.1 *. params.Params.d in
-        let engine = Engine.create () in
-        let rng = Rng.create 62 in
-        let net =
-          Network.create ~engine ~n ~delay:(Delay.fixed eps) ~rng:(Rng.split rng) ()
-        in
         let colluders = List.init fprime (fun i -> i) in
-        let returns = ref [] in
-        List.init n (fun i -> i)
-        |> List.iter (fun id ->
-               if not (List.mem id colluders) then begin
-                 let node =
-                   Node.create ~id ~params ~clock:Clock.perfect ~engine ~net ()
-                 in
-                 Node.subscribe node (fun r -> returns := r :: !returns)
-               end);
         let st =
-          Ssba_adversary.Round_stretcher.make ~engine ~net ~params ~colluders
-            ~v:"evil" ~t0:0.05 ~eps ()
+          RS.make ~params ~colluders ~v:"evil" ~t0:0.05
+            ~eps:(0.1 *. params.Params.d) ()
         in
-        Ssba_adversary.Round_stretcher.launch st;
-        let _ =
-          Engine.run ~until:(0.05 +. (3.0 *. params.Params.delta_agr)) engine
-        in
-        let phases =
-          List.map (fun r -> (r.tau_ret -. r.tau_g) /. phi) !returns
-        in
-        let decided =
-          List.exists (fun r -> r.outcome <> Aborted) !returns
-        in
+        let returns, phases = stretched ~seed:62 st in
         Table.add_row tbl
           [
             string_of_int fprime;
             String.concat "," (List.map string_of_int colluders);
-            (if decided then "DECIDED" else "all abort");
-            Printf.sprintf "%.2f" (Metrics.maximum phases);
-            string_of_int
-              (Ssba_adversary.Round_stretcher.expected_abort_phase st);
+            (if List.exists (fun r -> r.outcome <> Aborted) returns then "DECIDED"
+             else "all abort");
+            Printf.sprintf "%.2f" phases;
+            string_of_int (RS.expected_abort_phase st);
           ]
       end)
     fprimes;
   (* the decide variant: the adversary lets round 1 complete honestly, so
      block S decides the Byzantine value past the fast-path window *)
-  begin
-    let eps = 0.1 *. params.Params.d in
-    let engine = Engine.create () in
-    let rng = Rng.create 63 in
-    let net =
-      Network.create ~engine ~n ~delay:(Delay.fixed eps) ~rng:(Rng.split rng) ()
-    in
-    let colluders = [ 0; 1 ] in
-    let returns = ref [] in
-    List.init n (fun i -> i)
-    |> List.iter (fun id ->
-           if not (List.mem id colluders) then begin
-             let node = Node.create ~id ~params ~clock:Clock.perfect ~engine ~net () in
-             Node.subscribe node (fun r -> returns := r :: !returns)
-           end);
-    let st =
-      Ssba_adversary.Round_stretcher.make ~complete_round:true ~engine ~net
-        ~params ~colluders ~v:"evil" ~t0:0.05 ~eps ()
-    in
-    Ssba_adversary.Round_stretcher.launch st;
-    let _ = Engine.run ~until:(0.05 +. (3.0 *. params.Params.delta_agr)) engine in
-    let phases = List.map (fun r -> (r.tau_ret -. r.tau_g) /. phi) !returns in
-    let unanimous =
-      List.for_all (fun r -> r.outcome = Decided "evil") !returns
-      && List.length !returns = n - 2
-    in
-    Table.add_row tbl
-      [
-        "2*";
-        "0,1 (+honest rd 1)";
-        (if unanimous then "decided \"evil\"" else "INCONSISTENT");
-        Printf.sprintf "%.2f" (Metrics.maximum phases);
-        Printf.sprintf "<= %d"
-          (Ssba_adversary.Round_stretcher.expected_decide_phase st);
-      ]
-  end;
+  let st =
+    RS.make ~complete_round:true ~params ~colluders:[ 0; 1 ] ~v:"evil" ~t0:0.05
+      ~eps:(0.1 *. params.Params.d) ()
+  in
+  let returns, phases = stretched ~seed:63 st in
+  let unanimous =
+    List.for_all (fun r -> r.outcome = Decided "evil") returns
+    && List.length returns = n - 2
+  in
+  Table.add_row tbl
+    [
+      "2*";
+      "0,1 (+honest rd 1)";
+      (if unanimous then "decided \"evil\"" else "INCONSISTENT");
+      Printf.sprintf "%.2f" phases;
+      Printf.sprintf "<= %d" (RS.expected_decide_phase st);
+    ];
   Table.print tbl;
   Printf.printf
     "  (f = %d; linear 2f'+5 until capped by block U at 2f+1 = %d; the 2* row\n\
@@ -605,18 +566,16 @@ let e9_invariants ?(ns = [ 7; 10; 16 ]) ?(seeds = [ 91; 92; 93 ]) () =
   List.iter
     (fun n ->
       let params = Params.default n in
-      let d = params.Params.d in
-      let module S = Ssba_adversary.Strategies in
       let workloads =
         [
           ("correct-general", [], [ { Scenario.g = 0; v = "m"; at = 0.05 } ]);
           ( "two-faced-general",
-            [ (0, Scenario.Byzantine (S.two_faced_general ~v1:"a" ~v2:"b" ~at:0.05)) ],
+            [ (0, C.Two_faced_general { v1 = "a"; v2 = "b"; at = 0.05 }) ],
             [] );
           ( "spam+equivocators",
             [
-              (n - 1, Scenario.Byzantine (S.spam ~period:(5.0 *. d) ~values:[ "a"; "b" ]));
-              (n - 2, Scenario.Byzantine (S.equivocator ~v1:"a" ~v2:"b"));
+              (n - 1, C.Spam { period_d = 5.0; values = [ "a"; "b" ] });
+              (n - 2, C.Equivocator { v1 = "a"; v2 = "b" });
             ],
             [ { Scenario.g = 0; v = "m"; at = 0.05 } ] );
           ( "recurrent",
@@ -629,12 +588,12 @@ let e9_invariants ?(ns = [ 7; 10; 16 ]) ?(seeds = [ 91; 92; 93 ]) () =
         ]
       in
       List.iter
-        (fun (name, roles, proposals) ->
+        (fun (name, cast, proposals) ->
           let obs_total = ref 0 and violations = ref [] in
           List.iter
             (fun seed ->
               let sc =
-                Scenario.default ~name ~seed ~roles ~proposals
+                Scenario.default ~name ~seed ~cast ~proposals
                   ~record_observations:true
                   ~horizon:(0.05 +. (4.0 *. params.Params.delta_agr))
                   params
@@ -684,20 +643,15 @@ let e10_lossy_links ?(n = 7) ?(ps = [ 0.0; 0.1; 0.3 ])
     (fun p ->
       List.iter
         (fun transport ->
-          let base = Params.default n in
           let tcfg =
-            Ssba_transport.Transport.config ~rto:(3.0 *. base.Params.delta) ()
+            if transport then
+              Some
+                (Ssba_transport.Transport.config
+                   ~rto:(3.0 *. (Params.default n).Params.delta) ())
+            else None
           in
-          let params =
-            if transport && p > 0.0 then
-              Params.default
-                ~delta:
-                  (Params.delta_eff ~delta:base.Params.delta ~p
-                     ~rto:tcfg.Ssba_transport.Transport.rto
-                     ~retries:tcfg.Ssba_transport.Transport.retries)
-                n
-            else base
-          in
+          let events = if p > 0.0 then [ Scenario.Loss { at = 0.0; p } ] else [] in
+          let params = Scenario.effective_params ?transport:tcfg n events in
           let agreed = ref 0 in
           let latency = ref 0.0 in
           let sent = ref 0 and retr = ref 0 in
@@ -706,10 +660,7 @@ let e10_lossy_links ?(n = 7) ?(ps = [ 0.0; 0.1; 0.3 ])
             (fun seed ->
               let t0 = 0.05 in
               let sc =
-                Scenario.default ~name:"e10" ~seed
-                  ~events:
-                    (if p > 0.0 then [ Scenario.Loss { at = 0.0; p } ] else [])
-                  ?transport:(if transport then Some tcfg else None)
+                Scenario.default ~name:"e10" ~seed ~events ?transport:tcfg
                   ~proposals:[ { g = seed mod n; v = "m"; at = t0 } ]
                   ~horizon:(t0 +. (3.0 *. params.Params.delta_agr))
                   params
@@ -861,13 +812,9 @@ let e12_churn ?(ns = [ 7; 10 ]) ?(seeds = [ 121; 122; 123 ]) ?(episodes = 3) ()
       let correct =
         List.filter (fun i -> not (List.mem i byzantine)) (List.init n Fun.id)
       in
-      let roles =
+      let cast =
         List.map
-          (fun id ->
-            ( id,
-              Scenario.Byzantine
-                (Ssba_adversary.Strategies.spam ~period:(10.0 *. params.Params.d)
-                   ~values:[ "junk" ]) ))
+          (fun id -> (id, C.Spam { period_d = 10.0; values = [ "junk" ] }))
           byzantine
       in
       List.iter
@@ -882,7 +829,7 @@ let e12_churn ?(ns = [ 7; 10 ]) ?(seeds = [ 121; 122; 123 ]) ?(episodes = 3) ()
               let sc =
                 Scenario.default
                   ~name:("e12-" ^ Chaos.pattern_name pattern)
-                  ~seed ~roles ~events:sched.Chaos.events
+                  ~seed ~cast ~events:sched.Chaos.events
                   ~proposals:sched.Chaos.proposals ~horizon:sched.Chaos.horizon
                   params
               in

@@ -131,34 +131,36 @@ type net_iface = {
   counts : unit -> net_counts;
 }
 
-(* Forged in-flight garbage for the incoherent period: random protocol
-   messages claiming random senders, delivered over the next ~Delta_rmv. *)
-let plain_iface ~engine ~params ~delay ~rng n =
-  let net =
-    Network.create ~engine ~n ~delay ~rng ~kind_of:kind_of_message ()
-  in
+(* The knobs and counts of [net], whatever frame type it carries. [garbage]
+   forges one in-flight frame for the incoherent period (random protocol
+   messages claiming random senders, delivered over the next ~Delta_rmv);
+   [pool_garbage] is what a trashed free descriptor holds. *)
+let net_iface (type f) ~params ~(net : f Network.t) ~link ~transport
+    ~(garbage : Rng.t -> values:value list -> f)
+    ~(pool_garbage : Rng.t -> values:value list -> f) =
+  let n = Network.size net in
+  let tr get = match transport with None -> 0 | Some t -> get t in
   {
-    link = Network.link net;
-    set_muted = (fun node m -> Network.set_muted net node m);
-    set_delay = (fun d -> Network.set_delay net d);
-    set_drop_prob = (fun p -> Network.set_drop_prob net p);
-    set_dup_prob = (fun p -> Network.set_dup_prob net p);
-    set_reorder = (fun r -> Network.set_reorder net r);
-    set_partition = (fun pred -> Network.set_partition net pred);
+    link;
+    set_muted = Network.set_muted net;
+    set_delay = Network.set_delay net;
+    set_drop_prob = Network.set_drop_prob net;
+    set_dup_prob = Network.set_dup_prob net;
+    set_reorder = Network.set_reorder net;
+    set_partition = Network.set_partition net;
     inject_garbage =
       (fun ~rng ~values ~count ->
         for _ = 1 to count do
           let claimed_src = Rng.int rng n in
           let dst = Rng.int rng n in
-          let payload = garbage_message ~rng ~params ~values in
+          let payload = garbage rng ~values in
           let delay = Rng.float rng params.Params.delta_rmv in
           Network.inject_forged net ~claimed_src ~dst ~delay payload
         done);
-    scramble_transport = (fun ~rng:_ -> ());
+    scramble_transport =
+      (fun ~rng -> Option.iter (fun t -> Transport.scramble t ~rng) transport);
     scramble_pool =
-      (fun ~values ->
-        Network.scramble_pool net ~payload:(fun rng ->
-            garbage_message ~rng ~params ~values));
+      (fun ~values -> Network.scramble_pool net ~payload:(pool_garbage ~values));
     counts =
       (fun () ->
         {
@@ -168,12 +170,18 @@ let plain_iface ~engine ~params ~delay ~rng n =
           nc_duplicated = Network.messages_duplicated net;
           nc_in_flight = Network.messages_in_flight net;
           nc_by_kind = Network.sent_by_kind net;
-          nc_retransmits = 0;
-          nc_dup_suppressed = 0;
-          nc_expired = 0;
-          nc_retries_exhausted = 0;
+          nc_retransmits = tr Transport.retransmits;
+          nc_dup_suppressed = tr Transport.dup_suppressed;
+          nc_expired = tr Transport.expired;
+          nc_retries_exhausted = tr Transport.retries_exhausted;
         });
   }
+
+let plain_iface ~engine ~params ~delay ~rng n =
+  let net = Network.create ~engine ~n ~delay ~rng ~kind_of:kind_of_message () in
+  let garbage rng ~values = garbage_message ~rng ~params ~values in
+  net_iface ~params ~net ~link:(Network.link net) ~transport:None ~garbage
+    ~pool_garbage:garbage
 
 (* Transport-backed variant: protocol payloads ride Data frames; garbage is
    forged at the frame level (Data with random seqs, plus bare Acks), so the
@@ -184,56 +192,15 @@ let transport_iface ~engine ~params ~delay ~rng ~config n =
       ~kind_of:(Transport.kind_of kind_of_message) ()
   in
   let tr = Transport.create ~kind_of:kind_of_message ~engine ~net ~config () in
-  {
-    link = Transport.link tr;
-    set_muted = (fun node m -> Network.set_muted net node m);
-    set_delay = (fun d -> Network.set_delay net d);
-    set_drop_prob = (fun p -> Network.set_drop_prob net p);
-    set_dup_prob = (fun p -> Network.set_dup_prob net p);
-    set_reorder = (fun r -> Network.set_reorder net r);
-    set_partition = (fun pred -> Network.set_partition net pred);
-    inject_garbage =
-      (fun ~rng ~values ~count ->
-        for _ = 1 to count do
-          let claimed_src = Rng.int rng n in
-          let dst = Rng.int rng n in
-          let frame =
-            if Rng.int rng 4 = 0 then
-              Transport.Ack { seq = Rng.int rng 1_000_000 }
-            else
-              Transport.Data
-                {
-                  seq = Rng.int rng 1_000_000;
-                  payload = garbage_message ~rng ~params ~values;
-                }
-          in
-          let delay = Rng.float rng params.Params.delta_rmv in
-          Network.inject_forged net ~claimed_src ~dst ~delay frame
-        done);
-    scramble_transport = (fun ~rng -> Transport.scramble tr ~rng);
-    scramble_pool =
-      (fun ~values ->
-        Network.scramble_pool net ~payload:(fun rng ->
-            Transport.Data
-              {
-                seq = Rng.int rng 1_000_000;
-                payload = garbage_message ~rng ~params ~values;
-              }));
-    counts =
-      (fun () ->
-        {
-          nc_sent = Network.messages_sent net;
-          nc_delivered = Network.messages_delivered net;
-          nc_dropped = Network.messages_dropped net;
-          nc_duplicated = Network.messages_duplicated net;
-          nc_in_flight = Network.messages_in_flight net;
-          nc_by_kind = Network.sent_by_kind net;
-          nc_retransmits = Transport.retransmits tr;
-          nc_dup_suppressed = Transport.dup_suppressed tr;
-          nc_expired = Transport.expired tr;
-          nc_retries_exhausted = Transport.retries_exhausted tr;
-        });
-  }
+  let data rng ~values =
+    Transport.Data
+      { seq = Rng.int rng 1_000_000; payload = garbage_message ~rng ~params ~values }
+  in
+  net_iface ~params ~net ~link:(Transport.link tr) ~transport:(Some tr)
+    ~garbage:(fun rng ~values ->
+      if Rng.int rng 4 = 0 then Transport.Ack { seq = Rng.int rng 1_000_000 }
+      else data rng ~values)
+    ~pool_garbage:data
 
 let run_with ?on_driver ~execute (sc : Scenario.t) =
   let params = sc.Scenario.params in
@@ -253,41 +220,45 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
           ~config n
   in
   let clocks = Array.init n (fun _ -> build_clock clock_rng sc.Scenario.clocks) in
-  (* Correct nodes first, then Byzantine behaviours (which overwrite the
-     link handler for their id). *)
-  let nodes = ref [] in
+  let byzantine id = List.mem_assoc id sc.Scenario.cast in
+  (* Driver callbacks see every return, from initial and reformed nodes
+     alike: every protocol node is attached through [attach], which funnels
+     its returns through [push_return] and records its observations. *)
   let returns = ref [] in
   let observations = ref [] in
-  (* Driver callbacks see every return, from initial and reformed nodes
-     alike, so all node subscriptions funnel through one push function. *)
   let return_hooks = ref [] in
   let push_return r =
     returns := r :: !returns;
     List.iter (fun f -> f r) !return_hooks
   in
-  for id = 0 to n - 1 do
-    match Scenario.role_of sc id with
-    | Scenario.Correct ->
-        let node =
-          Node.create_on ~channels:sc.Scenario.channels
-            ?session_capacity:sc.Scenario.session_capacity
-            ~blackout:sc.Scenario.blackout ~admission:sc.Scenario.admission
-            ~id ~params ~clock:clocks.(id) ~engine ~link:iface.link ()
-        in
-        Node.subscribe node push_return;
-        if sc.Scenario.record_observations then
-          Node.subscribe_observations node (fun g obs ->
-              observations :=
-                { obs_node = id; obs_g = g; obs; obs_rt = Engine.now engine }
-                :: !observations);
-        nodes := (id, node) :: !nodes
-    | Scenario.Byzantine _ -> ()
-  done;
-  let nodes = List.rev !nodes in
-  (* Reformed Byzantine nodes join this list mid-run (Reform events); the
-     behaviours they abandon keep their scheduled callbacks, so every
-     behaviour sends through a guard that silences reformed ids. *)
-  let live_nodes = ref nodes in
+  let attach id node =
+    Node.subscribe node push_return;
+    if sc.Scenario.record_observations then
+      Node.subscribe_observations node (fun g obs ->
+          observations :=
+            { obs_node = id; obs_g = g; obs; obs_rt = Engine.now engine }
+            :: !observations);
+    (id, node)
+  in
+  (* Correct nodes first, then Byzantine behaviours (which overwrite the
+     link handler for their id). Reformed Byzantine nodes join [live_nodes]
+     mid-run (Reform events). *)
+  let live_nodes =
+    ref
+      (List.filter_map
+         (fun id ->
+           if byzantine id then None
+           else
+             Some
+               (attach id
+                  (Node.create_on ~channels:sc.Scenario.channels
+                     ?session_capacity:sc.Scenario.session_capacity
+                     ~blackout:sc.Scenario.blackout ~admission:sc.Scenario.admission
+                     ~id ~params ~clock:clocks.(id) ~engine ~link:iface.link ())))
+         (List.init n Fun.id))
+  in
+  (* The behaviours a reform abandons keep their scheduled callbacks, so
+     every behaviour sends through a guard that silences reformed ids. *)
   let reformed = Array.make n false in
   let behavior_link =
     {
@@ -301,10 +272,11 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
     }
   in
   for id = 0 to n - 1 do
-    match Scenario.role_of sc id with
-    | Scenario.Correct -> ()
-    | Scenario.Byzantine b ->
-        Ssba_adversary.Behavior.install b
+    match List.assoc_opt id sc.Scenario.cast with
+    | None -> ()
+    | Some entry ->
+        Ssba_adversary.Behavior.install
+          (Ssba_adversary.Catalog.to_behavior ~d:params.Params.d entry)
           {
             Ssba_adversary.Behavior.self = id;
             params;
@@ -332,13 +304,11 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
   in
   List.iter
     (fun ev ->
-      match ev with
-      | Scenario.Crash { node; at } ->
-          Engine.schedule engine ~at (fun () -> iface.set_muted node true)
-      | Scenario.Recover { node; at } ->
-          Engine.schedule engine ~at (fun () -> iface.set_muted node false)
-      | Scenario.Scramble { at; values; net_garbage } ->
-          Engine.schedule engine ~at (fun () ->
+      Engine.schedule engine ~at:(Scenario.event_time ev) (fun () ->
+          match ev with
+          | Scenario.Crash { node; _ } -> iface.set_muted node true
+          | Scenario.Recover { node; _ } -> iface.set_muted node false
+          | Scenario.Scramble { values; net_garbage; _ } ->
               List.iter
                 (fun (_, node) -> Node.scramble scramble_rng ~values node)
                 !live_nodes;
@@ -346,56 +316,40 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
               iface.scramble_pool ~values;
               iface.inject_garbage ~rng:scramble_rng ~values ~count:net_garbage;
               Engine.record engine ~node:(-1)
-                (Trace.Scramble { garbage = net_garbage }))
-      | Scenario.Drop_prob { at; p } ->
-          Engine.schedule engine ~at (fun () ->
+                (Trace.Scramble { garbage = net_garbage })
+          | Scenario.Drop_prob { p; _ } ->
               transient_drop := p;
-              apply_loss ())
-      | Scenario.Loss { at; p } ->
-          Engine.schedule engine ~at (fun () ->
+              apply_loss ()
+          | Scenario.Loss { p; _ } ->
               persistent_loss := p;
-              apply_loss ())
-      | Scenario.Duplicate { at; p } ->
-          Engine.schedule engine ~at (fun () -> iface.set_dup_prob p)
-      | Scenario.Reorder { at; prob; extra } ->
-          Engine.schedule engine ~at (fun () ->
+              apply_loss ()
+          | Scenario.Duplicate { p; _ } -> iface.set_dup_prob p
+          | Scenario.Reorder { prob; extra; _ } ->
               iface.set_reorder
                 (if prob <= 0.0 || extra <= 0.0 then None
-                 else Some { Network.prob; extra }))
-      | Scenario.Partition { at; blocked = ga, gb } ->
-          Engine.schedule engine ~at (fun () ->
+                 else Some { Network.prob; extra })
+          | Scenario.Partition { blocked = ga, gb; _ } ->
               iface.set_partition
                 (Some
                    (fun ~src ~dst ->
                      (List.mem src ga && List.mem dst gb)
-                     || (List.mem src gb && List.mem dst ga))))
-      | Scenario.Heal { at } ->
-          Engine.schedule engine ~at (fun () ->
+                     || (List.mem src gb && List.mem dst ga)))
+          | Scenario.Heal _ ->
               iface.set_partition None;
               transient_drop := 0.0;
-              apply_loss ())
-      | Scenario.Heal_partition { at } ->
-          Engine.schedule engine ~at (fun () -> iface.set_partition None)
-      | Scenario.Heal_drop { at } ->
-          Engine.schedule engine ~at (fun () ->
+              apply_loss ()
+          | Scenario.Heal_partition _ -> iface.set_partition None
+          | Scenario.Heal_drop _ ->
               transient_drop := 0.0;
-              apply_loss ())
-      | Scenario.Delay_surge { at; factor } ->
-          Engine.schedule engine ~at (fun () ->
+              apply_loss ()
+          | Scenario.Delay_surge { factor; _ } ->
               iface.set_delay (Ssba_net.Delay.scaled factor sc.Scenario.delay);
-              Engine.record engine ~node:(-1) (Trace.Delay_surge { factor }))
-      | Scenario.Delay_restore { at } ->
-          Engine.schedule engine ~at (fun () ->
+              Engine.record engine ~node:(-1) (Trace.Delay_surge { factor })
+          | Scenario.Delay_restore _ ->
               iface.set_delay sc.Scenario.delay;
-              Engine.record engine ~node:(-1) (Trace.Delay_surge { factor = 0.0 }))
-      | Scenario.Reform { node; at } ->
-          Engine.schedule engine ~at (fun () ->
-              let byzantine =
-                match Scenario.role_of sc node with
-                | Scenario.Byzantine _ -> true
-                | Scenario.Correct -> false
-              in
-              if byzantine && not reformed.(node) then begin
+              Engine.record engine ~node:(-1) (Trace.Delay_surge { factor = 0.0 })
+          | Scenario.Reform { node; _ } ->
+              if byzantine node && not reformed.(node) then begin
                 (* Silence the abandoned behaviour first, then let the correct
                    protocol take over the link handler from arbitrary state. *)
                 reformed.(node) <- true;
@@ -406,63 +360,48 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
                     ~values:reform_values ~id:node ~params
                     ~clock:clocks.(node) ~engine ~link:iface.link ()
                 in
-                Node.subscribe nd push_return;
-                if sc.Scenario.record_observations then
-                  Node.subscribe_observations nd (fun g obs ->
-                      observations :=
-                        { obs_node = node; obs_g = g; obs; obs_rt = Engine.now engine }
-                        :: !observations);
-                live_nodes := !live_nodes @ [ (node, nd) ];
+                live_nodes := !live_nodes @ [ attach node nd ];
                 Engine.record engine ~node (Trace.Reform { node })
               end))
     sc.Scenario.events;
-  (* Proposals by correct Generals. Every proposal — including one whose
-     General is Byzantine or absent — is evaluated at its scheduled [at], so
-     [proposal_results] comes out in chronological order (engine ties break
-     by scheduling order). [p.g] is a logical General id: node [g mod n]
-     initiates on channel [g / n] (the identity decoding when channels = 1). *)
+  (* Proposals, scheduled and driver-made alike. [p.g] is a logical General
+     id: node [g mod n] initiates on channel [g / n] (the identity decoding
+     when channels = 1). A General that is Byzantine or absent is
+     [No_general]. *)
   let proposal_results = ref [] in
+  let propose (p : Scenario.proposal) =
+    let outcome =
+      match List.assoc_opt (p.Scenario.g mod n) !live_nodes with
+      | None -> No_general
+      | Some node -> (
+          match Node.propose ~channel:(p.Scenario.g / n) node p.Scenario.v with
+          | Ok () -> Accepted
+          | Error e -> Refused e)
+    in
+    proposal_results := (p, outcome) :: !proposal_results;
+    outcome
+  in
+  (* Every scheduled proposal is evaluated at its [at], so [proposal_results]
+     comes out in chronological order (engine ties break by scheduling
+     order). *)
   List.iter
     (fun (p : Scenario.proposal) ->
-      Engine.schedule engine ~at:p.Scenario.at (fun () ->
-          let outcome =
-            match List.assoc_opt (p.Scenario.g mod n) !live_nodes with
-            | None -> No_general
-            | Some node -> (
-                match
-                  Node.propose ~channel:(p.Scenario.g / n) node p.Scenario.v
-                with
-                | Ok () -> Accepted
-                | Error e -> Refused e)
-          in
-          proposal_results := (p, outcome) :: !proposal_results))
+      Engine.schedule engine ~at:p.Scenario.at (fun () -> ignore (propose p)))
     sc.Scenario.proposals;
   (* Hand the driver (if any) its hook before the engine runs: it schedules
      its own arrivals/retries against the same engine, and its proposals are
      recorded exactly like scheduled ones. *)
-  (match on_driver with
-  | None -> ()
-  | Some f ->
+  Option.iter
+    (fun f ->
       f
         {
           drv_engine = engine;
           drv_params = params;
-          drv_propose =
-            (fun ~g ~v ->
-              let outcome =
-                match List.assoc_opt (g mod n) !live_nodes with
-                | None -> No_general
-                | Some node -> (
-                    match Node.propose ~channel:(g / n) node v with
-                    | Ok () -> Accepted
-                    | Error e -> Refused e)
-              in
-              let p = { Scenario.g; v; at = Engine.now engine } in
-              proposal_results := (p, outcome) :: !proposal_results;
-              outcome);
+          drv_propose = (fun ~g ~v -> propose { Scenario.g; v; at = Engine.now engine });
           drv_live = (fun () -> !live_nodes);
           drv_on_return = (fun cb -> return_hooks := !return_hooks @ [ cb ]);
-        });
+        })
+    on_driver;
   let engine_stats = execute ~until:sc.Scenario.horizon engine in
   let c = iface.counts () in
   {

@@ -1,15 +1,14 @@
 (* Scenario descriptions.
 
    A scenario is a declarative recipe for one simulation: the protocol
-   constants, clock and delay models, which node ids run the correct protocol
-   and which run a Byzantine behaviour, the proposals correct Generals make,
-   and a schedule of environment events (crashes, recoveries, transient-fault
-   scrambles, network faults). The runner interprets it deterministically
-   from the seed. *)
+   constants, clock and delay models, which node ids run a Byzantine
+   strategy (the rest run the correct protocol), the proposals correct
+   Generals make, and a schedule of environment events (crashes, recoveries,
+   transient-fault scrambles, network faults). It holds data only; the
+   runner builds every closure from it, deterministically from the seed. *)
 
 open Ssba_core.Types
-
-type role = Correct | Byzantine of Ssba_adversary.Behavior.t
+module P = Ssba_core.Params
 
 type event =
   | Crash of { node : node_id; at : float }  (* mute a node's sends *)
@@ -55,7 +54,8 @@ type t = {
   seed : int;
   delay : Ssba_net.Delay.t;
   clocks : clocks;
-  roles : (node_id * role) list;  (* unlisted ids default to Correct *)
+  cast : (node_id * Ssba_adversary.Catalog.t) list;
+      (* Byzantine ids and their strategies; unlisted ids are correct *)
   proposals : proposal list;
   events : event list;
   horizon : float;  (* stop the engine at this real time *)
@@ -82,18 +82,11 @@ type t = {
          service-mode backstop behind the watermark-based shedding *)
 }
 
-let role_of t id =
-  match List.assoc_opt id t.roles with Some r -> r | None -> Correct
-
 let correct_ids t =
-  List.filter
-    (fun id -> match role_of t id with Correct -> true | Byzantine _ -> false)
-    (List.init t.params.Ssba_core.Params.n (fun i -> i))
+  List.filter (fun id -> not (List.mem_assoc id t.cast)) (List.init t.params.P.n Fun.id)
 
 let byzantine_ids t =
-  List.filter
-    (fun id -> match role_of t id with Correct -> false | Byzantine _ -> true)
-    (List.init t.params.Ssba_core.Params.n (fun i -> i))
+  List.filter (fun id -> List.mem_assoc id t.cast) (List.init t.params.P.n Fun.id)
 
 let event_time = function
   | Crash { at; _ } | Recover { at; _ } | Scramble { at; _ }
@@ -118,32 +111,34 @@ let disruptive_event ~masked_link_faults = function
 
 let disruptive t = disruptive_event ~masked_link_faults:(t.transport <> None)
 
-(* Byzantine ids the event schedule reforms: they run the correct protocol
-   (from arbitrary state) from their Reform time on. *)
-let reformed_ids t =
-  List.sort_uniq compare
-    (List.filter_map
-       (function
-         | Reform { node; _ }
-           when (match role_of t node with
-                | Correct -> false
-                | Byzantine _ -> true) ->
-             Some node
-         | _ -> None)
-       t.events)
+(* With a transport in the loop, the paper's timeout cascade must be built at
+   the effective delay bound: the base link delta, stretched by the worst
+   reordering extra the schedule installs, pushed through delta_eff for the
+   worst persistent loss rate. Without transport, the plain cascade. *)
+let effective_params ?f ?r_slack ?transport n events =
+  match transport with
+  | None -> P.default ?f ?r_slack n
+  | Some (c : Ssba_transport.Transport.config) ->
+      let worst pick = List.fold_left (fun acc e -> Float.max acc (pick e)) 0.0 events in
+      let loss = worst (function Loss { p; _ } -> p | _ -> 0.0) in
+      let extra = worst (function Reorder { extra; _ } -> extra | _ -> 0.0) in
+      let delta =
+        P.delta_eff ~delta:((P.default n).P.delta +. extra) ~p:loss
+          ~rto:c.Ssba_transport.Transport.rto ~retries:c.Ssba_transport.Transport.retries
+      in
+      P.default ?f ~delta ?r_slack n
 
 (* A sensible default: random delays within the bound, small drift. *)
 let default ?(name = "scenario") ?(seed = 1) ?(horizon = 5.0) ?(record_trace = false)
     ?(record_observations = false) ?delay
-    ?(clocks = Drifting { rho = 1e-4; max_offset = 0.1 }) ?(roles = [])
+    ?(clocks = Drifting { rho = 1e-4; max_offset = 0.1 }) ?(cast = [])
     ?(proposals = []) ?(events = []) ?transport ?(channels = 1)
     ?session_capacity ?(blackout = true) ?(admission = false) params =
   let delay =
     match delay with
     | Some d -> d
     | None ->
-        Ssba_net.Delay.uniform ~lo:(0.05 *. params.Ssba_core.Params.delta)
-          ~hi:params.Ssba_core.Params.delta
+        Ssba_net.Delay.uniform ~lo:(0.05 *. params.P.delta) ~hi:params.P.delta
   in
   {
     name;
@@ -151,7 +146,7 @@ let default ?(name = "scenario") ?(seed = 1) ?(horizon = 5.0) ?(record_trace = f
     seed;
     delay;
     clocks;
-    roles;
+    cast;
     proposals;
     events;
     horizon;

@@ -2,12 +2,11 @@
 
     A scenario is a recipe for one simulation: protocol constants, clock and
     delay models, the Byzantine cast, the proposals correct Generals make and
-    a schedule of environment events. {!Runner.run} interprets it
-    deterministically from the seed. *)
+    a schedule of environment events. It is plain data — no closures — so
+    it can be compared, marshalled and rerun; {!Runner.run} builds the world
+    from it deterministically from the seed. *)
 
 open Ssba_core.Types
-
-type role = Correct | Byzantine of Ssba_adversary.Behavior.t
 
 type event =
   | Crash of { node : node_id; at : float }
@@ -61,7 +60,9 @@ type t = {
   seed : int;
   delay : Ssba_net.Delay.t;
   clocks : clocks;
-  roles : (node_id * role) list;  (** unlisted ids default to [Correct] *)
+  cast : (node_id * Ssba_adversary.Catalog.t) list;
+      (** the Byzantine nodes and their strategies; unlisted ids run the
+          correct protocol *)
   proposals : proposal list;
   events : event list;
   horizon : float;  (** stop the engine at this real time *)
@@ -90,8 +91,6 @@ type t = {
           evicting the least-recently-active session *)
 }
 
-val role_of : t -> node_id -> role
-
 (** Ids running the correct protocol, ascending. *)
 val correct_ids : t -> node_id list
 
@@ -111,9 +110,18 @@ val disruptive_event : masked_link_faults:bool -> event -> bool
     (link faults are masked iff it runs a transport). *)
 val disruptive : t -> event -> bool
 
-(** Byzantine ids with a [Reform] event: they run the correct protocol from
-    their reform time on, ascending. *)
-val reformed_ids : t -> node_id list
+(** The protocol constants a scenario over [n] nodes runs under:
+    [Params.default ?f ?r_slack n], except that with a [transport] the
+    cascade is built at {!Ssba_core.Params.delta_eff} of the base [delta]
+    stretched by the worst [Reorder] extra in [events], at the worst [Loss]
+    probability in [events]. *)
+val effective_params :
+  ?f:int ->
+  ?r_slack:Ssba_core.Params.r_slack ->
+  ?transport:Ssba_transport.Transport.config ->
+  int ->
+  event list ->
+  Ssba_core.Params.t
 
 (** Build a scenario with sensible defaults: random delays within the bound,
     small drift, no faults, 5 s horizon, nothing recorded. *)
@@ -125,7 +133,7 @@ val default :
   ?record_observations:bool ->
   ?delay:Ssba_net.Delay.t ->
   ?clocks:clocks ->
-  ?roles:(node_id * role) list ->
+  ?cast:(node_id * Ssba_adversary.Catalog.t) list ->
   ?proposals:proposal list ->
   ?events:event list ->
   ?transport:Ssba_transport.Transport.config ->

@@ -6,8 +6,6 @@ let create header = { header; rows = [] }
 
 let add_row t row = t.rows <- row :: t.rows
 
-let addf t fmt = Printf.ksprintf (fun s -> add_row t (String.split_on_char '|' s)) fmt
-
 let widths t =
   let rows = t.header :: List.rev t.rows in
   let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 rows in
@@ -38,7 +36,6 @@ let print t = print_string (render t)
 
 (* Numeric cell helpers. *)
 let f3 x = Printf.sprintf "%.3f" x
-let f6 x = Printf.sprintf "%.6f" x
 let ms x = Printf.sprintf "%.3f" (1000.0 *. x)
 let in_d ~d x = Printf.sprintf "%.2fd" (x /. d)
 let yn b = if b then "yes" else "NO"

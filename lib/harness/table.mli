@@ -7,9 +7,6 @@ val create : string list -> t
 (** Append a row (printed in insertion order). *)
 val add_row : t -> string list -> unit
 
-(** [addf t "%d|%s" ...] appends a row from a ['|']-separated format. *)
-val addf : t -> ('a, unit, string, unit) format4 -> 'a
-
 (** Render with auto-sized columns, header separator and trailing newline. *)
 val render : t -> string
 
@@ -17,8 +14,6 @@ val print : t -> unit
 
 (** Numeric cell helpers. *)
 val f3 : float -> string
-
-val f6 : float -> string
 
 (** Seconds rendered as milliseconds. *)
 val ms : float -> string

@@ -271,10 +271,8 @@ let commute_probe () =
    never fires because the only broadcaster is node 0 — the General, whom
    block S excludes — so both abort at the block-U boundary while node 0
    decides alone: the 7404/173 stranded-abort, rediscovered exhaustively.
-   Under [Widen] every slack is < 5d and the space must exhaust clean; under
-   [Count_general] the stranded nodes count the General's own round-1
-   broadcast and decide in round 1 instead. The CLI's knife verdict asserts
-   exactly this split. *)
+   Under [Widen] every slack is < 5d and the space must exhaust clean. The
+   CLI's knife verdict asserts exactly this split. *)
 let knife () =
   let params = Params.default ~f:1 4 in
   let d = params.Params.d in

@@ -45,7 +45,6 @@ module Checks = Ssba_harness.Checks
 module Invariants = Ssba_harness.Invariants
 module Spec = Ssba_fuzz.Spec
 module Catalog = Ssba_adversary.Catalog
-module Strategies = Ssba_adversary.Strategies
 
 type choice = { c_label : string; c_options : int; c_picked : int }
 
@@ -281,10 +280,7 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
           seed = 0;
           delay = Delay.fixed cfg.Config.default_delay;
           clocks = Scenario.Perfect;
-          roles =
-            List.map
-              (fun id -> (id, Scenario.Byzantine Strategies.silent))
-              (Config.byz_ids cfg);
+          cast = List.map (fun id -> (id, Catalog.Silent)) (Config.byz_ids cfg);
           proposals = cfg.Config.proposals;
           events = [];
           horizon = cfg.Config.horizon;
@@ -556,7 +552,7 @@ let pp_report ppf r =
 (* ----- counterexample export ------------------------------------------- *)
 
 (* Pin an explored run as a fuzz Spec: the Byzantine side becomes a
-   [Catalog.Scripted] transcript, the delivery schedule a [Spec.Scripted]
+   [Catalog.Scripted] transcript, the delivery schedule a [Delay.Scripted]
    delay (k-th send on each link gets the delay the checker chose). Replaying
    the spec through the Runner re-executes the same world — the engine breaks
    ties identically, correct-node code is shared, and the scripted strategy
@@ -580,7 +576,7 @@ let spec_of_run (cfg : Config.t) (r : run) ~name =
     seed = 0;
     n = cfg.Config.params.Params.n;
     f = cfg.Config.params.Params.f;
-    delay = Spec.Scripted { default = cfg.Config.default_delay; links };
+    delay = Delay.Scripted { default = cfg.Config.default_delay; links };
     clocks = Scenario.Perfect;
     cast =
       List.map

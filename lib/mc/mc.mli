@@ -84,7 +84,7 @@ val pp_report : Format.formatter -> report -> unit
 
 (** Pin an explored run as a replayable fuzz spec: the Byzantine transcript
     becomes a {!Ssba_adversary.Catalog.Scripted} cast and the delivery
-    schedule a [Spec.Scripted] delay, so [ssba_fuzz --replay] re-executes
+    schedule a [Ssba_net.Delay.Scripted] delay, so [ssba_fuzz --replay] re-executes
     the same world and reproduces the violation. *)
 val spec_of_run : Config.t -> run -> name:string -> Ssba_fuzz.Spec.t
 

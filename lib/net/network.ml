@@ -69,6 +69,8 @@ type 'a t = {
   c_pool_slots : Metrics.counter;  (* delivery slots ever allocated *)
   g_pool_in_use : Metrics.gauge;  (* descriptors currently armed *)
   mutable delay : Delay.t;
+  delay_counts : Delay.counters;
+      (* per-link draw counts for [Delay.Scripted]; they outlive [set_delay] *)
   mutable handlers : 'a handler option array;
   mutable drop_prob : float;  (* applied only while the network is faulty-capable *)
   mutable dup_prob : float;  (* probability a successful send gets a second copy *)
@@ -117,6 +119,7 @@ let create ?(drop_prob = 0.0) ?(dup_prob = 0.0) ?reorder ?kind_of ~engine ~n
     c_pool_slots = Metrics.counter metrics "net.pool.slots";
     g_pool_in_use = Metrics.gauge metrics "net.pool.in_use";
     delay;
+    delay_counts = Delay.counters ();
     handlers = Array.make n None;
     drop_prob;
     dup_prob;
@@ -390,7 +393,9 @@ let send_range t ~src ~first ~last payload =
     let dup_roll = Rng.float t.dup_rng 1.0 in
     let reorder_roll = Rng.float t.reorder_rng 1.0 in
     let reorder_frac = Rng.float t.reorder_rng 1.0 in
-    let drawn_delay = Delay.draw t.delay ~rng:t.delay_rng ~src ~dst ~now in
+    let drawn_delay =
+      Delay.draw t.delay ~rng:t.delay_rng ~counters:t.delay_counts ~src ~dst
+    in
     let muted = Hashtbl.mem t.muted src in
     let blocked =
       (not muted)
@@ -428,7 +433,9 @@ let send_range t ~src ~first ~last payload =
         if Trace.is_enabled tr then
           Engine.record t.engine ~node:src
             (Trace.Duplicate { src; dst; msg = trace_msg t payload });
-        let dup_delay = Delay.draw t.delay ~rng:t.dup_rng ~src ~dst ~now in
+        let dup_delay =
+          Delay.draw t.delay ~rng:t.dup_rng ~counters:t.delay_counts ~src ~dst
+        in
         let d2 = dup_delay +. extra in
         if d2 < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
         arm_slot t fo !count ~dst ~at:(now +. d2);

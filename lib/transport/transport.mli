@@ -10,9 +10,9 @@
 
     A payload the transport delivers over an otherwise-coherent link with
     loss rate [p] arrives within [Params.delta_eff ~delta ~p ~rto ~retries];
-    it fails to arrive at all with probability
-    [Params.residual_loss ~p ~retries]. Instantiate the protocol's timeout
-    cascade at [delta_eff] to keep it sound over the lossy link. *)
+    it fails to arrive at all with probability [p^(retries+1)]. Instantiate
+    the protocol's timeout cascade at [delta_eff] to keep it sound over the
+    lossy link. *)
 
 (** The wire format: payloads ride in [Data] frames; [Ack]s are
     fire-and-forget (lost acks are masked by retransmission). *)

@@ -212,7 +212,7 @@ module Q = struct
             seed = 0;
             n;
             f = Ssba_core.Params.max_faults n;
-            delay = Ssba_fuzz.Spec.Fixed 0.001;
+            delay = Ssba_net.Delay.Fixed 0.001;
             clocks = S.Perfect;
             cast = [];
             proposals = [];
@@ -237,38 +237,6 @@ module Q = struct
     QCheck.make
       ~shrink:(fun c yield -> List.iter yield (C.simplify c))
       ~print:(Fmt.to_to_string C.pp) (gen_strategy ~n)
-
-  (* Roles wrap strategies in behaviours (closures) and so print/shrink via
-     the catalog entry they came from. *)
-  let gen_role ~n ~d : S.role G.t =
-    G.oneof
-      [
-        G.return S.Correct;
-        G.map (fun c -> S.Byzantine (C.to_behavior ~d c)) (gen_strategy ~n);
-      ]
-
-  let gen_clocks ~rho : S.clocks G.t =
-    G.oneof
-      [
-        G.return S.Perfect;
-        G.map2
-          (fun rho max_offset -> S.Drifting { rho; max_offset })
-          (G.float_range 0.0 rho) (G.float_range 0.0 0.2);
-      ]
-
-  let gen_delay ~delta : Ssba_fuzz.Spec.delay G.t =
-    let open G in
-    oneof
-      [
-        map (fun x -> Ssba_fuzz.Spec.Fixed x) (float_range 0.0 delta);
-        map2
-          (fun lo w -> Ssba_fuzz.Spec.Uniform { lo; hi = lo +. w })
-          (float_range 0.0 delta) (float_range 0.0 delta);
-        map3
-          (fun fast w slow_prob ->
-            Ssba_fuzz.Spec.Bimodal { fast; slow = fast +. w; slow_prob })
-          (float_range 0.0 delta) (float_range 0.0 delta) (float_range 0.0 1.0);
-      ]
 
   (* A whole generated spec, addressed by generator seed: the property suite
      checks Gen.spec's output invariants over these. *)

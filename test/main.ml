@@ -4,7 +4,6 @@ let () =
   Alcotest.run "ssba"
     [
       ("rng", Test_rng.suite);
-      ("heap", Test_heap.suite);
       ("event-queue", Test_event_queue.suite);
       ("event-queue-differential", Test_differential.suite);
       ("time-set", Test_time_set.suite);
@@ -35,7 +34,6 @@ let () =
       ("channels", Test_channels.suite);
       ("sessions", Test_sessions.suite);
       ("separation", Test_separation.suite);
-      ("replicated-log", Test_replicated_log.suite);
       ("transport", Test_transport.suite);
       ("service", Test_service.suite);
       ("fuzz", Test_fuzz.suite);

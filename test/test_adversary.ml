@@ -3,18 +3,18 @@
 open Helpers
 open Ssba_core
 module H = Ssba_harness
-module S = Ssba_adversary.Strategies
+module C = Ssba_adversary.Catalog
 module RS = Ssba_adversary.Round_stretcher
 
 let params7 = Params.default 7
 
-let run_scenario ?(n = 7) ?(seed = 3) ?(horizon = 1.0) ?(proposals = []) roles =
+let run_scenario ?(n = 7) ?(seed = 3) ?(horizon = 1.0) ?(proposals = []) cast =
   let params = Params.default n in
-  let sc = H.Scenario.default ~name:"adv" ~seed ~roles ~proposals ~horizon params in
+  let sc = H.Scenario.default ~name:"adv" ~seed ~cast ~proposals ~horizon params in
   H.Runner.run sc
 
 let test_silent_general_no_returns () =
-  let res = run_scenario [ (0, H.Scenario.Byzantine S.silent) ] in
+  let res = run_scenario [ (0, C.Silent) ] in
   check_int "nothing happens" 0 (List.length res.H.Runner.returns)
 
 let test_spam_cannot_forge_decisions () =
@@ -25,8 +25,8 @@ let test_spam_cannot_forge_decisions () =
   let res =
     run_scenario ~horizon:1.0
       [
-        (5, H.Scenario.Byzantine (S.spam ~period:(3.0 *. params7.Params.d) ~values:[ "a"; "b" ]));
-        (6, H.Scenario.Byzantine (S.spam ~period:(3.0 *. params7.Params.d) ~values:[ "a"; "b" ]));
+        (5, C.Spam { period_d = 3.0; values = [ "a"; "b" ] });
+        (6, C.Spam { period_d = 3.0; values = [ "a"; "b" ] });
       ]
   in
   List.iter
@@ -41,7 +41,7 @@ let test_spam_bounded () =
   (* the rate limit keeps spam linear in time, not exploding *)
   let res =
     run_scenario ~horizon:0.5
-      [ (6, H.Scenario.Byzantine (S.spam ~period:(5.0 *. params7.Params.d) ~values:[ "a" ])) ]
+      [ (6, C.Spam { period_d = 5.0; values = [ "a" ] }) ]
   in
   check_bool "bounded message count" true (res.H.Runner.messages_sent < 200_000)
 
@@ -50,8 +50,8 @@ let test_mimic_agreement_holds () =
     run_scenario
       ~proposals:[ { H.Scenario.g = 0; v = "m"; at = 0.05 } ]
       [
-        (5, H.Scenario.Byzantine (S.mimic ~delay:(2.0 *. params7.Params.d)));
-        (6, H.Scenario.Byzantine (S.mimic ~delay:(2.0 *. params7.Params.d)));
+        (5, C.Mimic { delay_d = 2.0 });
+        (6, C.Mimic { delay_d = 2.0 });
       ]
   in
   check_bool "agreement holds" true (H.Checks.pairwise_agreement res = []);
@@ -67,7 +67,7 @@ let test_two_faced_no_divergence () =
     (fun seed ->
       let res =
         run_scenario ~seed ~horizon:2.0
-          [ (0, H.Scenario.Byzantine (S.two_faced_general ~v1:"a" ~v2:"b" ~at:0.05)) ]
+          [ (0, C.Two_faced_general { v1 = "a"; v2 = "b"; at = 0.05 }) ]
       in
       check_bool "no divergent decisions" true (H.Checks.pairwise_agreement res = []))
     [ 1; 2; 3; 4; 5 ]
@@ -77,8 +77,8 @@ let test_equivocators_with_correct_general () =
     run_scenario
       ~proposals:[ { H.Scenario.g = 0; v = "real"; at = 0.05 } ]
       [
-        (5, H.Scenario.Byzantine (S.equivocator ~v1:"fake1" ~v2:"fake2"));
-        (6, H.Scenario.Byzantine (S.equivocator ~v1:"fake1" ~v2:"fake2"));
+        (5, C.Equivocator { v1 = "fake1"; v2 = "fake2" });
+        (6, C.Equivocator { v1 = "fake1"; v2 = "fake2" });
       ]
   in
   check_bool "agreement holds" true (H.Checks.pairwise_agreement res = []);
@@ -95,7 +95,7 @@ let test_partial_general_relay () =
   let targets = List.init (n - params.Params.f) (fun i -> i + 1) in
   let res =
     run_scenario ~horizon:2.0
-      [ (0, H.Scenario.Byzantine (S.partial_general ~v:"p" ~at:0.05 ~targets)) ]
+      [ (0, C.Partial_general { v = "p"; at = 0.05; targets }) ]
   in
   let deciders =
     List.filter_map
@@ -112,11 +112,7 @@ let test_stagger_general_safe () =
     (fun gap_d ->
       let res =
         run_scenario ~horizon:2.0
-          [
-            ( 0,
-              H.Scenario.Byzantine
-                (S.stagger_general ~v:"s" ~at:0.05 ~gap:(gap_d *. params7.Params.d)) );
-          ]
+          [ (0, C.Stagger_general { v = "s"; at = 0.05; gap_d }) ]
       in
       check_bool "agreement holds for any stagger" true
         (H.Checks.pairwise_agreement res = []))
@@ -126,38 +122,30 @@ let test_flip_flop_safe () =
   let res =
     run_scenario
       ~proposals:[ { H.Scenario.g = 0; v = "m"; at = 0.05 } ]
-      [ (6, H.Scenario.Byzantine (S.flip_flop ~period:0.05 ~values:[ "z" ])) ]
+      (* bursts of 45d, about 0.05 s at n = 7 *)
+      [ (6, C.Flip_flop { period_d = 45.0; values = [ "z" ] }) ]
   in
   check_bool "agreement holds" true (H.Checks.pairwise_agreement res = [])
 
 (* --- round stretcher ----------------------------------------------------- *)
 
-let stretch ~n ~fprime =
+(* The stretcher's world: perfect clocks, a fixed delay of 0.1d and the
+   colluders' scripted cast, run to three agreement bounds. *)
+let stretch ?complete_round ~n ~fprime () =
   let params = Params.default n in
   let eps = 0.1 *. params.Params.d in
-  let engine = Ssba_sim.Engine.create () in
-  let rng = Ssba_sim.Rng.create 5 in
-  let net =
-    Ssba_net.Network.create ~engine ~n ~delay:(Ssba_net.Delay.fixed eps)
-      ~rng:(Ssba_sim.Rng.split rng) ()
+  let colluders = List.init fprime Fun.id in
+  let st = RS.make ?complete_round ~params ~colluders ~v:"evil" ~t0:0.05 ~eps () in
+  let sc =
+    H.Scenario.default ~name:"stretch" ~seed:5 ~clocks:H.Scenario.Perfect
+      ~delay:(Ssba_net.Delay.fixed eps) ~cast:(RS.cast st)
+      ~horizon:(0.05 +. (3.0 *. params.Params.delta_agr))
+      params
   in
-  let colluders = List.init fprime (fun i -> i) in
-  let returns = ref [] in
-  List.init n (fun i -> i)
-  |> List.iter (fun id ->
-         if not (List.mem id colluders) then begin
-           let node =
-             Node.create ~id ~params ~clock:Ssba_sim.Clock.perfect ~engine ~net ()
-           in
-           Node.subscribe node (fun r -> returns := r :: !returns)
-         end);
-  let st = RS.make ~engine ~net ~params ~colluders ~v:"evil" ~t0:0.05 ~eps () in
-  RS.launch st;
-  ignore (Ssba_sim.Engine.run ~until:(0.05 +. (3.0 *. params.Params.delta_agr)) engine);
-  (params, st, !returns)
+  (params, st, (H.Runner.run sc).H.Runner.returns)
 
 let test_stretcher_blocks_fast_path_and_aborts () =
-  let params, _st, returns = stretch ~n:10 ~fprime:2 in
+  let params, _st, returns = stretch ~n:10 ~fprime:2 () in
   check_int "all correct nodes return" 8 (List.length returns);
   List.iter
     (fun (r : Types.return_info) ->
@@ -168,7 +156,7 @@ let test_stretcher_blocks_fast_path_and_aborts () =
 
 let test_stretcher_linear_in_fprime () =
   let phases fprime =
-    let params, _, returns = stretch ~n:16 ~fprime in
+    let params, _, returns = stretch ~n:16 ~fprime () in
     List.fold_left
       (fun acc (r : Types.return_info) ->
         Float.max acc ((r.Types.tau_ret -. r.Types.tau_g) /. params.Params.phi))
@@ -180,8 +168,7 @@ let test_stretcher_linear_in_fprime () =
   check_bool "11 phases at f'=3" true (Float.abs (p3 -. 11.0) < 0.3)
 
 let test_stretcher_capped_by_u () =
-  let params, st, returns = stretch ~n:10 ~fprime:3 in
-  ignore st;
+  let params, _st, returns = stretch ~n:10 ~fprime:3 () in
   let cap = params.Params.delta_agr in
   List.iter
     (fun (r : Types.return_info) ->
@@ -190,13 +177,8 @@ let test_stretcher_capped_by_u () =
     returns
 
 let test_stretcher_validations () =
-  let engine = Ssba_sim.Engine.create () in
-  let net =
-    Ssba_net.Network.create ~engine ~n:7 ~delay:(Ssba_net.Delay.fixed 0.0001)
-      ~rng:(Ssba_sim.Rng.create 1) ()
-  in
   let mk colluders =
-    ignore (RS.make ~engine ~net ~params:params7 ~colluders ~v:"x" ~t0:0.0 ~eps:0.0001 ())
+    ignore (RS.make ~params:params7 ~colluders ~v:"x" ~t0:0.0 ~eps:0.0001 ())
   in
   (match mk [] with
   | exception Invalid_argument _ -> ()
@@ -226,31 +208,8 @@ let test_stretcher_decide_variant () =
   (* the complete_round variant: after the IA-stretch, the last colluder's
      honest round-1 broadcast makes every correct node *decide* the Byzantine
      value through block S — unanimously, past the 4d fast-path window *)
-  let n = 10 in
-  let params = Params.default n in
-  let eps = 0.1 *. params.Params.d in
-  let engine = Ssba_sim.Engine.create () in
-  let net =
-    Ssba_net.Network.create ~engine ~n ~delay:(Ssba_net.Delay.fixed eps)
-      ~rng:(Ssba_sim.Rng.create 5) ()
-  in
-  let colluders = [ 0; 1 ] in
-  let returns = ref [] in
-  List.init n (fun i -> i)
-  |> List.iter (fun id ->
-         if not (List.mem id colluders) then begin
-           let node =
-             Node.create ~id ~params ~clock:Ssba_sim.Clock.perfect ~engine ~net ()
-           in
-           Node.subscribe node (fun r -> returns := r :: !returns)
-         end);
-  let st =
-    RS.make ~complete_round:true ~engine ~net ~params ~colluders ~v:"evil"
-      ~t0:0.05 ~eps ()
-  in
-  RS.launch st;
-  ignore (Ssba_sim.Engine.run ~until:(0.05 +. (3.0 *. params.Params.delta_agr)) engine);
-  check_int "all 8 correct nodes return" 8 (List.length !returns);
+  let params, st, returns = stretch ~complete_round:true ~n:10 ~fprime:2 () in
+  check_int "all 8 correct nodes return" 8 (List.length returns);
   List.iter
     (fun (r : Types.return_info) ->
       check_bool "everyone decides the Byzantine value" true
@@ -259,6 +218,6 @@ let test_stretcher_decide_variant () =
       check_bool "past the fast path, within S(1)'s deadline" true
         (r.Types.tau_ret -. r.Types.tau_g > 4.0 *. params.Params.d
         && phases <= float_of_int (RS.expected_decide_phase st) +. 0.01))
-    !returns
+    returns
 
 let suite = suite @ [ case "stretcher decide variant" test_stretcher_decide_variant ]

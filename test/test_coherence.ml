@@ -4,18 +4,17 @@
 open Helpers
 open Ssba_core
 module H = Ssba_harness
-module Adv = Ssba_adversary.Strategies
 
 let params7 = Params.default 7
 let values = [ "x"; "y"; "z" ]
 
-let sc ?(roles = []) ?(events = []) ?(proposals = []) ?(horizon = 1.0) ?transport
+let sc ?(cast = []) ?(events = []) ?(proposals = []) ?(horizon = 1.0) ?transport
     () =
-  H.Scenario.default ~name:"coh" ~seed:5 ~roles ~events ~proposals ~horizon
+  H.Scenario.default ~name:"coh" ~seed:5 ~cast ~events ~proposals ~horizon
     ?transport params7
 
-let intervals ?roles ?events ?horizon ?transport () =
-  H.Coherence.intervals (sc ?roles ?events ?horizon ?transport ())
+let intervals ?cast ?events ?horizon ?transport () =
+  H.Coherence.intervals (sc ?cast ?events ?horizon ?transport ())
 
 let bounds (i : H.Coherence.interval) =
   (i.H.Coherence.t_start, i.H.Coherence.t_end, i.H.Coherence.after_disruption)
@@ -43,7 +42,7 @@ let test_crash_recover_splits () =
 
 let test_byzantine_crash_is_not_incoherence () =
   (* muting a node the adversary already owns takes nothing away *)
-  let roles = [ (6, H.Scenario.Byzantine Adv.silent) ] in
+  let cast = [ (6, Ssba_adversary.Catalog.Silent) ] in
   let events =
     [
       H.Scenario.Crash { node = 6; at = 0.2 };
@@ -52,7 +51,7 @@ let test_byzantine_crash_is_not_incoherence () =
   in
   (* Recover of a non-crashed-correct node changes nothing either: one
      unbroken interval. *)
-  match intervals ~roles ~events () with
+  match intervals ~cast ~events () with
   | [ i ] -> check_bool "unbroken" true (bounds i = (0.0, 1.0, false))
   | ivs -> Alcotest.failf "expected 1 interval, got %d" (List.length ivs)
 
@@ -78,9 +77,9 @@ let test_surge_and_restore () =
   | ivs -> Alcotest.failf "expected 2 intervals, got %d" (List.length ivs)
 
 let test_reform_grows_the_correct_set () =
-  let roles = [ (6, H.Scenario.Byzantine Adv.silent) ] in
+  let cast = [ (6, Ssba_adversary.Catalog.Silent) ] in
   let events = [ H.Scenario.Reform { node = 6; at = 0.4 } ] in
-  match intervals ~roles ~events () with
+  match intervals ~cast ~events () with
   | [ a; b ] ->
       check_bool "pre-reform cast excludes 6" true
         (a.H.Coherence.correct = [ 0; 1; 2; 3; 4; 5 ]);
@@ -133,16 +132,16 @@ let test_stabilized_after_derivation () =
 
 (* ----- the per-disruption recovery oracle over real runs ---------------- *)
 
-let run_chaos ?(roles = []) ?(seed = 11) pattern =
+let run_chaos ?(cast = []) ?(seed = 11) pattern =
   let correct =
-    List.filter (fun i -> not (List.mem_assoc i roles)) (List.init 7 Fun.id)
+    List.filter (fun i -> not (List.mem_assoc i cast)) (List.init 7 Fun.id)
   in
-  let byzantine = List.map fst roles in
+  let byzantine = List.map fst cast in
   let sched =
     H.Chaos.schedule ~episodes:2 pattern ~params:params7 ~correct ~byzantine
   in
   let scenario =
-    H.Scenario.default ~name:"chaos" ~seed ~roles ~events:sched.H.Chaos.events
+    H.Scenario.default ~name:"chaos" ~seed ~cast ~events:sched.H.Chaos.events
       ~proposals:sched.H.Chaos.proposals ~horizon:sched.H.Chaos.horizon params7
   in
   H.Runner.run scenario
@@ -185,8 +184,8 @@ let test_crash_wave_recovers () = ignore (check_report (run_chaos H.Chaos.Crash_
 let test_surge_cycle_recovers () = ignore (check_report (run_chaos H.Chaos.Surge_cycle))
 
 let test_rejoin_recovers () =
-  let roles = [ (6, H.Scenario.Byzantine Adv.silent) ] in
-  let res = run_chaos ~roles H.Chaos.Rejoin in
+  let cast = [ (6, Ssba_adversary.Catalog.Silent) ] in
+  let res = run_chaos ~cast H.Chaos.Rejoin in
   let reports = check_report res in
   check_bool "run ends with 6 in the correct set" true
     (res.H.Runner.correct = List.init 7 Fun.id);

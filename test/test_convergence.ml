@@ -8,10 +8,10 @@ module H = Ssba_harness
 
 let values = [ "x"; "y"; "z"; "m" ]
 
-let scrambled_scenario ~seed ~propose_frac ?(roles = []) ?(g = 0) () =
+let scrambled_scenario ~seed ~propose_frac ?(cast = []) ?(g = 0) () =
   let params = Params.default 7 in
   let t_p = propose_frac *. params.Params.delta_stb in
-  H.Scenario.default ~name:"conv" ~seed ~roles
+  H.Scenario.default ~name:"conv" ~seed ~cast
     ~events:[ H.Scenario.Scramble { at = 0.0; values; net_garbage = 150 } ]
     ~proposals:[ { H.Scenario.g; v = "m"; at = t_p } ]
     ~horizon:(t_p +. (3.0 *. params.Params.delta_agr))
@@ -58,14 +58,13 @@ let prop_convergence_with_byzantine =
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let params = Params.default 7 in
-      let d = params.Params.d in
-      let roles =
+      let cast =
         [
-          (5, H.Scenario.Byzantine (Ssba_adversary.Strategies.spam ~period:(5.0 *. d) ~values));
-          (6, H.Scenario.Byzantine (Ssba_adversary.Strategies.equivocator ~v1:"x" ~v2:"y"));
+          (5, Ssba_adversary.Catalog.Spam { period_d = 5.0; values });
+          (6, Ssba_adversary.Catalog.Equivocator { v1 = "x"; v2 = "y" });
         ]
       in
-      let sc = scrambled_scenario ~seed ~propose_frac:1.0 ~roles ~g:0 () in
+      let sc = scrambled_scenario ~seed ~propose_frac:1.0 ~cast ~g:0 () in
       let res = H.Runner.run sc in
       H.Checks.pairwise_agreement ~after:params.Params.delta_stb res = []
       &&

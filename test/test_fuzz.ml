@@ -30,7 +30,7 @@ let prop_events_sorted_in_horizon =
   QCheck.Test.make ~name:"events sorted and in-horizon" ~count:60
     (Q.arb_spec ())
     (fun spec ->
-      let ts = List.map F.Spec.event_time spec.F.Spec.events in
+      let ts = List.map S.event_time spec.F.Spec.events in
       List.sort compare ts = ts
       && List.for_all (fun t -> t >= 0.0 && t <= spec.F.Spec.horizon) ts)
 
@@ -53,7 +53,7 @@ let prop_event_roundtrip =
           seed = 0;
           n = 7;
           f = 2;
-          delay = F.Spec.Fixed 0.001;
+          delay = Ssba_net.Delay.Fixed 0.001;
           clocks = S.Perfect;
           cast = [];
           proposals = [];
@@ -555,6 +555,54 @@ let test_injected_violation_caught_and_shrunk () =
             (List.length spec.F.Spec.events <= 3);
           check_bool "shrinker did some work" true (stats.F.Shrink.attempts > 0))
 
+(* --replay runs only specs that pass [validate]: hand-edited copies of a
+   generated spec that break a range or an id bound load as errors instead
+   of dying on an uncaught exception or passing silently. *)
+let test_load_rejects_malformed_specs () =
+  let spec = F.Campaign.spec_of_iteration ~seed:42 ~gen:F.Gen.default_config 3 in
+  let n = spec.F.Spec.n in
+  let path = Filename.temp_file "ssba-fuzz-bad" ".json" in
+  let loads_as_error what json =
+    let oc = open_out path in
+    output_string oc (Ssba_sim.Json.to_string json);
+    close_out oc;
+    match F.Spec.load path with
+    | Ok _ -> Alcotest.failf "%s loaded" what
+    | Error e -> e
+  in
+  let bad what spec = ignore (loads_as_error what (F.Spec.to_json spec)) in
+  let module D = Ssba_net.Delay in
+  List.iter
+    (fun (what, delay) -> bad what { spec with F.Spec.delay })
+    [
+      ("uniform with hi < lo", D.Uniform { lo = 0.002; hi = 0.001 });
+      ("negative fixed delay", D.Fixed (-0.001));
+      ("NaN fixed delay", D.Fixed Float.nan);
+      ("negative scripted entry", D.Scripted { default = 0.001; links = [ ((0, 1), [ -0.001 ]) ] });
+      ("bimodal with a NaN probability", D.Bimodal { fast = 0.0; slow = 0.001; slow_prob = Float.nan });
+    ];
+  let p = { S.g = 0; v = "x"; at = 0.1 } in
+  bad "a proposal by General n" { spec with F.Spec.proposals = [ { p with S.g = n } ] };
+  bad "a proposal past the horizon"
+    { spec with F.Spec.proposals = [ { p with S.at = spec.F.Spec.horizon +. 1.0 } ] };
+  bad "a cast id >= n" { spec with F.Spec.cast = [ (n, C.Silent) ] };
+  bad "n <= 3f" { spec with F.Spec.f = n };
+  let e =
+    match F.Spec.to_json spec with
+    | Ssba_sim.Json.Obj fields ->
+        loads_as_error "r_slack \"general\""
+          (Ssba_sim.Json.Obj (fields @ [ ("r_slack", Ssba_sim.Json.Str "general") ]))
+    | _ -> Alcotest.fail "spec JSON is not an object"
+  in
+  check_bool "the error names the accepted values" true
+    (let needle = "legacy|widen" in
+     let rec has i =
+       i + String.length needle <= String.length e
+       && (String.sub e i (String.length needle) = needle || has (i + 1))
+     in
+     has 0);
+  Sys.remove path
+
 let suite =
   [
     qcheck prop_specs_validate;
@@ -586,4 +634,5 @@ let suite =
       test_shrink_offers_service_reductions;
     slow_case "drain oracle fires on a starved service spec"
       test_service_drain_sensitivity;
+    case "load rejects malformed specs" test_load_rejects_malformed_specs;
   ]

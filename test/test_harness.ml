@@ -39,7 +39,7 @@ let test_proposal_no_general_in_order () =
   let params = Params.default 7 in
   let sc =
     H.Scenario.default ~name:"t" ~seed:5
-      ~roles:[ (3, H.Scenario.Byzantine Ssba_adversary.Strategies.silent) ]
+      ~cast:[ (3, Ssba_adversary.Catalog.Silent) ]
       ~proposals:
         [
           { H.Scenario.g = 0; v = "early"; at = 0.05 };
@@ -271,6 +271,29 @@ let test_crash_recover_events () =
   check_bool "second agreement includes node 6" true
     (List.mem 6 (decided_by "after-up"))
 
+(* One delta_eff cascade for every caller (Spec.params, ssba-run, E10): the
+   base delta stretched by the worst reorder extra, then pushed through
+   delta_eff for the worst loss. *)
+let test_effective_params () =
+  let delta = (Params.default 7).Params.delta in
+  let transport = Ssba_transport.Transport.config ~rto:(3.0 *. delta) () in
+  let at ~loss ~reorder =
+    let events =
+      (if loss > 0.0 then [ H.Scenario.Loss { at = 0.0; p = loss } ] else [])
+      @
+      if reorder > 0.0 then
+        [ H.Scenario.Reorder { at = 0.0; prob = reorder; extra = 2.0 *. delta } ]
+      else []
+    in
+    (H.Scenario.effective_params ~transport 7 events).Params.delta
+  in
+  check_float "reorder alone stretches delta by 2 delta" 0.003 (at ~loss:0.0 ~reorder:0.5);
+  check_float ~eps:1e-6 "loss and reorder" 12.288 (at ~loss:0.1 ~reorder:0.5);
+  check_float ~eps:1e-6 "loss alone" 12.286 (at ~loss:0.1 ~reorder:0.0);
+  check_bool "no transport: the plain cascade" true
+    (H.Scenario.effective_params 7 [ H.Scenario.Loss { at = 0.0; p = 0.1 } ]
+    = Params.default 7)
+
 let suite =
   [
     case "runner determinism" test_runner_determinism;
@@ -289,4 +312,5 @@ let suite =
     case "table rendering" test_table_rendering;
     case "table helpers" test_table_helpers;
     case "crash/recover events" test_crash_recover_events;
+    case "one delta_eff cascade" test_effective_params;
   ]

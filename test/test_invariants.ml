@@ -5,10 +5,10 @@ open Helpers
 open Ssba_core
 module H = Ssba_harness
 
-let run ?(n = 7) ?(seed = 41) ?(roles = []) ?(proposals = []) ?(horizon = 1.0) () =
+let run ?(n = 7) ?(seed = 41) ?(cast = []) ?(proposals = []) ?(horizon = 1.0) () =
   let params = Params.default n in
   let sc =
-    H.Scenario.default ~name:"inv" ~seed ~roles ~proposals ~horizon
+    H.Scenario.default ~name:"inv" ~seed ~cast ~proposals ~horizon
       ~record_observations:true params
   in
   H.Runner.run sc
@@ -58,31 +58,22 @@ let test_ia_tps_clean_run () =
   | vs -> Alcotest.failf "violations: %s" (String.concat "; " vs)
 
 let test_invariants_under_attacks () =
-  let params = Params.default 7 in
-  let d = params.Params.d in
-  let module S = Ssba_adversary.Strategies in
+  let module C = Ssba_adversary.Catalog in
   List.iter
-    (fun (name, roles, proposals) ->
-      let res = run ~seed:42 ~roles ~proposals ~horizon:2.0 () in
+    (fun (name, cast, proposals) ->
+      let res = run ~seed:42 ~cast ~proposals ~horizon:2.0 () in
       match H.Invariants.check res with
       | [] -> ()
       | vs -> Alcotest.failf "%s: %s" name (String.concat "; " vs))
     [
       ( "two-faced",
-        [ (0, H.Scenario.Byzantine (S.two_faced_general ~v1:"a" ~v2:"b" ~at:0.05)) ],
+        [ (0, C.Two_faced_general { v1 = "a"; v2 = "b"; at = 0.05 }) ],
         [] );
       ( "partial",
-        [
-          ( 0,
-            H.Scenario.Byzantine
-              (S.partial_general ~v:"a" ~at:0.05 ~targets:[ 1; 2; 3; 4; 5 ]) );
-        ],
+        [ (0, C.Partial_general { v = "a"; at = 0.05; targets = [ 1; 2; 3; 4; 5 ] }) ],
         [] );
       ( "equivocators",
-        [
-          (5, H.Scenario.Byzantine (S.equivocator ~v1:"a" ~v2:"b"));
-          (6, H.Scenario.Byzantine (S.mimic ~delay:(2.0 *. d)));
-        ],
+        [ (5, C.Equivocator { v1 = "a"; v2 = "b" }); (6, C.Mimic { delay_d = 2.0 }) ],
         [ { H.Scenario.g = 0; v = "m"; at = 0.05 } ] );
     ]
 
@@ -254,21 +245,18 @@ let prop_invariants_random =
   QCheck.Test.make ~name:"IA/TPS invariants across random scenarios" ~count:25
     QCheck.(pair (int_range 0 1000) (int_range 0 3))
     (fun (seed, cast) ->
-      let params = Params.default 7 in
-      let d = params.Params.d in
-      let module S = Ssba_adversary.Strategies in
-      let roles =
-        match cast with
-        | 0 -> []
-        | 1 -> [ (6, H.Scenario.Byzantine (S.spam ~period:(5.0 *. d) ~values:[ "a" ])) ]
-        | 2 -> [ (6, H.Scenario.Byzantine (S.equivocator ~v1:"a" ~v2:"b")) ]
-        | _ ->
-            [ (0, H.Scenario.Byzantine (S.two_faced_general ~v1:"a" ~v2:"b" ~at:0.05)) ]
-      in
+      let module C = Ssba_adversary.Catalog in
       let proposals =
         if cast = 3 then [] else [ { H.Scenario.g = 0; v = "m"; at = 0.05 } ]
       in
-      let res = run ~seed ~roles ~proposals ~horizon:1.5 () in
+      let cast =
+        match cast with
+        | 0 -> []
+        | 1 -> [ (6, C.Spam { period_d = 5.0; values = [ "a" ] }) ]
+        | 2 -> [ (6, C.Equivocator { v1 = "a"; v2 = "b" }) ]
+        | _ -> [ (0, C.Two_faced_general { v1 = "a"; v2 = "b"; at = 0.05 }) ]
+      in
+      let res = run ~seed ~cast ~proposals ~horizon:1.5 () in
       H.Invariants.check res = [])
 
 let suite =

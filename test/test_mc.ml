@@ -105,9 +105,31 @@ let test_split_sensitivity_and_replay () =
       check_bool "replay reproduces the IA-4a split" true
         (List.exists is_ia4a report.F.Oracle.failures))
 
+(* A scenario is plain data: a Byzantine cast and a scripted delay marshal
+   (no closure anywhere), and one compiled value reruns to the same result —
+   the scripted delay's per-link counters belong to the run. The digest is
+   the one the first run gave when delays and casts were closures. *)
+let test_scenario_is_data () =
+  let cfg = Config.smoke () in
+  let spec =
+    Mc.spec_of_run cfg (Mc.run_vector cfg ~por:true [| 1; 1; 0; 1 |]) ~name:"data"
+  in
+  let sc = F.Spec.to_scenario spec in
+  check_bool "a Byzantine cast and a scripted delay" true
+    (sc.Ssba_harness.Scenario.cast <> []
+    &&
+    match sc.Ssba_harness.Scenario.delay with
+    | Ssba_net.Delay.Scripted _ -> true
+    | _ -> false);
+  ignore (Marshal.to_string sc []);
+  let digest () = Ssba_harness.Checks.result_digest (Ssba_harness.Runner.run sc) in
+  check_str "first run" "28f440615a976ba49f6f366120194995" (digest ());
+  check_str "second run of the same value" "28f440615a976ba49f6f366120194995" (digest ())
+
 let suite =
   [
     case "run vector is deterministic" test_run_vector_deterministic;
+    case "a scenario is data and reruns identically" test_scenario_is_data;
     case "commuting sends hash equal under POR"
       test_commuting_sends_hash_equal_under_por;
     case "POR prunes the commuted branch" test_por_prunes_commuted_branch;

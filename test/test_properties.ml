@@ -5,7 +5,7 @@
 let () = () (* no Helpers needed: qcheck-only module *)
 open Ssba_core
 module H = Ssba_harness
-module S = Ssba_adversary.Strategies
+module C = Ssba_adversary.Catalog
 
 let sizes = [| 4; 7; 10; 13 |]
 
@@ -29,11 +29,9 @@ let prop_validity =
       let params = Params.default n in
       let f = params.Params.f in
       let g = gpick mod (n - f) in
-      let roles =
-        List.init f (fun i -> (n - 1 - i, H.Scenario.Byzantine S.silent))
-      in
+      let cast = List.init f (fun i -> (n - 1 - i, C.Silent)) in
       let sc =
-        H.Scenario.default ~name:"prop" ~seed ~roles
+        H.Scenario.default ~name:"prop" ~seed ~cast
           ~delay:(delay_of_profile params profile)
           ~proposals:[ { H.Scenario.g; v = "v"; at = 0.05 } ]
           ~horizon:(0.05 +. (3.0 *. params.Params.delta_agr))
@@ -50,15 +48,14 @@ let prop_validity =
 
 (* Agreement under arbitrary Byzantine casts: up to f adversaries drawn from
    the strategy zoo, with or without a correct proposal in flight. *)
-let strategy_of params i =
-  let d = params.Params.d in
+let strategy_of i : C.t =
   match i mod 6 with
-  | 0 -> S.silent
-  | 1 -> S.spam ~period:(5.0 *. d) ~values:[ "a"; "b" ]
-  | 2 -> S.mimic ~delay:(2.0 *. d)
-  | 3 -> S.equivocator ~v1:"a" ~v2:"b"
-  | 4 -> S.two_faced_general ~v1:"a" ~v2:"b" ~at:0.05
-  | _ -> S.flip_flop ~period:(20.0 *. d) ~values:[ "a" ]
+  | 0 -> Silent
+  | 1 -> Spam { period_d = 5.0; values = [ "a"; "b" ] }
+  | 2 -> Mimic { delay_d = 2.0 }
+  | 3 -> Equivocator { v1 = "a"; v2 = "b" }
+  | 4 -> Two_faced_general { v1 = "a"; v2 = "b"; at = 0.05 }
+  | _ -> Flip_flop { period_d = 20.0; values = [ "a" ] }
 
 let prop_agreement_under_byzantine =
   QCheck.Test.make ~name:"pairwise agreement under random Byzantine casts"
@@ -69,12 +66,8 @@ let prop_agreement_under_byzantine =
       let params = Params.default n in
       let f = params.Params.f in
       let casts = List.filteri (fun i _ -> i < f) casts in
-      let roles =
-        List.mapi
-          (fun i c -> (n - 1 - i, H.Scenario.Byzantine (strategy_of params c)))
-          casts
-      in
-      let byz_ids = List.map fst roles in
+      let cast = List.mapi (fun i c -> (n - 1 - i, strategy_of c)) casts in
+      let byz_ids = List.map fst cast in
       let proposals =
         if with_proposal then
           let g = gpick mod n in
@@ -82,7 +75,7 @@ let prop_agreement_under_byzantine =
         else []
       in
       let sc =
-        H.Scenario.default ~name:"prop" ~seed ~roles ~proposals
+        H.Scenario.default ~name:"prop" ~seed ~cast ~proposals
           ~horizon:(0.05 +. (4.0 *. params.Params.delta_agr))
           params
       in
@@ -97,13 +90,9 @@ let prop_termination =
     (fun (seed, cast) ->
       let n = sizes.(seed mod Array.length sizes) in
       let params = Params.default n in
-      let roles =
-        if params.Params.f > 0 then
-          [ (n - 1, H.Scenario.Byzantine (strategy_of params cast)) ]
-        else []
-      in
+      let cast = if params.Params.f > 0 then [ (n - 1, strategy_of cast) ] else [] in
       let sc =
-        H.Scenario.default ~name:"prop" ~seed ~roles
+        H.Scenario.default ~name:"prop" ~seed ~cast
           ~proposals:[ { H.Scenario.g = 0; v = "v"; at = 0.05 } ]
           ~horizon:(0.05 +. (4.0 *. params.Params.delta_agr))
           params
@@ -146,18 +135,15 @@ let prop_unforgeability =
       let n = sizes.(seed mod Array.length sizes) in
       let params = Params.default n in
       (* adversaries that never send an Initiator under their own id *)
-      let strategy =
+      let strategy : C.t =
         match cast with
-        | 0 -> S.silent
-        | 1 -> S.equivocator ~v1:"a" ~v2:"b"
-        | _ -> S.mimic ~delay:params.Params.d
+        | 0 -> Silent
+        | 1 -> Equivocator { v1 = "a"; v2 = "b" }
+        | _ -> Mimic { delay_d = 1.0 }
       in
-      let roles =
-        if params.Params.f > 0 then [ (n - 1, H.Scenario.Byzantine strategy) ]
-        else []
-      in
+      let cast = if params.Params.f > 0 then [ (n - 1, strategy) ] else [] in
       let sc =
-        H.Scenario.default ~name:"prop" ~seed ~roles ~proposals:[]
+        H.Scenario.default ~name:"prop" ~seed ~cast ~proposals:[]
           ~horizon:(2.0 *. params.Params.delta_agr)
           params
       in

@@ -13,7 +13,6 @@ let test_long_haul_recurrent_agreements () =
      consistent, instance tables bounded, all instances quiescent *)
   let n = 7 in
   let params = Params.default n in
-  let d = params.Params.d in
   let spacing = 2.0 *. params.Params.delta_0 in
   let rounds = 40 in
   let t_scramble = 0.05 +. (float_of_int (rounds / 2) *. spacing) in
@@ -30,13 +29,8 @@ let test_long_haul_recurrent_agreements () =
   in
   let sc =
     H.Scenario.default ~name:"soak" ~seed:71
-      ~roles:
-        [
-          ( n - 1,
-            H.Scenario.Byzantine
-              (Ssba_adversary.Strategies.spam ~period:(10.0 *. d)
-                 ~values:[ "junk1"; "junk2" ]) );
-        ]
+      ~cast:
+        [ (n - 1, Ssba_adversary.Catalog.Spam { period_d = 10.0; values = [ "junk1"; "junk2" ] }) ]
       ~events:
         [ H.Scenario.Scramble { at = t_scramble; values = [ "x"; "epoch-3" ]; net_garbage = 100 } ]
       ~proposals ~horizon params
@@ -72,16 +66,13 @@ let test_large_cluster_integration () =
      between crashed and spamming nodes *)
   let n = 31 in
   let params = Params.default n in
-  let d = params.Params.d in
-  let module S = Ssba_adversary.Strategies in
-  let roles =
-    List.init 5 (fun i -> (n - 1 - i, H.Scenario.Byzantine S.silent))
-    @ List.init 5 (fun i ->
-          ( n - 6 - i,
-            H.Scenario.Byzantine (S.spam ~period:(10.0 *. d) ~values:[ "z" ]) ))
+  let module C = Ssba_adversary.Catalog in
+  let cast =
+    List.init 5 (fun i -> (n - 1 - i, C.Silent))
+    @ List.init 5 (fun i -> (n - 6 - i, C.Spam { period_d = 10.0; values = [ "z" ] }))
   in
   let sc =
-    H.Scenario.default ~name:"large" ~seed:72 ~roles
+    H.Scenario.default ~name:"large" ~seed:72 ~cast
       ~proposals:[ { H.Scenario.g = 0; v = "big"; at = 0.05 } ]
       ~horizon:(0.05 +. (3.0 *. params.Params.delta_agr))
       params

@@ -204,46 +204,22 @@ let test_block_r_gate_boundaries () =
   (* widen (the default): the gate moved to <= 5d, covered by [IA-1D] *)
   case ~r_slack:Params.Widen ~gap_in_d:4.0 true;
   case ~r_slack:Params.Widen ~gap_in_d:5.0 true;
-  case ~r_slack:Params.Widen ~gap_in_d:5.125 false;
-  (* general keeps the 4d gate itself (its relaxation lives in block S) *)
-  case ~r_slack:Params.Count_general ~gap_in_d:4.0 true;
-  case ~r_slack:Params.Count_general ~gap_in_d:4.125 false
+  case ~r_slack:Params.Widen ~gap_in_d:5.125 false
 
-(* The Count_general variant's block-S relaxation: a node that missed block
-   R but I-accepted m counts the General's own round-1 broadcast as the
-   r = 1 proof and decides in round 1. The same broadcast stays excluded
-   when the value differs from the node's own I-accept, and under the other
-   two variants entirely. *)
-let test_count_general_block_s () =
-  let general_broadcast agree ~v =
-    let mb = Ss_byz_agree.msgd_broadcast agree in
-    List.iter
-      (fun s ->
-        Msgd_broadcast.handle_message mb ~sender:s ~kind:Types.Echo2 ~p:6 ~v
-          ~k:1)
-      [ 0; 1; 2; 3; 4 ]
-  in
-  (* missed the 4d gate by a full d: stranded in Running *)
-  let _, agree =
-    drive_accept ~params:(gate_params Params.Count_general) ~gap_in_d:5.0
-  in
-  check_bool "stranded past the 4d gate" true
-    (Ss_byz_agree.state agree = Ss_byz_agree.Running);
-  (* a General broadcast of a DIFFERENT value is still no proof *)
-  general_broadcast agree ~v:"x";
-  check_bool "General's broadcast of another value does not count" true
-    (Ss_byz_agree.state agree = Ss_byz_agree.Running);
-  (* ...but his round-1 broadcast of the I-accepted value decides round 1 *)
-  general_broadcast agree ~v:"m";
-  check_bool "General's own broadcast completes r = 1" true
-    (decided agree = Some "m");
-  (* under the widen default the General stays excluded from block S: the
-     same stranding (one ulp past 5d) is not rescued by his broadcast *)
+(* Block S excludes the General: a node stranded one ulp past the 5d gate is
+   not rescued by the General's own round-1 broadcast of the value it
+   I-accepted. *)
+let test_block_s_excludes_general () =
   let _, agree =
     drive_accept ~params:(gate_params Params.Widen) ~gap_in_d:5.125
   in
-  general_broadcast agree ~v:"m";
-  check_bool "widen still excludes the General from block S" true
+  let mb = Ss_byz_agree.msgd_broadcast agree in
+  List.iter
+    (fun s ->
+      Msgd_broadcast.handle_message mb ~sender:s ~kind:Types.Echo2 ~p:6 ~v:"m"
+        ~k:1)
+    [ 0; 1; 2; 3; 4 ];
+  check_bool "the General's broadcast is no block-S proof" true
     (Ss_byz_agree.state agree = Ss_byz_agree.Running)
 
 let test_termination_u_block () =
@@ -305,8 +281,7 @@ let suite =
     case "concurrent Generals" test_concurrent_generals;
     case "block S round matching" test_matching_block_s;
     case "block R gate boundaries (4d/5d, <= not <)" test_block_r_gate_boundaries;
-    case "Count_general: General's broadcast is the r=1 proof"
-      test_count_general_block_s;
+    case "block S excludes the General" test_block_s_excludes_general;
     case "block U aborts" test_termination_u_block;
     case "cleanup repairs scrambled state" test_cleanup_repairs_corrupt_running_state;
   ]

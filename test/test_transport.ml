@@ -291,7 +291,11 @@ let test_transport_off_loses_termination () =
     let spec =
       F.Campaign.spec_of_iteration ~seed:42 ~gen:F.Gen.lossy_config i
     in
-    if F.Spec.max_loss spec > 0.0 then begin
+    if
+      List.exists
+        (function Ssba_harness.Scenario.Loss { p; _ } -> p > 0.0 | _ -> false)
+        spec.F.Spec.events
+    then begin
       incr lossy_specs;
       let stripped = { spec with F.Spec.transport = None } in
       let stripped =
