@@ -19,7 +19,8 @@
    Exit status 0 means the explored space met the config's expectation
    (smoke/split-blackout-on/knife-default: no violations and no splits; split
    with the blackout off and knife under --r-slack legacy: the violation IS
-   found — absence is the failure). *)
+   found — absence is the failure). Exit status 2: a truncated exploration,
+   or --smoke given a flag it does not honour. *)
 
 open Cmdliner
 module Mc = Ssba_mc.Mc
@@ -191,11 +192,36 @@ let run_knife depth max_runs jobs =
       List.iter (fun p -> Fmt.pr "knife gate FAILED: %s@." p) ps;
       1
 
+(* --smoke fixes the config's knobs itself: a flag it would not honour is a
+   usage error (exit 2), never a silent pass. *)
 let main config blackout r_slack por depth max_runs jobs export smoke =
   if smoke then
-    if config = "knife" then run_knife depth max_runs jobs
-    else run_smoke depth max_runs jobs
-  else run_one config blackout r_slack por depth max_runs jobs export
+    match
+      List.filter_map
+        (fun (flag, given) -> if given then Some flag else None)
+        [
+          ("--config " ^ config, config <> "smoke" && config <> "knife");
+          ("--blackout", blackout <> None);
+          ("--r-slack", r_slack <> None);
+          ("--por", por <> None);
+          ("--export", export <> None);
+        ]
+    with
+    | [] ->
+        if config = "knife" then run_knife depth max_runs jobs
+        else run_smoke depth max_runs jobs
+    | ignored ->
+        Fmt.epr
+          "ssba-mc: --smoke runs the smoke or knife config under its own \
+           settings; it cannot take %s@."
+          (String.concat ", " ignored);
+        2
+  else
+    run_one config
+      (Option.value blackout ~default:true)
+      (Option.value r_slack ~default:P.default_r_slack)
+      (Option.value por ~default:true)
+      depth max_runs jobs export
 
 let config_t =
   Arg.(value & opt string "smoke" & info [ "config" ] ~docv:"NAME"
@@ -210,11 +236,14 @@ let r_slack_t =
           | None -> Error (`Msg (Fmt.str "expected legacy|widen, got %S" s))),
         fun ppf r -> Fmt.string ppf (P.r_slack_to_string r) )
   in
-  Arg.(value & opt rs_conv P.default_r_slack
+  Arg.(value
+       & opt (some ~none:(P.r_slack_to_string P.default_r_slack) rs_conv) None
        & info [ "r-slack" ] ~docv:"legacy|widen"
            ~doc:"Block-R gate variant to run the protocol core under.")
 
-let on_off name ~default ~doc =
+(* The on/off knobs parse to [None] when absent, so --smoke can tell a
+   given flag from a default. *)
+let on_off name ~doc =
   let on_off_conv =
     Arg.conv
       ( (function
@@ -223,13 +252,13 @@ let on_off name ~default ~doc =
         | s -> Error (`Msg (Fmt.str "expected on|off, got %S" s))),
         fun ppf b -> Fmt.string ppf (if b then "on" else "off") )
   in
-  Arg.(value & opt on_off_conv default & info [ name ] ~docv:"on|off" ~doc)
+  Arg.(value & opt (some ~none:"on" on_off_conv) None
+       & info [ name ] ~docv:"on|off" ~doc)
 
 let blackout_t =
-  on_off "blackout" ~default:true
-    ~doc:"Re-initiation blackout knob for the split config."
+  on_off "blackout" ~doc:"Re-initiation blackout knob for the split config."
 
-let por_t = on_off "por" ~default:true ~doc:"Partial-order reduction."
+let por_t = on_off "por" ~doc:"Partial-order reduction."
 
 let depth_t =
   Arg.(value & opt int 24 & info [ "depth" ] ~docv:"N"
@@ -237,7 +266,8 @@ let depth_t =
 
 let max_runs_t =
   Arg.(value & opt int 200_000 & info [ "max-runs" ] ~docv:"N"
-         ~doc:"Safety valve on executed runs.")
+         ~doc:"Safety valve on expanded prefixes (the report's explored \
+               count).")
 
 let jobs_t =
   Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
@@ -252,7 +282,9 @@ let export_t =
 
 let smoke_t =
   Arg.(value & flag & info [ "smoke" ]
-         ~doc:"CI gate: exhaust the smoke config under both POR modes.")
+         ~doc:"CI gate: exhaust the smoke config (or, with --config knife, \
+               the knife config under both gate variants) under both POR \
+               modes. Takes no --blackout, --r-slack, --por or --export.")
 
 let cmd =
   let doc = "bounded exhaustive checker for the ss-Byz-Agree core" in

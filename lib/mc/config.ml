@@ -108,8 +108,10 @@ let smoke () =
     branch =
       (fun ~src:_ ~dst msg ->
         match msg with
-        | Ia { kind = Support; g; v; _ } -> Some (Fmt.str "S%d>%d:%s" g dst v)
-        | Ia { kind = Ready; g; v; _ } -> Some (Fmt.str "R%d>%d:%s" g dst v)
+        | Ia { kind = Support; g; v; _ } ->
+            Some ("S" ^ string_of_int g ^ ">" ^ string_of_int dst ^ ":" ^ v)
+        | Ia { kind = Ready; g; v; _ } ->
+            Some ("R" ^ string_of_int g ^ ">" ^ string_of_int dst ^ ":" ^ v)
         | _ -> None);
   }
 
@@ -192,8 +194,9 @@ let split ~blackout () =
     branch =
       (fun ~src:_ ~dst msg ->
         match msg with
-        | Ia { kind = Ready; g = 3; v; _ } -> Some (Fmt.str "R>%d:%s" dst v)
-        | Initiator { g = 2; _ } -> Some (Fmt.str "I2>%d" dst)
+        | Ia { kind = Ready; g = 3; v; _ } ->
+            Some ("R>" ^ string_of_int dst ^ ":" ^ v)
+        | Initiator { g = 2; _ } -> Some ("I2>" ^ string_of_int dst)
         | _ -> None);
   }
 
@@ -301,9 +304,9 @@ let knife () =
     branch =
       (fun ~src ~dst msg ->
         match msg with
-        | Initiator { g = 0; _ } -> Some (Fmt.str "I>%d" dst)
+        | Initiator { g = 0; _ } -> Some ("I>" ^ string_of_int dst)
         | Ia { kind = Support; g = 0; _ } when src = 0 -> Some "S0"
         | Ia { kind = Approve; g = 0; _ } when src = 0 -> Some "A0"
-        | Ia { kind = Ready; g = 0; _ } -> Some (Fmt.str "R>%d" dst)
+        | Ia { kind = Ready; g = 0; _ } -> Some ("R>" ^ string_of_int dst)
         | _ -> None);
   }

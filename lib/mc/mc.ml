@@ -15,6 +15,13 @@
    judged exactly once — at the shortest prefix that determines it, i.e. the
    prefix with no trailing default choices.
 
+   Default-spine reuse: the run of P@[0] is the run of P step for step (P's
+   run already took option 0 there), so only prefixes that are empty or end
+   in a non-default choice are executed. Each executed run keeps its spine —
+   the fingerprint and option count of every choice point at or beyond its
+   prefix — and P@[0], P@[0;0], … are expanded from it. A run fingerprints
+   only from its prefix's length on: earlier fingerprints are never read.
+
    The visited set holds a canonical fingerprint of the whole world at each
    first-beyond-prefix choice point: every Node's protocol state
    (Node.fingerprint), the engine clock, the undelivered message set and the
@@ -100,9 +107,20 @@ let split_decisions (params : Params.t) returns =
     decided;
   List.rev !pairs
 
-(* [judge = false] skips the oracles (used for runs whose outcome is judged
-   at a shorter prefix); everything else is identical. *)
-let execute (cfg : Config.t) ~por ~visited ~judge prefix =
+(* Fingerprint workspace, reused by every run of one explorer loop and never
+   shared between domains: the text buffer, and a byte copy to digest in
+   place (a Buffer exposes no view of its bytes). Both outgrow the minor
+   heap, so fresh ones per fingerprint or per run would be major-heap
+   garbage. *)
+type scratch = { buf : Buffer.t; mutable bytes : Bytes.t }
+
+let scratch () = { buf = Buffer.create 4096; bytes = Bytes.create 4096 }
+
+(* Only choice points at position [fingerprint_from] or later are
+   fingerprinted (and listed in [fingerprints]); [fingerprint_from] must not
+   exceed the prefix length, since the first choice beyond the prefix is
+   checked against [visited]. *)
+let execute (cfg : Config.t) ~por ~visited ~scratch ~fingerprint_from prefix =
   let params = cfg.Config.params in
   let n = params.Params.n in
   let engine = Engine.create () in
@@ -115,13 +133,13 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
   let nodes : (node_id * Node.t) list ref = ref [] in
   let in_flight : (float * node_id * node_id * message) list ref = ref [] in
   let pos = ref 0 in
-  let groups : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let choices = ref [] in
   let fps = ref [] in
   let next = ref None in
   let pruned = ref false in
   let world_fingerprint pending =
-    let buf = Buffer.create 2048 in
+    let buf = scratch.buf in
+    Buffer.clear buf;
     Printf.bprintf buf "t=%h;" (Engine.now engine);
     List.iter (fun (_, node) -> Node.fingerprint buf node) !nodes;
     let entries = if por then List.sort compare !in_flight else !in_flight in
@@ -130,38 +148,47 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
         Printf.bprintf buf "m[%h,%d>%d,%s]" at src dst (string_of_message m))
       entries;
     Buffer.add_string buf pending;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+    let len = Buffer.length buf in
+    if Bytes.length scratch.bytes < len then scratch.bytes <- Bytes.create (2 * len);
+    Buffer.blit buf 0 scratch.bytes 0 len;
+    Digest.to_hex (Digest.subbytes scratch.bytes 0 len)
   in
-  let choose ~label ?group n_options =
+  let choose ~label n_options =
     if n_options <= 1 then 0
-    else
-      match
-        match group with Some key -> Hashtbl.find_opt groups key | None -> None
-      with
-      | Some k -> k  (* the class already drew its choice this run *)
-      | None ->
-          let fp = world_fingerprint (Fmt.str "?%s/%d" label n_options) in
-          fps := fp :: !fps;
-          let pick =
-            if !pos < Array.length prefix then prefix.(!pos)
-            else begin
-              (if !next = None then begin
-                 next := Some (fp, n_options, label);
-                 if Hashtbl.mem visited fp then begin
-                   (* identical world, identical default continuation: the
-                      subtree (and this run's tail) is redundant *)
-                   pruned := true;
-                   Engine.stop engine
-                 end
-               end);
-              0
-            end
+    else begin
+      let fp =
+        if !pos < fingerprint_from then ""
+        else begin
+          let fp =
+            world_fingerprint ("?" ^ label ^ "/" ^ string_of_int n_options)
           in
-          incr pos;
-          (match group with Some key -> Hashtbl.add groups key pick | None -> ());
-          choices := { c_label = label; c_options = n_options; c_picked = pick } :: !choices;
-          pick
+          fps := fp :: !fps;
+          fp
+        end
+      in
+      let pick =
+        if !pos < Array.length prefix then prefix.(!pos)
+        else begin
+          (if !next = None then begin
+             next := Some (fp, n_options, label);
+             if Hashtbl.mem visited fp then begin
+               (* identical world, identical default continuation: the
+                  subtree (and this run's tail) is redundant *)
+               pruned := true;
+               Engine.stop engine
+             end
+           end);
+          0
+        end
+      in
+      incr pos;
+      choices := { c_label = label; c_options = n_options; c_picked = pick } :: !choices;
+      pick
+    end
   in
+  (* A delay class draws once per run; later sends in the class reuse the
+     drawn delay without building a label. *)
+  let drawn : (string, float) Hashtbl.t = Hashtbl.create 16 in
   let sends = ref [] in
   Network.set_delay_override net
     (Some
@@ -173,12 +200,16 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
              else cfg.Config.branch ~src ~dst payload
            with
            | None -> cfg.Config.default_delay
-           | Some key ->
-               let lattice = Config.lattice_for cfg key in
-               let k =
-                 choose ~label:("d:" ^ key) ~group:key (Array.length lattice)
-               in
-               lattice.(k)
+           | Some key -> (
+               match Hashtbl.find_opt drawn key with
+               | Some delay -> delay
+               | None ->
+                   let lattice = Config.lattice_for cfg key in
+                   let delay =
+                     lattice.(choose ~label:("d:" ^ key) (Array.length lattice))
+                   in
+                   Hashtbl.add drawn key delay;
+                   delay)
          in
          in_flight := !in_flight @ [ (Engine.now engine +. delay, src, dst, payload) ];
          sends := ((src, dst), delay) :: !sends;
@@ -243,7 +274,7 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
             Engine.schedule engine ~at:st.Config.step_at (fun () ->
                 let k =
                   choose
-                    ~label:(Fmt.str "byz%d:%s" id st.Config.step_label)
+                    ~label:("byz" ^ string_of_int id ^ ":" ^ st.Config.step_label)
                     (List.length st.Config.options)
                 in
                 List.iter
@@ -271,7 +302,7 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
     cfg.Config.proposals;
   let stats = Engine.run ~until:cfg.Config.horizon engine in
   let violations, splits =
-    if !pruned || not judge then ([], [])
+    if !pruned then ([], [])
     else begin
       let scenario =
         {
@@ -337,7 +368,8 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
   }
 
 let run_vector cfg ~por prefix =
-  execute cfg ~por ~visited:(Hashtbl.create 1) ~judge:true prefix
+  execute cfg ~por ~visited:(Hashtbl.create 1) ~scratch:(scratch ())
+    ~fingerprint_from:0 prefix
 
 (* ----- exploration ------------------------------------------------------ *)
 
@@ -345,7 +377,7 @@ type report = {
   config_name : string;
   por : bool;
   depth : int;
-  explored : int;  (* runs executed (internal prefixes, leaves and pruned) *)
+  explored : int;  (* prefixes expanded (internal prefixes, leaves and pruned) *)
   judged : int;  (* complete choice assignments judged by the oracles *)
   pruned : int;  (* subtrees cut by the visited set *)
   frontier : int;  (* choice points left unexpanded by the depth bound *)
@@ -358,13 +390,28 @@ type report = {
   truncated : bool;  (* stopped by max_runs, not exhaustion *)
 }
 
+(* The spine of a run executed with [~fingerprint_from:(length prefix)]: the
+   fingerprint and option count of each choice point at or beyond its
+   prefix, in execution order. *)
+let spine_of (r : run) =
+  let fresh = List.filteri (fun i _ -> i >= Array.length r.prefix) r.choices in
+  Array.of_list
+    (List.map2 (fun fp c -> (fp, c.c_options)) r.fingerprints fresh)
+
+(* A queued prefix. [Execute p] runs the world under [p]. [Spine (p, s, k)]
+   is p = q @ [0]^k for an executed q with spine [s]: its run is q's run, so
+   its first choice point beyond the prefix is [s.(k)]. *)
+type job = Execute of int array | Spine of int array * (string * int) array * int
+
 (* The breadth-first worklist loop, seeded with an arbitrary set of root
-   prefixes and an (optionally pre-populated) visited set — the serial
-   explorer seeds it with the empty prefix; the parallel explorer runs one
-   loop per root-choice subtree. *)
+   jobs and an (optionally pre-populated) visited set — the serial explorer
+   seeds it with the empty prefix; the parallel explorer runs one loop per
+   root-choice subtree. Only prefixes that are empty or end in a non-default
+   choice are executed, and each of those is judged. *)
 let explore_bfs ~max_runs (cfg : Config.t) ~por ~depth ~visited roots =
   let q = Queue.create () in
-  List.iter (fun p -> Queue.add p q) roots;
+  List.iter (fun j -> Queue.add j q) roots;
+  let scratch = scratch () in
   let explored = ref 0
   and judged = ref 0
   and pruned = ref 0
@@ -378,33 +425,47 @@ let explore_bfs ~max_runs (cfg : Config.t) ~por ~depth ~visited roots =
       (fun s -> if not (List.mem_assoc s !store) then store := (s, prefix) :: !store)
       found
   in
+  let judge (r : run) =
+    incr judged;
+    record violations r.violations r.prefix;
+    record splits r.splits r.prefix;
+    if !counterexample = None && r.splits <> [] then
+      (* re-run with every choice point fingerprinted *)
+      counterexample := Some (run_vector cfg ~por r.prefix)
+  in
   while (not (Queue.is_empty q)) && not !truncated do
     if !explored >= max_runs then truncated := true
     else begin
-      let prefix = Queue.pop q in
+      let prefix, spine, k, executed =
+        match Queue.pop q with
+        | Spine (prefix, spine, k) -> (prefix, spine, k, None)
+        | Execute prefix ->
+            let r =
+              execute cfg ~por ~visited ~scratch
+                ~fingerprint_from:(Array.length prefix) prefix
+            in
+            (prefix, spine_of r, 0, Some r)
+      in
       let len = Array.length prefix in
-      let judge = len = 0 || prefix.(len - 1) <> 0 in
-      let r = execute cfg ~por ~visited ~judge prefix in
       incr explored;
       if len > !deepest then deepest := len;
-      if r.pruned then incr pruned
-      else begin
-        if judge then begin
-          incr judged;
-          record violations r.violations prefix;
-          record splits r.splits prefix;
-          if !counterexample = None && r.splits <> [] then counterexample := Some r
-        end;
-        match r.next with
-        | None -> ()
-        | Some (fp, options, _) ->
-            Hashtbl.replace visited fp ();
-            if len >= depth then incr frontier
-            else
-              for i = 0 to options - 1 do
-                Queue.add (Array.append prefix [| i |]) q
-              done
-      end
+      (* Checked at dequeue time for both kinds of job; an executed run whose
+         first free choice was visited stopped there. *)
+      match if k < Array.length spine then Some spine.(k) else None with
+      | Some (fp, _) when Hashtbl.mem visited fp -> incr pruned
+      | next -> (
+          Option.iter judge executed;
+          match next with
+          | None -> ()
+          | Some (fp, options) ->
+              Hashtbl.replace visited fp ();
+              if len >= depth then incr frontier
+              else begin
+                Queue.add (Spine (Array.append prefix [| 0 |], spine, k + 1)) q;
+                for i = 1 to options - 1 do
+                  Queue.add (Execute (Array.append prefix [| i |])) q
+                done
+              end)
     end
   done;
   {
@@ -447,16 +508,16 @@ let merge_witnesses base found =
 let explore ?(max_runs = 200_000) ?(jobs = 1) (cfg : Config.t) ~por ~depth =
   if jobs <= 1 || depth < 1 then
     explore_bfs ~max_runs cfg ~por ~depth ~visited:(Hashtbl.create 4096)
-      [ [||] ]
+      [ Execute [||] ]
   else begin
     (* Run the empty prefix once to judge the all-defaults world and discover
        the first branching point; its options become the shards. *)
-    let root = execute cfg ~por ~visited:(Hashtbl.create 16) ~judge:true [||] in
+    let root = run_vector cfg ~por [||] in
     match root.next with
     | None ->
         (* the whole choice space is the single root run *)
         explore_bfs ~max_runs cfg ~por ~depth ~visited:(Hashtbl.create 16)
-          [ [||] ]
+          [ Execute [||] ]
     | Some (root_fp, options, _) ->
         (* One BFS per root option, each with its own visited set (seeded
            with the root fingerprint, as serial exploration would). Workers
@@ -467,7 +528,9 @@ let explore ?(max_runs = 200_000) ?(jobs = 1) (cfg : Config.t) ~por ~depth =
            pruned, frontier) can differ from a serial run, but under
            exhaustion the verdict SET cannot — a pruned subtree's default
            continuation is byte-identical to the continuation from the
-           already-visited state, so its verdicts are duplicates. *)
+           already-visited state, so its verdicts are duplicates. Shard 0
+           is the root run itself, expanded from its spine. *)
+        let root_spine = spine_of root in
         let results : report option array = Array.make options None in
         let next_shard = Atomic.make 0 in
         let worker () =
@@ -480,7 +543,11 @@ let explore ?(max_runs = 200_000) ?(jobs = 1) (cfg : Config.t) ~por ~depth =
               Hashtbl.replace visited root_fp ();
               results.(s) <-
                 Some
-                  (explore_bfs ~max_runs cfg ~por ~depth ~visited [ [| s |] ])
+                  (explore_bfs ~max_runs cfg ~por ~depth ~visited
+                     [
+                       (if s = 0 then Spine ([| 0 |], root_spine, 1)
+                        else Execute [| s |]);
+                     ])
             end
           done
         in

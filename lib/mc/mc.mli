@@ -21,7 +21,11 @@ type choice = {
 type run = {
   prefix : int array;  (** the choice vector that produced this run *)
   choices : choice list;  (** fresh choice points, in execution order *)
-  fingerprints : string list;  (** world fingerprint at each fresh choice *)
+  fingerprints : string list;
+      (** world fingerprint at each fresh choice. Complete only in a run from
+          {!run_vector}: the explorer fingerprints a run only from its
+          prefix's length on, and re-runs its counterexample through
+          {!run_vector}. *)
   next : (string * int * string) option;
       (** fingerprint, option count and label of the first choice point
           beyond the prefix; [None] when the run branched nowhere new *)
@@ -45,7 +49,11 @@ type report = {
   config_name : string;
   por : bool;
   depth : int;
-  explored : int;  (** runs executed (internal prefixes, leaves, pruned) *)
+  explored : int;
+      (** prefixes expanded (internal prefixes, leaves, pruned). A prefix
+          ending in option 0 is expanded from its parent's run, which it
+          repeats step for step, so only prefixes that are empty or end in a
+          non-default choice are executed — and each of those is judged. *)
   judged : int;  (** complete choice assignments judged by the oracles *)
   pruned : int;  (** subtrees cut by the visited set *)
   frontier : int;  (** choice points left unexpanded by the depth bound *)
@@ -64,7 +72,8 @@ type report = {
 
 (** Breadth-first exhaustive exploration of the choice tree to [depth]
     branching points, with visited-state pruning. [max_runs] (default
-    200_000) is a safety valve; [truncated] reports if it fired.
+    200_000) is a safety valve on expanded prefixes (the [explored] count);
+    [truncated] reports if it fired.
 
     [jobs] > 1 shards exploration at the root choice point: one BFS per root
     option, each on its own domain with its own visited set, then a

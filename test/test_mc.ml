@@ -1,7 +1,8 @@
 (* Tests for the bounded exhaustive checker: state-hash canonicalization
-   under partial-order reduction, POR-vs-full verdict equivalence, and the
+   under partial-order reduction, POR-vs-full verdict equivalence, the
    weakened-checker sensitivity run that rediscovers the IA-4 split and
-   exports it as a replayable fuzz spec. *)
+   exports it as a replayable fuzz spec, the knife gate, the replay lemma
+   default-spine reuse rests on, and a pinned digest of every report. *)
 
 open Helpers
 module Mc = Ssba_mc.Mc
@@ -9,6 +10,16 @@ module Config = Ssba_mc.Config
 module F = Ssba_fuzz
 
 let keys l = List.map fst l
+
+(* The whole report, counterexample run and its fingerprints included, as
+   one digest. The pinned values were taken from the explorer that executed
+   every prefix it expanded; expanding default extensions from the parent's
+   spine must not move any of them. *)
+let report_digest (r : Mc.report) =
+  Digest.to_hex (Digest.string (Marshal.to_string r [ Marshal.No_sharing ]))
+
+let check_report name expected r =
+  check_str (name ^ " report pinned") expected (report_digest r)
 
 (* --- determinism: the run is a pure function of (config, por, vector) --- *)
 
@@ -18,6 +29,43 @@ let test_run_vector_deterministic () =
     (r.Mc.choices, r.Mc.fingerprints, r.Mc.violations, r.Mc.events)
   in
   check_bool "identical runs" true (run () = run ())
+
+(* --- default-spine reuse: the run of P @ [0] is the run of P ---
+
+   The explorer never executes a prefix ending in option 0: it expands it
+   from the parent's run. That is sound only if the default extension
+   replays its prefix step for step. Checked for every smoke prefix
+   breadth-first search reaches to depth 4, under both POR modes; only
+   [next] (one choice point further on) and [prefix] may differ. *)
+let test_default_extension_replays_prefix () =
+  let cfg = Config.smoke () in
+  let same (a : Mc.run) (b : Mc.run) =
+    a.Mc.choices = b.Mc.choices
+    && a.Mc.fingerprints = b.Mc.fingerprints
+    && a.Mc.sends = b.Mc.sends
+    && a.Mc.transcript = b.Mc.transcript
+    && a.Mc.returns = b.Mc.returns
+    && a.Mc.events = b.Mc.events
+    && a.Mc.violations = b.Mc.violations
+    && a.Mc.splits = b.Mc.splits
+  in
+  let checked = ref 0 in
+  let rec visit ~por prefix =
+    let r = Mc.run_vector cfg ~por prefix in
+    if not (same r (Mc.run_vector cfg ~por (Array.append prefix [| 0 |]))) then
+      Alcotest.failf "por=%b: %a @ [0] is not the run of its prefix" por
+        Mc.pp_prefix prefix;
+    incr checked;
+    match r.Mc.next with
+    | Some (_, options, _) when Array.length prefix < 4 ->
+        for i = 0 to options - 1 do
+          visit ~por (Array.append prefix [| i |])
+        done
+    | _ -> ()
+  in
+  visit ~por:true [||];
+  visit ~por:false [||];
+  check_int "prefixes checked" 70 !checked
 
 (* --- canonicalization: commuting deliveries hash equal under POR ---
 
@@ -50,7 +98,9 @@ let test_por_prunes_commuted_branch () =
   check_bool "POR explores strictly less" true (on.Mc.explored < off.Mc.explored);
   check_bool "same (empty) verdict either way" true
     (keys on.Mc.violations = keys off.Mc.violations
-    && keys on.Mc.splits = keys off.Mc.splits)
+    && keys on.Mc.splits = keys off.Mc.splits);
+  check_report "commute por=on" "590808960d3edcfef47b94446d00ede4" on;
+  check_report "commute por=off" "e351976e249484db21d223466354110c" off
 
 (* --- POR soundness cross-check: same verdict set as full exploration ---
 
@@ -66,7 +116,17 @@ let test_por_full_equivalence_smoke () =
     (keys on.Mc.violations = keys off.Mc.violations
     && keys on.Mc.splits = keys off.Mc.splits);
   check_int "smoke space is clean" 0 (List.length on.Mc.violations);
-  check_bool "POR reduction factor > 1" true (off.Mc.explored > on.Mc.explored)
+  check_bool "POR reduction factor > 1" true (off.Mc.explored > on.Mc.explored);
+  check_report "smoke por=on" "d735b1a88a153b644e3d8c32d715b80b" on;
+  check_report "smoke por=off" "ca5e36c13b1ca1f5b8f1a529bc196e7e" off;
+  (* the parallel explorer (shard 0 expands from the root run's spine), a
+     depth-bounded run (frontier > 0) and a truncated one *)
+  check_report "smoke jobs=3" "d735b1a88a153b644e3d8c32d715b80b"
+    (Mc.explore ~jobs:3 (Config.smoke ()) ~por:true ~depth:24);
+  check_report "smoke depth=5" "75d6a5b1e5febdbabee9f67a902b6d47"
+    (Mc.explore (Config.smoke ()) ~por:true ~depth:5);
+  check_report "smoke max_runs=300" "0bb72a660286857475187a7308f5aa04"
+    (Mc.explore ~max_runs:300 (Config.smoke ()) ~por:true ~depth:24)
 
 (* --- sensitivity: the checker finds the split the blackout prevents ---
 
@@ -86,9 +146,17 @@ let test_split_sensitivity_and_replay () =
   check_bool "blackout off: exhausted" true
     (open_run.Mc.frontier = 0 && not open_run.Mc.truncated);
   check_bool "blackout off: the split is found" true (open_run.Mc.splits <> []);
+  check_report "split-on por=on" "83d9a814649b82c439663959b53ca32d" guarded;
+  check_report "split-off por=on" "080fe8179c7e0f65f5c7ac8acfd83644" open_run;
+  check_report "split-on por=off" "a26223ab954b533648941adc0ac444dd"
+    (Mc.explore (Config.split ~blackout:true ()) ~por:false ~depth:24);
+  check_report "split-off por=off" "42a21ad9ace304fd1a9d4e08fb4e96d9"
+    (Mc.explore cfg ~por:false ~depth:24);
   match open_run.Mc.counterexample with
   | None -> Alcotest.fail "no counterexample run recorded"
   | Some run -> (
+      check_int "the counterexample fingerprints every choice point"
+        (List.length run.Mc.choices) (List.length run.Mc.fingerprints);
       let spec = Mc.spec_of_run cfg run ~name:"mc-split-ce" in
       (match F.Spec.validate spec with
       | Ok () -> ()
@@ -104,6 +172,33 @@ let test_split_sensitivity_and_replay () =
       in
       check_bool "replay reproduces the IA-4a split" true
         (List.exists is_ia4a report.F.Oracle.failures))
+
+(* --- the knife space: widen exhausts clean, legacy strands ---
+
+   The in-tree twin of `ssba-mc --config knife --smoke`: both gate variants
+   under both POR modes, each report pinned. *)
+let test_knife_gate () =
+  let knife r_slack =
+    let base = Config.knife () in
+    {
+      base with
+      Config.params = Ssba_core.Params.with_r_slack base.Config.params r_slack;
+    }
+  in
+  let explore r_slack ~por = Mc.explore (knife r_slack) ~por ~depth:24 in
+  let widen_on = explore Ssba_core.Params.Widen ~por:true in
+  let legacy_on = explore Ssba_core.Params.Legacy ~por:true in
+  check_bool "widen: exhausted clean" true
+    (widen_on.Mc.frontier = 0 && widen_on.Mc.violations = []
+   && widen_on.Mc.splits = []);
+  check_bool "legacy: the stranded abort is found" true
+    (legacy_on.Mc.violations <> []);
+  check_report "knife-widen por=on" "69a6a381c9eeb95cbc6722a6d6824b55" widen_on;
+  check_report "knife-legacy por=on" "efc11d2874792485f3b8b665d016292e" legacy_on;
+  check_report "knife-widen por=off" "bd12ea4d24c074913942b157d515472f"
+    (explore Ssba_core.Params.Widen ~por:false);
+  check_report "knife-legacy por=off" "3bf8258e378634129270261886411517"
+    (explore Ssba_core.Params.Legacy ~por:false)
 
 (* A scenario is plain data: a Byzantine cast and a scripted delay marshal
    (no closure anywhere), and one compiled value reruns to the same result —
@@ -129,6 +224,7 @@ let test_scenario_is_data () =
 let suite =
   [
     case "run vector is deterministic" test_run_vector_deterministic;
+    case "the run of P @ [0] is the run of P" test_default_extension_replays_prefix;
     case "a scenario is data and reruns identically" test_scenario_is_data;
     case "commuting sends hash equal under POR"
       test_commuting_sends_hash_equal_under_por;
@@ -137,4 +233,6 @@ let suite =
       test_por_full_equivalence_smoke;
     slow_case "blackout sensitivity: split found iff guard off, replayable"
       test_split_sensitivity_and_replay;
+    slow_case "knife gate: widen clean, legacy strands, reports pinned"
+      test_knife_gate;
   ]

@@ -20,6 +20,12 @@ For every end-to-end metric of BENCHMARK.json the summary gives each side's
 median and quartiles, the ratio change/REV of the medians, how many pairs
 the change wins (by the metric's "better"), and REV's spread: its quartile
 distance over its median. Nothing is written under perfbench/.
+
+--record FILE appends the comparison to FILE as one JSON line: REV's commit,
+the commit the working tree is based on and whether it had uncommitted
+changes, the workload, seeds, pairs, run length, the OCaml version, and per
+metric both sides' median and quartiles, the ratio, the wins and the spread.
+The repository keeps these lines in perf_trajectory.jsonl.
 """
 
 import argparse
@@ -71,12 +77,48 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def git(*args):
+    return subprocess.run(["git"] + list(args), capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def ocaml_version():
+    try:
+        return subprocess.run(["ocamlopt", "-version"], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def summarize(metrics, base, change):
+    rows = []
+    for m in metrics:
+        name = m["name"]
+        b = [r[name] for r in base]
+        c = [r[name] for r in change]
+        bq, cq = quartiles(b), quartiles(c)
+        higher = m["better"] == "higher"
+        rows.append({
+            "metric": name,
+            "better": m["better"],
+            "base": {"median": bq[1], "q1": bq[0], "q3": bq[2]},
+            "change": {"median": cq[1], "q1": cq[0], "q3": cq[2]},
+            "ratio": cq[1] / bq[1] if bq[1] else None,
+            "wins": sum(1 for x, y in zip(b, c)
+                        if (y > x if higher else y < x)),
+            "spread": (bq[2] - bq[0]) / bq[1] if bq[1] else None,
+        })
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the git revision to compare against")
     parser.add_argument("workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, required=True)
+    parser.add_argument("--record", metavar="FILE",
+                        help="append the comparison to FILE as a JSON line")
     args = parser.parse_args()
 
     if not (os.path.isfile("dune-project") and os.path.isfile("BENCHMARK.json")):
@@ -89,6 +131,7 @@ def main():
     metrics = manifest["end_to_end"]
 
     here = os.getcwd()
+    base_commit = git("rev-parse", args.rev)
     tmp = tempfile.mkdtemp(prefix="perf_pairs-")
     try:
         archive = subprocess.run(["git", "archive", args.rev],
@@ -121,19 +164,31 @@ def main():
     print("%-20s %-40s %-40s %8s %6s %8s" % (
         "metric", "base median [q1-q3]", "change median [q1-q3]", "ratio",
         "wins", "spread"))
-    for m in metrics:
-        name = m["name"]
-        b = [r[name] for r in base]
-        c = [r[name] for r in change]
-        bq, cq = quartiles(b), quartiles(c)
-        higher = m["better"] == "higher"
-        wins = sum(1 for x, y in zip(b, c) if (y > x if higher else y < x))
-        ratio = cq[1] / bq[1] if bq[1] else float("nan")
-        spread = (bq[2] - bq[0]) / bq[1] if bq[1] else float("nan")
+    rows = summarize(metrics, base, change)
+    nan = float("nan")
+    for row in rows:
+        bq, cq = row["base"], row["change"]
         print("%-20s %-40s %-40s %8.4f %3d/%-2d %8.3f" % (
-            name, "%.6g [%.6g-%.6g]" % (bq[1], bq[0], bq[2]),
-            "%.6g [%.6g-%.6g]" % (cq[1], cq[0], cq[2]),
-            ratio, wins, args.pairs, spread))
+            row["metric"],
+            "%.6g [%.6g-%.6g]" % (bq["median"], bq["q1"], bq["q3"]),
+            "%.6g [%.6g-%.6g]" % (cq["median"], cq["q1"], cq["q3"]),
+            nan if row["ratio"] is None else row["ratio"], row["wins"],
+            args.pairs, nan if row["spread"] is None else row["spread"]))
+
+    if args.record:
+        line = {
+            "rev": base_commit,
+            "head": git("rev-parse", "HEAD"),
+            "dirty": git("status", "--porcelain", "--untracked-files=no") != "",
+            "workload": args.workload,
+            "seeds": [args.seed_base, args.seed_base + args.pairs - 1],
+            "pairs": args.pairs,
+            "run_seconds": seconds,
+            "ocaml": ocaml_version(),
+            "metrics": rows,
+        }
+        with open(args.record, "a") as f:
+            f.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
