@@ -370,6 +370,13 @@ let finish_fanout t fo count =
 
 (* ---- sending ------------------------------------------------------------ *)
 
+(* Written so that NaN fails it: a NaN delay would arm a NaN time. *)
+let check_delay d =
+  if not (d >= 0.0) then
+    invalid_arg
+      (if d < 0.0 then "Engine.schedule_after: negative delay"
+       else "Engine.schedule_after: NaN delay")
+
 (* One send per destination in [first, last], batched into a single pooled
    fan-out descriptor. The per-destination draw schedule, fault gauntlet,
    counter updates and seq reservations replicate the per-entry scheme
@@ -420,7 +427,7 @@ let send_range t ~src ~first ~last payload =
         | None -> drawn_delay
       in
       let d = delay +. extra in
-      if d < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
+      check_delay d;
       arm_slot t fo !count ~dst ~at:(now +. d);
       incr count;
       if dup_roll < t.dup_prob then begin
@@ -437,7 +444,7 @@ let send_range t ~src ~first ~last payload =
           Delay.draw t.delay ~rng:t.dup_rng ~counters:t.delay_counts ~src ~dst
         in
         let d2 = dup_delay +. extra in
-        if d2 < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
+        check_delay d2;
         arm_slot t fo !count ~dst ~at:(now +. d2);
         incr count
       end
@@ -457,7 +464,7 @@ let broadcast t ~src payload = send_range t ~src ~first:0 ~last:(t.n - 1) payloa
    conservation invariant keeps holding during scrambles. The forged path
    draws no fault samples: injection is itself adversary-scheduled. *)
 let inject_forged t ~claimed_src ~dst ~delay payload =
-  if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
+  check_delay delay;
   count_sent t payload;
   let now = Engine.now t.engine in
   let fo =

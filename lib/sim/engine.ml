@@ -6,9 +6,17 @@
    message and protocol types. Events at equal times run in scheduling order
    (a monotone sequence number breaks ties), so runs are fully deterministic.
 
-   The queue is the monomorphic [Event_queue] rather than the generic
-   {!Heap}: the innermost loop does raw float/int comparisons and allocates
-   nothing per event. *)
+   The queue is the monomorphic [Event_queue]: its sifts compare raw
+   float/int keys and move only scalars, and its push/pop cycle allocates
+   nothing (pinned in test_event_queue.ml). [schedule] is [@inline]: release
+   builds inline it into its callers and the queue's push into it, so a time
+   a caller computes reaches the heap unboxed. [schedule_after] is not
+   inlined across modules, so its callers box the delay they pass.
+
+   No time is NaN. [schedule], [schedule_after] and the network's send path
+   each write their check so that NaN fails it, and raise. A NaN key would
+   otherwise pass every [<] test: it would run under any [until], set [now]
+   to NaN and hand NaN to every timer armed after it. *)
 
 type stats = {
   events_processed : int;
@@ -46,17 +54,24 @@ let trace t = t.trace
 let metrics t = t.metrics
 let pending t = Event_queue.size t.queue
 
-let schedule t ~at run =
+let[@inline] schedule t ~at run =
   (* Scheduling in the past would break causality; clamp to the present so a
      zero-delay event still runs after the current one. *)
   let here = Array.unsafe_get t.now_cell 0 in
-  let at = if at < here then here else at in
+  let at =
+    if at >= here then at
+    else if at < here then here
+    else invalid_arg "Engine.schedule: NaN time"
+  in
   Event_queue.push t.queue ~at ~seq:t.seq run;
   t.seq <- t.seq + 1;
   Metrics.incr t.c_scheduled
 
 let schedule_after t ~delay run =
-  if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
+  if not (delay >= 0.0) then
+    invalid_arg
+      (if delay < 0.0 then "Engine.schedule_after: negative delay"
+       else "Engine.schedule_after: NaN delay");
   schedule t ~at:(Array.unsafe_get t.now_cell 0 +. delay) run
 
 (* Fan-out batches: the caller (network broadcast) reserves one sequence
@@ -136,8 +151,8 @@ let run ?(until = infinity) ?(max_events = max_int) t =
         Array.unsafe_set t.now_cell 0 at;
         incr processed;
         Metrics.incr t.c_processed;
-        (* Pop-and-run without materialising a closure for batch
-           sub-events: the engine's steady state allocates nothing. *)
+        (* Pop-and-run: a batch sub-event goes straight to its
+           descriptor's [b_fire], no closure is built for it. *)
         Event_queue.pop_invoke t.queue
       end
     end

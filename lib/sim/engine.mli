@@ -33,10 +33,11 @@ val metrics : t -> Metrics.t
 val pending : t -> int
 
 (** [schedule t ~at f] runs [f] at virtual time [at] (clamped to the
-    present if in the past). *)
+    present if in the past). Raises [Invalid_argument] if [at] is NaN. *)
 val schedule : t -> at:float -> (unit -> unit) -> unit
 
-(** [schedule_after t ~delay f] runs [f] after [delay] (must be >= 0). *)
+(** [schedule_after t ~delay f] runs [f] after [delay]. Raises
+    [Invalid_argument] unless [delay >= 0] (so also on NaN). *)
 val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 
 (** Reserve the next tie-break sequence number for a fan-out sub-event.
@@ -49,7 +50,8 @@ val next_seq : t -> int
 (** Arm a filled fan-out descriptor (see {!Event_queue.push_batch}): one
     heap entry expanding to its sub-events in exact (at, seq) order. All
     sub-event times must be >= {!now} — the network computes them as
-    [now + delay] with validated non-negative delays. *)
+    [now + delay] with validated non-negative delays. Raises
+    [Invalid_argument] on a NaN sub-event time. *)
 val schedule_batch : t -> Event_queue.batch -> unit
 
 (** Abort the current {!run} after the event being processed. *)

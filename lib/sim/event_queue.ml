@@ -1,16 +1,34 @@
 (* Monomorphic event queue: the engine's innermost data structure.
 
-   A binary min-heap over (at, seq) keys held in parallel arrays: a flat
-   [float array] for times, an [int array] for sequence numbers, a closure
-   array for the scheduled thunks and a batch array for fan-out descriptors.
-   Keeping the keys out of a record means the hot loop does raw float/int
-   comparisons on unboxed values — no closure indirection, no polymorphic
-   [compare] (a C call per comparison), and no per-event allocation: [push]
-   stores four fields and [pop_invoke] runs the closure that already existed.
+   A binary min-heap over (at, seq) keys. The heap itself is three parallel
+   scalar arrays indexed by heap position: a flat [float array] of times, an
+   [int array] of sequence numbers and an [int array] of handles. What an
+   entry runs lives in two side tables indexed by handle: a closure table for
+   plain events and a batch table for fan-out descriptors. A sift moves a
+   float, an int and an int; it never stores a pointer. An entry's closure or
+   descriptor is written once when it is armed and once, back to [nop] or
+   [null_batch], when it finally pops.
+
+   Why pointers stay out of the sifts: OCaml's write barrier ([caml_modify])
+   runs on every pointer store into a heap block. Storing a young closure
+   into the (old) closure array adds a remembered-set entry, and while the
+   major GC is marking, the overwritten value is darkened. A sift that moved
+   closures and descriptors paid that barrier twice per level; the int and
+   float stores below pay none.
+
+   Handles: [hs] is a permutation of [0, capacity). Positions [0, n) hold
+   the live entries' handles in heap order, positions [n, capacity) the free
+   handles. Arming an entry takes the free handle at [hs.(n)]; removing the
+   root parks its handle at the position the heap just vacated, so no free
+   list is needed. Growth doubles the arrays and appends handles
+   [cap .. 2cap-1]. A batch keeps its handle across re-keys. A free handle's
+   table slots hold [nop] and [null_batch], so the queue never keeps a
+   drained event's captures alive.
 
    Ordering is (at, seq) lexicographic, so events at equal times pop in
    scheduling order — the engine's determinism contract. Both sifts move a
-   "hole" instead of swapping, storing each displaced slot once.
+   "hole" instead of swapping, storing each displaced slot once. No key is
+   NaN: [push_batch] rejects one and [Engine.schedule] never passes one.
 
    Fan-out batches (broadcast deliveries): a [batch] is ONE heap entry
    carrying [b_count] sub-events whose (at, seq) keys are pre-sorted
@@ -22,9 +40,11 @@
    (each sub-event keeps the key the per-entry scheme would have given it,
    and keys are unique because seqs are).
 
-   Vacated closure/batch slots are overwritten with [nop]/[null_batch] so
-   drained events are not retained; the float/int arrays need no such
-   care. *)
+   [sift_up], [sift_down], [remove_root] and [push] are [@inline], so a
+   float key read from an array never crosses a call boundary inside this
+   module and is never boxed: a push/pop cycle allocates nothing
+   (test_event_queue.ml pins 0 minor words). [min_at] is [@inline] too, so
+   that release builds hand the engine's loop the root key unboxed. *)
 
 let nop () = ()
 
@@ -64,12 +84,13 @@ let ensure_batch_capacity b want =
   end
 
 type t = {
-  mutable ats : float array;  (* flat float array: unboxed time keys *)
-  mutable seqs : int array;
-  mutable runs : (unit -> unit) array;
-  mutable bats : batch array; (* null_batch for plain entries *)
-  mutable n : int;            (* heap entries *)
-  mutable live : int;         (* pending sub-events (>= n) *)
+  mutable ats : float array;            (* position -> time key, unboxed *)
+  mutable seqs : int array;             (* position -> seq *)
+  mutable hs : int array;               (* position -> handle; see above *)
+  mutable runs : (unit -> unit) array;  (* handle -> closure, [nop] if none *)
+  mutable bats : batch array;           (* handle -> batch, [null_batch] if plain *)
+  mutable n : int;                      (* heap entries *)
+  mutable live : int;                   (* pending sub-events (>= n) *)
 }
 
 let create ?(capacity = 64) () =
@@ -77,6 +98,7 @@ let create ?(capacity = 64) () =
   {
     ats = Array.make capacity 0.0;
     seqs = Array.make capacity 0;
+    hs = Array.init capacity Fun.id;
     runs = Array.make capacity nop;
     bats = Array.make capacity null_batch;
     n = 0;
@@ -86,50 +108,63 @@ let create ?(capacity = 64) () =
 let size t = t.live
 let entries t = t.n
 let is_empty t = t.live = 0
-let capacity t = Array.length t.ats
 
+(* Only called when full: [hs] then lists every handle in [0, cap) as live,
+   so the new handles are exactly [cap .. 2cap-1]. *)
 let grow t =
-  let cap = 2 * Array.length t.ats in
-  let ats = Array.make cap 0.0 in
-  let seqs = Array.make cap 0 in
-  let runs = Array.make cap nop in
-  let bats = Array.make cap null_batch in
-  Array.blit t.ats 0 ats 0 t.n;
-  Array.blit t.seqs 0 seqs 0 t.n;
-  Array.blit t.runs 0 runs 0 t.n;
-  Array.blit t.bats 0 bats 0 t.n;
+  let cap = Array.length t.ats in
+  let cap' = 2 * cap in
+  let ats = Array.make cap' 0.0 in
+  let seqs = Array.make cap' 0 in
+  let hs = Array.init cap' Fun.id in
+  let runs = Array.make cap' nop in
+  let bats = Array.make cap' null_batch in
+  Array.blit t.ats 0 ats 0 cap;
+  Array.blit t.seqs 0 seqs 0 cap;
+  Array.blit t.hs 0 hs 0 cap;
+  Array.blit t.runs 0 runs 0 cap;
+  Array.blit t.bats 0 bats 0 cap;
   t.ats <- ats;
   t.seqs <- seqs;
+  t.hs <- hs;
   t.runs <- runs;
   t.bats <- bats
 
-(* All unsafe accesses below are at indices < t.n <= Array.length t.ats,
-   with the four arrays always of equal length. *)
+(* All unsafe accesses below are at positions < t.n <= Array.length t.ats
+   or at handles taken from [hs]; the five arrays always have equal
+   length. *)
 
-let sift_up t ~at ~seq run batch =
-  if t.n = Array.length t.ats then grow t;
+(* Place (at, seq, h) into the hole at position [n] and sift it up. The
+   caller has taken [h] from [hs.(n)]. *)
+let[@inline] sift_up t ~at ~seq h =
+  let ats = t.ats and seqs = t.seqs and hs = t.hs in
   let i = ref t.n in
   t.n <- t.n + 1;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    let pat = Array.unsafe_get t.ats parent in
-    if pat > at || (pat = at && Array.unsafe_get t.seqs parent > seq) then begin
-      Array.unsafe_set t.ats !i pat;
-      Array.unsafe_set t.seqs !i (Array.unsafe_get t.seqs parent);
-      Array.unsafe_set t.runs !i (Array.unsafe_get t.runs parent);
-      Array.unsafe_set t.bats !i (Array.unsafe_get t.bats parent);
+    let pat = Array.unsafe_get ats parent in
+    if pat > at || (pat = at && Array.unsafe_get seqs parent > seq) then begin
+      Array.unsafe_set ats !i pat;
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
+      Array.unsafe_set hs !i (Array.unsafe_get hs parent);
       i := parent
     end
     else continue := false
   done;
-  Array.unsafe_set t.ats !i at;
-  Array.unsafe_set t.seqs !i seq;
-  Array.unsafe_set t.runs !i run;
-  Array.unsafe_set t.bats !i batch
+  Array.unsafe_set ats !i at;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set hs !i h
 
-let push t ~at ~seq run =
-  sift_up t ~at ~seq run null_batch;
+(* The free handle that the next armed entry takes. *)
+let[@inline] free_handle t =
+  if t.n = Array.length t.ats then grow t;
+  Array.unsafe_get t.hs t.n
+
+let[@inline] push t ~at ~seq run =
+  let h = free_handle t in
+  Array.unsafe_set t.runs h run;
+  sift_up t ~at ~seq h;
   t.live <- t.live + 1
 
 let push_batch t b =
@@ -137,21 +172,30 @@ let push_batch t b =
   if b.b_next <> 0 then invalid_arg "Event_queue.push_batch: batch in flight";
   if b.b_count > Array.length b.b_ats || b.b_count > Array.length b.b_seqs
   then invalid_arg "Event_queue.push_batch: count exceeds key arrays";
+  (* Written so that a NaN key fails: it is neither before, equal to nor
+     after its neighbour. *)
+  let a0 = b.b_ats.(0) in
+  if a0 <> a0 then invalid_arg "Event_queue.push_batch: NaN time";
   for i = 0 to b.b_count - 2 do
     let a0 = b.b_ats.(i) and a1 = b.b_ats.(i + 1) in
-    if a0 > a1 || (a0 = a1 && b.b_seqs.(i) >= b.b_seqs.(i + 1)) then
+    if not (a0 < a1 || (a0 = a1 && b.b_seqs.(i) < b.b_seqs.(i + 1))) then
       invalid_arg "Event_queue.push_batch: sub-events not sorted by (at, seq)"
   done;
-  sift_up t ~at:b.b_ats.(0) ~seq:b.b_seqs.(0) nop b;
+  let h = free_handle t in
+  Array.unsafe_set t.bats h b;
+  sift_up t ~at:a0 ~seq:b.b_seqs.(0) h;
   t.live <- t.live + b.b_count
 
-let min_at t =
+(* [@inline] so that the engine's loop reads the key unboxed: returned from
+   a call, a float is boxed. *)
+let[@inline] min_at t =
   if t.n = 0 then invalid_arg "Event_queue.min_at: empty";
   t.ats.(0)
 
-(* Place (at, seq, run, batch) into the hole at the root and sift it down
-   within heap prefix [0, bound). *)
-let sift_down t ~bound ~at ~seq run batch =
+(* Place (at, seq, h) into the hole at the root and sift it down within heap
+   prefix [0, bound). *)
+let[@inline] sift_down t ~bound ~at ~seq h =
+  let ats = t.ats and seqs = t.seqs and hs = t.hs in
   let i = ref 0 in
   let continue = ref true in
   while !continue do
@@ -161,93 +205,63 @@ let sift_down t ~bound ~at ~seq run batch =
       let r = l + 1 in
       let c =
         if r < bound then begin
-          let lat = Array.unsafe_get t.ats l and rat = Array.unsafe_get t.ats r in
+          let lat = Array.unsafe_get ats l and rat = Array.unsafe_get ats r in
           if
             rat < lat
-            || (rat = lat && Array.unsafe_get t.seqs r < Array.unsafe_get t.seqs l)
+            || (rat = lat && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
           then r
           else l
         end
         else l
       in
-      let cat = Array.unsafe_get t.ats c in
-      if cat < at || (cat = at && Array.unsafe_get t.seqs c < seq) then begin
-        Array.unsafe_set t.ats !i cat;
-        Array.unsafe_set t.seqs !i (Array.unsafe_get t.seqs c);
-        Array.unsafe_set t.runs !i (Array.unsafe_get t.runs c);
-        Array.unsafe_set t.bats !i (Array.unsafe_get t.bats c);
+      let cat = Array.unsafe_get ats c in
+      if cat < at || (cat = at && Array.unsafe_get seqs c < seq) then begin
+        Array.unsafe_set ats !i cat;
+        Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+        Array.unsafe_set hs !i (Array.unsafe_get hs c);
         i := c
       end
       else continue := false
     end
   done;
-  Array.unsafe_set t.ats !i at;
-  Array.unsafe_set t.seqs !i seq;
-  Array.unsafe_set t.runs !i run;
-  Array.unsafe_set t.bats !i batch
+  Array.unsafe_set ats !i at;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set hs !i h
 
-(* Remove the root entry outright (plain event, or batch on its last
-   sub-event): the classic last-element-through-the-root-hole sift. *)
-let remove_root t =
+(* Remove the root entry, whose handle is [h], outright (plain event, or
+   batch on its last sub-event): the last entry sifts down through the root
+   hole, and [h] is parked at the position the heap vacated. *)
+let[@inline] remove_root t h =
   let last = t.n - 1 in
   t.n <- last;
-  if last = 0 then begin
-    t.runs.(0) <- nop;
-    t.bats.(0) <- null_batch
-  end
-  else begin
-    let at = Array.unsafe_get t.ats last in
-    let seq = Array.unsafe_get t.seqs last in
-    let run = Array.unsafe_get t.runs last in
-    let batch = Array.unsafe_get t.bats last in
-    Array.unsafe_set t.runs last nop;
-    Array.unsafe_set t.bats last null_batch;
-    sift_down t ~bound:last ~at ~seq run batch
-  end
+  if last > 0 then
+    sift_down t ~bound:last ~at:(Array.unsafe_get t.ats last)
+      ~seq:(Array.unsafe_get t.seqs last) (Array.unsafe_get t.hs last);
+  Array.unsafe_set t.hs last h
 
-(* Advance the root past its next sub-event: a batch with remaining subs is
-   re-keyed to the following sub-key and sifted down in place (the new key is
-   >= the old one, so it only moves toward the leaves — one sift instead of a
-   pop + push); a plain event or exhausted batch is removed outright. *)
-let advance_batch t b j =
-  if j + 1 < b.b_count then
-    sift_down t ~bound:t.n ~at:b.b_ats.(j + 1) ~seq:b.b_seqs.(j + 1) nop b
-  else remove_root t
-
+(* A plain root releases its closure and leaves the heap. A batch root with
+   sub-events left is re-keyed to the following sub-key and sifted down in
+   place (the new key is >= the old one, so it only moves toward the
+   leaves); on its last sub-event it releases the descriptor and leaves. *)
 let pop_invoke t =
   if t.n = 0 then invalid_arg "Event_queue.pop_invoke: empty";
   t.live <- t.live - 1;
-  let b = Array.unsafe_get t.bats 0 in
+  let h = Array.unsafe_get t.hs 0 in
+  let b = Array.unsafe_get t.bats h in
   if b == null_batch then begin
-    let run = t.runs.(0) in
-    remove_root t;
+    let run = Array.unsafe_get t.runs h in
+    Array.unsafe_set t.runs h nop;
+    remove_root t h;
     run ()
   end
   else begin
     let j = b.b_next in
     b.b_next <- j + 1;
-    advance_batch t b j;
+    if j + 1 < b.b_count then
+      sift_down t ~bound:t.n ~at:b.b_ats.(j + 1) ~seq:b.b_seqs.(j + 1) h
+    else begin
+      Array.unsafe_set t.bats h null_batch;
+      remove_root t h
+    end;
     b.b_fire j
   end
-
-let pop_run t =
-  if t.n = 0 then invalid_arg "Event_queue.pop_run: empty";
-  t.live <- t.live - 1;
-  let b = Array.unsafe_get t.bats 0 in
-  if b == null_batch then begin
-    let run = t.runs.(0) in
-    remove_root t;
-    run
-  end
-  else begin
-    let j = b.b_next in
-    b.b_next <- j + 1;
-    advance_batch t b j;
-    fun () -> b.b_fire j
-  end
-
-let clear t =
-  Array.fill t.runs 0 t.n nop;
-  Array.fill t.bats 0 t.n null_batch;
-  t.n <- 0;
-  t.live <- 0

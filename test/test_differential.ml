@@ -2,8 +2,8 @@
 
    [Ref_queue] below is the pre-batching per-entry event queue, verbatim —
    the implementation every pinned corpus digest was recorded under. The
-   model test drives random op sequences (singles, fan-out batches, pops,
-   clears) through both queues, arming each batch in the current queue as one
+   model test drives random op sequences (singles, fan-out batches, pops)
+   through both queues, arming each batch in the current queue as one
    descriptor while feeding the reference the same (at, seq) pairs as
    individual entries. Pop order must match key for key AND closure for
    closure — in particular across fan-out boundaries, where a batch sub-event
@@ -13,7 +13,7 @@
 open Helpers
 module Q = Ssba_sim.Event_queue
 
-(* ----- the per-entry reference, verbatim from the pre-batching tree ----- *)
+(* ----- the per-entry reference, from the pre-batching tree ----- *)
 
 module Ref_queue = struct
   let nop () = ()
@@ -119,10 +119,6 @@ module Ref_queue = struct
       Array.unsafe_set t.runs !i run
     end;
     top
-
-  let clear t =
-    Array.fill t.runs 0 t.size nop;
-    t.size <- 0
 end
 
 (* ----- driving both queues in lock-step --------------------------------- *)
@@ -188,7 +184,7 @@ let pop_both w =
   check_bool "emptiness agrees" re qe;
   if not qe then begin
     check_float "min_at agrees" (Ref_queue.min_at w.r) (Q.min_at w.q);
-    (Q.pop_run w.q) ();
+    Q.pop_invoke w.q;
     (Ref_queue.pop_run w.r) ()
   end
 
@@ -199,7 +195,7 @@ let drain_both w =
 
 (* ----- the random-op differential model --------------------------------- *)
 
-type op = Single of float | Fanout of float list | Pop | Clear
+type op = Single of float | Fanout of float list | Pop
 
 let gen_ops =
   QCheck.Gen.(
@@ -214,7 +210,6 @@ let gen_ops =
                (fun l -> Fanout (List.map (fun i -> float_of_int i /. 4.0) l))
                (list_size (int_range 1 6) (int_bound 8)) );
            (4, return Pop);
-           (1, return Clear);
          ]))
 
 let print_ops ops =
@@ -225,8 +220,7 @@ let print_ops ops =
          | Fanout ats ->
              Printf.sprintf "fanout[%s]"
                (String.concat "," (List.map (Printf.sprintf "%.2f") ats))
-         | Pop -> "pop"
-         | Clear -> "clear")
+         | Pop -> "pop")
        ops)
 
 let arb_ops = QCheck.make ~print:print_ops gen_ops
@@ -240,10 +234,7 @@ let prop_differential =
         (function
           | Single at -> push_single w at
           | Fanout ats -> push_fanout w ats
-          | Pop -> pop_both w
-          | Clear ->
-              Q.clear w.q;
-              Ref_queue.clear w.r)
+          | Pop -> pop_both w)
         ops;
       Q.size w.q = Ref_queue.size w.r
       &&
@@ -269,48 +260,8 @@ let test_fifo_across_fanout () =
   check_bool "batched queue interleaves identically" true
     (w.ran_q = w.ran_r)
 
-(* ----- capacity retention across clear, under armed descriptors --------- *)
-
-(* Companion to the PR-1 Heap.clear pin: [clear] must release event and batch
-   references but keep the grown backing arrays, including when armed
-   fan-out descriptors are in the heap — a clear-per-scenario driver
-   (campaign reuse) would otherwise re-grow from scratch every run. *)
-let test_clear_keeps_capacity_under_fanout () =
-  let w = make_world () in
-  for _ = 1 to 40 do
-    push_fanout w [ 1.0; 2.0; 3.0 ]
-  done;
-  for i = 0 to 127 do
-    push_single w (float_of_int i)
-  done;
-  let cap = Q.capacity w.q in
-  check_bool "queue grew past the initial hint" true (cap > 1);
-  let fired = ref false in
-  let b = Q.make_batch ~capacity:2 () in
-  b.Q.b_ats.(0) <- 1.0;
-  b.Q.b_seqs.(0) <- w.seq;
-  b.Q.b_count <- 1;
-  b.Q.b_next <- 0;
-  b.Q.b_fire <- (fun _ -> fired := true);
-  Q.push_batch w.q b;
-  Q.clear w.q;
-  Ref_queue.clear w.r;
-  check_bool "cleared" true (Q.is_empty w.q);
-  check_int "capacity retained after clear" cap (Q.capacity w.q);
-  check_bool "cleared batch closures did not fire" false !fired;
-  (* the dropped descriptor is re-armable and the queue works after clear *)
-  Q.push_batch w.q b;
-  Q.push w.q ~at:7.0 ~seq:(w.seq + 1) (fun () -> ());
-  check_int "batch + single pending" 2 (Q.size w.q);
-  Q.pop_invoke w.q;
-  check_bool "re-armed descriptor fired" true !fired;
-  Q.pop_invoke w.q;
-  check_bool "drained" true (Q.is_empty w.q)
-
 let suite =
   [
     Helpers.qcheck prop_differential;
     case "equal-key FIFO across fan-out boundaries" test_fifo_across_fanout;
-    case "clear keeps capacity under armed fan-outs"
-      test_clear_keeps_capacity_under_fanout;
   ]

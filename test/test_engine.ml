@@ -97,6 +97,33 @@ let test_schedule_after () =
     (Invalid_argument "Engine.schedule_after: negative delay") (fun () ->
       Engine.schedule_after e ~delay:(-1.0) (fun () -> ()))
 
+(* NaN passes every check written as a "bad" test: [at < now] and
+   [delay < 0.0] are both false for it. An event scheduled with
+   [schedule_after ~delay:nan] used to run under [run ~until:2.0] (NaN is
+   not [> until]), set [now] to NaN, pass NaN on to every timer it armed,
+   and end the run at [end_time = nan]. Each entry point now raises. *)
+let test_nan_rejected () =
+  let e = Engine.create () in
+  Alcotest.check_raises "schedule at NaN"
+    (Invalid_argument "Engine.schedule: NaN time") (fun () ->
+      Engine.schedule e ~at:Float.nan (fun () -> ()));
+  Alcotest.check_raises "schedule_after a NaN delay"
+    (Invalid_argument "Engine.schedule_after: NaN delay") (fun () ->
+      Engine.schedule_after e ~delay:Float.nan (fun () -> ()));
+  let b = Ssba_sim.Event_queue.make_batch () in
+  b.b_ats.(0) <- Float.nan;
+  b.b_seqs.(0) <- Engine.next_seq e;
+  b.b_count <- 1;
+  Alcotest.check_raises "schedule_batch with a NaN sub-event"
+    (Invalid_argument "Event_queue.push_batch: NaN time") (fun () ->
+      Engine.schedule_batch e b);
+  check_int "nothing queued" 0 (Engine.pending e);
+  let ran = ref 0 in
+  Engine.schedule e ~at:1.0 (fun () -> incr ran);
+  let stats = Engine.run ~until:2.0 e in
+  check_int "the valid event ran" 1 !ran;
+  check_float "time stays a number" 1.0 stats.Engine.end_time
+
 let test_trace_recording () =
   let tr = Ssba_sim.Trace.create ~enabled:true () in
   let e = Engine.create ~trace:tr () in
@@ -169,6 +196,7 @@ let suite =
     case "max events" test_max_events;
     case "stop" test_stop;
     case "schedule_after" test_schedule_after;
+    case "NaN times rejected" test_nan_rejected;
     case "trace recording" test_trace_recording;
     case "deterministic replay" test_deterministic_replay;
     case "realtime: same results" test_realtime_same_results;

@@ -2,9 +2,11 @@
 
    The queue is the engine's determinism keystone: events pop in ascending
    (at, seq) order, so two events at the same virtual time run in schedule
-   (FIFO) order. The model test drives a random push/pop/clear sequence
-   against a sorted-list reference and checks both the pop order and the
-   closures' execution order. *)
+   (FIFO) order. The model test drives a random push/pop sequence against a
+   sorted-list reference and checks both the pop order and the closures'
+   execution order. The release and allocation tests pin what the handle
+   tables buy: a popped entry is no longer reachable from the queue, and a
+   push/pop cycle allocates nothing. *)
 
 open Helpers
 module Q = Ssba_sim.Event_queue
@@ -16,15 +18,15 @@ let test_empty () =
   (match Q.min_at q with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "min_at on empty must raise");
-  match Q.pop_run q with
+  match Q.pop_invoke q with
   | exception Invalid_argument _ -> ()
-  | (_ : unit -> unit) -> Alcotest.fail "pop_run on empty must raise"
+  | () -> Alcotest.fail "pop_invoke on empty must raise"
 
 let drain q =
   let acc = ref [] in
   while not (Q.is_empty q) do
     let at = Q.min_at q in
-    (Q.pop_run q) ();
+    Q.pop_invoke q;
     acc := at :: !acc
   done;
   List.rev !acc
@@ -54,21 +56,109 @@ let test_growth () =
   check_int "size after growth" 1000 (Q.size q);
   check_float "min correct" 1.0 (Q.min_at q)
 
-let test_clear_and_reuse () =
+(* A descriptor armed with [ats] and seqs [0, 1, ...]. *)
+let batch_of ats fire =
+  let b = Q.make_batch ~capacity:(Array.length ats) () in
+  Array.iteri
+    (fun i at ->
+      b.Q.b_ats.(i) <- at;
+      b.Q.b_seqs.(i) <- i)
+    ats;
+  b.Q.b_count <- Array.length ats;
+  b.Q.b_fire <- fire;
+  b
+
+(* A NaN key is neither before, equal to nor after its neighbour, so the old
+   "not sorted" test ([a0 > a1 || ...]) let it through. *)
+let test_nan_batch_rejected () =
   let q = Q.create () in
-  let fired = ref false in
-  Q.push q ~at:1.0 ~seq:0 (fun () -> fired := true);
-  Q.push q ~at:2.0 ~seq:1 (fun () -> fired := true);
-  Q.clear q;
-  check_bool "cleared" true (Q.is_empty q);
-  Q.push q ~at:5.0 ~seq:2 (fun () -> ());
-  check_float "usable after clear" 5.0 (Q.min_at q);
-  (Q.pop_run q) ();
-  check_bool "cleared closures never run" false !fired
+  List.iter
+    (fun ats ->
+      match Q.push_batch q (batch_of ats ignore) with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail "a NaN sub-event time must be rejected")
+    [ [| Float.nan |]; [| Float.nan; 1.0 |]; [| 1.0; Float.nan |];
+      [| 1.0; Float.nan; 2.0 |] ];
+  check_bool "nothing armed" true (Q.is_empty q)
+
+(* --- release: the queue forgets what has popped --- *)
+
+(* Kept out of line so that no register or stack slot of the caller holds
+   the closure or the descriptor: only the queue and the weak array do. *)
+let[@inline never] arm_plain q ~at ~seq fired =
+  let run () = incr fired in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some run);
+  Q.push q ~at ~seq run;
+  w
+
+let[@inline never] arm_batch q ats fired =
+  let b = batch_of ats (fun _ -> incr fired) in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some b);
+  Q.push_batch q b;
+  w
+
+let reachable w =
+  Gc.full_major ();
+  Weak.check w 0
+
+let test_release () =
+  let q = Q.create ~capacity:1 () in
+  let fired = ref 0 in
+  let plain = arm_plain q ~at:1.0 ~seq:10 fired in
+  let batch = arm_batch q [| 0.5; 2.0 |] fired in
+  let later = arm_plain q ~at:3.0 ~seq:11 fired in
+  check_bool "armed closure held" true (reachable plain);
+  check_bool "armed descriptor held" true (reachable batch);
+  Q.pop_invoke q;
+  (* batch sub-event 0 at 0.5: the descriptor has one left *)
+  check_bool "descriptor held between sub-events" true (reachable batch);
+  Q.pop_invoke q;
+  (* plain at 1.0 *)
+  check_bool "popped closure released" false (reachable plain);
+  Q.pop_invoke q;
+  (* batch sub-event 1 at 2.0 *)
+  check_bool "drained descriptor released" false (reachable batch);
+  check_bool "pending closure still held" true (reachable later);
+  Q.pop_invoke q;
+  check_bool "last closure released" false (reachable later);
+  check_int "every sub-event fired" 4 !fired
+
+(* --- allocation: sifts never box a key --- *)
+
+(* Four pushes at literal keys (a literal float is a static block, so
+   passing one boxes nothing even across the -opaque call boundary of the
+   dev profile), one three-sub-event batch interleaved with them, and the
+   seven pops. *)
+let cycle q runs b =
+  Q.push q ~at:3.0 ~seq:10 runs.(0);
+  Q.push q ~at:1.0 ~seq:11 runs.(1);
+  Q.push q ~at:2.0 ~seq:12 runs.(2);
+  Q.push q ~at:1.0 ~seq:13 runs.(3);
+  b.Q.b_next <- 0;
+  Q.push_batch q b;
+  while not (Q.is_empty q) do
+    Q.pop_invoke q
+  done
+
+let test_no_allocation () =
+  let q = Q.create ~capacity:1 () in
+  let fired = ref 0 in
+  let runs = Array.init 4 (fun _ () -> incr fired) in
+  let b = batch_of [| 0.5; 1.5; 2.5 |] (fun _ -> incr fired) in
+  cycle q runs b;
+  (* warmed: the arrays have grown to their final size *)
+  let w0 = Gc.minor_words () in
+  cycle q runs b;
+  cycle q runs b;
+  let words = Gc.minor_words () -. w0 in
+  check_int "every event fired" 21 !fired;
+  check_float "minor words for two warmed cycles" 0.0 words
 
 (* --- model test: random ops vs a sorted-list reference --- *)
 
-type op = Push of float | Pop | Clear
+type op = Push of float | Pop
 
 let gen_ops =
   QCheck.Gen.(
@@ -78,7 +168,6 @@ let gen_ops =
            (* a small grid of times forces plenty of equal-at ties *)
            (5, map (fun i -> Push (float_of_int i /. 4.0)) (int_bound 8));
            (3, return Pop);
-           (1, return Clear);
          ]))
 
 let print_ops ops =
@@ -86,8 +175,7 @@ let print_ops ops =
     (List.map
        (function
          | Push at -> Printf.sprintf "push %.2f" at
-         | Pop -> "pop"
-         | Clear -> "clear")
+         | Pop -> "pop")
        ops)
 
 let arb_ops = QCheck.make ~print:print_ops gen_ops
@@ -121,12 +209,8 @@ let prop_model =
                 expect := s :: !expect;
                 Q.min_at q = at
                 &&
-                ((Q.pop_run q) ();
+                (Q.pop_invoke q;
                  true))
-        | Clear ->
-            Q.clear q;
-            model := [];
-            true
       in
       List.for_all step ops
       && Q.size q = List.length !model
@@ -135,7 +219,7 @@ let prop_model =
        List.iter
          (fun (_, s) ->
            expect := s :: !expect;
-           (Q.pop_run q) ())
+           Q.pop_invoke q)
          !model;
        !ran = !expect && Q.is_empty q))
 
@@ -145,6 +229,8 @@ let suite =
     case "pop ascending" test_pop_ascending;
     case "FIFO for equal at" test_fifo_for_equal_at;
     case "growth" test_growth;
-    case "clear and reuse" test_clear_and_reuse;
+    case "NaN batch keys rejected" test_nan_batch_rejected;
+    case "popped entries are released" test_release;
+    case "push/pop cycle allocates nothing" test_no_allocation;
     Helpers.qcheck prop_model;
   ]

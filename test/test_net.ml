@@ -151,6 +151,23 @@ let test_delay_override () =
   ignore (Engine.run engine);
   check_float "non-matching messages keep the policy delay" 0.8 !at
 
+(* Delays computed by the network (a policy draw or an override, plus the
+   reorder extra) and a forged injection's delay are checked so that NaN
+   fails: a NaN delay would arm a NaN delivery time. *)
+let test_nan_delay_rejected () =
+  let engine, net = mk () in
+  Net.set_delay_override net (Some (fun _ -> Some Float.nan));
+  Alcotest.check_raises "send with a NaN override"
+    (Invalid_argument "Engine.schedule_after: NaN delay") (fun () ->
+      Net.send net ~src:0 ~dst:1 "x");
+  Alcotest.check_raises "broadcast with a NaN override"
+    (Invalid_argument "Engine.schedule_after: NaN delay") (fun () ->
+      Net.broadcast net ~src:0 "x");
+  Alcotest.check_raises "forged injection with a NaN delay"
+    (Invalid_argument "Engine.schedule_after: NaN delay") (fun () ->
+      Net.inject_forged net ~claimed_src:2 ~dst:1 ~delay:Float.nan "fake");
+  check_int "nothing queued" 0 (Engine.pending engine)
+
 let test_kind_stats () =
   let engine = Engine.create () in
   let net =
@@ -344,6 +361,7 @@ let suite =
     case "forged injection" test_forged;
     case "sends never forged" test_sends_never_forged;
     case "delay override" test_delay_override;
+    case "NaN delays rejected" test_nan_delay_rejected;
     case "per-kind statistics" test_kind_stats;
     case "bad destination" test_bad_destination;
     case "metrics registry feed" test_metrics_registry_feed;
