@@ -36,6 +36,14 @@ type t = {
       (* the per-General separation guards, indexed by logical General id
          (length n * channels); they outlive their sessions and are only
          dropped once fully decayed (and no session holds them) *)
+  guard_due : float array;
+      (* per guard: the local time before which the tick need not sweep it
+         while no session holds it ([Separation.next_due]); [neg_infinity]
+         = at the next tick *)
+  guard_swept : int array;
+      (* per guard: the tick at which its live session's cleanup last swept
+         it *)
+  mutable ticks : int;
   blackout : bool;
       (* the Initiator-Accept re-initiation blackout knob; false only in the
          model checker's weakened-oracle sensitivity runs *)
@@ -82,7 +90,11 @@ let ctx_of t =
     trace = (fun event -> Engine.record t.engine ~node:t.id event);
   }
 
+(* Attaching a session resets the guard's due time: only a live session
+   writes a guard, and one may write it and be evicted before the next
+   tick. *)
 let guard_of t g =
+  t.guard_due.(g) <- neg_infinity;
   match t.guards.(g) with
   | Some s -> s
   | None ->
@@ -176,29 +188,49 @@ let handle_envelope t (env : message Ssba_net.Msg.t) =
    are collected (their guards persist), and guards that have themselves
    decayed to nothing — and are not referenced by a live session — are
    dropped. Between them the node's memory is bounded by the table capacity
-   plus n * channels guards, regardless of how many agreements ever ran. *)
+   plus n * channels guards, regardless of how many agreements ever ran.
+
+   Each guard is swept at most once per tick. A session's cleanup sweeps
+   its guard, so the guard loop skips the guard of every live session whose
+   cleanup ran this tick; it sweeps a live session's guard itself only if
+   the session was inserted, by a re-entrant proposal, behind the table
+   walk. A guard no live session holds is written by nobody (a timer of an
+   evicted or collected session reaches only its return and reset, which
+   leave the guard alone), so it is swept only once its due time has come.
+   Cleanup is idempotent at one tau, and a sweep before the due time
+   changes nothing, so none of this is observable. *)
 let start_cleanup t =
   if not t.cleanup_running then begin
     t.cleanup_running <- true;
     let d = t.params.Params.d in
+    let cleanup_session ~g inst =
+      Ss_byz_agree.cleanup inst;
+      t.guard_swept.(g) <- t.ticks
+    in
     let rec tick () =
-      Session_table.iter t.instances (fun ~g:_ ~anchor:_ inst ->
-          Ss_byz_agree.cleanup inst);
+      t.ticks <- t.ticks + 1;
       let tau = local_time t in
       (* The grace period covers the blind spot between a session's creation
          and its first protocol message (a fresh session is quiescent): a
          General's own proposal must not be collected while its self-addressed
          Initiator is still in flight. *)
-      Session_table.gc t.instances ~dead:(fun ~active inst ->
+      Session_table.sweep t.instances ~f:cleanup_session ~dead:(fun ~active inst ->
           tau -. active > 4.0 *. d && Ss_byz_agree.quiescent inst);
       let guards = t.guards in
       for g = 0 to Array.length guards - 1 do
         match guards.(g) with
         | None -> ()
         | Some sep ->
-            Separation.cleanup sep ~params:t.params ~now:tau;
-            if Separation.is_idle sep && Session_table.find t.instances g = None
-            then guards.(g) <- None
+            if Session_table.find t.instances g = None then begin
+              if tau >= t.guard_due.(g) then begin
+                Separation.cleanup sep ~params:t.params ~now:tau;
+                if Separation.is_idle sep then guards.(g) <- None
+                else
+                  t.guard_due.(g) <- Separation.next_due sep ~params:t.params ~now:tau
+              end
+            end
+            else if t.guard_swept.(g) <> t.ticks then
+              Separation.cleanup sep ~params:t.params ~now:tau
       done;
       Engine.schedule_after t.engine
         ~delay:(Clock.real_of_local_duration t.clock d)
@@ -229,6 +261,9 @@ let create_on ?(channels = 1) ?session_capacity ?(blackout = true)
       admission;
       instances = Session_table.create ~capacity;
       guards = Array.make (params.Params.n * channels) None;
+      guard_due = Array.make (params.Params.n * channels) neg_infinity;
+      guard_swept = Array.make (params.Params.n * channels) 0;
+      ticks = 0;
       returns = [];
       subscribers = [];
       observers = [];

@@ -12,9 +12,10 @@
    float/int arrays, ascending by (time, sender) — so every query is a
    binary search: O(log m), monomorphic comparisons, no allocation. Each
    sender appears at most once, so the sender -> latest-arrival lookup is a
-   linear scan of the int column (m <= n entries, allocation-free) — it
-   replaced a side Hashtbl whose [note] allocated an option and a bucket per
-   arrival on the hottest path in the simulator. Updates (a refresh moves
+   linear scan of the int column (m <= n entries, allocation-free; a test
+   pins a warmed note/query/decay cycle at 0 minor words) — it replaced a
+   side Hashtbl whose [note] allocated an option and a bucket per arrival on
+   the hottest path in the simulator. Updates (a refresh moves
    one entry towards the end; decay cuts a prefix, sanitize a suffix) are a
    scan plus one [Array.blit] over at most m entries.
 
@@ -30,14 +31,17 @@ type t = {
 
 let create () = { times = Array.make 8 0.0; who = Array.make 8 0; size = 0 }
 
-(* Index of [sender]'s (unique) entry, or -1. *)
+(* Index of [sender]'s (unique) entry, or -1. A loop, not a local recursive
+   function: one closing over [who] and [sender] is a closure allocated on
+   every call, which is every arrival. *)
 let find_sender t sender =
   let n = t.size in
   let who = t.who in
-  let rec go i =
-    if i >= n then -1 else if Array.unsafe_get who i = sender then i else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get who !i <> sender do
+    incr i
+  done;
+  if !i < n then !i else -1
 
 (* First index whose (time, sender) is >= (at, sender) lexicographically. *)
 let lower_bound t ~at ~sender =
@@ -51,8 +55,9 @@ let lower_bound t ~at ~sender =
   done;
   !lo
 
-(* First index with time >= x. *)
-let lower_bound_time t x =
+(* First index with time >= x. Both time searches are [@inline], so a bound
+   a query computes ([now -. width]) reaches them unboxed. *)
+let[@inline] lower_bound_time t x =
   let lo = ref 0 and hi = ref t.size in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -61,7 +66,7 @@ let lower_bound_time t x =
   !lo
 
 (* First index with time > x. *)
-let upper_bound_time t x =
+let[@inline] upper_bound_time t x =
   let lo = ref 0 and hi = ref t.size in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

@@ -239,6 +239,63 @@ let cleanup t ~params ~now =
   if stale ~now ~horizon:rmv t.m4_at then t.m4_at <- None;
   if stale ~now ~horizon:rmv t.n4_at then t.n4_at <- None
 
+(* When the node may skip sweeping a guard that no live session holds.
+   Nobody writes such a guard, so the next sweep that changes it is the
+   first at which one of its stamps decays. A stamp s with horizon e, kept
+   while [s <= now && now -. s <= e], survives every sweep at a [now'] with
+   [s <= now' < fl(s +. e)]: round-to-nearest never rounds past a float, so
+   [now'] is at most [pred (fl (s +. e))], which lies below the exact sum,
+   so [now' -. s] is at most e exactly and after rounding. The last(G,m)
+   trim keeps s while [s >= fl(now' -. fl(E +. d))], and the same argument
+   bounds it by its oldest stamp plus [fl(E +. d)]. The due time is the
+   minimum of those bounds, taken two ulps early: early only costs a sweep
+   that changes nothing, and the margin absorbs a one-rounding difference
+   should either side ever compose a horizon differently. A stamp in the
+   future or NaN decays at the next sweep, and so does a per-value entry
+   with nothing left in it; either makes the due time [neg_infinity]. *)
+let[@inline] earlier due ~now s e =
+  if s <= now then
+    let x = s +. e in
+    if x < due then x else due
+  else neg_infinity
+
+let[@inline] earlier_opt due ~now s e =
+  match s with Some s -> earlier due ~now s e | None -> due
+
+let[@inline] next_due t ~params ~now =
+  let rmv = params.Params.delta_rmv in
+  let due = ref (earlier_opt infinity ~now t.last_g (last_g_expiry params)) in
+  (match t.session_value with
+  | Some (_, s) -> due := earlier !due ~now s (session_value_expiry params)
+  | None -> ());
+  due := earlier_opt !due ~now t.invoked_at rmv;
+  due := earlier_opt !due ~now t.l4_at rmv;
+  due := earlier_opt !due ~now t.m4_at rmv;
+  due := earlier_opt !due ~now t.n4_at rmv;
+  let pv = t.per_value in
+  let gm_horizon = last_gm_expiry params +. params.Params.d in
+  let sent_horizon = 2.0 *. rmv in
+  for i = 0 to pv.len - 1 do
+    let e = pv.entries.(i) in
+    let gm = e.gm in
+    let held = ref false in
+    if not (Time_set.is_empty gm) then begin
+      held := true;
+      if Time_set.newest gm <= now then
+        due := earlier !due ~now (Time_set.oldest gm) gm_horizon
+      else due := neg_infinity
+    end;
+    for k = 0 to 2 do
+      let s = e.sent.(k) in
+      if s <> neg_infinity then begin
+        held := true;
+        due := earlier !due ~now s sent_horizon
+      end
+    done;
+    if not !held then due := neg_infinity
+  done;
+  Float.pred (Float.pred !due)
+
 (* Canonical state fingerprint for the model checker's visited set: every
    behaviour-relevant field, per-value state in ascending value order (the
    entries' own order), floats printed exactly (%h). *)

@@ -78,6 +78,13 @@ val clear_session_value : t -> unit
     per-value state, allocating nothing per value. *)
 val cleanup : t -> params:Params.t -> now:float -> unit
 
+(** [next_due t ~params ~now], for a guard swept at [now]: a local time
+    before which {!cleanup} at any later time leaves [t] unchanged, as long
+    as nothing writes [t] meanwhile. It is the earliest expiry over the
+    stamps, taken two ulps early, and [neg_infinity] if a stamp lies in the
+    future or is NaN. Never late; allocates nothing once inlined. *)
+val next_due : t -> params:Params.t -> now:float -> float
+
 (** Fully decayed — eligible for dropping by the node's guard sweep. O(1). *)
 val is_idle : t -> bool
 

@@ -201,18 +201,10 @@ let remove t g =
       unindex t g;
       t.live <- t.live - 1
 
-let iter t f =
-  Array.iter
-    (fun sl ->
-      match sl.sl_payload with
-      | None -> ()
-      | Some p -> f ~g:sl.sl_g ~anchor:sl.sl_anchor p)
-    t.slots
-
-(* Like [iter], but exposing the lifecycle bookkeeping (last activity,
-   creation stamp) that determines eviction order — the model checker's
-   fingerprints must cover it, since two tables with the same sessions but
-   different activity orders evict differently under pressure. *)
+(* Every session with the lifecycle bookkeeping (last activity, creation
+   stamp) that determines eviction order — the model checker's fingerprints
+   must cover it, since two tables with the same sessions but different
+   activity orders evict differently under pressure. *)
 let iter_detail t f =
   Array.iter
     (fun sl ->
@@ -223,19 +215,32 @@ let iter_detail t f =
             ~stamp:sl.sl_stamp p)
     t.slots
 
-let gc t ~dead =
-  Array.iter
-    (fun sl ->
+(* The per-tick walk, in two phases: [f] on every live session, then
+   collection. Each phase is a plain loop that reads a slot when it reaches
+   it and calls back only for an occupied one. [f] may re-enter the table —
+   a session's cleanup can run return hooks that propose, which inserts,
+   evicts and touches sessions — so a session inserted into a slot ahead of
+   the loop is visited, one inserted behind it is not, and collection judges
+   the table [f] left behind. The phases cannot fuse: a slot freed by
+   collection could then be refilled by a later [f] in the same walk. *)
+let sweep t ~f ~dead =
+  if t.live > 0 then begin
+    let slots = t.slots in
+    for i = 0 to Array.length slots - 1 do
+      let sl = slots.(i) in
+      match sl.sl_payload with None -> () | Some p -> f ~g:sl.sl_g p
+    done;
+    for i = 0 to Array.length slots - 1 do
+      let sl = slots.(i) in
       match sl.sl_payload with
-      | None -> ()
-      | Some p ->
-          if dead ~active:sl.sl_active p then begin
-            unindex t sl.sl_g;
-            sl.sl_payload <- None;
-            t.live <- t.live - 1;
-            t.gced <- t.gced + 1
-          end)
-    t.slots
+      | Some p when dead ~active:sl.sl_active p ->
+          unindex t sl.sl_g;
+          sl.sl_payload <- None;
+          t.live <- t.live - 1;
+          t.gced <- t.gced + 1
+      | Some _ | None -> ()
+    done
+  end
 
 (* Transient-fault injection: corrupt anchors, activity times and (via the
    callback) the session payloads — but occupancy, the index and above all

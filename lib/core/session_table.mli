@@ -63,11 +63,10 @@ val touch : 'a t -> Types.general -> now:float -> unit
 val set_anchor : 'a t -> Types.general -> float -> unit
 
 val remove : 'a t -> Types.general -> unit
-val iter : 'a t -> (g:Types.general -> anchor:float option -> 'a -> unit) -> unit
 
-(** Like {!iter}, but also exposing each session's last-activity time and
-    creation stamp — the bookkeeping that determines eviction order, which
-    state fingerprints must cover. *)
+(** Every session with its key, last-activity time and creation stamp — the
+    bookkeeping that determines eviction order, which state fingerprints
+    must cover. *)
 val iter_detail :
   'a t ->
   (g:Types.general ->
@@ -78,13 +77,24 @@ val iter_detail :
   unit) ->
   unit
 
-(** Collect every session the predicate declares dead. The predicate also
-    sees the session's last-activity time: callers must grace-period
-    recently-active sessions, because a session is momentarily
+(** The periodic walk, in two phases: first [f] on every live session, in
+    slot order, then collection of every session [dead] declares dead.
+
+    [f] may re-enter the table (insert, evict, touch): each slot is read
+    when the walk reaches it, so a session inserted ahead of the walk is
+    visited and one inserted behind it is not; collection judges the table
+    as [f] left it.
+
+    [dead] also sees the session's last-activity time: callers must
+    grace-period recently-active sessions, because a session is momentarily
     indistinguishable from a dead one between its creation and its first
     protocol message (e.g. a General's own proposal racing its self-addressed
-    Initiator). *)
-val gc : 'a t -> dead:(active:float -> 'a -> bool) -> unit
+    Initiator). An empty table is skipped in O(1). *)
+val sweep :
+  'a t ->
+  f:(g:Types.general -> 'a -> unit) ->
+  dead:(active:float -> 'a -> bool) ->
+  unit
 
 (** Corrupt anchors, activity times and payloads (via [corrupt]); capacity
     and occupancy are structural and survive. *)

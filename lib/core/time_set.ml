@@ -51,9 +51,12 @@ let grow t =
   Array.blit t.ts 0 nts 0 t.size;
   t.ts <- nts
 
+(* A NaN stamp is dropped, so it decays at once. Kept, it would land first
+   (nothing compares below it) and every later stamp would land in front of
+   it, breaking the order every query and trim relies on. *)
 let add t x =
   let i = lower_bound t x in
-  if not (i < t.size && Array.unsafe_get t.ts i = x) then begin
+  if not (Float.is_nan x || (i < t.size && Array.unsafe_get t.ts i = x)) then begin
     if t.size = Array.length t.ts then grow t;
     Array.blit t.ts i t.ts (i + 1) (t.size - i);
     Array.unsafe_set t.ts i x;
@@ -76,5 +79,8 @@ let retain_range t ~lo ~hi =
     if first > 0 then Array.blit t.ts first t.ts 0 kept;
     t.size <- kept
   end
+
+let[@inline] oldest t = t.ts.(0)
+let[@inline] newest t = t.ts.(t.size - 1)
 
 let to_list t = Array.to_list (Array.sub t.ts 0 t.size)

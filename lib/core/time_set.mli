@@ -13,7 +13,8 @@ val size : t -> int
 val is_empty : t -> bool
 val clear : t -> unit
 
-(** Insert a stamp, keeping the array sorted; exact duplicates are dropped. *)
+(** Insert a stamp, keeping the array sorted; exact duplicates are dropped,
+    and so is NaN (it decays at once). *)
 val add : t -> float -> unit
 
 (** [defined_at t ~at ~expiry] is [true] iff some stamp [s] satisfies
@@ -22,6 +23,11 @@ val defined_at : t -> at:float -> expiry:float -> bool
 
 (** Keep exactly the stamps [s] with [lo <= s <= hi]. *)
 val retain_range : t -> lo:float -> hi:float -> unit
+
+(** The smallest and the largest stamp; the set must not be empty. *)
+val oldest : t -> float
+
+val newest : t -> float
 
 (** Ascending; for tests. *)
 val to_list : t -> float list

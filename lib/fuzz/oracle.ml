@@ -316,4 +316,18 @@ let run ?(config = default_config) spec =
             add "service-drain" "%d degraded episode(s) never closed"
               r.Svc.unresolved_degraded
       | None -> ());
-  (res, { digest = H.Checks.result_digest res; failures = List.rev !failures })
+  (* The transport's silent losses go into the story of a failing run: a
+     frame overwritten unacked is a broken channel, not a protocol fault. *)
+  let failures =
+    match (!failures, res.H.Runner.transport_evicted) with
+    | [], _ | _, 0 -> List.rev !failures
+    | fs, ev ->
+        List.rev_map
+          (fun f ->
+            let detail =
+              Printf.sprintf "%s (transport evicted %d unacked frames)" f.detail ev
+            in
+            { f with detail })
+          fs
+  in
+  (res, { digest = H.Checks.result_digest res; failures })

@@ -55,6 +55,8 @@ type result = {
   transport_expired : int;
   transport_retries_exhausted : int;
       (* frames abandoned at the retry cap — previously silent *)
+  transport_evicted : int;
+      (* unacked frames overwritten by a full send window — not digested *)
   metrics : Metrics.t;  (* the engine's registry: net.*, engine.*, node<i>.* *)
   trace : Trace.t;
 }
@@ -110,6 +112,7 @@ type net_counts = {
   nc_dup_suppressed : int;
   nc_expired : int;
   nc_retries_exhausted : int;
+  nc_evicted : int;
 }
 
 (* The scenario interpreter is agnostic to whether protocol traffic rides the
@@ -174,6 +177,7 @@ let net_iface (type f) ~params ~(net : f Network.t) ~link ~transport
           nc_dup_suppressed = tr Transport.dup_suppressed;
           nc_expired = tr Transport.expired;
           nc_retries_exhausted = tr Transport.retries_exhausted;
+          nc_evicted = tr Transport.evicted;
         });
   }
 
@@ -427,6 +431,7 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
     transport_dup_suppressed = c.nc_dup_suppressed;
     transport_expired = c.nc_expired;
     transport_retries_exhausted = c.nc_retries_exhausted;
+    transport_evicted = c.nc_evicted;
     metrics = Engine.metrics engine;
     trace;
   }

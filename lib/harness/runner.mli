@@ -46,6 +46,10 @@ type result = {
   transport_retries_exhausted : int;
       (** frames the transport abandoned at the retry cap — previously a
           silent give-up *)
+  transport_evicted : int;
+      (** unacked frames the transport overwrote because a link's send
+          window was full — their reliability is abandoned. Not part of
+          {!Checks.result_digest}. *)
   metrics : Ssba_sim.Metrics.t;
       (** the engine's registry: [net.*], [engine.*], [node<i>.*] *)
   trace : Ssba_sim.Trace.t;

@@ -345,6 +345,7 @@ let execute (cfg : Config.t) ~por ~visited ~scratch ~fingerprint_from prefix =
           transport_dup_suppressed = 0;
           transport_expired = 0;
           transport_retries_exhausted = 0;
+          transport_evicted = 0;
           metrics = Engine.metrics engine;
           trace = Engine.trace engine;
         }

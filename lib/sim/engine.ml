@@ -8,10 +8,10 @@
 
    The queue is the monomorphic [Event_queue]: its sifts compare raw
    float/int keys and move only scalars, and its push/pop cycle allocates
-   nothing (pinned in test_event_queue.ml). [schedule] is [@inline]: release
-   builds inline it into its callers and the queue's push into it, so a time
-   a caller computes reaches the heap unboxed. [schedule_after] is not
-   inlined across modules, so its callers box the delay they pass.
+   nothing (pinned in test_event_queue.ml). [schedule] and [schedule_after]
+   are [@inline]: release builds inline them into their callers and the
+   queue's push into them, so a time or delay a caller computes, in this
+   module or another, reaches the heap unboxed.
 
    No time is NaN. [schedule], [schedule_after] and the network's send path
    each write their check so that NaN fails it, and raise. A NaN key would
@@ -67,7 +67,7 @@ let[@inline] schedule t ~at run =
   t.seq <- t.seq + 1;
   Metrics.incr t.c_scheduled
 
-let schedule_after t ~delay run =
+let[@inline] schedule_after t ~delay run =
   if not (delay >= 0.0) then
     invalid_arg
       (if delay < 0.0 then "Engine.schedule_after: negative delay"

@@ -250,6 +250,193 @@ let test_sender_diversity_required () =
   done;
   check_int "no quorum from one sender" 0 (Fake.count_kind h.fake "approve")
 
+(* A log can be present with no entries: evaluating blocks L–N makes all
+   three of a value's logs present, and a transient fault can leave one so.
+   Such a log prints, and it keeps the session from being quiescent (so
+   from being collected) until a cleanup drops it. The first scramble seed
+   that leaves nothing but empty logs makes the case. *)
+let test_empty_log_present () =
+  let remove fp tok =
+    let n = String.length tok in
+    let rec go i =
+      if i + n > String.length fp then fp
+      else if String.sub fp i n = tok then
+        String.sub fp 0 i ^ String.sub fp (i + n) (String.length fp - i - n)
+      else go (i + 1)
+    in
+    go 0
+  in
+  let strip fp = List.fold_left remove fp [ "s:m=;"; "a:m=;"; "r:m=;" ] in
+  let fingerprint ia =
+    let b = Buffer.create 64 in
+    Ia.fingerprint b ia;
+    Buffer.contents b
+  in
+  let rec find seed =
+    if seed > 20_000 then Alcotest.fail "no seed leaves only empty logs";
+    let fake, ctx = Fake.make params in
+    let ia = Ia.create ~ctx ~g:0 () in
+    Ia.scramble (Ssba_sim.Rng.create seed) ~values:[ "m" ] ia;
+    let fp = fingerprint ia in
+    if fp <> "ia{g=0;acc=-}" && strip fp = "ia{g=0;acc=-}" then (fake, ia, fp)
+    else find (seed + 1)
+  in
+  let fake, ia, fp = find 1 in
+  check_bool ("not quiescent: " ^ fp) false (Ia.quiescent ia);
+  Fake.advance fake d;
+  Ia.cleanup ia;
+  check_str "cleanup drops the empty logs" "ia{g=0;acc=-}" (fingerprint ia);
+  check_bool "then quiescent" true (Ia.quiescent ia)
+
+(* ---- the slot array against its reference model ------------------------ *)
+
+(* Random operation sequences over one to four values, applied to the
+   current [Initiator_accept] and to [Ref_initiator_accept] (the six-table
+   version every pinned digest was recorded under), each with its own fake
+   context and guard. After every step the two must agree on every query,
+   on the messages sent, the I-accept callbacks and the trace, and on the
+   bytes of both fingerprints (the instance's and its guard's). Time
+   advances in multiples of d/64, often by whole d.
+
+   The second run uses d = 2^-10 with no drift or skew: every stamp the
+   primitive writes is then an exact multiple of d/64, so each decay and
+   ignore-window boundary is hit exactly. *)
+
+type op =
+  | Initiate of int
+  | Msg of Types.ia_kind * int * int  (* kind, sender, value *)
+  | Burst of Types.ia_kind * int * int  (* kind, senders 0..k-1, value *)
+  | Cleanup
+  | Forget
+  | Reset
+  | Scramble of int * int  (* seed, over values 0..k *)
+  | Advance of int  (* in d/64 *)
+
+let pool = [| "m"; "a"; "zz"; "ab" |]
+
+let gen_ops =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun nvals ->
+    let value = int_bound (nvals - 1) in
+    let kind = oneofl [ Types.Support; Types.Approve; Types.Ready ] in
+    let sender = int_bound (params.Params.n - 1) in
+    list_size (int_range 1 80)
+      (frequency
+         [
+           (2, map (fun v -> Initiate v) value);
+           (6, map3 (fun k s v -> Msg (k, s, v)) kind sender value);
+           (3, map3 (fun k n v -> Burst (k, n, v)) kind (int_range 2 7) value);
+           (4, return Cleanup);
+           (1, return Forget);
+           (1, return Reset);
+           (1, map2 (fun seed k -> Scramble (seed, k)) small_nat value);
+           (3, map (fun k -> Advance k) (int_bound 128));
+           (3, map (fun k -> Advance (64 * k)) (int_range 1 4));
+           (1, map (fun k -> Advance (64 * k)) (int_range 10 60));
+         ]))
+
+let print_ops ops =
+  let kind = Types.string_of_ia_kind in
+  String.concat "; "
+    (List.map
+       (function
+         | Initiate v -> "init " ^ pool.(v)
+         | Msg (k, s, v) -> Printf.sprintf "%s from %d %s" (kind k) s pool.(v)
+         | Burst (k, n, v) -> Printf.sprintf "%s from 0..%d %s" (kind k) (n - 1) pool.(v)
+         | Cleanup -> "cleanup"
+         | Forget -> "forget"
+         | Reset -> "reset"
+         | Scramble (seed, k) -> Printf.sprintf "scramble %d over %d values" seed (k + 1)
+         | Advance k -> Printf.sprintf "+%d/64d" k)
+       ops)
+
+let prop_matches_reference ~name p =
+  QCheck.Test.make
+    ~name:("slots answer, send and print like the six-table reference, " ^ name)
+    ~count:300
+    (QCheck.make ~print:print_ops gen_ops)
+    (fun ops ->
+      let cfake, cctx = Fake.make p and rfake, rctx = Fake.make p in
+      let caccepts = ref [] and raccepts = ref [] in
+      let cur = Ia.create ~ctx:cctx ~g:1 () in
+      let rf = Ref_initiator_accept.create ~ctx:rctx ~g:1 () in
+      Ia.set_on_accept cur (fun v ~tau_g -> caccepts := (v, tau_g) :: !caccepts);
+      Ref_initiator_accept.set_on_accept rf (fun v ~tau_g ->
+          raccepts := (v, tau_g) :: !raccepts);
+      let apply = function
+        | Initiate v ->
+            Ia.handle_initiator cur pool.(v);
+            Ref_initiator_accept.handle_initiator rf pool.(v)
+        | Msg (kind, sender, v) ->
+            Ia.handle_message cur ~kind ~sender ~v:pool.(v);
+            Ref_initiator_accept.handle_message rf ~kind ~sender ~v:pool.(v)
+        | Burst (kind, n, v) ->
+            for sender = 0 to n - 1 do
+              Ia.handle_message cur ~kind ~sender ~v:pool.(v);
+              Ref_initiator_accept.handle_message rf ~kind ~sender ~v:pool.(v)
+            done
+        | Cleanup ->
+            Ia.cleanup cur;
+            Ref_initiator_accept.cleanup rf
+        | Forget ->
+            Ia.forget_messages cur;
+            Ref_initiator_accept.forget_messages rf
+        | Reset ->
+            Ia.reset cur;
+            Ref_initiator_accept.reset rf
+        | Scramble (seed, k) ->
+            let values = Array.to_list (Array.sub pool 0 (k + 1)) in
+            Ia.scramble (Ssba_sim.Rng.create seed) ~values cur;
+            Ref_initiator_accept.scramble (Ssba_sim.Rng.create seed) ~values rf
+        | Advance k ->
+            let dt = float_of_int k *. p.Params.d /. 64.0 in
+            Fake.advance cfake dt;
+            Fake.advance rfake dt
+      in
+      let disagreement () =
+        let fails = ref [] in
+        let agree what a b = if a <> b then fails := what :: !fails in
+        Array.iter
+          (fun v ->
+            agree ("i_value " ^ v) (Ia.i_value cur v) (Ref_initiator_accept.i_value rf v);
+            agree ("ready_flag_fresh " ^ v) (Ia.ready_flag_fresh cur v)
+              (Ref_initiator_accept.ready_flag_fresh rf v);
+            agree ("ignoring " ^ v) (Ia.ignoring cur v) (Ref_initiator_accept.ignoring rf v))
+          pool;
+        agree "accepted" (Ia.accepted cur) (Ref_initiator_accept.accepted rf);
+        agree "quiescent" (Ia.quiescent cur) (Ref_initiator_accept.quiescent rf);
+        let rep = Ia.invocation_report cur
+        and rrep = Ref_initiator_accept.invocation_report rf in
+        agree "invocation report"
+          Ia.(rep.invoked_at, rep.l4_at, rep.m4_at, rep.n4_at)
+          Ref_initiator_accept.(rrep.invoked_at, rrep.l4_at, rrep.m4_at, rrep.n4_at);
+        agree "sends" cfake.Fake.sent rfake.Fake.sent;
+        agree "accept callbacks" !caccepts !raccepts;
+        agree "trace" cfake.Fake.traced rfake.Fake.traced;
+        let fc = Buffer.create 256 and fr = Buffer.create 256 in
+        Ia.fingerprint fc cur;
+        Separation.fingerprint fc (Ia.guard cur);
+        Ref_initiator_accept.fingerprint fr rf;
+        Separation.fingerprint fr (Ref_initiator_accept.guard rf);
+        if Buffer.contents fc <> Buffer.contents fr then
+          fails :=
+            Printf.sprintf "fingerprint\n  cur %s\n  ref %s" (Buffer.contents fc)
+              (Buffer.contents fr)
+            :: !fails;
+        !fails
+      in
+      List.iteri
+        (fun i op ->
+          apply op;
+          match disagreement () with
+          | [] -> ()
+          | fails ->
+              QCheck.Test.fail_reportf "after step %d: %s" i (String.concat "; " fails))
+        ops;
+      true)
+
+let exact_params = Params.default ~delta:(1.0 /. 1024.0) ~pi:0.0 ~rho:0.0 7
+
 let suite =
   [
     case "block K sends support" test_block_k_sends_support;
@@ -272,4 +459,7 @@ let suite =
     case "invocation report (IG3)" test_invocation_report;
     case "duplicate sends suppressed" test_duplicate_sends_suppressed;
     case "sender diversity required" test_sender_diversity_required;
+    case "an empty log is present until cleanup" test_empty_log_present;
+    qcheck (prop_matches_reference ~name:"default params" params);
+    qcheck (prop_matches_reference ~name:"exact boundaries" exact_params);
   ]

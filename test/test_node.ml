@@ -279,9 +279,119 @@ let test_guard_lifecycle () =
   check_bool "a later message opens a session" true live;
   check_bool "with a fresh guard" true (guard = Some idle_guard)
 
+(* Node 0 of four on a quiet network, with a perfect clock (so it ticks at
+   0, d, 2d, ...) and room for [capacity] sessions; [live node gs] lists
+   which of the Generals [gs] hold a session. *)
+let lone_node ~capacity =
+  let params = Params.default 4 in
+  let engine = Engine.create () in
+  let net =
+    Ssba_net.Network.create ~engine ~n:4
+      ~delay:(Ssba_net.Delay.fixed (0.1 *. params.Params.d))
+      ~rng:(Ssba_sim.Rng.create 5) ()
+  in
+  let node =
+    Node.create ~session_capacity:capacity ~id:0 ~params
+      ~clock:Ssba_sim.Clock.perfect ~engine ~net ()
+  in
+  (params, engine, node)
+
+let live node gs =
+  let buf = Buffer.create 256 in
+  Node.fingerprint buf node;
+  List.filter (fun g -> contains (Buffer.contents buf) (Printf.sprintf "sess%d[" g)) gs
+
+let guard_text g =
+  let buf = Buffer.create 128 in
+  Separation.fingerprint buf g;
+  Buffer.contents buf
+
+(* The tick skips a guard no session holds until its due time, so a write
+   into a dormant guard would be missed. A session's cleanup is the only
+   writer, and attaching a session resets the due time: a session created,
+   writing its guard and evicted between two ticks still has its guard
+   swept at the next tick. *)
+let test_guard_swept_after_eviction () =
+  let params, engine, node = lone_node ~capacity:1 in
+  let d = params.Params.d in
+  let a = 1 and b = 2 in
+  let guard_of g =
+    Initiator_accept.guard (Ss_byz_agree.initiator_accept (Node.instance node g))
+  in
+  (* between the ticks at 0 and d: A's session sends a support, then B's
+     session evicts it; the tick at d sweeps A's guard and sets its due time
+     2 Delta_rmv later *)
+  ignore (Engine.run ~until:(0.5 *. d) engine);
+  let guard = guard_of a in
+  Separation.record_send guard Types.Support "x" ~at:(Node.local_time node);
+  ignore (Node.instance node b);
+  ignore (Engine.run ~until:(1.5 *. d) engine);
+  let swept_once = guard_text guard in
+  (* between d and 2d: A's session comes back and plants a send time in the
+     future and an expired last(G), as a transient fault might, and is
+     evicted again *)
+  check_bool "the same guard" true (guard_of a == guard);
+  let now = Node.local_time node in
+  Separation.record_send guard Types.Ready "y" ~at:(now +. (10.0 *. d));
+  guard.Separation.last_g <- Some (now -. (2.0 *. Separation.last_g_expiry params));
+  ignore (Node.instance node b);
+  check_bool "no session holds the guard" true (live node [ a ] = []);
+  ignore (Engine.run ~until:(2.5 *. d) engine);
+  check_str "swept at the next tick" swept_once (guard_text guard)
+
+(* The guard loop skips a live session's guard only if that session's
+   cleanup swept it this tick. A session inserted during the table walk into
+   a slot the walk has passed — by a return hook that runs inside another
+   session's cleanup — was not swept, so the node sweeps its guard itself,
+   as it always did. Here session S (slot 1) is corrupted into a run whose
+   deadline passed without its timer; the tick at 6d aborts it from its
+   cleanup, and the return hook re-opens General A's session in the free
+   slot 0 and leaves a send time d/2 in the future in A's guard. The tick at
+   6d must drop it; the next one, at 7d, would keep it. *)
+let test_guard_swept_when_inserted_behind_the_walk () =
+  let params, engine, node = lone_node ~capacity:3 in
+  let d = params.Params.d in
+  let x = 1 and s = 2 and a = 3 in
+  (* X takes slot 0 and S slot 1; X, left quiescent, is collected at 5d *)
+  ignore (Engine.run ~until:(0.5 *. d) engine);
+  ignore (Node.instance node x);
+  ignore (Engine.run ~until:(2.5 *. d) engine);
+  let inst = Node.instance node s in
+  ignore (Engine.run ~until:(5.5 *. d) engine);
+  check_bool "only S is live" true (live node [ x; s; a ] = [ s ]);
+  let now = Node.local_time node in
+  let rec corrupt seed =
+    if seed > 10_000 then Alcotest.fail "no seed leaves S running past its deadline";
+    Ss_byz_agree.scramble (Ssba_sim.Rng.create seed) ~values:[ "v" ] inst;
+    match (Ss_byz_agree.state inst, Ss_byz_agree.anchor inst) with
+    | Ss_byz_agree.Running, Some tg
+      when tg < now -. params.Params.delta_agr -. (2.0 *. d) -> ()
+    | _ -> corrupt (seed + 1)
+  in
+  corrupt 1;
+  let guard = ref None in
+  Node.subscribe node (fun r ->
+      if r.Types.g = s && !guard = None then begin
+        let ia = Ss_byz_agree.initiator_accept (Node.instance node a) in
+        let g = Initiator_accept.guard ia in
+        Separation.record_send g Types.Ready "y" ~at:(Node.local_time node +. (0.5 *. d));
+        guard := Some g
+      end);
+  ignore (Engine.run ~until:(6.5 *. d) engine);
+  match !guard with
+  | None -> Alcotest.fail "S never returned from its cleanup"
+  | Some g ->
+      check_bool "A's session is live" true (live node [ a ] = [ a ]);
+      ignore (Engine.run ~until:(7.5 *. d) engine);
+      check_bool "the future send time was swept at 6d" false
+        (contains (guard_text g) "sr:y=")
+
 let suite =
   suite
   @ [
       case "Busy while running" test_busy_while_running;
       case "separation guard lifecycle" test_guard_lifecycle;
+      case "evicted session's guard swept next tick" test_guard_swept_after_eviction;
+      case "guard swept when inserted behind the walk"
+        test_guard_swept_when_inserted_behind_the_walk;
     ]

@@ -251,6 +251,31 @@ let prop_matches_naive =
           agrees l n)
         ops)
 
+(* A warmed arrival cycle — notes that insert, refresh and ignore a replay,
+   the window queries, a decay and a clear — allocates nothing. Literal
+   stamps are static blocks, so passing one boxes nothing even across the
+   dev profile's -opaque call boundary. [note]'s sender scan used to be a
+   local recursive function, a closure allocated on every arrival. *)
+let cycle l =
+  L.note l ~sender:3 ~at:1.0;
+  L.note l ~sender:1 ~at:1.5;
+  L.note l ~sender:3 ~at:2.0;
+  L.note l ~sender:1 ~at:1.25;
+  L.note l ~sender:6 ~at:2.5;
+  ignore (L.count_in_window l ~now:2.5 ~width:1.0);
+  ignore (L.count l);
+  L.decay l ~horizon:1.75;
+  L.clear l
+
+let test_no_allocation () =
+  let l = L.create () in
+  cycle l;
+  let w0 = Gc.minor_words () in
+  cycle l;
+  cycle l;
+  let words = Gc.minor_words () -. w0 in
+  check_float "minor words for two warmed cycles" 0.0 words
+
 let suite =
   [
     case "note and count" test_note_and_count;
@@ -262,6 +287,7 @@ let suite =
     case "decay" test_decay;
     case "sanitize" test_sanitize;
     case "clear" test_clear;
+    case "arrival cycle allocates nothing" test_no_allocation;
     Helpers.qcheck prop_window_monotone;
     Helpers.qcheck prop_shortest_window_consistent;
     Helpers.qcheck prop_matches_naive;

@@ -391,6 +391,82 @@ let prop_matches_reference ~name p =
 
 let exact_params = Params.default ~delta:(1.0 /. 1024.0) ~pi:0.0 ~rho:0.0 7
 
+(* ---- the due time of a guard no session holds ------------------------- *)
+
+(* [next_due] must never be late: from a random guard state (the operation
+   sequences above, from a base time of 100 s or 1e6 s, swept or not at the
+   final time t0), a cleanup at any time in [t0, next_due) changes nothing.
+   Cleanup only ever removes state, so one fingerprint (with [is_idle])
+   after a rising series of cleanups stands for all of them. The probes are
+   t0, a grid of step d/8 and the last float below the due time. *)
+let fingerprint_of g =
+  let b = Buffer.create 128 in
+  Separation.fingerprint b g;
+  (Buffer.contents b, Separation.is_idle g)
+
+let prop_next_due_never_late ~name p ~base =
+  QCheck.Test.make ~name:("next_due is never late, " ^ name) ~count:300
+    (QCheck.make
+       ~print:(fun (ops, swept) ->
+         Printf.sprintf "%s%s" (print_ops ops) (if swept then "; swept" else ""))
+       QCheck.Gen.(pair gen_ops bool))
+    (fun (ops, swept) ->
+      let cur = Separation.create () and rf = Ref_separation.create () in
+      let now = ref base in
+      List.iter
+        (fun op ->
+          (match op with Advance x -> now := !now +. (x *. p.Params.d) | _ -> ());
+          apply p cur rf !now op)
+        ops;
+      let t0 = !now in
+      if swept then Separation.cleanup cur ~params:p ~now:t0;
+      let due = Separation.next_due cur ~params:p ~now:t0 in
+      let before = fingerprint_of cur in
+      let step = p.Params.d /. 8.0 in
+      let k = ref 0 in
+      while !k < 2000 && t0 +. (float_of_int !k *. step) < due do
+        Separation.cleanup cur ~params:p ~now:(t0 +. (float_of_int !k *. step));
+        incr k
+      done;
+      if t0 < due then Separation.cleanup cur ~params:p ~now:(Float.pred due);
+      if fingerprint_of cur <> before then
+        QCheck.Test.fail_reportf "t0 %h, due %h: %s -> %s" t0 due (fst before)
+          (fst (fingerprint_of cur));
+      true)
+
+(* The due time is the earliest expiry, from the oldest last(G,m) stamp,
+   taken two ulps early; a stamp in the future or NaN makes it -infinity. *)
+let test_next_due_values () =
+  let p = exact_params in
+  let now = 1e6 in
+  let two_early x = Float.pred (Float.pred x) in
+  let check_exact msg expected actual =
+    check_str msg (Printf.sprintf "%h" expected) (Printf.sprintf "%h" actual)
+  in
+  let g = Separation.create () in
+  check_bool "an idle guard is never due" true
+    (Separation.next_due g ~params:p ~now > now +. 1e9);
+  g.Separation.last_g <- Some (now -. 1.0);
+  check_exact "last(G) alone"
+    (two_early (now -. 1.0 +. Separation.last_g_expiry p))
+    (Separation.next_due g ~params:p ~now);
+  g.Separation.last_g <- None;
+  Separation.set_last_gm g "a" ~at:(now -. 2.0);
+  Separation.set_last_gm g "a" ~at:(now -. 1.0);
+  check_exact "last(G,m): its oldest stamp"
+    (two_early (now -. 2.0 +. (Separation.last_gm_expiry p +. p.Params.d)))
+    (Separation.next_due g ~params:p ~now);
+  Separation.record_send g Types.Approve "b" ~at:(now -. 100.0);
+  check_exact "a send time expiring first"
+    (two_early (now -. 100.0 +. (2.0 *. p.Params.delta_rmv)))
+    (Separation.next_due g ~params:p ~now);
+  Separation.record_send g Types.Ready "b" ~at:(now +. 1.0);
+  check_exact "a send time in the future" neg_infinity
+    (Separation.next_due g ~params:p ~now);
+  let g = Separation.create () in
+  g.Separation.invoked_at <- Some Float.nan;
+  check_exact "a NaN stamp" neg_infinity (Separation.next_due g ~params:p ~now)
+
 (* ---- NaN stamps decay ---------------------------------------------------- *)
 
 (* A NaN in any scalar, or as a send time, is gone after one cleanup: each
@@ -455,6 +531,10 @@ let suite =
     case "blackout: relay blocks stay value-blind" test_blackout_keeps_relay_value_blind;
     Helpers.qcheck (prop_matches_reference ~name:"default params" params);
     Helpers.qcheck (prop_matches_reference ~name:"exact boundaries" exact_params);
+    Helpers.qcheck (prop_next_due_never_late ~name:"default params" params ~base:100.0);
+    Helpers.qcheck (prop_next_due_never_late ~name:"exact boundaries" exact_params ~base:100.0);
+    Helpers.qcheck (prop_next_due_never_late ~name:"at 1e6 s" params ~base:1e6);
+    case "next_due: earliest expiry, two ulps early" test_next_due_values;
     case "NaN stamps decay in one cleanup" test_nan_stamps_decay;
     case "scrambled guard pinned" test_scramble_guard_pinned;
   ]

@@ -7,6 +7,8 @@ open Helpers
 module St = Ssba_core.Session_table
 module Rng = Ssba_sim.Rng
 
+let ignore_session ~g:_ _ = ()
+
 let test_capacity_validated () =
   (match St.create ~capacity:0 with
   | exception Invalid_argument _ -> ()
@@ -78,10 +80,11 @@ let test_gc_bound_under_sequential_sessions () =
     (* a fresh session per round, cycling over many Generals *)
     St.insert t ~g:(i mod 64) ~now (ref 1);
     (* the session quiesces two rounds later *)
-    St.iter t (fun ~g:_ ~anchor:_ p ->
+    St.sweep t
+      ~f:(fun ~g:_ p ->
         if !p >= 0 then incr p;
-        if !p > 2 then p := -1);
-    St.gc t ~dead:(fun ~active p -> now -. active > grace && !p < 0);
+        if !p > 2 then p := -1)
+      ~dead:(fun ~active p -> now -. active > grace && !p < 0);
     check_bool
       (Printf.sprintf "live bounded at round %d" i)
       true
@@ -98,9 +101,9 @@ let test_gc_grace_spares_newborns () =
   St.insert t ~g:1 ~now:10.0 0;
   (* a newborn session is indistinguishable from a dead one; the activity
      time is what lets callers grace it *)
-  St.gc t ~dead:(fun ~active p -> 10.1 -. active > 1.0 && p = 0);
+  St.sweep t ~f:ignore_session ~dead:(fun ~active p -> 10.1 -. active > 1.0 && p = 0);
   check_bool "newborn spared" true (St.find t 1 = Some 0);
-  St.gc t ~dead:(fun ~active p -> 20.0 -. active > 1.0 && p = 0);
+  St.sweep t ~f:ignore_session ~dead:(fun ~active p -> 20.0 -. active > 1.0 && p = 0);
   check_bool "collected once past the grace" true (St.find t 1 = None);
   check_int "counted as gced" 1 (St.stats t).St.gced
 
@@ -132,7 +135,7 @@ let test_scramble_corrupts_values_never_structure () =
     St.insert t ~g ~now:200.0 (ref g)
   done;
   check_int "still at capacity" 8 (St.live t);
-  St.gc t ~dead:(fun ~active:_ p -> !p = -1);
+  St.sweep t ~f:ignore_session ~dead:(fun ~active:_ p -> !p = -1);
   check_bool "scrambled sessions collectable" true (St.live t <= 4)
 
 (* ----- the array index against a naive association-list model ---------- *)
@@ -222,7 +225,7 @@ let apply t m = function
       m.entries <- List.remove_assoc g m.entries;
       true
   | Gc cutoff ->
-      St.gc t ~dead:(fun ~active _ -> active < cutoff);
+      St.sweep t ~f:ignore_session ~dead:(fun ~active _ -> active < cutoff);
       let dead, kept = List.partition (fun (_, e) -> e.active < cutoff) m.entries in
       m.entries <- kept;
       m.gced <- m.gced + List.length dead;
@@ -243,7 +246,8 @@ let agrees t m =
        }
   &&
   let listed = ref [] in
-  St.iter t (fun ~g ~anchor p -> listed := (g, anchor, p) :: !listed);
+  St.iter_detail t (fun ~g ~anchor ~active:_ ~stamp:_ p ->
+      listed := (g, anchor, p) :: !listed);
   List.sort compare !listed
   = List.sort compare (List.map (fun (g, e) -> (g, e.anchor, e.payload)) m.entries)
 
@@ -289,6 +293,91 @@ let prop_matches_model =
       in
       List.for_all (fun op -> apply t m op && agrees t m) ops)
 
+(* ----- the sweep against the walks it replaced --------------------------- *)
+
+(* [sweep ~f ~dead] must be the two walks it replaced, run back to back:
+   [f] over the slots in order, each slot read when the walk reaches it (the
+   old [iter], which [iter_detail] still is), then collection over the table
+   [f] left behind (the old [gc]). The reference runs exactly that on a twin
+   table, collecting through [iter_detail] and [remove]. Here [f] re-enters
+   the table as a session's cleanup can, through return hooks that propose:
+   depending on the session's payload it inserts (evicting when full),
+   touches or removes another session, so the order of visits, the slots
+   that inserts land in and what collection sees all matter. The visits,
+   the slot layout and every counter must agree after each step. *)
+type step =
+  | Ins of int * float * int
+  | Tch of int * float
+  | Rem of int
+  | Sweep of float * int  (* cutoff, action seed *)
+
+let react t ~seed ~cutoff ~visited ~g p =
+  visited := (g, p) :: !visited;
+  match (p + g + seed) mod 5 with
+  | 0 -> St.insert t ~g:(((3 * g) + seed) mod 9) ~now:(float_of_int (seed mod 13)) (p + 1)
+  | 1 -> St.touch t ((g + 1) mod 9) ~now:(cutoff +. 1.0)
+  | 2 -> St.remove t ((g + 2) mod 9)
+  | _ -> ()
+
+let layout t =
+  let l = ref [] in
+  St.iter_detail t (fun ~g ~anchor ~active ~stamp p ->
+      l := (g, anchor, active, stamp, p) :: !l);
+  List.rev !l
+
+let gen_steps =
+  QCheck.Gen.(
+    let id = int_bound 8 and time = map float_of_int (int_bound 12) in
+    pair (int_range 1 6)
+      (list_size (int_range 1 60)
+         (frequency
+            [
+              (5, map3 (fun g t p -> Ins (g, t, p)) id time small_nat);
+              (2, map2 (fun g t -> Tch (g, t)) id time);
+              (1, map (fun g -> Rem g) id);
+              (3, map2 (fun t seed -> Sweep (float_of_int t, seed)) (int_bound 14) small_nat);
+            ])))
+
+let print_step = function
+  | Ins (g, t, p) -> Printf.sprintf "insert %d@%g=%d" g t p
+  | Tch (g, t) -> Printf.sprintf "touch %d@%g" g t
+  | Rem g -> Printf.sprintf "remove %d" g
+  | Sweep (cutoff, seed) -> Printf.sprintf "sweep <%g seed %d" cutoff seed
+
+let prop_sweep_matches_walks =
+  QCheck.Test.make ~name:"sweep is iter then gc, even when f re-enters" ~count:400
+    (QCheck.make
+       ~print:(fun (cap, steps) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map print_step steps)))
+       gen_steps)
+    (fun (cap, steps) ->
+      let t : int St.t = St.create ~capacity:cap
+      and r : int St.t = St.create ~capacity:cap in
+      let r_gced = ref 0 in
+      let both f = f t; f r in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Ins (g, now, p) -> both (fun x -> St.insert x ~g ~now p)
+          | Tch (g, now) -> both (fun x -> St.touch x g ~now)
+          | Rem g -> both (fun x -> St.remove x g)
+          | Sweep (cutoff, seed) ->
+              let vt = ref [] and vr = ref [] in
+              St.sweep t
+                ~f:(fun ~g p -> react t ~seed ~cutoff ~visited:vt ~g p)
+                ~dead:(fun ~active _ -> active < cutoff);
+              St.iter_detail r (fun ~g ~anchor:_ ~active:_ ~stamp:_ p ->
+                  react r ~seed ~cutoff ~visited:vr ~g p);
+              St.iter_detail r (fun ~g ~anchor:_ ~active ~stamp:_ _ ->
+                  if active < cutoff then begin
+                    St.remove r g;
+                    incr r_gced
+                  end);
+              if !vt <> !vr then QCheck.Test.fail_report "visits differ");
+          layout t = layout r && St.stats t = { (St.stats r) with St.gced = !r_gced })
+        steps)
+
 let test_negative_ids_absent () =
   let t : int St.t = St.create ~capacity:2 in
   St.insert t ~g:0 ~now:1.0 10;
@@ -316,5 +405,6 @@ let suite =
     case "GC grace spares newborns" test_gc_grace_spares_newborns;
     case "scramble corrupts values, never structure" test_scramble_corrupts_values_never_structure;
     qcheck prop_matches_model;
+    qcheck prop_sweep_matches_walks;
     case "negative ids absent, never raise" test_negative_ids_absent;
   ]

@@ -64,6 +64,23 @@ let test_clear () =
   T.add s 2.0;
   check_bool "usable after clear" true (T.to_list s = [ 2.0 ])
 
+(* A NaN stamp used to land first and make every later, smaller stamp land
+   in front of it: [add 5.0; add nan; add 1.0] left [1; nan; 5], so 5.0 was
+   no witness at 5.5 and a retention to [2, 10] dropped it. NaN is now
+   dropped on insert. *)
+let test_nan_stamp_dropped () =
+  let s = T.create () in
+  T.add s 5.0;
+  T.add s Float.nan;
+  T.add s 1.0;
+  check_bool "NaN dropped, order kept" true (T.to_list s = [ 1.0; 5.0 ]);
+  check_bool "5.0 witnesses 5.5" true (T.defined_at s ~at:5.5 ~expiry:1.0);
+  T.retain_range s ~lo:2.0 ~hi:10.0;
+  check_bool "in-range stamp kept" true (T.to_list s = [ 5.0 ]);
+  let only = T.create () in
+  T.add only Float.nan;
+  check_bool "a lone NaN leaves the set empty" true (T.is_empty only)
+
 (* --- model test vs a float-list reference --- *)
 
 type op = Add of float | Retain of float * float | Clear
@@ -129,5 +146,6 @@ let suite =
     case "retain_range" test_retain_range;
     case "predecessor-witness boundary" test_predecessor_witness_boundary;
     case "clear" test_clear;
+    case "NaN stamp dropped" test_nan_stamp_dropped;
     Helpers.qcheck prop_model;
   ]

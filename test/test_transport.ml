@@ -312,6 +312,43 @@ let test_transport_off_loses_termination () =
   check_bool "corpus prefix contains lossy specs" true (!lossy_specs > 0);
   check_bool "stripping the transport breaks the oracles" true (!failures > 0)
 
+(* Two known lossy-tier failures, pinned as failing (as the IA-4 gap once
+   was) until the transport stops overwriting unacked frames. In both, one
+   correct node has no return in a session that every other correct node
+   decides, and the transport evicted frames from a full send window (22
+   and 7). `ssba-fuzz --lossy --seed 12 --iteration 1423` and `--seed 42
+   --iteration 5274` reproduce them. The transport fix flips this test to
+   "passes every oracle, evicts nothing". *)
+let test_known_eviction_failures () =
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (seed, iteration, evicted) ->
+      let name = Printf.sprintf "lossy %d/%d" seed iteration in
+      let spec =
+        F.Campaign.spec_of_iteration ~seed ~gen:F.Gen.lossy_config iteration
+      in
+      let res, report = F.Oracle.run spec in
+      check_bool (name ^ " still fails") true (F.Oracle.failed report);
+      check_bool (name ^ ": a correct node has no return") true
+        (List.exists
+           (fun f ->
+             f.F.Oracle.oracle = "agreement"
+             && contains f.F.Oracle.detail "has no return")
+           report.F.Oracle.failures);
+      check_int (name ^ ": evicted frames") evicted
+        res.Ssba_harness.Runner.transport_evicted;
+      List.iter
+        (fun f ->
+          check_bool (name ^ ": the story names the evictions") true
+            (contains f.F.Oracle.detail
+               (Printf.sprintf "transport evicted %d unacked frames" evicted)))
+        report.F.Oracle.failures)
+    [ (12, 1423, 22); (42, 5274, 7) ]
+
 let suite =
   [
     case "reliable delivery under 30% loss" test_reliable_under_loss;
@@ -325,4 +362,5 @@ let suite =
     case "crash/recover mid-broadcast" test_crash_recover_mid_broadcast;
     case "lossy campaign (50 runs, transport on)" test_lossy_campaign;
     case "transport off loses termination" test_transport_off_loses_termination;
+    case "known eviction failures still fail" test_known_eviction_failures;
   ]
