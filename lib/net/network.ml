@@ -78,7 +78,7 @@ type 'a t = {
       (* with [prob], stretch a delivery by up to [extra] beyond its drawn
          delay, letting later sends overtake it *)
   mutable blocked : (src:int -> dst:int -> bool) option;  (* partition predicate *)
-  muted : (int, unit) Hashtbl.t;  (* crashed senders: sends silently dropped *)
+  muted : bool array;  (* crashed senders, by node: sends silently dropped *)
   mutable delay_override : ('a Msg.t -> float option) option;
       (* adversary-chosen delivery delay for selected messages; the paper's
          model lets a faulty sender's messages be arbitrarily late (masked as
@@ -125,7 +125,7 @@ let create ?(drop_prob = 0.0) ?(dup_prob = 0.0) ?reorder ?kind_of ~engine ~n
     dup_prob;
     reorder;
     blocked = None;
-    muted = Hashtbl.create 4;
+    muted = Array.make n false;
     delay_override = None;
     kind_of;
     kind_counters = Hashtbl.create 16;
@@ -156,9 +156,11 @@ let set_reorder t r = t.reorder <- r
 let set_partition t pred = t.blocked <- pred
 
 let set_muted t node muted =
-  if muted then Hashtbl.replace t.muted node () else Hashtbl.remove t.muted node
+  if node < 0 || node >= t.n then invalid_arg "Network.set_muted: bad node";
+  t.muted.(node) <- muted
 
-let is_muted t node = Hashtbl.mem t.muted node
+let[@inline] is_muted t node =
+  node >= 0 && node < t.n && Array.unsafe_get t.muted node
 let set_delay_override t f = t.delay_override <- f
 
 let messages_sent t = Metrics.value t.c_sent
@@ -262,14 +264,14 @@ let release_fanout t fo =
   let b = fo.fan_batch in
   b.Event_queue.b_count <- 0;
   b.Event_queue.b_next <- 0;
-  if t.pool_top = Array.length t.pool then begin
-    let cap = max 8 (2 * Array.length t.pool) in
-    (* [fo] as filler: slots beyond [pool_top] are never read before being
-       overwritten by a later release. *)
-    let fresh = Array.make cap fo in
-    Array.blit t.pool 0 fresh 0 t.pool_top;
-    t.pool <- fresh
-  end;
+  if t.pool_top = Array.length t.pool then
+    (* Doubled by [Array.append], not by [Array.make] with [fo] as filler:
+       [fo] is usually young, and [Array.make] past 256 slots with a young
+       filler forces a minor collection. Slots beyond [pool_top] are never
+       read before a later release overwrites them. *)
+    t.pool <-
+      (if t.pool_top = 0 then Array.make 8 fo
+       else Array.append t.pool t.pool);
   t.pool.(t.pool_top) <- fo;
   t.pool_top <- t.pool_top + 1;
   Metrics.add t.g_pool_in_use (-1.0)
@@ -288,7 +290,7 @@ let fire_fanout t fo j =
 
 let new_fanout t msg =
   Metrics.incr t.c_pool_fanouts;
-  Metrics.incr ~by:t.n t.c_pool_slots;
+  Metrics.incr_by t.c_pool_slots t.n;
   let fo =
     {
       fan_batch = Event_queue.make_batch ~capacity:t.n ();
@@ -325,7 +327,7 @@ let arm_slot t fo i ~dst ~at =
   if i >= olen then begin
     Event_queue.ensure_batch_capacity b (i + 1);
     let cap = Event_queue.batch_capacity b in
-    Metrics.incr ~by:(cap - olen) t.c_pool_slots;
+    Metrics.incr_by t.c_pool_slots (cap - olen);
     let dsts = Array.make cap 0 in
     Array.blit fo.fan_dsts 0 dsts 0 olen;
     fo.fan_dsts <- dsts
@@ -403,7 +405,7 @@ let send_range t ~src ~first ~last payload =
     let drawn_delay =
       Delay.draw t.delay ~rng:t.delay_rng ~counters:t.delay_counts ~src ~dst
     in
-    let muted = Hashtbl.mem t.muted src in
+    let muted = is_muted t src in
     let blocked =
       (not muted)
       && (match t.blocked with None -> false | Some pred -> pred ~src ~dst)

@@ -55,9 +55,11 @@ val set_reorder : 'a t -> reorder option -> unit
 (** Block links for which the predicate holds ([None] lifts the partition). *)
 val set_partition : 'a t -> (src:int -> dst:int -> bool) option -> unit
 
-(** Mute (crash) or unmute a sender: all its sends are silently dropped. *)
+(** Mute (crash) or unmute a sender: all its sends are silently dropped.
+    Raises [Invalid_argument] for a node outside [[0, n)]. *)
 val set_muted : 'a t -> int -> bool -> unit
 
+(** False for a node outside [[0, n)]. *)
 val is_muted : 'a t -> int -> bool
 
 (** Per-message adversarial delivery delay: when the callback returns

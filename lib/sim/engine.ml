@@ -8,13 +8,14 @@
 
    The queue is the monomorphic [Event_queue]: its sifts compare raw
    float/int keys and move only scalars, and its push/pop cycle allocates
-   nothing (pinned in test_event_queue.ml). [schedule] and [schedule_after]
-   are [@inline]: release builds inline them into their callers and the
-   queue's push into them, so a time or delay a caller computes, in this
-   module or another, reaches the heap unboxed.
+   nothing (pinned in test_event_queue.ml). [schedule], [schedule_after]
+   and [append_after] are [@inline]: release builds inline them into their
+   callers and the queue's push or append into them, so a time or delay a
+   caller computes, in this module or another, reaches the heap unboxed.
 
-   No time is NaN. [schedule], [schedule_after] and the network's send path
-   each write their check so that NaN fails it, and raise. A NaN key would
+   No time is NaN. [schedule], [schedule_after], [append_after] and the
+   network's send path each write their check so that NaN fails it, and
+   raise. A NaN key would
    otherwise pass every [<] test: it would run under any [until], set [now]
    to NaN and hand NaN to every timer armed after it. *)
 
@@ -67,12 +68,27 @@ let[@inline] schedule t ~at run =
   t.seq <- t.seq + 1;
   Metrics.incr t.c_scheduled
 
-let[@inline] schedule_after t ~delay run =
+let[@inline] check_delay delay =
   if not (delay >= 0.0) then
     invalid_arg
       (if delay < 0.0 then "Engine.schedule_after: negative delay"
-       else "Engine.schedule_after: NaN delay");
+       else "Engine.schedule_after: NaN delay")
+
+let[@inline] schedule_after t ~delay run =
+  check_delay delay;
   schedule t ~at:(Array.unsafe_get t.now_cell 0 +. delay) run
+
+(* A lane timer gets the key [schedule_after] would have given it: the same
+   [now +. delay] (a non-negative delay never needs [schedule]'s clamp), the
+   same seq, the same [engine.scheduled] bump. Only the heap entry is
+   shared. *)
+let[@inline] append_after t lane ~delay =
+  check_delay delay;
+  Event_queue.append t.queue lane
+    ~at:(Array.unsafe_get t.now_cell 0 +. delay)
+    ~seq:t.seq;
+  t.seq <- t.seq + 1;
+  Metrics.incr t.c_scheduled
 
 (* Fan-out batches: the caller (network broadcast) reserves one sequence
    number per sub-event via [next_seq] — in the exact order the per-entry
@@ -113,7 +129,7 @@ let run_realtime ?(speed = 1.0) ?(until = infinity) ?(max_events = max_int) t =
     else begin
       let at = Event_queue.min_at t.queue in
       if at > until then begin
-        Array.unsafe_set t.now_cell 0 until;
+        if until > now t then Array.unsafe_set t.now_cell 0 until;
         continue := false
       end
       else begin
@@ -143,8 +159,10 @@ let run ?(until = infinity) ?(max_events = max_int) t =
     else begin
       let at = Event_queue.min_at t.queue in
       if at > until then begin
-        (* Leave future events queued; advance time to the horizon. *)
-        Array.unsafe_set t.now_cell 0 until;
+        (* Leave future events queued; advance time to the horizon, never
+           back: a lane's keys ascend only under a clock that never runs
+           backwards. *)
+        if until > now t then Array.unsafe_set t.now_cell 0 until;
         continue := false
       end
       else begin

@@ -40,6 +40,15 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
     [Invalid_argument] unless [delay >= 0] (so also on NaN). *)
 val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 
+(** [append_after t lane ~delay] arms one more timer on [lane] (see the lane
+    contract of {!Event_queue.type-batch}) after [delay]: the key, the
+    checks and their messages, and the [engine.scheduled] count are exactly
+    those of {!schedule_after}, so a timer moved onto a lane changes no run.
+    Keys of timers that all share one [delay] ascend on their own, since
+    the clock never runs backwards. Raises [Invalid_argument] unless
+    [delay >= 0], and when the key would not come after the lane's last. *)
+val append_after : t -> Event_queue.batch -> delay:float -> unit
+
 (** Reserve the next tie-break sequence number for a fan-out sub-event.
     Counts as one scheduled event (metrics-identical to {!schedule}); the
     caller must arm the sub-event under exactly this seq via
@@ -62,7 +71,9 @@ val record : t -> node:int -> Trace.event -> unit
 
 (** [run ?until ?max_events t] processes queued events in time order until
     the queue empties, time would exceed [until], [max_events] events ran, or
-    {!stop} is called. *)
+    {!stop} is called. A run stopped by [until] leaves the clock at
+    [until], or where it was if [until] lies in the past: the clock never
+    runs backwards. *)
 val run : ?until:float -> ?max_events:int -> t -> stats
 
 (** Like {!run}, but paced against the wall clock at [speed] virtual seconds

@@ -28,7 +28,8 @@
    Ordering is (at, seq) lexicographic, so events at equal times pop in
    scheduling order — the engine's determinism contract. Both sifts move a
    "hole" instead of swapping, storing each displaced slot once. No key is
-   NaN: [push_batch] rejects one and [Engine.schedule] never passes one.
+   NaN: [push_batch] and [append] reject one and [Engine.schedule] never
+   passes one.
 
    Fan-out batches (broadcast deliveries): a [batch] is ONE heap entry
    carrying [b_count] sub-events whose (at, seq) keys are pre-sorted
@@ -40,11 +41,24 @@
    (each sub-event keeps the key the per-entry scheme would have given it,
    and keys are unique because seqs are).
 
-   [sift_up], [sift_down], [remove_root] and [push] are [@inline], so a
-   float key read from an array never crosses a call boundary inside this
-   module and is never boxed: a push/pop cycle allocates nothing
-   (test_event_queue.ml pins 0 minor words). [min_at] is [@inline] too, so
-   that release builds hand the engine's loop the root key unboxed. *)
+   Lanes (the transport's retransmission timers): a lane is a batch that
+   keeps accepting sub-events while it is armed. [append] writes one more
+   key behind the lane's last and touches the heap only when the lane is
+   idle (every sub-event fired): the lane then restarts at slot 0 and
+   enters the heap as a new entry. While the lane is armed its heap entry
+   stays keyed at its head, which an append never changes. So an owner
+   whose keys arrive in ascending order — timers of one fixed delay armed
+   by a clock that never runs backwards — keeps one heap entry for the
+   whole FIFO, and the pop order is still exactly that of one entry per
+   timer. A full lane first blits its fired prefix away and grows only
+   when more than half of it is still pending.
+
+   [sift_up], [sift_down], [remove_root], [push] and [append] are
+   [@inline], so a float key read from an array never crosses a call
+   boundary inside this module and is never boxed: a push/pop cycle and a
+   lane's append/pop cycle allocate nothing (test_event_queue.ml pins 0
+   minor words). [min_at] is [@inline] too, so that release builds hand
+   the engine's loop the root key unboxed. *)
 
 let nop () = ()
 
@@ -185,6 +199,50 @@ let push_batch t b =
   Array.unsafe_set t.bats h b;
   sift_up t ~at:a0 ~seq:b.b_seqs.(0) h;
   t.live <- t.live + b.b_count
+
+(* Make room for one more sub-event on a full lane: drop the fired prefix,
+   then double the key arrays if more than half of them is still pending,
+   so each key is moved O(1) times on average. Slot indices shift, which
+   is why a lane's owner tracks its FIFO itself. *)
+let compact_lane b =
+  let fired = b.b_next in
+  let pending = b.b_count - fired in
+  if fired > 0 then begin
+    Array.blit b.b_ats fired b.b_ats 0 pending;
+    Array.blit b.b_seqs fired b.b_seqs 0 pending;
+    b.b_next <- 0;
+    b.b_count <- pending
+  end;
+  let cap = Array.length b.b_ats in
+  if 2 * pending > cap then ensure_batch_capacity b (cap + 1)
+
+let[@inline] append t b ~at ~seq =
+  let c = b.b_count in
+  if b.b_next >= c then begin
+    (* Idle: nothing of [b] is in the heap. Restart at slot 0 as a new
+       entry. [at <> at] is NaN's test. *)
+    if at <> at then invalid_arg "Event_queue.append: NaN time";
+    b.b_ats.(0) <- at;
+    b.b_seqs.(0) <- seq;
+    b.b_count <- 1;
+    b.b_next <- 0;
+    let h = free_handle t in
+    Array.unsafe_set t.bats h b;
+    sift_up t ~at ~seq h
+  end
+  else begin
+    (* Armed: the heap entry is keyed at the head, which stays. Written so
+       that a NaN key fails. *)
+    let last = b.b_ats.(c - 1) in
+    if not (last < at || (last = at && b.b_seqs.(c - 1) < seq)) then
+      invalid_arg "Event_queue.append: key not after the lane's last key";
+    if c = Array.length b.b_ats then compact_lane b;
+    let c = b.b_count in
+    b.b_ats.(c) <- at;
+    b.b_seqs.(c) <- seq;
+    b.b_count <- c + 1
+  end;
+  t.live <- t.live + 1
 
 (* [@inline] so that the engine's loop reads the key unboxed: returned from
    a call, a float is boxed. *)

@@ -11,10 +11,10 @@
     Ordering is (at, seq) lexicographic: events at equal [at] pop in
     ascending [seq] order, which is what run determinism hangs on — the
     engine assigns [seq] monotonically, so ties resolve in scheduling
-    order. Fan-out batches preserve that order exactly: each sub-event
-    carries the very (at, seq) key the per-entry scheme would have given it,
-    and the batch entry always sits in the heap keyed at its next unfired
-    sub-event. No key may be NaN. *)
+    order. Fan-out batches and lanes preserve that order exactly: each
+    sub-event carries the very (at, seq) key the per-entry scheme would have
+    given it, and the batch entry always sits in the heap keyed at its next
+    unfired sub-event. No key may be NaN. *)
 
 type t
 
@@ -26,7 +26,23 @@ type t
     sub-event [i], in sorted order interleaved with the rest of the heap
     exactly as [b_count] separate entries would have been. After the last
     sub-event fires the queue drops its reference ([b_fire] observes
-    [b_next = b_count] then), so the owner may recycle the record. *)
+    [b_next = b_count] then), so the owner may recycle the record.
+
+    A {e lane} is a descriptor that keeps accepting sub-events while it is
+    armed, for an owner whose keys arrive in ascending (at, seq) order —
+    timers of one fixed delay, armed by a clock that never runs backwards.
+    The heap holds one entry per lane, not one per sub-event, and the pop
+    order is exactly that of one entry per sub-event. Contract for
+    {!append}: a lane never goes through {!push_batch}. It is {e idle} when
+    every sub-event it holds has fired ([b_next = b_count]), as a fresh or
+    released descriptor is; an idle lane restarts at slot 0 and enters the
+    heap as a new entry. An append to an armed lane only writes the next
+    slot, and its key must come strictly after the lane's last. A full lane
+    drops its fired prefix, so slot indices shift: the index [b_fire]
+    receives is valid only until the next append, and the owner keeps its
+    own FIFO beside the lane (one element pushed per append, one popped per
+    fire). [b_fire] may append to its own lane, also when its sub-event was
+    the last one and the lane has just gone idle. *)
 type batch = {
   mutable b_ats : float array;
   mutable b_seqs : int array;
@@ -36,7 +52,8 @@ type batch = {
 }
 
 (** Fresh descriptor with [b_count = 0], reusable across {!push_batch}
-    cycles. Key arrays start at [capacity] slots (default 8). *)
+    cycles and usable as a lane. Key arrays start at [capacity] slots
+    (default 8). *)
 val make_batch : ?capacity:int -> unit -> batch
 
 (** Current length of the descriptor's key arrays. *)
@@ -50,12 +67,12 @@ val ensure_batch_capacity : batch -> int -> unit
     doubling. *)
 val create : ?capacity:int -> unit -> t
 
-(** Pending sub-events: plain events count 1, an armed batch counts its
-    unfired sub-events. *)
+(** Pending sub-events: plain events count 1, an armed batch or lane counts
+    its unfired sub-events. *)
 val size : t -> int
 
-(** Heap entries (a whole batch counts 1) — the sift depth driver; exposed so
-    tests can assert batching actually shrinks the heap. *)
+(** Heap entries (a whole batch or lane counts 1) — the sift depth driver;
+    exposed so tests can assert batching actually shrinks the heap. *)
 val entries : t -> int
 
 val is_empty : t -> bool
@@ -68,6 +85,12 @@ val push : t -> at:float -> seq:int -> (unit -> unit) -> unit
     contract). Raises [Invalid_argument] on an empty, in-flight, overflowing
     or unsorted descriptor, and on a NaN sub-event time. *)
 val push_batch : t -> batch -> unit
+
+(** [append t lane ~at ~seq] adds one sub-event to [lane] (see the lane
+    contract of {!type-batch}). Raises [Invalid_argument] when [lane] is
+    armed and (at, seq) does not come strictly after its last key, and on a
+    NaN [at]. *)
+val append : t -> batch -> at:float -> seq:int -> unit
 
 (** Time key of the minimum pending sub-event. Raises [Invalid_argument]
     when empty. *)

@@ -51,8 +51,10 @@ let gauge t name =
       register t name (Gauge g);
       g
 
-let incr ?(by = 1) c =
-  if by < 0 then invalid_arg "Metrics.incr: counters are monotonic";
+let incr c = c.c_value <- c.c_value + 1
+
+let incr_by c by =
+  if by < 0 then invalid_arg "Metrics.incr_by: counters are monotonic";
   c.c_value <- c.c_value + by
 
 let value c = c.c_value

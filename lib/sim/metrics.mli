@@ -20,8 +20,12 @@ val counter : t -> string -> counter
 
 val gauge : t -> string -> gauge
 
-(** Monotonic increment ([by] defaults to 1, must be >= 0). *)
-val incr : ?by:int -> counter -> unit
+(** Add one. *)
+val incr : counter -> unit
+
+(** [incr_by c by] adds [by]. Raises [Invalid_argument] when [by < 0]:
+    counters are monotonic. *)
+val incr_by : counter -> int -> unit
 
 val value : counter -> int
 val counter_name : counter -> string

@@ -23,6 +23,21 @@
    - a corrupted pending slot retransmits garbage seqs for at most
      [retries] backoff steps and then expires.
 
+   Retransmission timers: every frame arms one engine timer per attempt,
+   and an acked frame's timer still fires, as a no-op (the pending slot no
+   longer holds its entry). A timer of attempt a always fires
+   [retransmit_deadline cfg a] = rto * 2^a after it was armed, and the
+   clock never runs backwards, so the timers of one backoff level arrive
+   in ascending (at, seq) order: each level is a FIFO. Each level owns one
+   engine lane ([Engine.append_after]), which keeps a single heap entry for
+   the level's whole FIFO while every timer keeps the key it would have had
+   as its own heap entry, so runs are unchanged event for event. Beside
+   each lane a ring holds the (src, dst, entry) triples its timers guard,
+   in the same order: an arm pushes one, a fire pops the head, and ring and
+   lane advance in lockstep. The rings grow by [Array.append]: an
+   [Array.make] past 256 slots with a young entry as filler would force a
+   minor collection.
+
    Accounting: all transport traffic (data, retransmissions, acks) goes
    through [Network.send], so the network's conservation identity
    [attempts = delivered + dropped + in_flight] keeps holding verbatim.
@@ -32,6 +47,7 @@
 
 module Rng = Ssba_sim.Rng
 module Engine = Ssba_sim.Engine
+module Event_queue = Ssba_sim.Event_queue
 module Trace = Ssba_sim.Trace
 module Metrics = Ssba_sim.Metrics
 module Msg = Ssba_net.Msg
@@ -60,6 +76,16 @@ let config ?(retries = 12) ?(window = 64) ?(dedup = 256) ~rto () =
 
 type 'a entry = { seq : int; payload : 'a; mutable attempt : int }
 
+(* One backoff level: its engine lane and, beside it, the ring of the
+   frames its pending timers guard, oldest at [head]. *)
+type 'a level = {
+  lane : Event_queue.batch;
+  mutable links : int array;  (* src * n + dst *)
+  mutable frames : 'a entry array;
+  mutable head : int;
+  mutable len : int;
+}
+
 type 'a t = {
   engine : Engine.t;
   net : 'a frame Network.t;
@@ -70,6 +96,7 @@ type 'a t = {
   pending : 'a entry option array array array;  (* [src].[dst].[seq mod window] *)
   seen : int array array array;  (* [dst].[src].[seq mod dedup]; -1 = empty *)
   handlers : ('a Msg.t -> unit) option array;  (* payload handlers, per node *)
+  levels : 'a level array;  (* [attempt], for attempts 0 .. retries *)
   c_retransmits : Metrics.counter;
   c_dup_suppressed : Metrics.counter;
   c_expired : Metrics.counter;
@@ -94,50 +121,86 @@ let retransmit_deadline cfg attempt =
      rto * 2^k past attempt k's send, i.e. backoff doubles per retry. *)
   cfg.rto *. ldexp 1.0 attempt
 
-(* Retransmission timer for [e] on pair (src, dst). The slot is checked by
-   physical equality: if the entry was acked, evicted, or replaced since the
-   timer was armed, the timer is a no-op. *)
-let rec arm_timer t ~src ~dst (e : 'a entry) ~delay =
-  Engine.schedule_after t.engine ~delay (fun () ->
-      let slot = (e.seq land max_int) mod t.cfg.window in
-      match t.pending.(src).(dst).(slot) with
-      | Some e' when e' == e ->
-          if e.attempt >= t.cfg.retries then begin
-            t.pending.(src).(dst).(slot) <- None;
-            Metrics.incr t.c_expired;
-            (* retry-cap exhaustion was previously silent: the frame's
-               reliability is abandoned here, so say so. [c_expired] keeps
-               its digest-visible meaning; this counter and the trace event
-               are observability-only. *)
-            Metrics.incr t.c_retries_exhausted;
-            let tr = Engine.trace t.engine in
-            if Trace.is_enabled tr then
-              Engine.record t.engine ~node:src
-                (Trace.Retries_exhausted
-                   {
-                     src;
-                     dst;
-                     msg = payload_trace_msg t e.payload;
-                     seq = e.seq;
-                   })
-          end
-          else begin
-            e.attempt <- e.attempt + 1;
-            Metrics.incr t.c_retransmits;
-            let tr = Engine.trace t.engine in
-            if Trace.is_enabled tr then
-              Engine.record t.engine ~node:src
-                (Trace.Retransmit
-                   {
-                     src;
-                     dst;
-                     msg = payload_trace_msg t e.payload;
-                     attempt = e.attempt;
-                   });
-            Network.send t.net ~src ~dst (Data { seq = e.seq; payload = e.payload });
-            arm_timer t ~src ~dst e ~delay:(retransmit_deadline t.cfg e.attempt)
-          end
-      | _ -> ())
+(* Double a full ring. Its [len = cap] triples, [head] on, sit contiguous
+   and in order in [x ++ x], so [head] stays and the tail moves to
+   [head + cap]. *)
+let grow_ring lv e =
+  if Array.length lv.frames = 0 then begin
+    lv.links <- Array.make 8 0;
+    lv.frames <- Array.make 8 e
+  end
+  else begin
+    lv.links <- Array.append lv.links lv.links;
+    lv.frames <- Array.append lv.frames lv.frames
+  end
+
+(* Arm the retransmission timer of [e]'s current attempt on pair
+   (src, dst): one more sub-event on the attempt's lane, one more triple in
+   its ring. *)
+let arm_timer t ~src ~dst (e : 'a entry) =
+  let lv = t.levels.(e.attempt) in
+  Engine.append_after t.engine lv.lane
+    ~delay:(retransmit_deadline t.cfg e.attempt);
+  if lv.len = Array.length lv.frames then grow_ring lv e;
+  let cap = Array.length lv.frames in
+  let k = lv.head + lv.len in
+  let k = if k >= cap then k - cap else k in
+  lv.links.(k) <- (src * t.n) + dst;
+  lv.frames.(k) <- e;
+  lv.len <- lv.len + 1
+
+(* A retransmission timer of [e] on pair (src, dst) fires. The slot is
+   checked by physical equality: if the entry was acked, evicted, or
+   replaced since the timer was armed, the timer is a no-op. *)
+let on_timer t ~src ~dst (e : 'a entry) =
+  let slot = (e.seq land max_int) mod t.cfg.window in
+  match t.pending.(src).(dst).(slot) with
+  | Some e' when e' == e ->
+      if e.attempt >= t.cfg.retries then begin
+        t.pending.(src).(dst).(slot) <- None;
+        Metrics.incr t.c_expired;
+        (* retry-cap exhaustion was previously silent: the frame's
+           reliability is abandoned here, so say so. [c_expired] keeps
+           its digest-visible meaning; this counter and the trace event
+           are observability-only. *)
+        Metrics.incr t.c_retries_exhausted;
+        let tr = Engine.trace t.engine in
+        if Trace.is_enabled tr then
+          Engine.record t.engine ~node:src
+            (Trace.Retries_exhausted
+               {
+                 src;
+                 dst;
+                 msg = payload_trace_msg t e.payload;
+                 seq = e.seq;
+               })
+      end
+      else begin
+        e.attempt <- e.attempt + 1;
+        Metrics.incr t.c_retransmits;
+        let tr = Engine.trace t.engine in
+        if Trace.is_enabled tr then
+          Engine.record t.engine ~node:src
+            (Trace.Retransmit
+               {
+                 src;
+                 dst;
+                 msg = payload_trace_msg t e.payload;
+                 attempt = e.attempt;
+               });
+        Network.send t.net ~src ~dst (Data { seq = e.seq; payload = e.payload });
+        arm_timer t ~src ~dst e
+      end
+  | _ -> ()
+
+(* The head of [lv]'s lane fired: pop the ring's head first, because the
+   timer may re-arm into this very lane (a scramble can lower [attempt]). *)
+let fire t lv =
+  let k = lv.head in
+  let link = lv.links.(k) and e = lv.frames.(k) in
+  lv.head <- (if k + 1 = Array.length lv.frames then 0 else k + 1);
+  lv.len <- lv.len - 1;
+  on_timer t ~src:(link / t.n) ~dst:(link mod t.n) e
 
 let send t ~src ~dst payload =
   let seq = t.next_seq.(src).(dst) in
@@ -152,7 +215,7 @@ let send t ~src ~dst payload =
   let e = { seq; payload; attempt = 0 } in
   t.pending.(src).(dst).(slot) <- Some e;
   Network.send t.net ~src ~dst (Data { seq; payload });
-  arm_timer t ~src ~dst e ~delay:t.cfg.rto
+  arm_timer t ~src ~dst e
 
 let broadcast t ~src payload =
   for dst = 0 to t.n - 1 do
@@ -205,6 +268,15 @@ let create ?kind_of:payload_kind ~engine ~net ~config:cfg () =
       pending = Array.init n (fun _ -> Array.init n (fun _ -> Array.make cfg.window None));
       seen = Array.init n (fun _ -> Array.init n (fun _ -> Array.make cfg.dedup (-1)));
       handlers = Array.make n None;
+      levels =
+        Array.init (cfg.retries + 1) (fun _ ->
+            {
+              lane = Event_queue.make_batch ~capacity:1 ();
+              links = [||];
+              frames = [||];
+              head = 0;
+              len = 0;
+            });
       c_retransmits = Metrics.counter metrics "transport.retransmits";
       c_dup_suppressed = Metrics.counter metrics "transport.dup_suppressed";
       c_expired = Metrics.counter metrics "transport.expired";
@@ -213,6 +285,9 @@ let create ?kind_of:payload_kind ~engine ~net ~config:cfg () =
       c_retries_exhausted = Metrics.counter metrics "transport.retries_exhausted";
     }
   in
+  Array.iter
+    (fun lv -> lv.lane.Event_queue.b_fire <- (fun _ -> fire t lv))
+    t.levels;
   for node = 0 to n - 1 do
     Network.set_handler net node (fun m -> on_frame t node m)
   done;

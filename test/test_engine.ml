@@ -63,6 +63,9 @@ let test_until () =
   check_bool "not exhausted" false stats.Engine.queue_exhausted;
   check_float "time parked at horizon" 2.0 (Engine.now e);
   check_int "future event still queued" 1 (Engine.pending e);
+  (* a horizon in the past leaves the clock where it is *)
+  let stats = Engine.run ~until:1.5 e in
+  check_float "the clock never runs backwards" 2.0 stats.Engine.end_time;
   (* a second run picks up the rest *)
   ignore (Engine.run e);
   check_int "second run completes" 2 !ran
@@ -117,6 +120,13 @@ let test_nan_rejected () =
   Alcotest.check_raises "schedule_batch with a NaN sub-event"
     (Invalid_argument "Event_queue.push_batch: NaN time") (fun () ->
       Engine.schedule_batch e b);
+  let lane = Ssba_sim.Event_queue.make_batch () in
+  Alcotest.check_raises "append_after a NaN delay"
+    (Invalid_argument "Engine.schedule_after: NaN delay") (fun () ->
+      Engine.append_after e lane ~delay:Float.nan);
+  Alcotest.check_raises "append_after a negative delay"
+    (Invalid_argument "Engine.schedule_after: negative delay") (fun () ->
+      Engine.append_after e lane ~delay:(-1.0));
   check_int "nothing queued" 0 (Engine.pending e);
   let ran = ref 0 in
   Engine.schedule e ~at:1.0 (fun () -> incr ran);

@@ -6,7 +6,9 @@
    sorted-list reference and checks both the pop order and the closures'
    execution order. The release and allocation tests pin what the handle
    tables buy: a popped entry is no longer reachable from the queue, and a
-   push/pop cycle allocates nothing. *)
+   push/pop cycle allocates nothing. The lane tests pin [append]'s order
+   check, its compaction and its allocation; test_differential.ml holds
+   lanes to the per-entry reference. *)
 
 open Helpers
 module Q = Ssba_sim.Event_queue
@@ -81,6 +83,70 @@ let test_nan_batch_rejected () =
       [| 1.0; Float.nan; 2.0 |] ];
   check_bool "nothing armed" true (Q.is_empty q)
 
+(* --- lanes --- *)
+
+let rejects what f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail (what ^ " must be rejected")
+
+let test_lane_append_rejected () =
+  let q = Q.create () in
+  let lane = Q.make_batch ~capacity:1 () in
+  rejects "a NaN time on an idle lane" (fun () ->
+      Q.append q lane ~at:Float.nan ~seq:0);
+  check_bool "nothing armed" true (Q.is_empty q);
+  Q.append q lane ~at:1.0 ~seq:5;
+  rejects "an earlier time" (fun () -> Q.append q lane ~at:0.5 ~seq:6);
+  rejects "the last key again" (fun () -> Q.append q lane ~at:1.0 ~seq:5);
+  rejects "an equal time with an earlier seq" (fun () ->
+      Q.append q lane ~at:1.0 ~seq:4);
+  rejects "a NaN time on an armed lane" (fun () ->
+      Q.append q lane ~at:Float.nan ~seq:6);
+  check_int "one sub-event armed" 1 (Q.size q);
+  Q.append q lane ~at:1.0 ~seq:6;
+  Q.append q lane ~at:2.0 ~seq:7;
+  check_int "three sub-events" 3 (Q.size q);
+  check_int "one heap entry" 1 (Q.entries q)
+
+(* A capacity-4 lane that keeps two to four timers pending: every full
+   append compacts the fired prefix away instead of growing. Plain entries
+   at the lane's times interleave by seq. *)
+let test_lane_compaction () =
+  let q = Q.create () in
+  let lane = Q.make_batch ~capacity:4 () in
+  let fifo = Queue.create () in
+  let popped = ref [] in
+  let log at s = popped := (at, s) :: !popped in
+  lane.Q.b_fire <-
+    (fun j ->
+      let at, s = Queue.pop fifo in
+      check_int "the fired slot holds the FIFO's head" s lane.Q.b_seqs.(j);
+      log at s);
+  let seq = ref 0 in
+  let next () = let s = !seq in incr seq; s in
+  let append at =
+    let s = next () in
+    Q.append q lane ~at ~seq:s;
+    Queue.push (at, s) fifo
+  in
+  append 0.0;
+  append 0.0;
+  for round = 1 to 50 do
+    let at = float_of_int round in
+    append at;
+    let s = next () in
+    Q.push q ~at ~seq:s (fun () -> log at s);
+    append at;
+    for _ = 1 to 3 do Q.pop_invoke q done
+  done;
+  while not (Q.is_empty q) do Q.pop_invoke q done;
+  let popped = List.rev !popped in
+  check_int "every event fired once" !seq (List.length popped);
+  check_bool "in (at, seq) order" true (List.sort compare popped = popped);
+  check_int "compaction kept the lane at its capacity" 4
+    (Q.batch_capacity lane)
+
 (* --- release: the queue forgets what has popped --- *)
 
 (* Kept out of line so that no register or stack slot of the caller holds
@@ -154,6 +220,34 @@ let test_no_allocation () =
   cycle q runs b;
   let words = Gc.minor_words () -. w0 in
   check_int "every event fired" 21 !fired;
+  check_float "minor words for two warmed cycles" 0.0 words
+
+(* A lane that re-arms from idle, interleaved with one plain entry: two
+   appends at literal keys fill the capacity-2 lane, a pop fires its head,
+   a third append compacts it in place, and the drain leaves it idle. *)
+let lane_cycle q lane run =
+  Q.append q lane ~at:1.0 ~seq:20;
+  Q.push q ~at:1.5 ~seq:21 run;
+  Q.append q lane ~at:2.0 ~seq:22;
+  Q.pop_invoke q;
+  Q.append q lane ~at:3.0 ~seq:23;
+  while not (Q.is_empty q) do
+    Q.pop_invoke q
+  done
+
+let test_lane_no_allocation () =
+  let q = Q.create ~capacity:1 () in
+  let fired = ref 0 in
+  let run () = incr fired in
+  let lane = Q.make_batch ~capacity:2 () in
+  lane.Q.b_fire <- (fun _ -> incr fired);
+  lane_cycle q lane run;
+  let w0 = Gc.minor_words () in
+  lane_cycle q lane run;
+  lane_cycle q lane run;
+  let words = Gc.minor_words () -. w0 in
+  check_int "every event fired" 12 !fired;
+  check_int "the lane never grew" 2 (Q.batch_capacity lane);
   check_float "minor words for two warmed cycles" 0.0 words
 
 (* --- model test: random ops vs a sorted-list reference --- *)
@@ -232,5 +326,8 @@ let suite =
     case "NaN batch keys rejected" test_nan_batch_rejected;
     case "popped entries are released" test_release;
     case "push/pop cycle allocates nothing" test_no_allocation;
+    case "lane append out of order or NaN rejected" test_lane_append_rejected;
+    case "lane compaction keeps the order" test_lane_compaction;
+    case "lane append/pop cycle allocates nothing" test_lane_no_allocation;
     Helpers.qcheck prop_model;
   ]

@@ -9,7 +9,7 @@ let test_counter_basics () =
   let c = M.counter m "a.count" in
   check_int "starts at zero" 0 (M.value c);
   M.incr c;
-  M.incr c ~by:4;
+  M.incr_by c 4;
   check_int "accumulates" 5 (M.value c);
   check_str "name" "a.count" (M.counter_name c)
 
@@ -47,7 +47,7 @@ let test_class_mismatch_rejected () =
 let test_monotonic () =
   let m = M.create () in
   let c = M.counter m "x" in
-  match M.incr c ~by:(-1) with
+  match M.incr_by c (-1) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative increment must be rejected"
 
@@ -55,14 +55,14 @@ let test_reset () =
   let m = M.create () in
   let c = M.counter m "c" in
   let g = M.gauge m "g" in
-  M.incr c ~by:7;
+  M.incr_by c 7;
   M.set g 3.0;
   M.reset m;
   check_int "counter zeroed, handle valid" 0 (M.value c);
   check_float "gauge zeroed, handle valid" 0.0 (M.gauge_value g);
   M.incr c;
   check_int "handle still feeds registry" 1 (M.value c);
-  M.incr c ~by:2;
+  M.incr_by c 2;
   M.reset_counter c;
   check_int "scoped counter reset" 0 (M.value c);
   M.set g 9.0;
@@ -71,7 +71,7 @@ let test_reset () =
 
 let test_to_list_sorted () =
   let m = M.create () in
-  M.incr (M.counter m "b") ~by:2;
+  M.incr_by (M.counter m "b") 2;
   M.set (M.gauge m "a") 1.5;
   check_bool "sorted (name, value) pairs" true
     (M.to_list m = [ ("a", 1.5); ("b", 2.0) ])
@@ -97,7 +97,7 @@ let test_to_list_order_pinned () =
 
 let test_jsonl_export () =
   let m = M.create () in
-  M.incr (M.counter m "net.sent") ~by:3;
+  M.incr_by (M.counter m "net.sent") 3;
   M.set (M.gauge m "net.in_flight") 2.0;
   let lines =
     String.split_on_char '\n' (M.to_jsonl m) |> List.filter (fun l -> l <> "")

@@ -76,7 +76,14 @@ let test_mute () =
   Net.send net ~src:0 ~dst:1 "back";
   ignore (Engine.run engine);
   check_int "unmuted delivers" 2 !got;
-  check_int "drops counted" 1 (Net.messages_dropped net)
+  check_int "drops counted" 1 (Net.messages_dropped net);
+  List.iter
+    (fun node ->
+      check_bool "is_muted outside [0, n)" false (Net.is_muted net node);
+      match Net.set_muted net node true with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail "set_muted outside [0, n) must raise")
+    [ -1; Net.size net ]
 
 let test_partition () =
   let engine, net = mk () in

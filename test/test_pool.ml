@@ -77,6 +77,25 @@ let test_zero_alloc_beyond_peak () =
   check_bool "zero delivery slots allocated beyond peak" true
     (Metrics.find_counter m "net.pool.slots" = peak_slots)
 
+(* Growing the free stack past 256 slots must not force a minor collection.
+   The stack used to double by [Array.make] with the released descriptor as
+   filler, and [Array.make] past 256 words with a young filler runs a minor
+   collection first. 300 broadcasts in flight at once, made after a
+   [Gc.minor ()] so every descriptor is young, grow the stack to 512 slots
+   when they drain; their allocation stays well below the minor heap's
+   256k words. *)
+let test_free_stack_growth_no_minor_gc () =
+  let engine, net = mk () in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for k = 0 to 299 do
+    Net.broadcast net ~src:(k mod 5) "in flight"
+  done;
+  ignore (Engine.run engine);
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  check_int "every descriptor back on the free stack" 300 (Net.pool_free net);
+  check_int "no minor collection" before after
+
 (* Scrambling the free pool: occupancy and capacity invariant, deliveries
    unaffected (acquire fully overwrites a slot before arming it). *)
 let test_scramble_preserves_pool_shape () =
@@ -229,4 +248,6 @@ let suite =
     case "n slots per descriptor, growth only for duplicates"
       test_slots_per_descriptor;
     case "shared envelope: per-slot dst, sender's fields" test_shared_envelope_fields;
+    case "free-stack growth forces no minor collection"
+      test_free_stack_growth_no_minor_gc;
   ]

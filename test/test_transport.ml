@@ -98,6 +98,74 @@ let test_retries_exhausted_accounted () =
   in
   check_int "one typed trace event per abandoned frame" 2 (List.length events)
 
+(* Each backoff level is one engine lane with a ring of frames beside it.
+   Three frames on a dead link, sent at 0, 0.05 and 0.1 to two peers, share
+   every level's lane: each must still retransmit at its own
+   send + rto * (2^k - 1) and expire rto * 2^retries after its last try,
+   its times summed step by step as the engine sums them. *)
+let test_backoff_schedule () =
+  let trace = Ssba_sim.Trace.create ~enabled:true () in
+  let engine = Engine.create ~trace () in
+  let net =
+    Net.create ~drop_prob:1.0 ~engine ~n:3 ~delay:(Delay.fixed 0.01)
+      ~rng:(Rng.create 7) ()
+  in
+  let rto = 0.25 and retries = 3 in
+  let tr =
+    T.create ~kind_of:Fun.id ~engine ~net ~config:(T.config ~rto ~retries ())
+      ()
+  in
+  let link = T.link tr in
+  let sends = [ (0.0, 1, "a"); (0.05, 2, "b"); (0.1, 1, "c") ] in
+  List.iter
+    (fun (at, dst, p) ->
+      Engine.schedule engine ~at (fun () -> Link.send link ~src:0 ~dst p))
+    sends;
+  ignore (Engine.run engine);
+  let expected =
+    List.concat_map
+      (fun (at, dst, p) ->
+        let rec chain k t =
+          let t = t +. (rto *. ldexp 1.0 k) in
+          if k = retries then [ (t, dst, p, -1) ]
+          else (t, dst, p, k + 1) :: chain (k + 1) t
+        in
+        chain 0 at)
+      sends
+    |> List.sort compare
+  in
+  let got =
+    List.filter_map
+      (fun (e : Ssba_sim.Trace.entry) ->
+        let t = e.Ssba_sim.Trace.time in
+        match e.Ssba_sim.Trace.event with
+        | Ssba_sim.Trace.Retransmit { dst; msg; attempt; _ } ->
+            Some (t, dst, msg, attempt)
+        | Ssba_sim.Trace.Retries_exhausted { dst; msg; _ } ->
+            Some (t, dst, msg, -1)
+        | _ -> None)
+      (Ssba_sim.Trace.to_list trace)
+  in
+  check_int "three tries and an expiry per frame" 12 (List.length got);
+  check_bool "every try at its backoff time, in time order" true
+    (got = expected)
+
+(* The rings beside the lanes double by [Array.append]: [Array.make] past
+   256 slots with a young frame as filler would force a minor collection.
+   300 frames on a dead link, sent after a [Gc.minor ()], leave 300 timers
+   on level 0's ring; their allocation stays well below the minor heap's
+   256k words. *)
+let test_ring_growth_no_minor_gc () =
+  let engine, _, link = mk ~drop_prob:1.0 () in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to 300 do
+    Link.send link ~src:0 ~dst:1 "x"
+  done;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  check_int "one timer per frame" 300 (Engine.pending engine);
+  check_int "no minor collection" before after
+
 (* Transient-fault model: scramble every piece of transport state, then keep
    sending. Capacities are code, not state, so traffic still flows; a
    corrupted dedup slot may wrongly suppress at most a frame or two (the
@@ -356,6 +424,8 @@ let suite =
     case "retry cap on a dead link" test_expiry_on_dead_link;
     case "retries-exhausted counter and trace event"
       test_retries_exhausted_accounted;
+    case "retransmissions keep their backoff times" test_backoff_schedule;
+    case "ring growth forces no minor collection" test_ring_growth_no_minor_gc;
     case "scramble washes out" test_scramble_washout;
     case "transport survives Scramble event" test_transport_survives_scramble;
     case "Heal split (targeted heals)" test_heal_split;
