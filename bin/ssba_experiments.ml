@@ -3,42 +3,33 @@
    With no arguments, runs every experiment; otherwise runs the named ones
    (e1..e17; e15 is the knife gate on the ssba_mc CLI). *)
 
+module X = Ssba_harness.Experiments
+
+(* E14, E16 and E17 live in the libraries above the harness. *)
 let experiments =
-  [
-    ("e1", "validity under a correct General", fun () -> Ssba_harness.Experiments.e1_validity ());
-    ("e2", "agreement under Byzantine attack", fun () -> Ssba_harness.Experiments.e2_agreement ());
-    ("e3", "message-driven vs time-driven", fun () -> Ssba_harness.Experiments.e3_msgdriven ());
-    ("e4", "convergence from scrambled states", fun () -> Ssba_harness.Experiments.e4_convergence ());
-    ("e5", "timeliness bounds", fun () -> Ssba_harness.Experiments.e5_timeliness ());
-    ("e6", "O(f') termination", fun () -> Ssba_harness.Experiments.e6_early_stop ());
-    ("e7", "message complexity", fun () -> Ssba_harness.Experiments.e7_msg_complexity ());
-    ("e8", "pulse synchronization", fun () -> Ssba_harness.Experiments.e8_pulse ());
-    ("e9", "primitive-level properties", fun () -> Ssba_harness.Experiments.e9_invariants ());
-    ("e10", "lossy links with/without transport", fun () -> Ssba_harness.Experiments.e10_lossy_links ());
-    ("e11", "engine scale: events/sec across n", fun () -> Ssba_harness.Experiments.e11_scale ());
-    ("e12", "recovery under continuous churn", fun () -> Ssba_harness.Experiments.e12_churn ());
-    ("e13", "concurrent sessions vs table bound", fun () -> Ssba_harness.Experiments.e13_sessions ());
-    ("e14", "exhaustive small-model checking", fun () -> Ssba_mc.Mc.e14 ());
-    ("e16", "scale curve + multi-core campaign speedup", fun () -> Ssba_fuzz.E16.run ());
-    ("e17", "recurrent-agreement service soak", fun () -> Ssba_service.E17.run ());
-  ]
+  X.all
+  @ [
+      { X.name = "e14"; doc = "exhaustive small-model checking"; run = Ssba_mc.Mc.e14 };
+      {
+        X.name = "e16";
+        doc = "scale curve + multi-core campaign speedup";
+        run = Ssba_fuzz.E16.run;
+      };
+      { X.name = "e17"; doc = "recurrent-agreement service soak"; run = Ssba_service.E17.run };
+    ]
+
+let find name = List.find_opt (fun (e : X.experiment) -> e.X.name = name) experiments
 
 let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names
-    | _ -> List.map (fun (name, _, _) -> name) experiments
+    | _ -> List.map (fun (e : X.experiment) -> e.X.name) experiments
   in
-  let unknown =
-    List.filter (fun n -> not (List.exists (fun (m, _, _) -> m = n) experiments)) requested
-  in
+  let unknown = List.filter (fun n -> find n = None) requested in
   if unknown <> [] then begin
     Printf.eprintf "unknown experiment(s): %s\navailable:\n" (String.concat " " unknown);
-    List.iter (fun (n, d, _) -> Printf.eprintf "  %s  %s\n" n d) experiments;
+    List.iter (fun (e : X.experiment) -> Printf.eprintf "  %s  %s\n" e.X.name e.X.doc) experiments;
     exit 1
   end;
-  List.iter
-    (fun name ->
-      let _, _, run = List.find (fun (m, _, _) -> m = name) experiments in
-      run ())
-    requested
+  List.iter (fun name -> Option.iter (fun (e : X.experiment) -> e.X.run ()) (find name)) requested

@@ -30,12 +30,21 @@ let pp_failure_case ~verbose (fc : F.Campaign.failure_case) =
           (fun f -> Fmt.pr "    %a@." F.Oracle.pp_failure f)
           report.F.Oracle.failures
 
+let cannot_write path reason =
+  Fmt.epr "cannot write %s: %s@." path reason;
+  exit 2
+
 let save_failure ~dir (fc : F.Campaign.failure_case) =
   let path name = Filename.concat dir name in
   let base = Printf.sprintf "fail-%d" fc.F.Campaign.index in
-  F.Spec.save (path (base ^ ".json")) fc.F.Campaign.spec;
+  let save file spec =
+    match F.Spec.save (path file) spec with
+    | Ok () -> ()
+    | Error e -> cannot_write (path file) e
+  in
+  save (base ^ ".json") fc.F.Campaign.spec;
   (match fc.F.Campaign.shrunk with
-  | Some (spec, _, _) -> F.Spec.save (path (base ^ ".min.json")) spec
+  | Some (spec, _, _) -> save (base ^ ".min.json") spec
   | None -> ());
   Fmt.pr "  saved %s@." (path (base ^ ".json"))
 
@@ -104,7 +113,9 @@ let fuzz seed runs time_budget replay_file iteration out max_n max_disruptions
         }
       in
       (match out with
-      | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
+      | Some dir when not (Sys.file_exists dir) -> (
+          try Unix.mkdir dir 0o755
+          with Unix.Unix_error (e, _, _) -> cannot_write dir (Unix.error_message e))
       | Some _ | None -> ());
       let progress =
         if verbose then

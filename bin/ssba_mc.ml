@@ -42,7 +42,11 @@ let export_counterexample cfg (r : Mc.report) path =
   | None -> Fmt.pr "no counterexample to export@."
   | Some run ->
       let spec = Mc.spec_of_run cfg run ~name:(Filename.basename path) in
-      Ssba_fuzz.Spec.save path spec;
+      (match Ssba_fuzz.Spec.save path spec with
+      | Ok () -> ()
+      | Error e ->
+          Fmt.epr "cannot write %s: %s@." path e;
+          exit 2);
       Fmt.pr "counterexample (prefix %a) saved to %s@." Mc.pp_prefix
         run.Mc.prefix path;
       Fmt.pr "replay with: ssba_fuzz --replay %s@." path

@@ -301,9 +301,11 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
   if not conservation.H.Checks.ok then
     Fmt.pr "WARNING: %a@." H.Checks.pp_verdict conservation;
   let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
+    match Ssba_sim.Json.write_file path contents with
+    | Ok () -> ()
+    | Error e ->
+        Fmt.epr "cannot write %s: %s@." path e;
+        exit 2
   in
   (match trace_out with
   | None -> ()

@@ -437,12 +437,12 @@ let fingerprint buf t =
 
 (* ----- fault injection -------------------------------------------------- *)
 
-(* Corrupt every existing instance, and conjure instances for [extra]
+(* Corrupt every existing instance, and conjure instances for two
    additional random Generals so that pre-existing garbage about agreements
    nobody started is also represented. *)
-let scramble rng ~values ?(extra = 2) t =
+let scramble rng ~values t =
   let n = t.params.Params.n in
-  for _ = 1 to extra do
+  for _ = 1 to 2 do
     ignore (instance t (Ssba_sim.Rng.int rng (n * t.channels)))
   done;
   (* Corrupt the sessions *and* the table's own keys/activity times; the

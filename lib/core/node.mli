@@ -122,9 +122,9 @@ val subscribe_observations :
     appends the engine time itself. *)
 val fingerprint : Buffer.t -> t -> unit
 
-(** Transient-fault injection: corrupt every instance (plus [extra] conjured
+(** Transient-fault injection: corrupt every instance (plus two conjured
     ones) and the General-side bookkeeping. *)
-val scramble : Ssba_sim.Rng.t -> values:value list -> ?extra:int -> t -> unit
+val scramble : Ssba_sim.Rng.t -> values:value list -> t -> unit
 
 (** A reformed node: a previously Byzantine node starts running the correct
     protocol mid-run from arbitrary state (the self-stabilizing rejoin).

@@ -14,9 +14,10 @@
    reading — the determinism claim is what the table pins; the throughput
    claim needs real cores. *)
 
-let run ?(runs = 60) ?(jobs_list = [ 1; 2; 4 ]) () =
+let run () =
+  let runs = 60 in
   Fmt.pr "E16 — Scale curve and multi-core campaign engine@.@.";
-  Ssba_harness.Experiments.e11_scale ();
+  Ssba_harness.Experiments.(print_scale (e11_scale_rows ()));
   Fmt.pr
     "@.Campaign speedup: %d-scenario churn batch (seed 2027, shrink off), \
      host offers %d core(s)@."
@@ -50,7 +51,7 @@ let run ?(runs = 60) ?(jobs_list = [ 1; 2; 4 ]) () =
         Fmt.failwith "E16: corpus digest diverged at --jobs %d" jobs;
       Fmt.pr "%-6d %9.2f %8.2fx  %s@." jobs wall (!serial_wall /. wall)
         s.Campaign.corpus_digest)
-    jobs_list;
+    [ 1; 2; 4 ];
   Fmt.pr
     "corpus digest byte-identical at every job count (asserted above);@.";
   Fmt.pr

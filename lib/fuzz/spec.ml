@@ -605,11 +605,7 @@ let of_json j =
       }
   with Decode msg -> Error msg
 
-let save path t =
-  let oc = open_out path in
-  output_string oc (J.to_string (to_json t));
-  output_char oc '\n';
-  close_out oc
+let save path t = J.write_file path (J.to_string (to_json t) ^ "\n")
 
 let load path =
   match

@@ -66,8 +66,9 @@ val to_json : t -> Ssba_sim.Json.t
 val of_json : Ssba_sim.Json.t -> (t, string) result
 
 (** Save/load one spec as pretty-stable JSON text (the replay file format).
-    [load] returns [Error] for a spec that fails {!validate}. *)
-val save : string -> t -> unit
+    [save] returns [Error] with the system's reason when the file cannot be
+    written; [load] returns [Error] for a spec that fails {!validate}. *)
+val save : string -> t -> (unit, string) result
 
 val load : string -> (t, string) result
 

@@ -37,8 +37,7 @@ type schedule = {
   horizon : float;
 }
 
-let schedule ?(episodes = 3) ?(start = 0.1) pattern ~(params : P.t) ~correct
-    ~byzantine =
+let schedule ?(episodes = 3) pattern ~(params : P.t) ~correct ~byzantine =
   if correct = [] then invalid_arg "Chaos.schedule: no correct nodes";
   let nc = List.length correct in
   let nth_correct k = List.nth correct (k mod nc) in
@@ -48,7 +47,7 @@ let schedule ?(episodes = 3) ?(start = 0.1) pattern ~(params : P.t) ~correct
   let tag = pattern_name pattern in
   let events = ref [] in
   let proposals = ref [] in
-  let cursor = ref start in
+  let cursor = ref 0.1 in
   for i = 0 to episodes - 1 do
     let t = !cursor in
     let resume =

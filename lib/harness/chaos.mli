@@ -35,7 +35,7 @@ type schedule = {
 }
 
 (** [schedule pattern ~params ~correct ~byzantine] builds [episodes]
-    (default 3) churn episodes starting at [start] (default [0.1]). Each
+    (default 3) churn episodes starting at time 0.1. Each
     episode fires its disruption, then probes at [resume + 0.55 Delta_stb]
     (past the worst [Delta_reset] quiet period a scramble can install, and
     completing within the [Delta_stb] recovery-measurement window) and
@@ -46,7 +46,6 @@ type schedule = {
     throughout, keeping [IG2] happy. *)
 val schedule :
   ?episodes:int ->
-  ?start:float ->
   pattern ->
   params:Ssba_core.Params.t ->
   correct:node_id list ->

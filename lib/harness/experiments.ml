@@ -1,9 +1,11 @@
-(* The experiment suite (DESIGN.md §4): one function per table/figure.
+(* The experiment suite (DESIGN.md §4): one function per table/figure,
+   listed once in [all].
 
    The PODC'06 paper is a theory paper; its evaluation is the set of proven
    properties and complexity claims. Each experiment here regenerates the
    measurable content of one claim as a table the EXPERIMENTS.md records
-   paper-vs-measured. All runs are deterministic in their seeds. *)
+   paper-vs-measured. Every sweep is a constant of its experiment, and all
+   runs are deterministic in their seeds. *)
 
 open Ssba_core.Types
 module Params = Ssba_core.Params
@@ -23,7 +25,8 @@ let section title = Printf.printf "\n### %s\n\n" title
 (* A correct General's value is decided by every correct node within
    [t0 - d, t0 + 4d]. Sweep n; f Byzantine nodes stay silent (worst crash
    case for quorums). *)
-let e1_validity ?(ns = [ 4; 7; 10; 16; 25; 31 ]) ?(seeds = [ 1; 2; 3; 4; 5 ]) () =
+let e1_validity () =
+  let ns = [ 4; 7; 10; 16; 25; 31 ] and seeds = [ 1; 2; 3; 4; 5 ] in
   section "E1 — Validity under a correct General (Thm 3, Timeliness 2)";
   let tbl =
     Table.create
@@ -99,7 +102,8 @@ let e2_strategies params : (string * (node_id * C.t) list) list =
     ( "mimics", List.init f (fun i -> (n - 1 - i, C.Mimic { delay_d = 2.0 })) );
   ]
 
-let e2_agreement ?(ns = [ 7; 10; 16; 25 ]) ?(seeds = [ 11; 12; 13 ]) () =
+let e2_agreement () =
+  let ns = [ 7; 10; 16; 25 ] and seeds = [ 11; 12; 13 ] in
   section "E2 — Agreement under Byzantine Generals/participants (Thm 3)";
   let tbl = Table.create [ "n"; "attack"; "runs"; "episodes"; "decided"; "aborted"; "agreement" ] in
   List.iter
@@ -222,8 +226,8 @@ let eig_latency ~params ~seed ~delay =
   let ok = List.filter (fun (v, _) -> v = "m") !decisions in
   if List.length ok = n then Some (Metrics.maximum (List.map snd ok)) else None
 
-let e3_msgdriven ?(ratios = [ 0.01; 0.05; 0.1; 0.2; 0.5; 1.0 ]) ?(n = 7)
-    ?(seeds = [ 21; 22; 23 ]) () =
+let e3_msgdriven () =
+  let ratios = [ 0.01; 0.05; 0.1; 0.2; 0.5; 1.0 ] and n = 7 and seeds = [ 21; 22; 23 ] in
   section "E3 — Message-driven vs time-driven rounds (latency vs actual delay)";
   let params = Params.default n in
   let d = params.Params.d in
@@ -261,8 +265,8 @@ let e3_msgdriven ?(ratios = [ 0.01; 0.05; 0.1; 0.2; 0.5; 1.0 ]) ?(n = 7)
 
 (* ----- E4: convergence from arbitrary states (Corollary 5) -------------- *)
 
-let e4_convergence ?(n = 7) ?(runs = 30) ?(fractions = [ 0.25; 0.5; 0.75; 1.0; 1.25 ])
-    () =
+let e4_convergence () =
+  let n = 7 and runs = 30 and fractions = [ 0.25; 0.5; 0.75; 1.0; 1.25 ] in
   section "E4 — Convergence from scrambled states (Cor. 5: stable by Delta_stb)";
   let params = Params.default n in
   let tbl =
@@ -319,7 +323,8 @@ let e4_convergence ?(n = 7) ?(runs = 30) ?(fractions = [ 0.25; 0.5; 0.75; 1.0; 1
 
 (* ----- E5: Timeliness bounds (Timeliness 1a-1d, 2, 3) ------------------- *)
 
-let e5_timeliness ?(ns = [ 7; 13 ]) ?(seeds = List.init 10 (fun i -> 31 + i)) () =
+let e5_timeliness () =
+  let ns = [ 7; 13 ] and seeds = List.init 10 (fun i -> 31 + i) in
   section "E5 — Timeliness: measured maxima vs paper bounds";
   let tbl = Table.create [ "n"; "property"; "bound"; "measured(max)"; "verdict" ] in
   List.iter
@@ -371,13 +376,12 @@ let e5_timeliness ?(ns = [ 7; 13 ]) ?(seeds = List.init 10 (fun i -> 31 + i)) ()
 
 (* ----- E6: O(f') termination (round-stretcher adversary) ---------------- *)
 
-let e6_early_stop ?(n = 22) ?(fprimes = None) () =
+let e6_early_stop () =
+  let n = 22 in
   section "E6 — Termination vs actual faults f' (round-stretcher adversary)";
   let params = Params.default n in
   let f = params.Params.f in
-  let fprimes =
-    match fprimes with Some l -> l | None -> List.init (f + 1) (fun i -> i)
-  in
+  let fprimes = List.init (f + 1) (fun i -> i) in
   let phi = params.Params.phi in
   let tbl =
     Table.create
@@ -467,7 +471,8 @@ let e6_early_stop ?(n = 22) ?(fprimes = None) () =
 (* Each msgd-broadcast costs O(n^2) messages (like TPS'87); in the fast path
    every one of the n deciders broadcasts once (block R3), so a full
    agreement is Theta(n^3) — msgs/n^3 should flatten while msgs/n^2 grows. *)
-let e7_msg_complexity ?(ns = [ 4; 7; 10; 16; 25; 31 ]) () =
+let e7_msg_complexity () =
+  let ns = [ 4; 7; 10; 16; 25; 31 ] in
   section "E7 — Message complexity per agreement (O(n^2) per broadcast, n broadcasts)";
   let tbl = Table.create [ "n"; "messages"; "msgs/n^2"; "msgs/n^3"; "by kind" ] in
   List.iter
@@ -499,7 +504,8 @@ let e7_msg_complexity ?(ns = [ 4; 7; 10; 16; 25; 31 ]) () =
 
 (* ----- E8: pulse synchronization atop recurrent agreement --------------- *)
 
-let e8_pulse ?(n = 7) ?(cycles = 8) ?(byzantine = 1) () =
+let e8_pulse () =
+  let n = 7 and cycles = 8 and byzantine = 1 in
   section "E8 — Pulse synchronization atop recurrent ss-Byz-Agree";
   let params = Params.default n in
   let d = params.Params.d in
@@ -560,7 +566,8 @@ let e8_pulse ?(n = 7) ?(cycles = 8) ?(byzantine = 1) () =
    property statements: record every I-accept, broadcast accept and
    broadcaster detection, and validate IA-1, IA-3, IA-4, TPS-2, TPS-3 and
    TPS-4 event by event. *)
-let e9_invariants ?(ns = [ 7; 10; 16 ]) ?(seeds = [ 91; 92; 93 ]) () =
+let e9_invariants () =
+  let ns = [ 7; 10; 16 ] and seeds = [ 91; 92; 93 ] in
   section "E9 — Primitive-level properties checked from observed events";
   let tbl = Table.create [ "n"; "workload"; "runs"; "observations"; "violations" ] in
   List.iter
@@ -623,8 +630,8 @@ let e9_invariants ?(ns = [ 7; 10; 16 ]) ?(seeds = [ 91; 92; 93 ]) () =
    delta_eff. Sweep loss rate x transport on/off: without the transport
    agreement degrades as p grows; with it, every run agrees and the cost
    shows up as retransmissions and a stretched (virtual-time) latency. *)
-let e10_lossy_links ?(n = 7) ?(ps = [ 0.0; 0.1; 0.3 ])
-    ?(seeds = [ 101; 102; 103 ]) () =
+let e10_lossy_links () =
+  let n = 7 and ps = [ 0.0; 0.1; 0.3 ] and seeds = [ 101; 102; 103 ] in
   section "E10 — Lossy links: agreement vs loss rate, with/without transport";
   let tbl =
     Table.create
@@ -707,8 +714,7 @@ let e10_lossy_links ?(n = 7) ?(ps = [ 0.0; 0.1; 0.3 ])
    each n, timed against the wall clock. Virtual-time results (events, the
    decision) are seed-deterministic; only the wall-clock columns vary run to
    run, so each point reports the best of [repeats] to damp scheduler noise.
-   The bench harness serializes these rows into BENCH_engine.json, which CI's
-   bench-smoke job diffs against the committed baseline. *)
+   bench/main.exe gates these rows against the committed BENCH_engine.json. *)
 
 type scale_row = {
   sr_n : int;
@@ -719,20 +725,19 @@ type scale_row = {
   sr_decided : bool;
 }
 
-let e11_workload ~seed n =
+let e11_workload n =
   let params = Params.default n in
   let t0 = 0.05 in
   let horizon = t0 +. (2.0 *. params.Params.delta_agr) in
-  ( Scenario.default ~name:"e11" ~seed
+  ( Scenario.default ~name:"e11" ~seed:111
       ~proposals:[ { Scenario.g = 0; v = "m"; at = t0 } ]
       ~horizon params,
     horizon )
 
-let e11_scale_rows ?(ns = [ 7; 13; 25; 31; 41; 51; 61; 81; 101 ]) ?(seed = 111)
-    ?(repeats = 3) () =
+let e11_scale_rows ?(ns = [ 7; 13; 25; 31; 41; 51; 61; 81; 101 ]) ?(repeats = 3) () =
   List.map
     (fun n ->
-      let sc, horizon = e11_workload ~seed n in
+      let sc, horizon = e11_workload n in
       let best_ms = ref infinity in
       let events = ref 0 in
       let decided = ref false in
@@ -759,7 +764,7 @@ let e11_scale_rows ?(ns = [ 7; 13; 25; 31; 41; 51; 61; 81; 101 ]) ?(seed = 111)
       })
     ns
 
-let e11_scale ?ns ?seed ?repeats () =
+let print_scale rows =
   section "E11 — Engine scale: events/sec on an agreement workload across n";
   let tbl =
     Table.create
@@ -776,8 +781,10 @@ let e11_scale ?ns ?seed ?repeats () =
           Printf.sprintf "%.1f" r.sr_wall_ms_per_sim_s;
           Table.yn r.sr_decided;
         ])
-    (e11_scale_rows ?ns ?seed ?repeats ());
+    rows;
   Table.print tbl
+
+let e11_scale () = print_scale (e11_scale_rows ())
 
 (* ----- E12: recovery under continuous churn (§6.1, Delta_stb) ----------- *)
 
@@ -786,8 +793,8 @@ let e11_scale ?ns ?seed ?repeats () =
    Byzantine rejoins) and, for every coherent interval the schedule opens,
    measure the time from return-to-coherence until the first unanimous
    probe agreement. Every measured recovery must come in under Delta_stb. *)
-let e12_churn ?(ns = [ 7; 10 ]) ?(seeds = [ 121; 122; 123 ]) ?(episodes = 3) ()
-    =
+let e12_churn () =
+  let ns = [ 7; 10 ] and seeds = [ 121; 122; 123 ] and episodes = 3 in
   section "E12 — Recovery under continuous churn (per-episode, vs Delta_stb)";
   let tbl =
     Table.create
@@ -873,7 +880,8 @@ let e12_churn ?(ns = [ 7; 10 ]) ?(seeds = [ 121; 122; 123 ]) ?(episodes = 3) ()
    memory bound is asserted, not just reported: peak live sessions must stay
    within the fixed capacity, and by the horizon every quiescent session must
    have been collected. *)
-let e13_sessions ?(n = 7) ?(sessions = [ 35; 105; 210 ]) ?(seed = 131) () =
+let e13_sessions () =
+  let n = 7 and sessions = [ 35; 105; 210 ] and seed = 131 in
   section
     "E13 — Concurrent overlapping sessions per node (footnote 9), bounded \
      session tables";
@@ -946,17 +954,21 @@ let e13_sessions ?(n = 7) ?(sessions = [ 35; 105; 210 ]) ?(seed = 131) () =
     sessions;
   Table.print tbl
 
-let run_all () =
-  e1_validity ();
-  e2_agreement ();
-  e3_msgdriven ();
-  e4_convergence ();
-  e5_timeliness ();
-  e6_early_stop ();
-  e7_msg_complexity ();
-  e8_pulse ();
-  e9_invariants ();
-  e10_lossy_links ();
-  e11_scale ();
-  e12_churn ();
-  e13_sessions ()
+type experiment = { name : string; doc : string; run : unit -> unit }
+
+let all =
+  [
+    { name = "e1"; doc = "validity under a correct General"; run = e1_validity };
+    { name = "e2"; doc = "agreement under Byzantine attack"; run = e2_agreement };
+    { name = "e3"; doc = "message-driven vs time-driven"; run = e3_msgdriven };
+    { name = "e4"; doc = "convergence from scrambled states"; run = e4_convergence };
+    { name = "e5"; doc = "timeliness bounds"; run = e5_timeliness };
+    { name = "e6"; doc = "O(f') termination"; run = e6_early_stop };
+    { name = "e7"; doc = "message complexity"; run = e7_msg_complexity };
+    { name = "e8"; doc = "pulse synchronization"; run = e8_pulse };
+    { name = "e9"; doc = "primitive-level properties"; run = e9_invariants };
+    { name = "e10"; doc = "lossy links with/without transport"; run = e10_lossy_links };
+    { name = "e11"; doc = "engine scale: events/sec across n"; run = e11_scale };
+    { name = "e12"; doc = "recovery under continuous churn"; run = e12_churn };
+    { name = "e13"; doc = "concurrent sessions vs table bound"; run = e13_sessions };
+  ]

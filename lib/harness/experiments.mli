@@ -1,49 +1,20 @@
-(** The experiment suite (DESIGN.md §4 / EXPERIMENTS.md): one function per
-    reproduced table or figure. Each prints its table to stdout; all runs are
-    deterministic in their (default) seeds. *)
+(** The experiment suite (DESIGN.md §4 / EXPERIMENTS.md): one entry per
+    reproduced table or figure. Each prints its table to stdout; every sweep
+    is a constant of its experiment, and all runs are deterministic in their
+    seeds. *)
 
-(** E1 — Validity under a correct General (Thm 3, Timeliness 2): sweep [ns]
-    with [f] crash-silent slots; report unanimity, latency, skew and the
-    paper's 4d window. *)
-val e1_validity : ?ns:int list -> ?seeds:int list -> unit -> unit
+type experiment = {
+  name : string;  (** ["e1"] … ["e13"] *)
+  doc : string;  (** one line, listed by [ssba-experiments] *)
+  run : unit -> unit;  (** prints the table *)
+}
 
-(** E2 — Agreement under Byzantine Generals/participants: six attack casts,
-    checked with the pairwise oracle. *)
-val e2_agreement : ?ns:int list -> ?seeds:int list -> unit -> unit
+(** E1 through E13, in order. *)
+val all : experiment list
 
-(** E3 — Message-driven vs time-driven latency across actual-delay ratios,
-    against the TPS'87 and EIG baselines. *)
-val e3_msgdriven : ?ratios:float list -> ?n:int -> ?seeds:int list -> unit -> unit
-
-(** E4 — Convergence from scrambled states: success rate of proposals at
-    fractions of [Delta_stb] (Corollary 5). *)
-val e4_convergence : ?n:int -> ?runs:int -> ?fractions:float list -> unit -> unit
-
-(** E5 — Timeliness: measured maxima vs the paper bounds. *)
-val e5_timeliness : ?ns:int list -> ?seeds:int list -> unit -> unit
-
-(** E6 — Termination vs actual faults f' under the round-stretcher
-    adversary: linear (2f'+5) Phi, capped by block U. *)
-val e6_early_stop : ?n:int -> ?fprimes:int list option -> unit -> unit
-
-(** E7 — Message complexity per agreement (Theta(n^2) per broadcast, n
-    broadcasts in the fast path). *)
-val e7_msg_complexity : ?ns:int list -> unit -> unit
-
-(** E8 — Pulse synchronization atop recurrent agreement: per-cycle skews. *)
-val e8_pulse : ?n:int -> ?cycles:int -> ?byzantine:int -> unit -> unit
-
-(** E9 — Primitive-level IA/TPS properties audited from observed events. *)
-val e9_invariants : ?ns:int list -> ?seeds:int list -> unit -> unit
-
-(** E10 — Lossy links: agreement success, latency and retransmission cost
-    across persistent loss rates [ps], with and without the reliable
-    transport. *)
-val e10_lossy_links : ?n:int -> ?ps:float list -> ?seeds:int list -> unit -> unit
-
-(** E11 — Engine scale sweep: one correct-General agreement at each [n],
-    timed against the wall clock (best of [repeats]). The virtual-time
-    columns (events, decided) are deterministic in [seed]. *)
+(** One row of the E11 engine scale sweep: a correct-General agreement at
+    [sr_n] with seed 111, timed against the wall clock (best of the
+    repeats). The virtual-time columns (events, decided) are deterministic. *)
 type scale_row = {
   sr_n : int;
   sr_events : int;
@@ -53,23 +24,9 @@ type scale_row = {
   sr_decided : bool;
 }
 
-(** The raw sweep, for the bench harness's JSON export. *)
-val e11_scale_rows :
-  ?ns:int list -> ?seed:int -> ?repeats:int -> unit -> scale_row list
+(** The raw E11 sweep over [ns] (default n = 7 … 101), best of [repeats]
+    (default 3) per row; bench/main.exe gates it against BENCH_engine.json. *)
+val e11_scale_rows : ?ns:int list -> ?repeats:int -> unit -> scale_row list
 
-val e11_scale : ?ns:int list -> ?seed:int -> ?repeats:int -> unit -> unit
-
-(** E12 — Recovery under continuous churn: run each {!Chaos} pattern's
-    episodic disruption schedule and measure, per coherent interval, the
-    time from return-to-coherence to the first unanimous probe agreement;
-    every measured recovery must be within [Delta_stb] (§6.1). *)
-val e12_churn : ?ns:int list -> ?seeds:int list -> ?episodes:int -> unit -> unit
-
-(** E13 — Concurrent overlapping sessions per node (paper footnote 9): for
-    each count [k] in [sessions], spread [k] logical Generals over the nodes
-    via invocation channels and fire them all within one [d]. Asserts the
-    session-table memory bound (peak live <= capacity) on every node. *)
-val e13_sessions : ?n:int -> ?sessions:int list -> ?seed:int -> unit -> unit
-
-(** Run E1 through E13 in order. *)
-val run_all : unit -> unit
+(** Print E11's table for the given rows. *)
+val print_scale : scale_row list -> unit

@@ -662,7 +662,8 @@ let spec_of_run (cfg : Config.t) (r : run) ~name =
 
 (* ----- E14: states explored, POR reduction, verdicts -------------------- *)
 
-let e14 ?(depth = 24) () =
+let e14 () =
+  let depth = 24 in
   Fmt.pr "E14 — Exhaustive small-model checking (n=4, f=1)@.@.";
   Fmt.pr "%-22s %-5s %9s %8s %8s %9s %6s %7s@." "config" "por" "explored"
     "judged" "pruned" "frontier" "viol" "splits";

@@ -97,5 +97,6 @@ val pp_report : Format.formatter -> report -> unit
     the same world and reproduces the violation. *)
 val spec_of_run : Config.t -> run -> name:string -> Ssba_fuzz.Spec.t
 
-(** E14: states explored, POR reduction factor, smoke/split verdicts. *)
-val e14 : ?depth:int -> unit -> unit
+(** E14: states explored, POR reduction factor, smoke/split verdicts, at
+    depth 24. *)
+val e14 : unit -> unit

@@ -108,15 +108,11 @@ let handle_return t (r : return_info) =
       | Some i when i >= t.next_cycle -> fire t ~cycle:i ~tau:r.tau_ret ~rt:r.rt_ret
       | Some _ | None -> ())
 
-let create ~node ~cycle_len ?patience () =
+let create ~node ~cycle_len () =
   let params = Node.params node in
   if cycle_len < min_cycle params then
     invalid_arg "Pulse_sync.create: cycle_len below the safe floor";
-  let patience =
-    match patience with
-    | Some p -> p
-    | None -> params.Params.delta_agr +. (20.0 *. params.Params.d)
-  in
+  let patience = params.Params.delta_agr +. (20.0 *. params.Params.d) in
   let t =
     { node; cycle_len; patience; next_cycle = 0; pulses = []; on_pulse = (fun _ -> ()); epoch = 0 }
   in

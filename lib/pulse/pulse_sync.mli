@@ -17,10 +17,9 @@ type t
 
 (** [create ~node ~cycle_len ()] attaches a pulse layer to a protocol node.
     [cycle_len] is the local-time cycle length; raises [Invalid_argument] if
-    below {!min_cycle}. [patience] is the takeover timeout per skipped
-    General (default [Delta_agr + 20d]). *)
-val create :
-  node:Ssba_core.Node.t -> cycle_len:float -> ?patience:float -> unit -> t
+    below {!min_cycle}. The takeover timeout per skipped General is
+    [Delta_agr + 20d]. *)
+val create : node:Ssba_core.Node.t -> cycle_len:float -> unit -> t
 
 (** Safe floor for [cycle_len] given the protocol constants. *)
 val min_cycle : Ssba_core.Params.t -> float

@@ -59,12 +59,13 @@ let coverage_ok ~min_nodes (res : H.Runner.result) =
     (fun _ nodes ok -> ok && List.length nodes >= min_nodes)
     by_value true
 
-let scenario ?session_capacity ~seed ~params (w : W.t) =
+let scenario ~seed ~params (w : W.t) =
   Sc.default ~name:"e17" ~seed
     ~horizon:(w.W.stop_at +. (1.5 *. params.P.delta_stb))
-    ~channels:w.W.channels ~admission:true ?session_capacity params
+    ~channels:w.W.channels ~admission:true params
 
-let run ?(n = 4) ?(seed = 17) () =
+let run () =
+  let n = 4 and seed = 17 in
   Fmt.pr "E17 — Recurrent-agreement service soak@.@.";
   let params = P.default n in
   let d = params.P.d in

@@ -36,9 +36,9 @@ type t = {
   mutable stopped : bool;
 }
 
-let create ?trace ?metrics () =
+let create ?trace () =
   let trace = match trace with Some tr -> tr | None -> Trace.create ~enabled:false () in
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let metrics = Metrics.create () in
   {
     now_cell = [| 0.0 |];
     queue = Event_queue.create ();
@@ -105,7 +105,10 @@ let schedule_batch t b = Event_queue.push_batch t.queue b
 
 let stop t = t.stopped <- true
 
-let record t ~node event = Trace.record t.trace ~time:(now t) ~node event
+(* The flag is checked before the clock is read: a float passed to another
+   module is boxed, and a disabled trace must not allocate (DESIGN.md §7). *)
+let record t ~node event =
+  if Trace.is_enabled t.trace then Trace.record t.trace ~time:(now t) ~node event
 
 (* Real-time pacing: process events exactly like [run], but sleep until each
    event's virtual time, mapped onto the wall clock at [speed] virtual

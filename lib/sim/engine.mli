@@ -14,12 +14,12 @@ type stats = {
           stopped by [until], [max_events] or {!stop}. *)
 }
 
-(** [create ?trace ?metrics ()] builds an engine at time 0. Without [trace],
-    an internal disabled trace is used; without [metrics], a fresh registry is
-    created. The engine feeds [engine.scheduled] and [engine.events]
-    counters; other substrates (network, nodes) reach the shared registry
-    through {!metrics}. *)
-val create : ?trace:Trace.t -> ?metrics:Metrics.t -> unit -> t
+(** [create ?trace ()] builds an engine at time 0 with a fresh metrics
+    registry. Without [trace], an internal disabled trace is used. The
+    engine feeds [engine.scheduled] and [engine.events] counters; other
+    substrates (network, nodes) reach the shared registry through
+    {!metrics}. *)
+val create : ?trace:Trace.t -> unit -> t
 
 (** Current virtual real time. *)
 val now : t -> float

@@ -218,3 +218,11 @@ let member name = function
 let to_float_opt = function Num x -> Some x | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_int_opt = function Num x when Float.is_integer x -> Some (int_of_float x) | _ -> None
+
+let write_file path text =
+  try Ok (Out_channel.with_open_text path (fun oc -> output_string oc text; flush oc))
+  with Sys_error e ->
+    (* a failed open reads "PATH: REASON"; keep the reason *)
+    let p = path ^ ": " in
+    let lp = String.length p in
+    Error (if String.starts_with ~prefix:p e then String.sub e lp (String.length e - lp) else e)

@@ -28,3 +28,8 @@ val to_string_opt : t -> string option
 
 (** [to_int_opt] succeeds only on integral numbers. *)
 val to_int_opt : t -> int option
+
+(** [write_file path text] writes [text] to [path], replacing the file.
+    [Error] carries the system's reason (e.g. ["No such file or
+    directory"]). *)
+val write_file : string -> string -> (unit, string) result

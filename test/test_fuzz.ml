@@ -100,7 +100,7 @@ let test_replay_file_roundtrip () =
     F.Campaign.spec_of_iteration ~seed:42 ~gen:F.Gen.default_config 3
   in
   let path = Filename.temp_file "ssba-fuzz" ".json" in
-  F.Spec.save path spec;
+  check_bool "saved" true (F.Spec.save path spec = Ok ());
   (match F.Spec.load path with
   | Error e -> Alcotest.failf "load failed: %s" e
   | Ok spec' ->
@@ -110,6 +110,17 @@ let test_replay_file_roundtrip () =
       check_str "replayed run reproduces the result digest" r1.F.Oracle.digest
         r2.F.Oracle.digest);
   Sys.remove path
+
+(* A spec saved under a path whose parent is a regular file cannot be
+   written: the CLIs turn the [Error] into "cannot write PATH: REASON" and
+   exit 2. *)
+let test_save_unwritable () =
+  let spec = F.Campaign.spec_of_iteration ~seed:42 ~gen:F.Gen.default_config 3 in
+  let file = Filename.temp_file "ssba-fuzz" ".json" in
+  (match F.Spec.save (Filename.concat file "spec.json") spec with
+  | Ok () -> Alcotest.fail "saved under a regular file"
+  | Error e -> check_str "the system's reason" "Not a directory" e);
+  Sys.remove file
 
 let test_run_digest_deterministic () =
   let spec =
@@ -532,7 +543,7 @@ let test_injected_violation_caught_and_shrunk () =
            fc.F.Campaign.report.F.Oracle.failures);
       (* the failing spec replays from its file byte-for-byte *)
       let path = Filename.temp_file "ssba-fuzz-fail" ".json" in
-      F.Spec.save path fc.F.Campaign.spec;
+      check_bool "saved" true (F.Spec.save path fc.F.Campaign.spec = Ok ());
       (match F.Spec.load path with
       | Error e -> Alcotest.failf "reload failed: %s" e
       | Ok spec' ->
@@ -635,4 +646,5 @@ let suite =
     slow_case "drain oracle fires on a starved service spec"
       test_service_drain_sensitivity;
     case "load rejects malformed specs" test_load_rejects_malformed_specs;
+    case "save to an unwritable path returns Error" test_save_unwritable;
   ]

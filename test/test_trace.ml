@@ -86,6 +86,34 @@ let test_lazy_rendering () =
   ignore (Trace.to_jsonl on);
   check_bool "export renders" true (!renders > 0)
 
+(* DESIGN.md §7: a disabled trace costs one branch and no allocation, also
+   through Engine.record, which every node and core block records through.
+   Times are constants: a computed float passed to another module is boxed
+   by the caller. *)
+let test_disabled_allocates_nothing () =
+  let tr = Trace.create ~enabled:false () in
+  let engine = Ssba_sim.Engine.create ~trace:tr () in
+  let ev = Trace.Send { src = 0; dst = 1; msg = "echo" } in
+  let words loop =
+    loop ();
+    let w0 = Gc.minor_words () in
+    loop ();
+    Gc.minor_words () -. w0
+  in
+  let trace_loop () =
+    for i = 1 to 10_000 do
+      Trace.record tr ~time:0.5 ~node:(i land 7) ev
+    done
+  in
+  let engine_loop () =
+    for i = 1 to 10_000 do
+      Ssba_sim.Engine.record engine ~node:(i land 7) ev
+    done
+  in
+  check_float "minor words for 10k Trace.record" 0.0 (words trace_loop);
+  check_float "minor words for 10k Engine.record" 0.0 (words engine_loop);
+  check_int "nothing recorded" 0 (Trace.count tr)
+
 let sample_events =
   [
     Trace.Send { src = 0; dst = 3; msg = "echo" };
@@ -185,4 +213,5 @@ let suite =
     case "import rejects garbage" test_import_rejects_garbage;
     case "unknown kind becomes ext" test_unknown_kind_becomes_ext;
     case "event equality" test_equal_event;
+    case "disabled record allocates nothing" test_disabled_allocates_nothing;
   ]
