@@ -20,7 +20,7 @@
    (smoke/split-blackout-on/knife-default: no violations and no splits; split
    with the blackout off and knife under --r-slack legacy: the violation IS
    found — absence is the failure). Exit status 2: a truncated exploration,
-   or --smoke given a flag it does not honour. *)
+   an unknown --config, or --smoke given a flag it does not honour. *)
 
 open Cmdliner
 module Mc = Ssba_mc.Mc
@@ -61,8 +61,7 @@ let run_one config blackout r_slack por depth max_runs jobs export =
     match config with
     | "smoke" -> (Config.smoke (), `Clean)
     | "split" -> (Config.split ~blackout (), `Split)
-    | "knife" -> (Config.knife (), `Knife)
-    | other -> Fmt.failwith "unknown config %S (smoke|split|knife)" other
+    | _ (* "knife": [main] rejects any other name *) -> (Config.knife (), `Knife)
   in
   let cfg = apply_r_slack cfg r_slack in
   let r = explore_and_report cfg ~por ~depth ~max_runs ~jobs in
@@ -199,7 +198,11 @@ let run_knife depth max_runs jobs =
 (* --smoke fixes the config's knobs itself: a flag it would not honour is a
    usage error (exit 2), never a silent pass. *)
 let main config blackout r_slack por depth max_runs jobs export smoke =
-  if smoke then
+  if not (List.mem config [ "smoke"; "split"; "knife" ]) then begin
+    Fmt.epr "ssba-mc: --config: unknown config %S (smoke|split|knife)@." config;
+    2
+  end
+  else if smoke then
     match
       List.filter_map
         (fun (flag, given) -> if given then Some flag else None)

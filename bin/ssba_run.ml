@@ -26,9 +26,41 @@ let attacks =
     ("mimics", `Mimics);
   ]
 
+(* A numeric flag outside its domain is a usage error: one line on stderr
+   and exit 2, before any scenario is built. Every check is written so that
+   NaN fails it; an infinite horizon, duration or rate would never end. *)
+let check_flags ~n ~general ~propose_at ~horizon ~realtime ~rto ~loss ~dup
+    ~reorder ~service ~service_rate =
+  let bad flag reason =
+    Fmt.epr "ssba-run: %s: %s@." flag reason;
+    exit 2
+  in
+  (match Core.Params.default n with
+  | exception Invalid_argument reason -> bad "-n" reason
+  | _ -> ());
+  if not (general >= 0 && general < n) then
+    bad "--general" (Printf.sprintf "must lie in [0, %d)" n);
+  List.iter
+    (fun (flag, p) -> if not (p >= 0.0 && p <= 1.0) then bad flag "must lie in [0, 1]")
+    [ ("--loss", loss); ("--dup", dup); ("--reorder", reorder) ];
+  if not (Float.is_finite propose_at && propose_at >= 0.0) then
+    bad "--propose-at" "must be finite and >= 0";
+  let finite_positive flag x =
+    if not (Float.is_finite x && x > 0.0) then bad flag "must be finite and > 0"
+  in
+  Option.iter (finite_positive "--horizon") horizon;
+  Option.iter (finite_positive "--rto") rto;
+  Option.iter (finite_positive "--service") service;
+  finite_positive "--service-rate" service_rate;
+  Option.iter
+    (fun speed -> if not (speed > 0.0) then bad "--realtime" "must be > 0")
+    realtime
+
 let run n seed general value attack scramble chaos sessions propose_at horizon
     trace_flag trace_out metrics_out realtime transport_flag rto loss dup
     reorder service service_rate =
+  check_flags ~n ~general ~propose_at ~horizon ~realtime ~rto ~loss ~dup
+    ~reorder ~service ~service_rate;
   let chaos =
     match chaos with
     | None -> None

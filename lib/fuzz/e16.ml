@@ -1,12 +1,10 @@
-(* E16 — the flattened scale curve and the multi-core campaign engine.
+(* E16 — the multi-core campaign engine.
 
-   Two tables. The first is the E11 sweep at its extended default range
-   (n = 7 … 101): fan-out batching plus the pooled delivery arena are what
-   keep the events/sec curve flat enough for n >= 101 rows to be routine
-   rather than an overnight job. The second runs one fixed churn campaign at
-   increasing --jobs counts and reports wall-clock speedup — with the corpus
-   digest asserted byte-identical at every job count, which is the whole
-   point: parallelism buys throughput and changes no observable result.
+   One table: a fixed churn campaign at increasing --jobs counts, with its
+   wall-clock speedup and the corpus digest asserted byte-identical at every
+   job count, which is the whole point: parallelism buys throughput and
+   changes no observable result. The single-core scale curve it builds on
+   is E11's table.
 
    Wall-clock honesty: the speedup column measures THIS host. On a 1-core
    container the curve sits at ~1.0x (domains time-share; the parallel runs
@@ -16,10 +14,9 @@
 
 let run () =
   let runs = 60 in
-  Fmt.pr "E16 — Scale curve and multi-core campaign engine@.@.";
-  Ssba_harness.Experiments.(print_scale (e11_scale_rows ()));
+  Fmt.pr "E16 — Multi-core campaign engine@.@.";
   Fmt.pr
-    "@.Campaign speedup: %d-scenario churn batch (seed 2027, shrink off), \
+    "Campaign speedup: %d-scenario churn batch (seed 2027, shrink off), \
      host offers %d core(s)@."
     runs
     (Domain.recommended_domain_count ());

@@ -7,7 +7,6 @@
    Delta_stb after the last disruption so the oracle judges the run after
    re-stabilization, exactly how the paper states its guarantees. *)
 
-open Ssba_core.Types
 module Rng = Ssba_sim.Rng
 module P = Ssba_core.Params
 module S = Ssba_harness.Scenario
@@ -18,12 +17,10 @@ module W = Ssba_service.Workload
 module D = Ssba_net.Delay
 
 type config = {
-  min_n : int;
   max_n : int;
   max_cast : int;
   max_proposals : int;
   max_disruptions : int;
-  values : value list;
   disruptions : bool;
   transport : T.config option;
   max_link_faults : int;
@@ -40,14 +37,15 @@ type config = {
          streams — and their pinned corpus digests — are untouched. *)
 }
 
+(* The payload vocabulary of every tier. *)
+let values = [ "alpha"; "beta"; "gamma" ]
+
 let default_config =
   {
-    min_n = 4;
     max_n = 10;
     max_cast = 3;
     max_proposals = 3;
     max_disruptions = 2;
-    values = [ "alpha"; "beta"; "gamma" ];
     disruptions = true;
     transport = None;
     max_link_faults = 0;
@@ -136,7 +134,7 @@ let min_horizon spec =
   +. params.P.delta_agr +. (10.0 *. params.P.d)
 
 let spec rng cfg =
-  let n = Rng.int_in_range rng ~lo:(max 4 cfg.min_n) ~hi:(max 4 cfg.max_n) in
+  let n = Rng.int_in_range rng ~lo:4 ~hi:(max 4 cfg.max_n) in
   let f = P.max_faults n in
   let params = P.default n in
   (* Active window: everything the cast, proposals and events do happens in
@@ -152,7 +150,7 @@ let spec rng cfg =
     List.map
       (fun id ->
         ( id,
-          C.generate ~edges:cfg.edge_delays rng ~values:cfg.values ~at_lo:0.01
+          C.generate ~edges:cfg.edge_delays rng ~values ~at_lo:0.01
             ~at_hi:active ~n ))
       byz_ids
   in
@@ -234,7 +232,7 @@ let spec rng cfg =
       (fun i g ->
         {
           S.g;
-          v = Printf.sprintf "%s-%d" (Rng.pick_list rng cfg.values) i;
+          v = Printf.sprintf "%s-%d" (Rng.pick_list rng values) i;
           at = Rng.float_in_range rng ~lo:0.01 ~hi:active;
         })
       generals
@@ -269,7 +267,7 @@ let spec rng cfg =
       | _ ->
           events :=
             S.Scramble
-              { at; values = cfg.values; net_garbage = Rng.int rng 150 }
+              { at; values; net_garbage = Rng.int rng 150 }
             :: !events
     done
   end;

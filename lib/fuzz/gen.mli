@@ -8,12 +8,10 @@
     before the horizon — the self-stabilization claim under test. *)
 
 type config = {
-  min_n : int;
-  max_n : int;
+  max_n : int;  (** clusters span n = 4 … [max_n] *)
   max_cast : int;  (** cap on Byzantine count (further capped by [f]) *)
   max_proposals : int;
   max_disruptions : int;  (** crash/drop/partition/scramble groups *)
-  values : Ssba_core.Types.value list;  (** payload vocabulary *)
   disruptions : bool;  (** allow transient environment events at all *)
   transport : Ssba_transport.Transport.config option;
       (** run every generated spec over the reliable transport *)

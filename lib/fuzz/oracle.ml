@@ -29,22 +29,9 @@ module Ty = Ssba_core.Types
 type failure = { oracle : string; detail : string }
 type report = { digest : string; failures : failure list }
 
-type config = {
-  check_invariants : bool;
-  check_timeliness : bool;
-  skew_deadline_scale : float;
-  assume_coherent : bool;
-  recovery_stb_scale : float;
-}
+type config = { skew_deadline_scale : float; assume_coherent : bool }
 
-let default_config =
-  {
-    check_invariants = true;
-    check_timeliness = true;
-    skew_deadline_scale = 1.0;
-    assume_coherent = false;
-    recovery_stb_scale = 1.0;
-  }
+let default_config = { skew_deadline_scale = 1.0; assume_coherent = false }
 
 let failed r = r.failures <> []
 let pp_failure ppf f = Fmt.pf ppf "[%s] %s" f.oracle f.detail
@@ -96,9 +83,8 @@ let run ?(config = default_config) spec =
      crashes, unmasked persistent link faults) simply contribute no interval
      — and additionally catches violations in early coherent windows that a
      last-disruption-only cutoff would skate past. *)
-  let stb = params.P.delta_stb *. config.recovery_stb_scale in
   let reports =
-    if config.assume_coherent then [] else H.Checks.recovery_report ~stb res
+    if config.assume_coherent then [] else H.Checks.recovery_report res
   in
   if config.assume_coherent then
     List.iter
@@ -151,126 +137,124 @@ let run ?(config = default_config) spec =
   (* Invariant monitors stay calm-only: they watch per-message causality at
      a granularity where even masked link faults (residual loss, late
      retransmits) are observable without being protocol violations. *)
-  if spec.Spec.events = [] && config.check_invariants then
+  if spec.Spec.events = [] then
     List.iter (fun v -> add "invariants" "%s" v) (H.Invariants.check res);
-  if config.check_timeliness then begin
-    let episodes = H.Metrics.episodes res in
-    (* Service jobs carry unique per-attempt values, so their checks match
-       returns by value. The episode machinery must NOT be used for them:
-       episodes cluster returns per General with gap [Delta_agr], but the
-       service re-initiates the same General as fast as [Delta_0]
-       (< Delta_agr), so back-to-back jobs merge into one episode and the
-       per-episode validity check would cry wolf over the (intentionally)
-       divergent job values. *)
-    let svc_decisions : (string * int, float) Hashtbl.t = Hashtbl.create 256 in
+  let episodes = H.Metrics.episodes res in
+  (* Service jobs carry unique per-attempt values, so their checks match
+     returns by value. The episode machinery must NOT be used for them:
+     episodes cluster returns per General with gap [Delta_agr], but the
+     service re-initiates the same General as fast as [Delta_0]
+     (< Delta_agr), so back-to-back jobs merge into one episode and the
+     per-episode validity check would cry wolf over the (intentionally)
+     divergent job values. *)
+  let svc_decisions : (string * int, float) Hashtbl.t = Hashtbl.create 256 in
+  List.iter
+    (fun (r : Ty.return_info) ->
+      match r.Ty.outcome with
+      | Ty.Decided v when Svc.is_service_value v ->
+          (* returns are in rt order; keep the first per (value, node) *)
+          if not (Hashtbl.mem svc_decisions (v, r.Ty.node)) then
+            Hashtbl.add svc_decisions (v, r.Ty.node) r.Ty.rt_ret
+      | _ -> ())
+    res.H.Runner.returns;
+  (* Bounded memory's sacrifice: when a full table evicts G's live session
+     at some node, that node loses the job — by design, not by bug. The
+     termination check excuses exactly those (node, G) pairs, per eviction
+     time; agreement and the service-mode invariants still apply. *)
+  let svc_evictions : (int * int, float list) Hashtbl.t = Hashtbl.create 64 in
+  if spec.Spec.service <> None then
     List.iter
-      (fun (r : Ty.return_info) ->
-        match r.Ty.outcome with
-        | Ty.Decided v when Svc.is_service_value v ->
-            (* returns are in rt order; keep the first per (value, node) *)
-            if not (Hashtbl.mem svc_decisions (v, r.Ty.node)) then
-              Hashtbl.add svc_decisions (v, r.Ty.node) r.Ty.rt_ret
+      (fun (e : Tr.entry) ->
+        match e.Tr.event with
+        | Tr.Session_evict { g } ->
+            let key = (e.Tr.node, g) in
+            let ts =
+              Option.value ~default:[] (Hashtbl.find_opt svc_evictions key)
+            in
+            Hashtbl.replace svc_evictions key (e.Tr.time :: ts)
         | _ -> ())
-      res.H.Runner.returns;
-    (* Bounded memory's sacrifice: when a full table evicts G's live session
-       at some node, that node loses the job — by design, not by bug. The
-       termination check excuses exactly those (node, G) pairs, per eviction
-       time; agreement and the service-mode invariants still apply. *)
-    let svc_evictions : (int * int, float list) Hashtbl.t = Hashtbl.create 64 in
-    if spec.Spec.service <> None then
-      List.iter
-        (fun (e : Tr.entry) ->
-          match e.Tr.event with
-          | Tr.Session_evict { g } ->
-              let key = (e.Tr.node, g) in
-              let ts =
-                Option.value ~default:[] (Hashtbl.find_opt svc_evictions key)
+      (Tr.to_list res.H.Runner.trace);
+  let evicted_in_window ~g ~at node =
+    match Hashtbl.find_opt svc_evictions (node, g) with
+    | None -> false
+    | Some ts ->
+        List.exists (fun t -> t >= at -. d && t <= at +. window) ts
+  in
+  List.iter
+    (fun ((p : S.proposal), outcome) ->
+      match outcome with
+      | H.Runner.Refused _ | H.Runner.No_general -> ()
+      | H.Runner.Accepted when Svc.is_service_value p.S.v -> (
+          match entitlement p with
+          | None -> ()
+          | Some correct ->
+              let times =
+                List.map
+                  (fun node ->
+                    (node, Hashtbl.find_opt svc_decisions (p.S.v, node)))
+                  correct
               in
-              Hashtbl.replace svc_evictions key (e.Tr.time :: ts)
-          | _ -> ())
-        (Tr.to_list res.H.Runner.trace);
-    let evicted_in_window ~g ~at node =
-      match Hashtbl.find_opt svc_evictions (node, g) with
-      | None -> false
-      | Some ts ->
-          List.exists (fun t -> t >= at -. d && t <= at +. window) ts
-    in
-    List.iter
-      (fun ((p : S.proposal), outcome) ->
-        match outcome with
-        | H.Runner.Refused _ | H.Runner.No_general -> ()
-        | H.Runner.Accepted when Svc.is_service_value p.S.v -> (
-            match entitlement p with
-            | None -> ()
-            | Some correct ->
-                let times =
-                  List.map
-                    (fun node ->
-                      (node, Hashtbl.find_opt svc_decisions (p.S.v, node)))
-                    correct
-                in
-                let missing, decided =
-                  List.partition (fun (_, t) -> t = None) times
-                in
-                let excused node = evicted_in_window ~g:p.S.g ~at:p.S.at node in
-                let missing =
-                  List.filter (fun (node, _) -> not (excused node)) missing
-                in
-                let late =
+              let missing, decided =
+                List.partition (fun (_, t) -> t = None) times
+              in
+              let excused node = evicted_in_window ~g:p.S.g ~at:p.S.at node in
+              let missing =
+                List.filter (fun (node, _) -> not (excused node)) missing
+              in
+              let late =
+                List.filter
+                  (fun (node, t) ->
+                    match t with
+                    | Some rt ->
+                        (rt < p.S.at -. d || rt > p.S.at +. window)
+                        && not (excused node)
+                    | None -> false)
+                  decided
+              in
+              if missing <> [] || late <> [] then
+                add "service-termination"
+                  "G=%d job %S at %g: %d node(s) missing, %d late" p.S.g
+                  p.S.v p.S.at (List.length missing) (List.length late)
+              else begin
+                (* skew over on-time decisions only: an excused node that
+                   decided late (evicted, then recreated by a retransmit)
+                   is not held to the deadline either *)
+                let ts =
                   List.filter
-                    (fun (node, t) ->
-                      match t with
-                      | Some rt ->
-                          (rt < p.S.at -. d || rt > p.S.at +. window)
-                          && not (excused node)
-                      | None -> false)
-                    decided
+                    (fun rt -> rt >= p.S.at -. d && rt <= p.S.at +. window)
+                    (List.filter_map snd decided)
                 in
-                if missing <> [] || late <> [] then
-                  add "service-termination"
-                    "G=%d job %S at %g: %d node(s) missing, %d late" p.S.g
-                    p.S.v p.S.at (List.length missing) (List.length late)
-                else begin
-                  (* skew over on-time decisions only: an excused node that
-                     decided late (evicted, then recreated by a retransmit)
-                     is not held to the deadline either *)
-                  let ts =
-                    List.filter
-                      (fun rt -> rt >= p.S.at -. d && rt <= p.S.at +. window)
-                      (List.filter_map snd decided)
-                  in
-                  let lo = List.fold_left Float.min infinity ts in
-                  let hi = List.fold_left Float.max neg_infinity ts in
+                let lo = List.fold_left Float.min infinity ts in
+                let hi = List.fold_left Float.max neg_infinity ts in
+                let bound = 3.0 *. d *. config.skew_deadline_scale in
+                if hi -. lo > bound +. 1e-12 then
+                  add "timeliness-1a"
+                    "G=%d service decision skew %.3fd exceeds deadline %.3fd"
+                    p.S.g
+                    ((hi -. lo) /. d)
+                    (bound /. d)
+              end)
+      | H.Runner.Accepted -> (
+          match entitlement p with
+          | None -> ()
+          | Some correct -> (
+              match episode_for episodes p ~params with
+              | None ->
+                  add "termination"
+                    "G=%d accepted %S at %g but no correct node returned" p.S.g
+                    p.S.v p.S.at
+              | Some e ->
+                  if not (H.Checks.validity ~correct ~v:p.S.v e) then
+                    add "validity"
+                      "G=%d proposed %S at %g: not every correct node decided it"
+                      p.S.g p.S.v p.S.at;
+                  let skew = H.Metrics.decision_skew res e in
                   let bound = 3.0 *. d *. config.skew_deadline_scale in
-                  if hi -. lo > bound +. 1e-12 then
+                  if skew > bound +. 1e-12 then
                     add "timeliness-1a"
-                      "G=%d service decision skew %.3fd exceeds deadline %.3fd"
-                      p.S.g
-                      ((hi -. lo) /. d)
-                      (bound /. d)
-                end)
-        | H.Runner.Accepted -> (
-            match entitlement p with
-            | None -> ()
-            | Some correct -> (
-                match episode_for episodes p ~params with
-                | None ->
-                    add "termination"
-                      "G=%d accepted %S at %g but no correct node returned" p.S.g
-                      p.S.v p.S.at
-                | Some e ->
-                    if not (H.Checks.validity ~correct ~v:p.S.v e) then
-                      add "validity"
-                        "G=%d proposed %S at %g: not every correct node decided it"
-                        p.S.g p.S.v p.S.at;
-                    let skew = H.Metrics.decision_skew res e in
-                    let bound = 3.0 *. d *. config.skew_deadline_scale in
-                    if skew > bound +. 1e-12 then
-                      add "timeliness-1a"
-                        "G=%d decision skew %.3fd exceeds deadline %.3fd" p.S.g
-                        (skew /. d) (bound /. d))))
-      res.H.Runner.proposal_results
-  end;
+                      "G=%d decision skew %.3fd exceeds deadline %.3fd" p.S.g
+                      (skew /. d) (bound /. d))))
+    res.H.Runner.proposal_results;
   (* Service-mode checks, over the typed trace: the queue bound is a hard
      invariant, shedding is legal only under admission pressure, and every
      degraded episode must drain back to normal before the horizon (the

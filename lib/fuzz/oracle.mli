@@ -26,8 +26,6 @@ type report = {
 }
 
 type config = {
-  check_invariants : bool;
-  check_timeliness : bool;
   skew_deadline_scale : float;
       (** scales the Timeliness-1a 3d decision-skew deadline; 1.0 is the
           paper's bound, smaller values deliberately weaken the oracle's
@@ -39,12 +37,6 @@ type config = {
           Unsound by design — it exists so the regression suite can show the
           bare protocol losing Termination over persistently lossy links
           that the transport would have masked *)
-  recovery_stb_scale : float;
-      (** scales the [Delta_stb] offset at which each coherent interval's
-          Agreement check begins; 1.0 is the paper's bound, smaller values
-          deliberately check before stabilization is owed (used to prove the
-          per-interval oracle catches pre-stabilization divergence that the
-          old last-disruption-only check never saw) *)
 }
 
 val default_config : config

@@ -144,51 +144,11 @@ let validate t =
 
 (* ---------- JSON codec ---------- *)
 
-exception Decode of string
+open J.Read
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Decode s)) fmt
 let num x = J.Num x
 let int x = J.Num (float_of_int x)
 let str s = J.Str s
-
-let get_field name j =
-  match J.member name j with Some v -> v | None -> fail "missing field %S" name
-
-let get_float name j =
-  match J.to_float_opt (get_field name j) with
-  | Some x -> x
-  | None -> fail "field %S: expected number" name
-
-let get_int name j =
-  match J.to_int_opt (get_field name j) with
-  | Some x -> x
-  | None -> fail "field %S: expected integer" name
-
-let get_str name j =
-  match J.to_string_opt (get_field name j) with
-  | Some s -> s
-  | None -> fail "field %S: expected string" name
-
-let get_list name j =
-  match get_field name j with
-  | J.Arr l -> l
-  | _ -> fail "field %S: expected array" name
-
-let str_list name j =
-  List.map
-    (fun v ->
-      match J.to_string_opt v with
-      | Some s -> s
-      | None -> fail "field %S: expected strings" name)
-    (get_list name j)
-
-let int_list name j =
-  List.map
-    (fun v ->
-      match J.to_int_opt v with
-      | Some i -> i
-      | None -> fail "field %S: expected integers" name)
-    (get_list name j)
 
 let delay_to_json = function
   | D.Fixed x -> J.Obj [ ("model", str "fixed"); ("delay", num x) ]
@@ -222,14 +182,6 @@ let delay_to_json = function
                      ])
                  links) );
         ]
-
-let float_list name j =
-  List.map
-    (fun v ->
-      match J.to_float_opt v with
-      | Some x -> x
-      | None -> fail "field %S: expected numbers" name)
-    (get_list name j)
 
 let delay_of_json j =
   match get_str "model" j with

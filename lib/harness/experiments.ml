@@ -764,7 +764,7 @@ let e11_scale_rows ?(ns = [ 7; 13; 25; 31; 41; 51; 61; 81; 101 ]) ?(repeats = 3)
       })
     ns
 
-let print_scale rows =
+let e11_scale () =
   section "E11 — Engine scale: events/sec on an agreement workload across n";
   let tbl =
     Table.create
@@ -781,10 +781,8 @@ let print_scale rows =
           Printf.sprintf "%.1f" r.sr_wall_ms_per_sim_s;
           Table.yn r.sr_decided;
         ])
-    rows;
+    (e11_scale_rows ());
   Table.print tbl
-
-let e11_scale () = print_scale (e11_scale_rows ())
 
 (* ----- E12: recovery under continuous churn (§6.1, Delta_stb) ----------- *)
 

@@ -27,6 +27,3 @@ type scale_row = {
 (** The raw E11 sweep over [ns] (default n = 7 … 101), best of [repeats]
     (default 3) per row; bench/main.exe gates it against BENCH_engine.json. *)
 val e11_scale_rows : ?ns:int list -> ?repeats:int -> unit -> scale_row list
-
-(** Print E11's table for the given rows. *)
-val print_scale : scale_row list -> unit

@@ -100,21 +100,6 @@ let garbage_message ~rng ~params ~values =
           k = 1 + Rng.int rng (max 1 (params.Params.f + 1));
         }
 
-(* Message counts at the end of a run, uniform across plain/transport nets. *)
-type net_counts = {
-  nc_sent : int;
-  nc_delivered : int;
-  nc_dropped : int;
-  nc_duplicated : int;
-  nc_in_flight : int;
-  nc_by_kind : (string * int) list;
-  nc_retransmits : int;
-  nc_dup_suppressed : int;
-  nc_expired : int;
-  nc_retries_exhausted : int;
-  nc_evicted : int;
-}
-
 (* The scenario interpreter is agnostic to whether protocol traffic rides the
    raw network or the reliable transport: it sees the payload-typed link plus
    closures over the underlying network's fault knobs. *)
@@ -131,10 +116,9 @@ type net_iface = {
   scramble_pool : values:value list -> unit;
       (* trash the delivery arena's free descriptors (its own RNG stream;
          armed descriptors and results untouched) *)
-  counts : unit -> net_counts;
 }
 
-(* The knobs and counts of [net], whatever frame type it carries. [garbage]
+(* The knobs of [net], whatever frame type it carries. [garbage]
    forges one in-flight frame for the incoherent period (random protocol
    messages claiming random senders, delivered over the next ~Delta_rmv);
    [pool_garbage] is what a trashed free descriptor holds. *)
@@ -142,7 +126,6 @@ let net_iface (type f) ~params ~(net : f Network.t) ~link ~transport
     ~(garbage : Rng.t -> values:value list -> f)
     ~(pool_garbage : Rng.t -> values:value list -> f) =
   let n = Network.size net in
-  let tr get = match transport with None -> 0 | Some t -> get t in
   {
     link;
     set_muted = Network.set_muted net;
@@ -164,21 +147,6 @@ let net_iface (type f) ~params ~(net : f Network.t) ~link ~transport
       (fun ~rng -> Option.iter (fun t -> Transport.scramble t ~rng) transport);
     scramble_pool =
       (fun ~values -> Network.scramble_pool net ~payload:(pool_garbage ~values));
-    counts =
-      (fun () ->
-        {
-          nc_sent = Network.messages_sent net;
-          nc_delivered = Network.messages_delivered net;
-          nc_dropped = Network.messages_dropped net;
-          nc_duplicated = Network.messages_duplicated net;
-          nc_in_flight = Network.messages_in_flight net;
-          nc_by_kind = Network.sent_by_kind net;
-          nc_retransmits = tr Transport.retransmits;
-          nc_dup_suppressed = tr Transport.dup_suppressed;
-          nc_expired = tr Transport.expired;
-          nc_retries_exhausted = tr Transport.retries_exhausted;
-          nc_evicted = tr Transport.evicted;
-        });
   }
 
 let plain_iface ~engine ~params ~delay ~rng n =
@@ -407,7 +375,10 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
         })
     on_driver;
   let engine_stats = execute ~until:sc.Scenario.horizon engine in
-  let c = iface.counts () in
+  (* The run's counts, read by name from the registry the network and the
+     transport fed. A transport counter is absent when no transport ran. *)
+  let metrics = Engine.metrics engine in
+  let count name = Option.value (Metrics.find_counter metrics name) ~default:0 in
   {
     scenario = sc;
     returns =
@@ -421,18 +392,20 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
     nodes = !live_nodes;
     proposal_results = List.rev !proposal_results;
     engine_stats;
-    messages_sent = c.nc_sent;
-    messages_delivered = c.nc_delivered;
-    messages_dropped = c.nc_dropped;
-    messages_duplicated = c.nc_duplicated;
-    messages_in_flight = c.nc_in_flight;
-    messages_by_kind = c.nc_by_kind;
-    transport_retransmits = c.nc_retransmits;
-    transport_dup_suppressed = c.nc_dup_suppressed;
-    transport_expired = c.nc_expired;
-    transport_retries_exhausted = c.nc_retries_exhausted;
-    transport_evicted = c.nc_evicted;
-    metrics = Engine.metrics engine;
+    messages_sent = count "net.sent";
+    messages_delivered = count "net.delivered";
+    messages_dropped = count "net.dropped";
+    messages_duplicated = count "net.duplicated";
+    messages_in_flight =
+      int_of_float
+        (Option.value (Metrics.find_gauge metrics "net.in_flight") ~default:0.0);
+    messages_by_kind = Metrics.counters_with_prefix metrics "net.sent.";
+    transport_retransmits = count "transport.retransmits";
+    transport_dup_suppressed = count "transport.dup_suppressed";
+    transport_expired = count "transport.expired";
+    transport_retries_exhausted = count "transport.retries_exhausted";
+    transport_evicted = count "transport.evicted";
+    metrics;
     trace;
   }
 

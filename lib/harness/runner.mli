@@ -33,6 +33,10 @@ type result = {
   proposal_results : (Scenario.proposal * proposal_outcome) list;
       (** in chronological ([at]) order *)
   engine_stats : Ssba_sim.Engine.stats;
+  (* The eleven counts below are read from [metrics] by name when the run
+     ends: [net.sent], [net.delivered], [net.dropped], [net.duplicated], the
+     [net.in_flight] gauge, the [net.sent.<kind>] counters and
+     [transport.<name>]. *)
   messages_sent : int;
   messages_delivered : int;
   messages_dropped : int;

@@ -4,10 +4,11 @@ type t = { header : string list; mutable rows : string list list }
 
 let create header = { header; rows = [] }
 
+(* Newest first, which is also the order rows print in. *)
 let add_row t row = t.rows <- row :: t.rows
 
 let widths t =
-  let rows = t.header :: List.rev t.rows in
+  let rows = t.header :: t.rows in
   let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 rows in
   let w = Array.make ncols 0 in
   List.iter
@@ -29,8 +30,7 @@ let render t =
   let sep =
     Array.to_list w |> List.map (fun n -> String.make n '-') |> String.concat "  "
   in
-  let body = List.rev_map line t.rows in
-  String.concat "\n" ((line t.header :: sep :: List.rev body) @ [ "" ])
+  String.concat "\n" ((line t.header :: sep :: List.map line t.rows) @ [ "" ])
 
 let print t = print_string (render t)
 

@@ -4,7 +4,8 @@ type t
 
 val create : string list -> t
 
-(** Append a row (printed in insertion order). *)
+(** Add a row. Rows print newest first: the row added last sits directly
+    under the header. *)
 val add_row : t -> string list -> unit
 
 (** Render with auto-sized columns, header separator and trailing newline. *)

@@ -11,11 +11,9 @@ type 'a t = {
   send : src:int -> dst:int -> 'a -> unit;
   broadcast : src:int -> 'a -> unit;
   set_handler : int -> ('a Msg.t -> unit) -> unit;
-  clear_handler : int -> unit;
 }
 
 let size t = t.n
 let send t ~src ~dst payload = t.send ~src ~dst payload
 let broadcast t ~src payload = t.broadcast ~src payload
 let set_handler t node h = t.set_handler node h
-let clear_handler t node = t.clear_handler node

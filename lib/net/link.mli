@@ -9,11 +9,9 @@ type 'a t = {
   send : src:int -> dst:int -> 'a -> unit;
   broadcast : src:int -> 'a -> unit;
   set_handler : int -> ('a Msg.t -> unit) -> unit;
-  clear_handler : int -> unit;
 }
 
 val size : 'a t -> int
 val send : 'a t -> src:int -> dst:int -> 'a -> unit
 val broadcast : 'a t -> src:int -> 'a -> unit
 val set_handler : 'a t -> int -> ('a Msg.t -> unit) -> unit
-val clear_handler : 'a t -> int -> unit

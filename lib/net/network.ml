@@ -92,8 +92,7 @@ type 'a t = {
   c_dropped : Metrics.counter;
   c_duplicated : Metrics.counter;
   c_reordered : Metrics.counter;
-  g_in_flight : Metrics.gauge;
-  mutable in_flight : int;
+  g_in_flight : Metrics.gauge;  (* scheduled, undelivered: moves by exactly 1.0 *)
 }
 
 let create ?(drop_prob = 0.0) ?(dup_prob = 0.0) ?reorder ?kind_of ~engine ~n
@@ -138,7 +137,6 @@ let create ?(drop_prob = 0.0) ?(dup_prob = 0.0) ?reorder ?kind_of ~engine ~n
     c_duplicated = Metrics.counter metrics "net.duplicated";
     c_reordered = Metrics.counter metrics "net.reordered";
     g_in_flight = Metrics.gauge metrics "net.in_flight";
-    in_flight = 0;
   }
   in
   t.pool_rng <- Rng.split rng;
@@ -146,7 +144,6 @@ let create ?(drop_prob = 0.0) ?(dup_prob = 0.0) ?reorder ?kind_of ~engine ~n
 
 let size t = t.n
 let set_handler t node h = t.handlers.(node) <- Some h
-let clear_handler t node = t.handlers.(node) <- None
 let set_delay t delay = t.delay <- delay
 let set_drop_prob t p = t.drop_prob <- p
 let drop_prob t = t.drop_prob
@@ -169,32 +166,12 @@ let messages_dropped t = Metrics.value t.c_dropped
 let messages_duplicated t = Metrics.value t.c_duplicated
 let messages_reordered t = Metrics.value t.c_reordered
 let messages_attempted t = messages_sent t + messages_duplicated t
-let messages_in_flight t = t.in_flight
+let messages_in_flight t = int_of_float (Metrics.gauge_value t.g_in_flight)
 
-(* Derived from the per-kind metrics counters (same increments as the old
-   dedicated table); zero-count kinds are omitted so counter registrations
-   surviving a [reset_counters] don't show up as phantom entries. *)
+(* A kind's counter is registered by its first send, so every kind listed
+   has sent at least once. *)
 let sent_by_kind t =
-  Hashtbl.fold
-    (fun k c acc ->
-      let v = Metrics.value c in
-      if v > 0 then (k, v) :: acc else acc)
-    t.kind_counters []
-  |> List.sort compare
-
-let reset_counters t =
-  (* Counters are monotonic within a run; resetting between scenario reuses
-     also discounts whatever is still in flight so the conservation invariant
-     restarts clean. Only the network's own metrics are zeroed — the registry
-     is shared with the engine and nodes. *)
-  Metrics.reset_counter t.c_sent;
-  Metrics.reset_counter t.c_delivered;
-  Metrics.reset_counter t.c_dropped;
-  Metrics.reset_counter t.c_duplicated;
-  Metrics.reset_counter t.c_reordered;
-  Metrics.reset_gauge t.g_in_flight;
-  Hashtbl.iter (fun _ c -> Metrics.reset_counter c) t.kind_counters;
-  t.in_flight <- 0
+  Metrics.counters_with_prefix (Engine.metrics t.engine) "net.sent."
 
 let kind_of_payload t payload =
   match t.kind_of with None -> None | Some f -> Some (f payload)
@@ -240,13 +217,12 @@ let count_dropped t ~src ~dst ~reason payload =
       (Trace.Drop { src; dst; msg = trace_msg t payload; reason })
 
 let deliver t (m : 'a Msg.t) =
-  t.in_flight <- t.in_flight - 1;
   Metrics.add t.g_in_flight (-1.0);
   match t.handlers.(m.Msg.dst) with
   | None ->
-      (* A destination without a handler (a skipped slot, a slot whose handler
-         was cleared) consumes the message: it must leave the in-flight set as
-         a drop or the conservation invariant cannot be stated. *)
+      (* A destination without a handler (a skipped slot) consumes the
+         message: it must leave the in-flight set as a drop or the
+         conservation invariant cannot be stated. *)
       count_dropped t ~src:m.Msg.src ~dst:m.Msg.dst ~reason:"no-handler"
         m.Msg.payload
   | Some h ->
@@ -335,7 +311,6 @@ let arm_slot t fo i ~dst ~at =
   fo.fan_dsts.(i) <- dst;
   b.Event_queue.b_ats.(i) <- at;
   b.Event_queue.b_seqs.(i) <- Engine.next_seq t.engine;
-  t.in_flight <- t.in_flight + 1;
   Metrics.add t.g_in_flight 1.0
 
 (* Sort the armed prefix by (at, seq) and hand the descriptor to the engine
@@ -508,5 +483,4 @@ let link t =
     send = (fun ~src ~dst payload -> send t ~src ~dst payload);
     broadcast = (fun ~src payload -> broadcast t ~src payload);
     set_handler = (fun node h -> set_handler t node h);
-    clear_handler = (fun node -> clear_handler t node);
   }

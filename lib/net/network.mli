@@ -34,7 +34,6 @@ val create :
 val size : 'a t -> int
 
 val set_handler : 'a t -> int -> 'a handler -> unit
-val clear_handler : 'a t -> int -> unit
 val set_delay : 'a t -> Delay.t -> unit
 
 (** Probability that a send is silently lost — transient incoherence, or a
@@ -110,10 +109,9 @@ val messages_attempted : 'a t -> int
 (** Messages scheduled but not yet delivered or dropped. *)
 val messages_in_flight : 'a t -> int
 
-(** Per-kind send counts (requires [kind_of] at creation), sorted by kind. *)
+(** Per-kind send counts (requires [kind_of] at creation), sorted by kind:
+    the registry's [net.sent.<kind>] counters. *)
 val sent_by_kind : 'a t -> (string * int) list
-
-val reset_counters : 'a t -> unit
 
 (** {2 Delivery arena}
 
@@ -127,9 +125,8 @@ val reset_counters : 'a t -> unit
     need more. Descriptors live in a pooled arena, recycled when the last
     sub-event fires, so steady-state delivery allocates no descriptors or
     slots beyond the peak concurrent need; the registry tracks
-    [net.pool.fanouts] / [net.pool.slots] (monotonic allocation counters,
-    not reset by {!reset_counters} — the arena persists across scenario
-    reuse) and [net.pool.in_use]. *)
+    [net.pool.fanouts] / [net.pool.slots] (allocations over the network's
+    life) and [net.pool.in_use]. *)
 
 (** Fan-out descriptors ever allocated ([net.pool.fanouts]). *)
 val pool_fanouts_allocated : 'a t -> int

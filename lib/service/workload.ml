@@ -66,26 +66,12 @@ let validate t =
   else if t.pulse_cycles < 0 then err "pulse_cycles must be >= 0"
   else Ok ()
 
-(* ---------- JSON codec (same conventions as Spec's) ---------- *)
+(* ---------- JSON codec ---------- *)
 
-exception Decode of string
+open J.Read
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Decode s)) fmt
 let num x = J.Num x
 let int x = J.Num (float_of_int x)
-
-let get_field name j =
-  match J.member name j with Some v -> v | None -> fail "missing field %S" name
-
-let get_float name j =
-  match J.to_float_opt (get_field name j) with
-  | Some x -> x
-  | None -> fail "field %S: expected number" name
-
-let get_int name j =
-  match J.to_int_opt (get_field name j) with
-  | Some x -> x
-  | None -> fail "field %S: expected integer" name
 
 let arrivals_to_json = function
   | Poisson { rate } -> J.Obj [ ("model", J.Str "poisson"); ("rate", num rate) ]
@@ -99,17 +85,16 @@ let arrivals_to_json = function
         ]
 
 let arrivals_of_json j =
-  match J.to_string_opt (get_field "model" j) with
-  | Some "poisson" -> Poisson { rate = get_float "rate" j }
-  | Some "bursty" ->
+  match get_str "model" j with
+  | "poisson" -> Poisson { rate = get_float "rate" j }
+  | "bursty" ->
       Bursty
         {
           rate = get_float "rate" j;
           burst = get_int "burst" j;
           every = get_float "every" j;
         }
-  | Some m -> fail "unknown arrival model %S" m
-  | None -> fail "field \"model\": expected string"
+  | m -> fail "unknown arrival model %S" m
 
 let to_json t =
   J.Obj

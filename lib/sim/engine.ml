@@ -110,45 +110,10 @@ let stop t = t.stopped <- true
 let record t ~node event =
   if Trace.is_enabled t.trace then Trace.record t.trace ~time:(now t) ~node event
 
-(* Real-time pacing: process events exactly like [run], but sleep until each
-   event's virtual time, mapped onto the wall clock at [speed] virtual
-   seconds per wall second. Turns any deterministic scenario into a live
-   demo; determinism of the *results* is unaffected because only the pacing,
-   never the order, depends on the wall clock. *)
-let run_realtime ?(speed = 1.0) ?(until = infinity) ?(max_events = max_int) t =
-  if speed <= 0.0 then invalid_arg "Engine.run_realtime: speed must be positive";
-  let epoch_wall = Unix.gettimeofday () in
-  let epoch_virtual = now t in
-  t.stopped <- false;
-  let processed = ref 0 in
-  let exhausted = ref false in
-  let continue = ref true in
-  while !continue do
-    if t.stopped || !processed >= max_events then continue := false
-    else if Event_queue.is_empty t.queue then begin
-      exhausted := true;
-      continue := false
-    end
-    else begin
-      let at = Event_queue.min_at t.queue in
-      if at > until then begin
-        if until > now t then Array.unsafe_set t.now_cell 0 until;
-        continue := false
-      end
-      else begin
-        let wall_target = epoch_wall +. ((at -. epoch_virtual) /. speed) in
-        let lag = wall_target -. Unix.gettimeofday () in
-        if lag > 0.0 then Unix.sleepf lag;
-        Array.unsafe_set t.now_cell 0 at;
-        incr processed;
-        Metrics.incr t.c_processed;
-        Event_queue.pop_invoke t.queue
-      end
-    end
-  done;
-  { events_processed = !processed; end_time = now t; queue_exhausted = !exhausted }
-
 let run ?(until = infinity) ?(max_events = max_int) t =
+  (* Checked once, outside the loop: [at > NaN] is never true, so a NaN
+     horizon would run for as long as anything reschedules itself. *)
+  if Float.is_nan until then invalid_arg "Engine.run: NaN until";
   t.stopped <- false;
   let processed = ref 0 in
   let exhausted = ref false in
@@ -179,3 +144,29 @@ let run ?(until = infinity) ?(max_events = max_int) t =
     end
   done;
   { events_processed = !processed; end_time = now t; queue_exhausted = !exhausted }
+
+(* Real-time pacing: sleep until the next event's virtual time, mapped onto
+   the wall clock at [speed] virtual seconds per wall second, then let [run]
+   process that one event. Turns any deterministic scenario into a live
+   demo; determinism of the *results* is unaffected because only the pacing,
+   never the order, depends on the wall clock. *)
+let run_realtime ?(speed = 1.0) ?(until = infinity) ?(max_events = max_int) t =
+  if not (speed > 0.0) then invalid_arg "Engine.run_realtime: speed must be positive";
+  let epoch_wall = Unix.gettimeofday () in
+  let epoch_virtual = now t in
+  let rec go processed =
+    if processed >= max_events then
+      { events_processed = processed; end_time = now t; queue_exhausted = false }
+    else begin
+      if not (Event_queue.is_empty t.queue) then begin
+        let at = Event_queue.min_at t.queue in
+        let lag = epoch_wall +. ((at -. epoch_virtual) /. speed) -. Unix.gettimeofday () in
+        if at <= until && lag > 0.0 then Unix.sleepf lag
+      end;
+      let s = run ~until ~max_events:1 t in
+      let processed = processed + s.events_processed in
+      if s.events_processed = 0 || t.stopped then { s with events_processed = processed }
+      else go processed
+    end
+  in
+  go 0

@@ -73,11 +73,12 @@ val record : t -> node:int -> Trace.event -> unit
     the queue empties, time would exceed [until], [max_events] events ran, or
     {!stop} is called. A run stopped by [until] leaves the clock at
     [until], or where it was if [until] lies in the past: the clock never
-    runs backwards. *)
+    runs backwards. Raises [Invalid_argument] if [until] is NaN. *)
 val run : ?until:float -> ?max_events:int -> t -> stats
 
 (** Like {!run}, but paced against the wall clock at [speed] virtual seconds
     per wall second (default 1.0): each event waits until its virtual time.
     Event order — and therefore every result — is identical to {!run}; only
-    the pacing differs. Useful for live demos of a scenario. *)
+    the pacing differs. Useful for live demos of a scenario. Raises
+    [Invalid_argument] unless [speed > 0] (so also on NaN). *)
 val run_realtime : ?speed:float -> ?until:float -> ?max_events:int -> t -> stats

@@ -1,10 +1,9 @@
 (* Minimal JSON encoder/decoder.
 
-   Just enough JSON for the observability layer: trace/metrics JSONL export
-   and its round-trip tests. Kept dependency-free on purpose (the container
-   pins the package set); numbers are all floats, strings are escaped per RFC
-   8259 (with non-ASCII bytes passed through verbatim, which is valid when the
-   input is UTF-8 — ours is). *)
+   Just enough JSON for the trace/metrics JSONL export and the fuzz replay
+   codecs. Kept dependency-free on purpose; numbers are all floats, strings
+   are escaped per RFC 8259 (with non-ASCII bytes passed through verbatim,
+   which is valid when the input is UTF-8 — ours is). *)
 
 type t =
   | Null
@@ -210,7 +209,6 @@ let of_string s =
   if c.pos <> String.length s then error c "trailing garbage";
   v
 
-(* Object-field accessors used by the trace importer. *)
 let member name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
@@ -218,6 +216,49 @@ let member name = function
 let to_float_opt = function Num x -> Some x | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_int_opt = function Num x when Float.is_integer x -> Some (int_of_float x) | _ -> None
+
+(* Field readers for the replay codecs (Spec, Workload): each names the
+   field in the message it raises. *)
+module Read = struct
+  exception Decode of string
+
+  let fail fmt = Printf.ksprintf (fun s -> raise (Decode s)) fmt
+
+  let get_field name j =
+    match member name j with Some v -> v | None -> fail "missing field %S" name
+
+  let get_float name j =
+    match to_float_opt (get_field name j) with
+    | Some x -> x
+    | None -> fail "field %S: expected number" name
+
+  let get_int name j =
+    match to_int_opt (get_field name j) with
+    | Some x -> x
+    | None -> fail "field %S: expected integer" name
+
+  let get_str name j =
+    match to_string_opt (get_field name j) with
+    | Some s -> s
+    | None -> fail "field %S: expected string" name
+
+  let get_list name j =
+    match get_field name j with
+    | Arr l -> l
+    | _ -> fail "field %S: expected array" name
+
+  let list_of what to_x name j =
+    List.map
+      (fun v ->
+        match to_x v with
+        | Some x -> x
+        | None -> fail "field %S: expected %s" name what)
+      (get_list name j)
+
+  let str_list = list_of "strings" to_string_opt
+  let int_list = list_of "integers" to_int_opt
+  let float_list = list_of "numbers" to_float_opt
+end
 
 let write_file path text =
   try Ok (Out_channel.with_open_text path (fun oc -> output_string oc text; flush oc))

@@ -1,6 +1,6 @@
 (** Minimal dependency-free JSON encoder/decoder, sufficient for the
-    observability layer's JSONL export and its round-trip tests. All numbers
-    are floats; NaN/infinity encode as [null]. *)
+    trace/metrics JSONL export and the fuzz replay codecs. All numbers are
+    floats; NaN/infinity encode as [null]. *)
 
 type t =
   | Null
@@ -28,6 +28,30 @@ val to_string_opt : t -> string option
 
 (** [to_int_opt] succeeds only on integral numbers. *)
 val to_int_opt : t -> int option
+
+(** Field readers of the replay codecs ([Ssba_fuzz.Spec],
+    [Ssba_service.Workload]), which [open] it. Each raises {!Read.Decode}
+    with a message that names the field (["missing field \"x\""],
+    ["field \"x\": expected number"]); a codec catches it and returns
+    [Error]. *)
+module Read : sig
+  exception Decode of string
+
+  (** [fail fmt ...] raises {!Decode} with the formatted message. *)
+  val fail : ('a, unit, string, 'b) format4 -> 'a
+
+  val get_field : string -> t -> t
+  val get_float : string -> t -> float
+
+  (** An integral number. *)
+  val get_int : string -> t -> int
+
+  val get_str : string -> t -> string
+  val get_list : string -> t -> t list
+  val str_list : string -> t -> string list
+  val int_list : string -> t -> int list
+  val float_list : string -> t -> float list
+end
 
 (** [write_file path text] writes [text] to [path], replacing the file.
     [Error] carries the system's reason (e.g. ["No such file or

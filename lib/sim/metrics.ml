@@ -75,18 +75,25 @@ let find_gauge t name =
   | Some (Gauge g) -> Some g.g_cell.(0)
   | Some (Counter _) | None -> None
 
-(* Scenario-reuse escape hatch: zero everything but keep registrations (the
-   holders' record fields stay valid). Counters are monotonic only within a
-   run. *)
-let reset t =
-  Hashtbl.iter
-    (fun _ m ->
-      match m with Counter c -> c.c_value <- 0 | Gauge g -> g.g_cell.(0) <- 0.0)
-    t.by_name
+(* [name] agrees with [prefix] from index [i] to the prefix's end; the
+   caller has checked that [name] is at least as long. Top level, so a
+   check allocates nothing (a local closure would, once per registry
+   entry). *)
+let rec prefixed ~prefix name i =
+  i = String.length prefix
+  || (String.unsafe_get prefix i = String.unsafe_get name i
+     && prefixed ~prefix name (i + 1))
 
-(* Scoped variants for a substrate that resets only its own handles. *)
-let reset_counter c = c.c_value <- 0
-let reset_gauge g = g.g_cell.(0) <- 0.0
+let counters_with_prefix t prefix =
+  let plen = String.length prefix in
+  Hashtbl.fold
+    (fun name m acc ->
+      match m with
+      | Counter c when String.length name >= plen && prefixed ~prefix name 0 ->
+          (String.sub name plen (String.length name - plen), c.c_value) :: acc
+      | Counter _ | Gauge _ -> acc)
+    t.by_name []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Snapshot in ascending name order (explicitly by [String.compare], not the
    polymorphic [compare] on pairs — names are unique so the key alone

@@ -38,13 +38,12 @@ val gauge_name : gauge -> string
 val find_counter : t -> string -> int option
 val find_gauge : t -> string -> float option
 
-(** Zero every metric, keeping registrations (handles stay valid). *)
-val reset : t -> unit
-
-(** Zero a single handle (scoped reset for one substrate's own metrics). *)
-val reset_counter : counter -> unit
-
-val reset_gauge : gauge -> unit
+(** [counters_with_prefix t prefix] is every counter whose name starts
+    with [prefix], as (rest of the name, value), in ascending
+    [String.compare] order of the rest: the network's per-kind sends are
+    [counters_with_prefix t "net.sent."]. Allocates only for the names that
+    match. *)
+val counters_with_prefix : t -> string -> (string * int) list
 
 (** All metrics as (name, value), in ascending [String.compare] order of
     the name — an explicit, monomorphic ordering (pinned by a test), never

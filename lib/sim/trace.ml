@@ -118,29 +118,15 @@ let detail_of_event = function
   | Session_evict { g } -> Printf.sprintf "G=%d" g
   | Ext { render; _ } -> render ()
 
-(* Structural equality; [Ext] compares by kind and rendered detail (its
-   closure has no useful identity). Used by the JSONL round-trip tests. *)
-let equal_event a b =
-  match (a, b) with
-  | Ext { kind = ka; render = ra }, Ext { kind = kb; render = rb } ->
-      String.equal ka kb && String.equal (ra ()) (rb ())
-  | Ext _, _ | _, Ext _ -> false
-  | a, b -> a = b
-
 type entry = { time : float; node : int; event : event }
 
 let entry_kind e = kind_of_event e.event
 let entry_detail e = detail_of_event e.event
 
-let equal_entry a b =
-  Float.equal a.time b.time && a.node = b.node && equal_event a.event b.event
-
-type t = { mutable entries : entry list; mutable enabled : bool; mutable count : int }
+type t = { mutable entries : entry list; enabled : bool; mutable count : int }
 
 let create ?(enabled = true) () = { entries = []; enabled; count = 0 }
 
-let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 let is_enabled t = t.enabled
 
 let record t ~time ~node event =
@@ -148,10 +134,6 @@ let record t ~time ~node event =
     t.entries <- { time; node; event } :: t.entries;
     t.count <- t.count + 1
   end
-
-let clear t =
-  t.entries <- [];
-  t.count <- 0
 
 let count t = t.count
 
@@ -173,7 +155,7 @@ let pp_entry ppf e =
 let pp ppf t =
   List.iter (fun e -> Fmt.pf ppf "%a@." pp_entry e) (to_list t)
 
-(* ----- JSONL export / import ------------------------------------------- *)
+(* ----- JSONL export ----------------------------------------------------- *)
 
 let i x = Json.Num (float_of_int x)
 
@@ -224,90 +206,6 @@ let json_of_entry e =
     :: ("kind", Json.Str (entry_kind e))
     :: fields_of_event e.event)
 
-exception Import_error of string
-
-let event_of_json ~kind j =
-  let get name = Json.member name j in
-  let req to_x name =
-    match Option.bind (get name) to_x with
-    | Some x -> x
-    | None -> raise (Import_error (Printf.sprintf "missing/bad field %S for %S" name kind))
-  in
-  let gi = req Json.to_int_opt in
-  let gs = req Json.to_string_opt in
-  let gf = req Json.to_float_opt in
-  match kind with
-  | "send" -> Send { src = gi "src"; dst = gi "dst"; msg = gs "msg" }
-  | "deliver" -> Deliver { src = gi "src"; dst = gi "dst"; msg = gs "msg" }
-  | "drop" ->
-      Drop { src = gi "src"; dst = gi "dst"; msg = gs "msg"; reason = gs "reason" }
-  | "propose" -> Propose { g = gi "g"; v = gs "v" }
-  | "ia-invoke" -> Ia_invoke { g = gi "g"; v = gs "v" }
-  | "ia-k1-reject" -> Ia_reject { g = gi "g"; v = gs "v" }
-  | "ia-n4-skip" -> Ia_skip { g = gi "g"; reason = gs "reason" }
-  | "i-accept" -> I_accept { g = gi "g"; v = gs "v"; tau_g = gf "tau_g" }
-  | "anchor-set" -> Anchor_set { g = gi "g"; tau_g = gf "tau_g" }
-  | "mb-accept" -> Mb_accept { g = gi "g"; p = gi "p"; v = gs "v"; k = gi "k" }
-  | "mb-broadcaster" ->
-      Mb_broadcaster { g = gi "g"; p = gi "p"; total = gi "total" }
-  | "agree-return" ->
-      Agree_return
-        {
-          g = gi "g";
-          decided =
-            (match get "decided" with
-            | Some (Json.Str v) -> Some v
-            | Some Json.Null | None -> None
-            | Some _ -> raise (Import_error "bad decided field"));
-          tau_g = gf "tau_g";
-        }
-  | "ig3-failure" -> Ig3_failure { g = gi "g" }
-  | "scramble" -> Scramble { garbage = gi "garbage" }
-  | "reform" -> Reform { node = gi "reformed" }
-  | "delay-surge" -> Delay_surge { factor = gf "factor" }
-  | "duplicate" -> Duplicate { src = gi "src"; dst = gi "dst"; msg = gs "msg" }
-  | "retransmit" ->
-      Retransmit
-        { src = gi "src"; dst = gi "dst"; msg = gs "msg"; attempt = gi "attempt" }
-  | "dup-suppress" ->
-      Dup_suppress { src = gi "src"; dst = gi "dst"; seq = gi "seq" }
-  | "retries-exhausted" ->
-      Retries_exhausted
-        { src = gi "src"; dst = gi "dst"; msg = gs "msg"; seq = gi "seq" }
-  | "service-admit" -> Service_admit { g = gi "g"; live = gi "live" }
-  | "service-shed" -> Service_shed { g = gi "g"; reason = gs "reason" }
-  | "service-queue" -> Service_queue { g = gi "g"; depth = gi "depth" }
-  | "service-mode" ->
-      Service_mode
-        {
-          degraded =
-            (match Json.member "degraded" j with
-            | Some (Json.Bool b) -> b
-            | _ -> raise (Import_error "bad degraded field"));
-          live = gi "live";
-        }
-  | "session-evict" -> Session_evict { g = gi "g" }
-  | kind ->
-      let detail =
-        match Option.bind (get "detail") Json.to_string_opt with
-        | Some d -> d
-        | None -> ""
-      in
-      Ext { kind; render = (fun () -> detail) }
-
-let entry_of_json j =
-  let req to_x name =
-    match Option.bind (Json.member name j) to_x with
-    | Some x -> x
-    | None -> raise (Import_error (Printf.sprintf "missing/bad entry field %S" name))
-  in
-  let kind = req Json.to_string_opt "kind" in
-  {
-    time = req Json.to_float_opt "time";
-    node = req Json.to_int_opt "node";
-    event = event_of_json ~kind j;
-  }
-
 (* One JSON object per line, chronological. *)
 let to_jsonl t =
   let buf = Buffer.create 4096 in
@@ -317,11 +215,3 @@ let to_jsonl t =
       Buffer.add_char buf '\n')
     (to_list t);
   Buffer.contents buf
-
-let entries_of_jsonl s =
-  String.split_on_char '\n' s
-  |> List.filter (fun line -> String.trim line <> "")
-  |> List.map (fun line ->
-         match Json.of_string line with
-         | j -> entry_of_json j
-         | exception Json.Parse_error msg -> raise (Import_error msg))

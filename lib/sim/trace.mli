@@ -54,9 +54,6 @@ val kind_of_event : event -> string
 (** Render an event's detail text (calls [Ext.render]). *)
 val detail_of_event : event -> string
 
-(** Structural equality; [Ext] compares by kind and rendered detail. *)
-val equal_event : event -> event -> bool
-
 type entry = {
   time : float;  (** simulator real time *)
   node : int;  (** -1 for system/network events *)
@@ -65,20 +62,17 @@ type entry = {
 
 val entry_kind : entry -> string
 val entry_detail : entry -> string
-val equal_entry : entry -> entry -> bool
 
 type t
 
-(** [create ?enabled ()] builds a trace; disabled traces drop all records. *)
+(** [create ?enabled ()] builds a trace; a disabled trace drops all records.
+    The choice holds for the trace's whole life. *)
 val create : ?enabled:bool -> unit -> t
 
-val enable : t -> unit
-val disable : t -> unit
 val is_enabled : t -> bool
 val record : t -> time:float -> node:int -> event -> unit
-val clear : t -> unit
 
-(** Number of entries recorded since the last [clear]. *)
+(** Number of entries recorded. *)
 val count : t -> int
 
 (** Entries in chronological order. *)
@@ -93,9 +87,3 @@ val pp : Format.formatter -> t -> unit
 (** One JSON object per line ({i time}, {i node}, {i kind}, plus the event's
     fields), chronological. *)
 val to_jsonl : t -> string
-
-exception Import_error of string
-
-(** Parse {!to_jsonl} output back into entries (unknown kinds become {!Ext});
-    raises {!Import_error} on malformed input. *)
-val entries_of_jsonl : string -> entry list

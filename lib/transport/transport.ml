@@ -299,7 +299,6 @@ let link t =
     send = (fun ~src ~dst payload -> send t ~src ~dst payload);
     broadcast = (fun ~src payload -> broadcast t ~src payload);
     set_handler = (fun node h -> t.handlers.(node) <- Some h);
-    clear_handler = (fun node -> t.handlers.(node) <- None);
   }
 
 (* Arbitrary-state corruption of the transport's own state (the transient

@@ -195,6 +195,46 @@ let test_realtime_bad_speed () =
     (Invalid_argument "Engine.run_realtime: speed must be positive") (fun () ->
       ignore (Engine.run_realtime ~speed:0.0 e))
 
+let test_realtime_nan_speed () =
+  let e = Engine.create () in
+  Alcotest.check_raises "NaN speed rejected"
+    (Invalid_argument "Engine.run_realtime: speed must be positive") (fun () ->
+      ignore (Engine.run_realtime ~speed:Float.nan e))
+
+(* [run_realtime] only adds sleeps to [run]: the stats of a run cut by
+   [until], by [max_events], by [stop] (event 5) and then by the empty
+   queue are [run]'s, and so is the [engine.events] count. *)
+let test_realtime_same_stats () =
+  let outcome ~realtime (until, max_events) =
+    let e = Engine.create () in
+    for i = 1 to 6 do
+      Engine.schedule e ~at:(0.0001 *. float_of_int i) (fun () ->
+          if i = 5 then Engine.stop e)
+    done;
+    let run () =
+      if realtime then Engine.run_realtime ~speed:100.0 ?until ?max_events e
+      else Engine.run ?until ?max_events e
+    in
+    let first = run () in
+    let second = run () in
+    (first, second, Ssba_sim.Metrics.find_counter (Engine.metrics e) "engine.events")
+  in
+  List.iter
+    (fun cut ->
+      check_bool "same stats and engine.events" true
+        (outcome ~realtime:false cut = outcome ~realtime:true cut))
+    [ (Some 0.00025, None); (None, Some 3); (None, None); (None, Some 0) ]
+
+(* Without the check the event below would run: [at > NaN] is false. *)
+let test_nan_until_rejected () =
+  let e = Engine.create () in
+  Engine.schedule e ~at:0.1 ignore;
+  Alcotest.check_raises "run" (Invalid_argument "Engine.run: NaN until") (fun () ->
+      ignore (Engine.run ~until:Float.nan e));
+  Alcotest.check_raises "run_realtime" (Invalid_argument "Engine.run: NaN until")
+    (fun () -> ignore (Engine.run_realtime ~until:Float.nan e));
+  check_int "nothing ran" 1 (Engine.pending e)
+
 let suite =
   [
     case "time order" test_time_order;
@@ -212,4 +252,7 @@ let suite =
     case "realtime: same results" test_realtime_same_results;
     case "realtime: paces" test_realtime_paces;
     case "realtime: bad speed" test_realtime_bad_speed;
+    case "realtime: NaN speed" test_realtime_nan_speed;
+    case "realtime: run's stats" test_realtime_same_stats;
+    case "NaN until rejected" test_nan_until_rejected;
   ]

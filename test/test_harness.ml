@@ -231,7 +231,10 @@ let test_table_rendering () =
   let lines = String.split_on_char '\n' s in
   check_int "header + separator + 2 rows + trailing" 5 (List.length lines);
   check_bool "separator present" true
-    (String.length (List.nth lines 1) > 0 && String.get (List.nth lines 1) 0 = '-')
+    (String.length (List.nth lines 1) > 0 && String.get (List.nth lines 1) 0 = '-');
+  (* Newest row first: the E-table golden and EXPERIMENTS.md pin this order. *)
+  check_str "last added row first" "longer  x" (List.nth lines 2);
+  check_str "first added row last" "a       b" (List.nth lines 3)
 
 let test_table_helpers () =
   check_str "f3" "1.500" (H.Table.f3 1.5);

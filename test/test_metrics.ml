@@ -51,23 +51,39 @@ let test_monotonic () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative increment must be rejected"
 
-let test_reset () =
+(* The per-kind send counts are read through this: names under the prefix,
+   prefix stripped, in String.compare order. A name equal to the prefix
+   without its dot, one that differs only in its first character, a gauge
+   and other counters are left out. *)
+let test_counters_with_prefix () =
   let m = M.create () in
-  let c = M.counter m "c" in
-  let g = M.gauge m "g" in
-  M.incr_by c 7;
-  M.set g 3.0;
-  M.reset m;
-  check_int "counter zeroed, handle valid" 0 (M.value c);
-  check_float "gauge zeroed, handle valid" 0.0 (M.gauge_value g);
-  M.incr c;
-  check_int "handle still feeds registry" 1 (M.value c);
-  M.incr_by c 2;
-  M.reset_counter c;
-  check_int "scoped counter reset" 0 (M.value c);
-  M.set g 9.0;
-  M.reset_gauge g;
-  check_float "scoped gauge reset" 0.0 (M.gauge_value g)
+  M.incr_by (M.counter m "net.sent") 9;
+  M.incr (M.counter m "Net.sent.echo");
+  M.incr_by (M.counter m "net.sent.init") 2;
+  M.incr (M.counter m "net.sent.echo");
+  M.incr_by (M.counter m "net.sent.Z") 4;
+  M.set (M.gauge m "net.sent.gauge") 1.0;
+  M.incr (M.counter m "net.delivered");
+  check_bool "matching counters, sorted" true
+    (M.counters_with_prefix m "net.sent." = [ ("Z", 4); ("echo", 1); ("init", 2) ]);
+  check_bool "no match" true (M.counters_with_prefix m "transport." = [])
+
+(* A registry entry that does not match costs no allocation: the read over
+   a registry of 1,000 other names allocates what it does over an empty
+   one. *)
+let test_counters_with_prefix_allocation () =
+  let words m =
+    ignore (M.counters_with_prefix m "net.sent.");
+    let w0 = Gc.minor_words () in
+    ignore (M.counters_with_prefix m "net.sent.");
+    Gc.minor_words () -. w0
+  in
+  let empty = M.create () in
+  let busy = M.create () in
+  for i = 1 to 1_000 do
+    M.incr (M.counter busy (Printf.sprintf "net.sen%d" i))
+  done;
+  check_float "non-matching entries allocate nothing" (words empty) (words busy)
 
 let test_to_list_sorted () =
   let m = M.create () in
@@ -127,7 +143,8 @@ let suite =
     case "find or create" test_find_or_create;
     case "class mismatch rejected" test_class_mismatch_rejected;
     case "counters are monotonic" test_monotonic;
-    case "reset keeps registrations" test_reset;
+    case "counters with a prefix" test_counters_with_prefix;
+    case "prefix read allocates only for matches" test_counters_with_prefix_allocation;
     case "to_list sorted" test_to_list_sorted;
     case "to_list order pinned" test_to_list_order_pinned;
     case "jsonl export" test_jsonl_export;
