@@ -26,15 +26,16 @@ let attacks =
     ("mimics", `Mimics);
   ]
 
-(* A numeric flag outside its domain is a usage error: one line on stderr
-   and exit 2, before any scenario is built. Every check is written so that
-   NaN fails it; an infinite horizon, duration or rate would never end. *)
+(* A flag value outside its domain is a usage error: one line on stderr
+   and exit 2, before any scenario is built. *)
+let bad flag reason =
+  Fmt.epr "ssba-run: %s: %s@." flag reason;
+  exit 2
+
+(* Every numeric check is written so that NaN fails it; an infinite horizon,
+   duration or rate would never end. *)
 let check_flags ~n ~general ~propose_at ~horizon ~realtime ~rto ~loss ~dup
     ~reorder ~service ~service_rate =
-  let bad flag reason =
-    Fmt.epr "ssba-run: %s: %s@." flag reason;
-    exit 2
-  in
   (match Core.Params.default n with
   | exception Invalid_argument reason -> bad "-n" reason
   | _ -> ());
@@ -138,6 +139,7 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
     match chaos with
     | Some H.Chaos.Rejoin when cast = [] ->
         let node = if general = n - 1 then n - 2 else n - 1 in
+        if node < 0 then bad "--chaos" "rejoin needs a node besides the General";
         [ (node, C.Spam { period_d = 5.0; values = [ "noise" ] }) ]
     | _ -> cast
   in
@@ -149,6 +151,7 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
         let correct =
           List.filter (fun i -> not (List.mem i byzantine)) (List.init n Fun.id)
         in
+        if correct = [] then bad "--chaos" "no correct node is left to play it";
         Some (H.Chaos.schedule pattern ~params ~correct ~byzantine)
   in
   let events =

@@ -504,24 +504,28 @@ let quiescent t = t.len = 0 && t.accepted = None
    sorted key order; receive logs are already canonical (ascending (time,
    sender)); floats are printed exactly (%h). *)
 let fingerprint buf t =
+  let add = Buffer.add_string and int = Ssba_sim.Fp_text.int in
+  let float = Ssba_sim.Fp_text.float in
   let logs tag bit log_of =
     for i = 0 to t.len - 1 do
       let sl = t.slots.(i) in
       if sl.mask land bit <> 0 then begin
-        Printf.bprintf buf "%s:%s=" tag sl.v;
+        add buf tag; add buf ":"; add buf sl.v; add buf "=";
         Recv_log.iter_entries (log_of sl) (fun ~sender ~at ->
-            Printf.bprintf buf "%d@%h," sender at);
+            int buf sender; add buf "@"; float buf at; add buf ",");
         Buffer.add_char buf ';'
       end
     done
   in
   let times tag bit k =
     for i = 0 to t.len - 1 do
-      if present t i bit then
-        Printf.bprintf buf "%s:%s=%h;" tag t.slots.(i).v (stamp t i k)
+      if present t i bit then begin
+        add buf tag; add buf ":"; add buf t.slots.(i).v; add buf "=";
+        float buf (stamp t i k); add buf ";"
+      end
     done
   in
-  Printf.bprintf buf "ia{g=%d;" t.g;
+  add buf "ia{g="; int buf t.g; add buf ";";
   logs "s" b_support (fun sl -> sl.support);
   logs "a" b_approve (fun sl -> sl.approve);
   logs "r" b_ready (fun sl -> sl.ready);
@@ -530,7 +534,9 @@ let fingerprint buf t =
   times "ig" b_ignore k_ignore;
   (match t.accepted with
   | None -> Buffer.add_string buf "acc=-}"
-  | Some (v, tau_g, ta) -> Printf.bprintf buf "acc=%s@%h/%h}" v tau_g ta)
+  | Some (v, tau_g, ta) ->
+      add buf "acc="; add buf v; add buf "@"; float buf tau_g; add buf "/";
+      float buf ta; add buf "}")
 
 (* Transient-fault injection: fill every variable with plausible garbage.
    Times are drawn around the current local time, both past and future, so

@@ -303,15 +303,14 @@ let quiescent t =
    sorted key order, receive logs in their canonical entry order, floats
    printed exactly. *)
 let fingerprint buf t =
-  let fopt buf = function
-    | None -> Buffer.add_string buf "-"
-    | Some x -> Printf.bprintf buf "%h" x
-  in
+  let add = Buffer.add_string and int = Ssba_sim.Fp_text.int in
+  let float = Ssba_sim.Fp_text.float in
+  let fopt = function None -> add buf "-" | Some x -> float buf x in
   let log l =
     Recv_log.iter_entries l (fun ~sender ~at ->
-        Printf.bprintf buf "%d@%h," sender at)
+        int buf sender; add buf "@"; float buf at; add buf ",")
   in
-  Printf.bprintf buf "mb{g=%d;tg=%a;" t.g fopt t.tau_g;
+  add buf "mb{g="; int buf t.g; add buf ";tg="; fopt t.tau_g; add buf ";";
   Buffer.add_string buf "bc=";
   log t.broadcasters;
   Buffer.add_char buf ';';
@@ -322,14 +321,17 @@ let fingerprint buf t =
   in
   List.iter
     (fun ((p, v, k), tr) ->
-      Printf.bprintf buf "t:%d/%s/%d=ip%a|e" p v k fopt tr.init_from_p;
+      add buf "t:"; int buf p; add buf "/"; add buf v; add buf "/"; int buf k;
+      add buf "=ip"; fopt tr.init_from_p; add buf "|e";
       log tr.echo;
       Buffer.add_string buf "|i2";
       log tr.init2;
       Buffer.add_string buf "|e2";
       log tr.echo2;
-      Printf.bprintf buf "|%b%b%b|a%a|la%h;" tr.sent_echo tr.sent_init2
-        tr.sent_echo2 fopt tr.accepted_at tr.last_activity)
+      add buf "|"; add buf (string_of_bool tr.sent_echo);
+      add buf (string_of_bool tr.sent_init2); add buf (string_of_bool tr.sent_echo2);
+      add buf "|a"; fopt tr.accepted_at; add buf "|la"; float buf tr.last_activity;
+      add buf ";")
     trips;
   Buffer.add_char buf '}'
 

@@ -11,6 +11,7 @@ module Engine = Ssba_sim.Engine
 module Clock = Ssba_sim.Clock
 module Trace = Ssba_sim.Trace
 module Metrics = Ssba_sim.Metrics
+module Fp_text = Ssba_sim.Fp_text
 
 type net = message Ssba_net.Network.t
 type link = message Ssba_net.Link.t
@@ -392,16 +393,17 @@ let propose ?(channel = 0) t v =
    included — the checker runs perfect clocks and appends the engine time
    itself. *)
 let fingerprint buf t =
-  Printf.bprintf buf "n%d{" t.id;
+  let add = Buffer.add_string and int = Fp_text.int and float = Fp_text.float in
+  add buf "n"; int buf t.id; add buf "{";
   let sessions = ref [] in
   Session_table.iter_detail t.instances
     (fun ~g ~anchor ~active ~stamp inst ->
       sessions := (g, anchor, active, stamp, inst) :: !sessions);
   List.iter
     (fun (g, anchor, active, stamp, inst) ->
-      Printf.bprintf buf "sess%d[%s;%h;%d]=" g
-        (match anchor with None -> "-" | Some a -> Printf.sprintf "%h" a)
-        active stamp;
+      add buf "sess"; int buf g; add buf "[";
+      (match anchor with None -> add buf "-" | Some a -> float buf a);
+      add buf ";"; float buf active; add buf ";"; int buf stamp; add buf "]=";
       Ss_byz_agree.fingerprint buf inst;
       Buffer.add_char buf ';')
     (List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> compare a b) !sessions);
@@ -414,24 +416,26 @@ let fingerprint buf t =
     (fun g -> function
       | None -> ()
       | Some sep ->
-          Printf.bprintf buf "guard%d=" g;
+          add buf "guard"; int buf g; add buf "=";
           Separation.fingerprint buf sep;
           Buffer.add_char buf ';')
     t.guards;
   List.iter
-    (fun (g, s) -> Printf.bprintf buf "ig1:%d=%h;" g s)
+    (fun (g, s) -> add buf "ig1:"; int buf g; add buf "="; float buf s; add buf ";")
     (sorted t.last_init_at);
   List.iter
-    (fun ((g, v), s) -> Printf.bprintf buf "ig2:%d/%s=%h;" g v s)
+    (fun ((g, v), s) ->
+      add buf "ig2:"; int buf g; add buf "/"; add buf v; add buf "="; float buf s;
+      add buf ";")
     (sorted t.last_value_init_at);
   List.iter
-    (fun (g, s) -> Printf.bprintf buf "ig3:%d=%h;" g s)
+    (fun (g, s) -> add buf "ig3:"; int buf g; add buf "="; float buf s; add buf ";")
     (sorted t.blocked_until);
   List.iter
     (fun (r : return_info) ->
-      Printf.bprintf buf "ret:%d/%s@%h;" r.g
-        (match r.outcome with Decided v -> v | Aborted -> "!")
-        r.rt_ret)
+      add buf "ret:"; int buf r.g; add buf "/";
+      add buf (match r.outcome with Decided v -> v | Aborted -> "!");
+      add buf "@"; float buf r.rt_ret; add buf ";")
     t.returns;
   Buffer.add_char buf '}'
 

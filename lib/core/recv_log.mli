@@ -5,10 +5,12 @@
     [\[tau - alpha, tau\]]" conditions and the paper's decay rules.
 
     Queries run on every message arrival (the broadcast hot path), so the
-    log incrementally maintains a sorted-by-time index alongside the
-    per-sender table: {!count}, {!latest} are O(1), {!count_in_window} and
-    {!shortest_window} are allocation-free O(log m) binary searches, where
-    m <= n is the number of distinct senders logged. *)
+    log is one array of entries kept sorted by (time, sender), with no
+    per-sender table beside it: {!count}, {!latest} are O(1),
+    {!count_in_window} and {!shortest_window} are allocation-free O(log m)
+    binary searches, and {!note} and {!mem} find a sender's entry by a
+    linear scan of the sender column, O(m), where m <= n is the number of
+    distinct senders logged. *)
 
 type t
 
@@ -21,7 +23,7 @@ val note : t -> sender:int -> at:float -> unit
 (** Number of distinct senders currently logged. *)
 val count : t -> int
 
-(** Has this sender an entry? O(1). *)
+(** Has this sender an entry? O(m): a scan of the sender column. *)
 val mem : t -> sender:int -> bool
 
 (** Distinct senders, sorted. *)

@@ -300,17 +300,15 @@ let[@inline] next_due t ~params ~now =
    behaviour-relevant field, per-value state in ascending value order (the
    entries' own order), floats printed exactly (%h). *)
 let fingerprint buf t =
-  let fopt buf = function
-    | None -> Buffer.add_string buf "-"
-    | Some x -> Printf.bprintf buf "%h" x
-  in
+  let add = Buffer.add_string and float = Ssba_sim.Fp_text.float in
+  let fopt = function None -> add buf "-" | Some x -> float buf x in
   let pv = t.per_value in
-  Printf.bprintf buf "sep{lg=%a;" fopt t.last_g;
+  add buf "sep{lg="; fopt t.last_g; add buf ";";
   for i = 0 to pv.len - 1 do
     let e = pv.entries.(i) in
     if not (Time_set.is_empty e.gm) then begin
-      Printf.bprintf buf "gm:%s=" e.v;
-      List.iter (fun at -> Printf.bprintf buf "%h," at) (Time_set.to_list e.gm);
+      add buf "gm:"; add buf e.v; add buf "=";
+      List.iter (fun at -> float buf at; add buf ",") (Time_set.to_list e.gm);
       Buffer.add_char buf ';'
     end
   done;
@@ -319,14 +317,17 @@ let fingerprint buf t =
       for i = 0 to pv.len - 1 do
         let e = pv.entries.(i) in
         let s = e.sent.(slot kind) in
-        if s <> neg_infinity then Printf.bprintf buf "%s:%s=%h;" tag e.v s
+        if s <> neg_infinity then begin
+          add buf tag; add buf ":"; add buf e.v; add buf "="; float buf s;
+          add buf ";"
+        end
       done)
     [ ("ss", Support); ("sa", Approve); ("sr", Ready) ];
   (match t.session_value with
   | None -> Buffer.add_string buf "sv=-;"
-  | Some (v, s) -> Printf.bprintf buf "sv=%s@%h;" v s);
-  Printf.bprintf buf "ig3=%a,%a,%a,%a}" fopt t.invoked_at fopt t.l4_at fopt
-    t.m4_at fopt t.n4_at
+  | Some (v, s) -> add buf "sv="; add buf v; add buf "@"; float buf s; add buf ";");
+  add buf "ig3="; fopt t.invoked_at; add buf ","; fopt t.l4_at; add buf ",";
+  fopt t.m4_at; add buf ","; fopt t.n4_at; add buf "}"
 
 (* Fully decayed: nothing left worth keeping — the node drops such guards. *)
 let is_idle t =

@@ -336,17 +336,17 @@ let quiescent t =
    from protocol state (stale ones no-op by construction). The guard is
    fingerprinted by the node. *)
 let fingerprint buf t =
-  let fopt buf = function
-    | None -> Buffer.add_string buf "-"
-    | Some x -> Printf.bprintf buf "%h" x
-  in
-  Printf.bprintf buf "ag{g=%d;tg=%a;own=%s;" t.g fopt t.tau_g
-    (match t.own_iaccept with None -> "-" | Some v -> v);
+  let add = Buffer.add_string and int = Ssba_sim.Fp_text.int in
+  let float = Ssba_sim.Fp_text.float in
+  let fopt = function None -> add buf "-" | Some x -> float buf x in
+  add buf "ag{g="; int buf t.g; add buf ";tg="; fopt t.tau_g; add buf ";own=";
+  add buf (match t.own_iaccept with None -> "-" | Some v -> v); add buf ";";
   (match t.st with
   | Idle -> Buffer.add_string buf "st=I;"
   | Running -> Buffer.add_string buf "st=R;"
-  | Returned (Decided v, at) -> Printf.bprintf buf "st=D:%s@%h;" v at
-  | Returned (Aborted, at) -> Printf.bprintf buf "st=A@%h;" at);
+  | Returned (Decided v, at) ->
+      add buf "st=D:"; add buf v; add buf "@"; float buf at; add buf ";"
+  | Returned (Aborted, at) -> add buf "st=A@"; float buf at; add buf ";");
   let rounds =
     List.sort
       (fun (a, _) (b, _) -> compare a b)
@@ -354,9 +354,10 @@ let fingerprint buf t =
   in
   List.iter
     (fun (k, l) ->
-      Printf.bprintf buf "k%d=" k;
+      add buf "k"; int buf k; add buf "=";
       List.iter
-        (fun (p, v, at) -> Printf.bprintf buf "%d/%s@%h," p v at)
+        (fun (p, v, at) ->
+          int buf p; add buf "/"; add buf v; add buf "@"; float buf at; add buf ",")
         (List.sort compare l);
       Buffer.add_char buf ';')
     rounds;

@@ -57,11 +57,21 @@ let kind_of_message = function
   | Ia { kind; _ } -> string_of_ia_kind kind
   | Mb { kind; _ } -> string_of_mb_kind kind
 
-let pp_message ppf = function
-  | Initiator { g; v } -> Fmt.pf ppf "(initiator G=%d %S)" g v
-  | Ia { kind; g; v } -> Fmt.pf ppf "(%s G=%d %S)" (string_of_ia_kind kind) g v
+(* The model checker's text of an in-flight message, e.g.
+   [(echo p=1 G=0 "a" k=2)]: the value is escaped and quoted as [%S] would
+   write it. Part of every state fingerprint, so it must not change. *)
+let add_message buf m =
+  let add = Buffer.add_string and int = Ssba_sim.Fp_text.int in
+  let quoted v = add buf " \""; add buf (String.escaped v); add buf "\"" in
+  (match m with
+  | Initiator { g; v } -> add buf "(initiator G="; int buf g; quoted v
+  | Ia { kind; g; v } ->
+      add buf "("; add buf (string_of_ia_kind kind); add buf " G="; int buf g;
+      quoted v
   | Mb { kind; p; g; v; k } ->
-      Fmt.pf ppf "(%s p=%d G=%d %S k=%d)" (string_of_mb_kind kind) p g v k
+      add buf "("; add buf (string_of_mb_kind kind); add buf " p="; int buf p;
+      add buf " G="; int buf g; quoted v; add buf " k="; int buf k);
+  Buffer.add_char buf ')'
 
 let pp_outcome ppf = function
   | Decided v -> Fmt.pf ppf "decided %S" v

@@ -45,7 +45,10 @@ val string_of_mb_kind : mb_kind -> string
 (** Coarse classifier for per-kind network statistics. *)
 val kind_of_message : message -> string
 
-val pp_message : Format.formatter -> message -> unit
+(** [add_message buf m] appends the model checker's text of [m], e.g.
+    [(echo p=1 G=0 "a" k=2)]; the string value is quoted as by [%S]. *)
+val add_message : Buffer.t -> message -> unit
+
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_return : Format.formatter -> return_info -> unit
 

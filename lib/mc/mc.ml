@@ -52,6 +52,7 @@ module Checks = Ssba_harness.Checks
 module Invariants = Ssba_harness.Invariants
 module Spec = Ssba_fuzz.Spec
 module Catalog = Ssba_adversary.Catalog
+module Fp_text = Ssba_sim.Fp_text
 
 type choice = { c_label : string; c_options : int; c_picked : int }
 
@@ -70,8 +71,6 @@ type run = {
   transcript : (node_id * (float * node_id option * message) list) list;
   events : int;
 }
-
-let string_of_message m = Fmt.str "%a" pp_message m
 
 (* ----- one run ---------------------------------------------------------- *)
 
@@ -116,6 +115,91 @@ type scratch = { buf : Buffer.t; mutable bytes : Bytes.t }
 
 let scratch () = { buf = Buffer.create 4096; bytes = Bytes.create 4096 }
 
+(* The undelivered sends of one run in send order, as columns. Delivering a
+   send clears its slot ([src] = -1); [lo] is kept past the cleared prefix
+   and [hi] past the last send. When the columns are full, the live slots
+   move to the front in order, and the columns double only if more than
+   half were live, so a send costs amortized O(1). *)
+type in_flight = {
+  mutable at : float array;
+  mutable src : int array;
+  mutable dst : int array;
+  mutable msg : message array;
+  mutable lo : int;
+  mutable hi : int;
+}
+
+(* A static filler: growing the message column never forces a minor
+   collection. *)
+let no_message = Initiator { g = -1; v = "" }
+
+let in_flight () =
+  let cap = 16 in
+  {
+    at = Array.make cap 0.0;
+    src = Array.make cap (-1);
+    dst = Array.make cap (-1);
+    msg = Array.make cap no_message;
+    lo = 0;
+    hi = 0;
+  }
+
+let track fl ~at ~src ~dst m =
+  let cap = Array.length fl.src in
+  if fl.hi = cap then begin
+    let live = ref 0 in
+    for i = fl.lo to fl.hi - 1 do
+      if fl.src.(i) >= 0 then incr live
+    done;
+    let grow = 2 * !live > cap in
+    let fresh col filler = if grow then Array.make (2 * cap) filler else col in
+    let at' = fresh fl.at 0.0 and src' = fresh fl.src (-1) in
+    let dst' = fresh fl.dst (-1) and msg' = fresh fl.msg no_message in
+    let j = ref 0 in
+    for i = fl.lo to fl.hi - 1 do
+      if fl.src.(i) >= 0 then begin
+        at'.(!j) <- fl.at.(i);
+        src'.(!j) <- fl.src.(i);
+        dst'.(!j) <- fl.dst.(i);
+        msg'.(!j) <- fl.msg.(i);
+        incr j
+      end
+    done;
+    fl.at <- at'; fl.src <- src'; fl.dst <- dst'; fl.msg <- msg';
+    fl.lo <- 0;
+    fl.hi <- !j
+  end;
+  let i = fl.hi in
+  fl.at.(i) <- at; fl.src.(i) <- src; fl.dst.(i) <- dst; fl.msg.(i) <- m;
+  fl.hi <- i + 1
+
+(* Clear the first live slot, in send order, that matches. *)
+let untrack fl ~at ~src ~dst =
+  let i = ref fl.lo in
+  while
+    !i < fl.hi
+    && not (fl.src.(!i) = src && fl.dst.(!i) = dst && fl.at.(!i) = at)
+  do
+    incr i
+  done;
+  if !i < fl.hi then begin
+    fl.src.(!i) <- -1;
+    while fl.lo < fl.hi && fl.src.(fl.lo) < 0 do
+      fl.lo <- fl.lo + 1
+    done
+  end
+
+(* [compare] on two slots' (at, src, dst, message) tuples. *)
+let compare_slots fl i j =
+  let c = Float.compare fl.at.(i) fl.at.(j) in
+  if c <> 0 then c
+  else
+    let c = Int.compare fl.src.(i) fl.src.(j) in
+    if c <> 0 then c
+    else
+      let c = Int.compare fl.dst.(i) fl.dst.(j) in
+      if c <> 0 then c else compare fl.msg.(i) fl.msg.(j)
+
 (* Only choice points at position [fingerprint_from] or later are
    fingerprinted (and listed in [fingerprints]); [fingerprint_from] must not
    exceed the prefix length, since the first choice beyond the prefix is
@@ -131,23 +215,29 @@ let execute (cfg : Config.t) ~por ~visited ~scratch ~fingerprint_from prefix =
       ~rng:(Rng.create 1) ~kind_of:kind_of_message ()
   in
   let nodes : (node_id * Node.t) list ref = ref [] in
-  let in_flight : (float * node_id * node_id * message) list ref = ref [] in
+  let in_flight = in_flight () in
   let pos = ref 0 in
   let choices = ref [] in
   let fps = ref [] in
   let next = ref None in
   let pruned = ref false in
-  let world_fingerprint pending =
-    let buf = scratch.buf in
+  let world_fingerprint ~label n_options =
+    let buf = scratch.buf and fl = in_flight in
+    let add = Buffer.add_string and int = Fp_text.int in
     Buffer.clear buf;
-    Printf.bprintf buf "t=%h;" (Engine.now engine);
+    add buf "t="; Fp_text.float buf (Engine.now engine); add buf ";";
     List.iter (fun (_, node) -> Node.fingerprint buf node) !nodes;
-    let entries = if por then List.sort compare !in_flight else !in_flight in
+    let live = ref [] in
+    for i = fl.hi - 1 downto fl.lo do
+      if fl.src.(i) >= 0 then live := i :: !live
+    done;
     List.iter
-      (fun (at, src, dst, m) ->
-        Printf.bprintf buf "m[%h,%d>%d,%s]" at src dst (string_of_message m))
-      entries;
-    Buffer.add_string buf pending;
+      (fun i ->
+        add buf "m["; Fp_text.float buf fl.at.(i); add buf ","; int buf fl.src.(i);
+        add buf ">"; int buf fl.dst.(i); add buf ","; add_message buf fl.msg.(i);
+        add buf "]")
+      (if por then List.sort (compare_slots fl) !live else !live);
+    add buf "?"; add buf label; add buf "/"; int buf n_options;
     let len = Buffer.length buf in
     if Bytes.length scratch.bytes < len then scratch.bytes <- Bytes.create (2 * len);
     Buffer.blit buf 0 scratch.bytes 0 len;
@@ -159,9 +249,7 @@ let execute (cfg : Config.t) ~por ~visited ~scratch ~fingerprint_from prefix =
       let fp =
         if !pos < fingerprint_from then ""
         else begin
-          let fp =
-            world_fingerprint ("?" ^ label ^ "/" ^ string_of_int n_options)
-          in
+          let fp = world_fingerprint ~label n_options in
           fps := fp :: !fps;
           fp
         end
@@ -211,7 +299,7 @@ let execute (cfg : Config.t) ~por ~visited ~scratch ~fingerprint_from prefix =
                    Hashtbl.add drawn key delay;
                    delay)
          in
-         in_flight := !in_flight @ [ (Engine.now engine +. delay, src, dst, payload) ];
+         track in_flight ~at:(Engine.now engine +. delay) ~src ~dst payload;
          sends := ((src, dst), delay) :: !sends;
          Some delay))
     ;
@@ -219,22 +307,14 @@ let execute (cfg : Config.t) ~por ~visited ~scratch ~fingerprint_from prefix =
      the scheduled time is exact because the engine replays the very float it
      computed at send time. *)
   let base = Network.link net in
-  let untrack ~src ~dst =
-    let now = Engine.now engine in
-    let rec remove = function
-      | [] -> []
-      | (at, s, d, _) :: rest when s = src && d = dst && at = now -> rest
-      | e :: rest -> e :: remove rest
-    in
-    in_flight := remove !in_flight
-  in
   let link =
     {
       base with
       Link.set_handler =
         (fun id h ->
           base.Link.set_handler id (fun m ->
-              untrack ~src:m.Msg.src ~dst:m.Msg.dst;
+              untrack in_flight ~at:(Engine.now engine) ~src:m.Msg.src
+                ~dst:m.Msg.dst;
               h m));
     }
   in

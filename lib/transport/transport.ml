@@ -68,7 +68,8 @@ type config = {
 }
 
 let config ?(retries = 12) ?(window = 64) ?(dedup = 256) ~rto () =
-  if rto <= 0.0 then invalid_arg "Transport.config: rto must be positive";
+  if not (rto > 0.0 && rto < infinity) then
+    invalid_arg "Transport.config: rto must be finite and positive";
   if retries < 0 then invalid_arg "Transport.config: retries must be >= 0";
   if window <= 0 then invalid_arg "Transport.config: window must be positive";
   if dedup <= 0 then invalid_arg "Transport.config: dedup must be positive";
@@ -104,14 +105,6 @@ type 'a t = {
   c_acks : Metrics.counter;
   c_retries_exhausted : Metrics.counter;
 }
-
-let retransmits t = Metrics.value t.c_retransmits
-let dup_suppressed t = Metrics.value t.c_dup_suppressed
-let expired t = Metrics.value t.c_expired
-let evicted t = Metrics.value t.c_evicted
-let acks t = Metrics.value t.c_acks
-let retries_exhausted t = Metrics.value t.c_retries_exhausted
-let config_of t = t.cfg
 
 let payload_trace_msg t payload =
   match t.payload_kind with None -> "?" | Some f -> f payload

@@ -30,7 +30,8 @@ type config = {
 }
 
 (** [config ~rto ()] with defaults [retries = 12], [window = 64],
-    [dedup = 256]. Raises [Invalid_argument] on nonsensical inputs. *)
+    [dedup = 256]. Raises [Invalid_argument] on nonsensical inputs, a NaN
+    or infinite [rto] included. *)
 val config : ?retries:int -> ?window:int -> ?dedup:int -> rto:float -> unit -> config
 
 type 'a t
@@ -57,27 +58,15 @@ val link : 'a t -> 'a Ssba_net.Link.t
     Corollary 5. Deterministic in [rng]. *)
 val scramble : 'a t -> rng:Ssba_sim.Rng.t -> unit
 
-val config_of : 'a t -> config
-
-(** Counters, also exported via the engine metrics registry under
-    [transport.retransmits], [transport.dup_suppressed], [transport.expired],
-    [transport.evicted], [transport.acks]. *)
-val retransmits : 'a t -> int
-
-(** Frames dropped by the receive dedup ring. *)
-val dup_suppressed : 'a t -> int
-
-(** Frames whose retry budget ran out unacked. *)
-val expired : 'a t -> int
-
-(** Pending entries evicted by window overrun before being acked. *)
-val evicted : 'a t -> int
-
-(** Acks sent (one per data frame received, duplicates included). *)
-val acks : 'a t -> int
-
-(** Frames abandoned because the retry cap ran out unacked. Tracks
-    {!expired} but is observability-only (never part of a result digest),
-    and each exhaustion also emits a typed [Retries_exhausted] trace event —
-    previously the transport gave up silently. *)
-val retries_exhausted : 'a t -> int
+(* The transport counts into the engine's metrics registry; read the
+   counters by name ([Metrics.find_counter]), as the Runner does:
+   - [transport.retransmits]: frames sent again after a timeout;
+   - [transport.dup_suppressed]: frames dropped by the receive dedup ring;
+   - [transport.expired]: frames whose retry budget ran out unacked;
+   - [transport.retries_exhausted]: the same frames, for observability only
+     (never part of a result digest); each also emits a typed
+     [Retries_exhausted] trace event;
+   - [transport.evicted]: pending entries evicted by window overrun before
+     being acked;
+   - [transport.acks]: acks sent (one per data frame received, duplicates
+     included). *)

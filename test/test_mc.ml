@@ -200,6 +200,67 @@ let test_knife_gate () =
   check_report "knife-legacy por=off" "3bf8258e378634129270261886411517"
     (explore Ssba_core.Params.Legacy ~por:false)
 
+(* --- fingerprint text pins ---
+
+   The report pins check exact fingerprint text only along the split
+   counterexample. These hash every choice point's world fingerprint along
+   smoke and knife vectors (the in-flight listing in send order with POR
+   off, sorted with it on), so a change to how a fingerprint is written must
+   keep it byte for byte. The values were taken from the Printf writers. *)
+let test_fingerprints_pinned () =
+  let pin name cfg ~por vector expected =
+    let r = Mc.run_vector cfg ~por vector in
+    check_str (name ^ " fingerprints pinned") expected
+      (Digest.to_hex (Digest.string (String.concat "" r.Mc.fingerprints)))
+  in
+  let smoke = Config.smoke () and knife = Config.knife () in
+  pin "smoke [] por=on" smoke ~por:true [||] "444dc7eef316df5ae0b7f5c383460b9c";
+  pin "smoke [] por=off" smoke ~por:false [||] "84151a6a788d37d39bd1231ab6481d3b";
+  pin "smoke [1;1;0;1] por=on" smoke ~por:true [| 1; 1; 0; 1 |]
+    "3716a631af2552cf96ab39c0f0d16cd3";
+  pin "smoke [1;1;0;1] por=off" smoke ~por:false [| 1; 1; 0; 1 |]
+    "98c9083b100c361e38277c1c5c4b8f6d";
+  pin "knife [] por=on" knife ~por:true [||] "2f6db94fc412edc4bb72764cb050b99b";
+  pin "knife [0;1;0;1;1;2;4] por=off" knife ~por:false [| 0; 1; 0; 1; 1; 2; 4 |]
+    "e38a121bbd1741774ee11441ec16a683"
+
+(* The fingerprints' number writers append what [Printf]'s "%h" and "%d"
+   append: on the edge cases (signed zeros, subnormals, infinities, NaNs of
+   both signs, min_int) and on 200,000 random bit patterns of each. *)
+let test_number_writers_exact () =
+  let buf = Buffer.create 64 in
+  let written write x =
+    Buffer.clear buf;
+    write buf x;
+    Buffer.contents buf
+  in
+  let float x =
+    let want = Printf.sprintf "%h" x in
+    let got = written Ssba_sim.Fp_text.float x in
+    if got <> want then
+      Alcotest.failf "float %Lx: wrote %s, Printf %s" (Int64.bits_of_float x)
+        got want
+  in
+  let int i =
+    let got = written Ssba_sim.Fp_text.int i in
+    if got <> string_of_int i then
+      Alcotest.failf "int %d: wrote %s" i got
+  in
+  List.iter float
+    [ 0.0; -0.0; 1.0; -1.0; 0.1; -2.5; Float.epsilon; max_float; -.max_float;
+      min_float; Float.pred min_float; Int64.float_of_bits 1L;
+      -.Int64.float_of_bits 1L; infinity; neg_infinity; nan; -.nan;
+      Int64.float_of_bits 0x7ff0000000000001L;
+      Int64.float_of_bits 0xfff8000000000001L ];
+  List.iter int [ 0; 1; -1; 9; 10; -10; 99; 100; max_int; min_int; min_int + 1 ];
+  let st = Random.State.make [| 24 |] in
+  for _ = 1 to 200_000 do
+    let bits = Random.State.bits64 st in
+    float (Int64.float_of_bits bits);
+    int (Int64.to_int bits);
+    int (Random.State.int st 2001 - 1000)
+  done
+
 (* A scenario is plain data: a Byzantine cast and a scripted delay marshal
    (no closure anywhere), and one compiled value reruns to the same result —
    the scripted delay's per-link counters belong to the run. The digest is
@@ -229,6 +290,9 @@ let suite =
     case "commuting sends hash equal under POR"
       test_commuting_sends_hash_equal_under_por;
     case "POR prunes the commuted branch" test_por_prunes_commuted_branch;
+    case "fingerprint text pinned on smoke and knife vectors"
+      test_fingerprints_pinned;
+    case "number writers append what %h and %d append" test_number_writers_exact;
     slow_case "POR and full exploration agree on the smoke space"
       test_por_full_equivalence_smoke;
     slow_case "blackout sensitivity: split found iff guard off, replayable"

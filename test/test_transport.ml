@@ -18,14 +18,20 @@ module F = Ssba_fuzz
 
 (* A 2-node faulty network with a transport on top; protocol traffic goes
    through [link]. *)
-let mk ?drop_prob ?dup_prob ?(seed = 7) ?(rto = 0.05) () =
+let mk ?drop_prob ?dup_prob ?(seed = 7) ?(rto = 0.05) ?retries () =
   let engine = Engine.create () in
   let net =
     Net.create ?drop_prob ?dup_prob ~engine ~n:2 ~delay:(Delay.fixed 0.01)
       ~rng:(Rng.create seed) ()
   in
-  let tr = T.create ~engine ~net ~config:(T.config ~rto ()) () in
+  let tr = T.create ~engine ~net ~config:(T.config ~rto ?retries ()) () in
   (engine, tr, T.link tr)
+
+(* A transport counter, read by name from the engine's registry as the
+   Runner reads it. *)
+let count engine name =
+  Option.value ~default:0
+    (Ssba_sim.Metrics.find_counter (Engine.metrics engine) ("transport." ^ name))
 
 let collect link dst =
   let got = ref [] in
@@ -37,39 +43,50 @@ let payloads k = List.init k (fun i -> Printf.sprintf "m%02d" i)
 (* Retransmission masks a persistent 30 % loss: every payload arrives
    exactly once even though both data frames and acks keep being dropped. *)
 let test_reliable_under_loss () =
-  let engine, tr, link = mk ~drop_prob:0.3 () in
+  let engine, _, link = mk ~drop_prob:0.3 () in
   let got = collect link 1 in
   List.iter (fun p -> Link.send link ~src:0 ~dst:1 p) (payloads 30);
   ignore (Engine.run engine);
   check_bool "all payloads delivered exactly once" true
     (List.sort compare !got = payloads 30);
-  check_bool "loss actually forced retransmissions" true (T.retransmits tr > 0);
-  check_int "nothing expired" 0 (T.expired tr)
+  check_bool "loss actually forced retransmissions" true
+    (count engine "retransmits" > 0);
+  check_int "nothing expired" 0 (count engine "expired")
 
 (* The receive dedup ring turns at-least-once into exactly-once under full
    network duplication. *)
 let test_dedup_exactly_once () =
-  let engine, tr, link = mk ~dup_prob:1.0 () in
+  let engine, _, link = mk ~dup_prob:1.0 () in
   let got = collect link 1 in
   List.iter (fun p -> Link.send link ~src:0 ~dst:1 p) (payloads 20);
   ignore (Engine.run engine);
   check_bool "duplicated frames delivered exactly once" true
     (List.sort compare !got = payloads 20);
-  check_bool "duplicates were suppressed" true (T.dup_suppressed tr > 0)
+  check_bool "duplicates were suppressed" true (count engine "dup_suppressed" > 0)
 
 (* A dead link exhausts the retry budget: state is bounded, the run
    terminates, and the frames are accounted as expired. *)
 let test_expiry_on_dead_link () =
-  let engine, tr, link = mk ~drop_prob:1.0 () in
+  let retries = 12 in
+  let engine, _, link = mk ~drop_prob:1.0 ~retries () in
   let got = collect link 1 in
   Link.send link ~src:0 ~dst:1 "a";
   Link.send link ~src:0 ~dst:1 "b";
   ignore (Engine.run engine);
   check_int "nothing delivered" 0 (List.length !got);
-  check_int "both frames expired" 2 (T.expired tr);
-  check_int "full retry budget spent per frame"
-    (2 * (T.config_of tr).T.retries)
-    (T.retransmits tr)
+  check_int "both frames expired" 2 (count engine "expired");
+  check_int "full retry budget spent per frame" (2 * retries)
+    (count engine "retransmits")
+
+(* A NaN or infinite rto is refused by [config], not met mid-run as a NaN
+   or infinite engine delay. *)
+let test_config_rejects_non_finite_rto () =
+  List.iter
+    (fun rto ->
+      match T.config ~rto () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "rto %h accepted" rto)
+    [ nan; infinity; neg_infinity ]
 
 (* A frame abandoned at the retry cap is a silent reliability give-up no
    more: the [transport.retries_exhausted] counter and the typed
@@ -87,7 +104,7 @@ let test_retries_exhausted_accounted () =
   Link.send link ~src:0 ~dst:1 "b";
   ignore (Engine.run engine);
   check_int "counter matches the two abandoned frames" 2
-    (T.retries_exhausted tr);
+    (count engine "retries_exhausted");
   let events =
     List.filter
       (fun (e : Ssba_sim.Trace.entry) ->
@@ -422,6 +439,7 @@ let suite =
     case "reliable delivery under 30% loss" test_reliable_under_loss;
     case "exactly-once under duplication" test_dedup_exactly_once;
     case "retry cap on a dead link" test_expiry_on_dead_link;
+    case "config rejects a NaN or infinite rto" test_config_rejects_non_finite_rto;
     case "retries-exhausted counter and trace event"
       test_retries_exhausted_accounted;
     case "retransmissions keep their backoff times" test_backoff_schedule;
