@@ -74,8 +74,26 @@ let rebuild ~gen seed iteration =
   List.iter (fun f -> Fmt.pr "%a@." F.Oracle.pp_failure f) report.F.Oracle.failures;
   if report.F.Oracle.failures = [] then 0 else 1
 
+(* A flag value outside its domain is a usage error: one line on stderr
+   and exit 2, before anything runs. Each check is written so that NaN
+   fails it. *)
+let check_flags ~runs ~jobs ~time_budget ~max_disruptions =
+  let bad flag reason =
+    Fmt.epr "ssba-fuzz: %s: %s@." flag reason;
+    exit 2
+  in
+  if runs < 1 then bad "--runs" "must be >= 1";
+  if jobs < 1 then bad "--jobs" "must be >= 1";
+  Option.iter
+    (fun b ->
+      if not (Float.is_finite b && b > 0.0) then
+        bad "--time-budget" "must be finite and > 0")
+    time_budget;
+  if max_disruptions < 0 then bad "--max-disruptions" "must be >= 0"
+
 let fuzz seed runs time_budget replay_file iteration out max_n max_disruptions
     lossy chaos overload r_slack edge_delays no_shrink verbose jobs =
+  check_flags ~runs ~jobs ~time_budget ~max_disruptions;
   let base_gen =
     if overload then F.Gen.overload_config
     else if chaos then F.Gen.chaos_config

@@ -33,9 +33,10 @@ let bad flag reason =
   exit 2
 
 (* Every numeric check is written so that NaN fails it; an infinite horizon,
-   duration or rate would never end. *)
-let check_flags ~n ~general ~propose_at ~horizon ~realtime ~rto ~loss ~dup
-    ~reorder ~service ~service_rate =
+   duration or rate would never end. [--rto] is checked where the transport
+   config and the timeout cascade are built. *)
+let check_flags ~n ~general ~propose_at ~horizon ~realtime ~loss ~dup ~reorder
+    ~service ~service_rate =
   (match Core.Params.default n with
   | exception Invalid_argument reason -> bad "-n" reason
   | _ -> ());
@@ -50,7 +51,6 @@ let check_flags ~n ~general ~propose_at ~horizon ~realtime ~rto ~loss ~dup
     if not (Float.is_finite x && x > 0.0) then bad flag "must be finite and > 0"
   in
   Option.iter (finite_positive "--horizon") horizon;
-  Option.iter (finite_positive "--rto") rto;
   Option.iter (finite_positive "--service") service;
   finite_positive "--service-rate" service_rate;
   Option.iter
@@ -60,8 +60,8 @@ let check_flags ~n ~general ~propose_at ~horizon ~realtime ~rto ~loss ~dup
 let run n seed general value attack scramble chaos sessions propose_at horizon
     trace_flag trace_out metrics_out realtime transport_flag rto loss dup
     reorder service service_rate =
-  check_flags ~n ~general ~propose_at ~horizon ~realtime ~rto ~loss ~dup
-    ~reorder ~service ~service_rate;
+  check_flags ~n ~general ~propose_at ~horizon ~realtime ~loss ~dup ~reorder
+    ~service ~service_rate;
   let chaos =
     match chaos with
     | None -> None
@@ -74,12 +74,13 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
   in
   let base = Core.Params.default n in
   let transport =
-    if transport_flag then
-      Some
-        (Ssba_transport.Transport.config
-           ~rto:(Option.value rto ~default:(3.0 *. base.Core.Params.delta))
-           ())
-    else None
+    match
+      Ssba_transport.Transport.config
+        ~rto:(Option.value rto ~default:(3.0 *. base.Core.Params.delta))
+        ()
+    with
+    | exception Invalid_argument reason -> bad "--rto" reason
+    | c -> if transport_flag then Some c else None
   in
   let link_faults =
     (if loss > 0.0 then [ H.Scenario.Loss { at = 0.0; p = loss } ] else [])
@@ -94,7 +95,11 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
   in
   (* With the transport masking a faulty link, the timeout cascade is built
      at the effective delay bound of the link faults. *)
-  let params = H.Scenario.effective_params ?transport n link_faults in
+  let params =
+    match H.Scenario.effective_params ?transport n link_faults with
+    | exception Invalid_argument reason -> bad "--rto" reason
+    | params -> params
+  in
   (match Core.Params.validate params with
   | Ok () -> ()
   | Error e ->
@@ -236,14 +241,7 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
     | Some w -> svc := Some (Ssba_service.Service.attach ~seed w drv)
     | None -> ()
   in
-  let res =
-    match realtime with
-    | None -> H.Runner.run ~on_driver sc
-    | Some speed when workload = None -> H.Runner.run_paced ~speed sc
-    | Some _ ->
-        Fmt.pr "(--realtime is ignored in --service mode)@.";
-        H.Runner.run ~on_driver sc
-  in
+  let res = H.Runner.run ~on_driver ?speed:realtime sc in
   let elide = sessions > 1 || workload <> None in
   Fmt.pr "@[<v>params: %a@]@." Core.Params.pp params;
   Fmt.pr "returns (%d):@." (List.length res.H.Runner.returns);

@@ -18,7 +18,7 @@
 module Sim = Ssba_sim
 module Net = Ssba_net
 module Core = Ssba_core
-module S = Ssba_adversary.Strategies
+module Catalog = Ssba_adversary.Catalog
 
 let () =
   let n = 7 in
@@ -62,15 +62,15 @@ let () =
       | None -> ())
     nodes;
   (* The Byzantine node equivocates its own "reading". *)
-  Ssba_adversary.Behavior.install
-    (S.two_faced_general ~v1:"reading-FAKE-A" ~v2:"reading-FAKE-B" ~at:0.021)
+  Catalog.install ~d:params.Core.Params.d
+    (Catalog.Two_faced_general
+       { v1 = "reading-FAKE-A"; v2 = "reading-FAKE-B"; at = 0.021 })
     {
-      Ssba_adversary.Behavior.self = byzantine;
+      Catalog.self = byzantine;
       params;
       engine;
       rng = Sim.Rng.split rng;
       link = Net.Network.link net;
-      clock = Sim.Clock.perfect;
     };
   let _ = Sim.Engine.run ~until:1.0 engine in
   (* Print and compare the learned vectors. *)

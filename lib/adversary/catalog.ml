@@ -1,11 +1,18 @@
-(* Enumerable strategy catalog.
+(* The adversary vocabulary: an enumerable strategy catalog and its
+   interpreter.
 
-   A data mirror of Strategies and the vocabulary of every scenario cast:
-   each constructor carries exactly the parameters of the closure it
-   instantiates, with durations in units of d so an entry is meaningful
-   under any Params.t. The runner instantiates entries, the fuzzer draws them
-   with [generate], persists them through Ssba_fuzz.Spec's JSON codec, and
-   walks [simplify] when minimizing a failing scenario. *)
+   Every scenario cast is a list of these entries. Each constructor carries
+   exactly the parameters of one attack, with durations in units of d so an
+   entry is meaningful under any Params.t. [install] runs an entry on a node;
+   the fuzzer draws entries with [generate], persists them through
+   Ssba_fuzz.Spec's JSON codec, and walks [simplify] when minimizing a
+   failing scenario.
+
+   An installed entry owns one node id. It gets raw access to the link — it
+   may send any payload at any time, but only under its own authenticated
+   identity (paper §2: sender identity cannot be tampered with once the
+   network is correct). catalog.mli documents the attack class each
+   constructor exercises. *)
 
 open Ssba_core.Types
 module Rng = Ssba_sim.Rng
@@ -20,40 +27,226 @@ type t =
   | Equivocator of { v1 : value; v2 : value }
   | Flip_flop of { period_d : float; values : value list }
   | Gate_edge of { v : value; at : float }
-      (* boundary-timing General: paces the IA stages so I-accepts land
-         exactly on block R's gate boundary, then re-initiates at the
-         2 Delta_rmv + 9d separation-decay boundary. Drawn by [generate]
-         only when the caller opts into [~edges:true]. *)
   | Scripted of { steps : (float * node_id option * message) list }
-      (* absolute-time send transcript; the model checker's counterexample
-         export and the round stretcher's colluders. Never drawn by
-         [generate]. *)
 
-let name = function
-  | Silent -> "silent"
-  | Spam _ -> "spam"
-  | Mimic _ -> "mimic"
-  | Two_faced_general _ -> "two-faced-general"
-  | Stagger_general _ -> "stagger-general"
-  | Partial_general _ -> "partial-general"
-  | Equivocator _ -> "equivocator"
-  | Flip_flop _ -> "flip-flop"
-  | Gate_edge _ -> "gate-edge"
-  | Scripted _ -> "scripted"
+type env = {
+  self : node_id;
+  params : Ssba_core.Params.t;
+  engine : Ssba_sim.Engine.t;
+  rng : Rng.t;
+  link : message Ssba_net.Link.t;
+      (* the same sending surface correct nodes use: the raw network, or the
+         reliable transport when the scenario runs over a faulty link *)
+}
 
-let to_behavior ~d = function
-  | Silent -> Strategies.silent
-  | Spam { period_d; values } -> Strategies.spam ~period:(period_d *. d) ~values
-  | Mimic { delay_d } -> Strategies.mimic ~delay:(delay_d *. d)
-  | Two_faced_general { v1; v2; at } -> Strategies.two_faced_general ~v1 ~v2 ~at
+(* ----- helpers shared by the strategies --------------------------------- *)
+
+let send env ~dst payload = Ssba_net.Link.send env.link ~src:env.self ~dst payload
+
+let send_to env ~dsts payload = List.iter (fun dst -> send env ~dst payload) dsts
+
+let send_all env payload = Ssba_net.Link.broadcast env.link ~src:env.self payload
+
+let at env ~time f = Ssba_sim.Engine.schedule env.engine ~at:time f
+
+let after env ~delay f = Ssba_sim.Engine.schedule_after env.engine ~delay f
+
+(* Repeat forever with the given period (first firing after one period). *)
+let every env ~period f =
+  let rec tick () =
+    f ();
+    Ssba_sim.Engine.schedule_after env.engine ~delay:period tick
+  in
+  Ssba_sim.Engine.schedule_after env.engine ~delay:period tick
+
+let on_message env f = Ssba_net.Link.set_handler env.link env.self f
+
+(* Random plausible protocol message, for the spam strategies. *)
+let random_message env ~values =
+  let rng = env.rng in
+  let n = env.params.Ssba_core.Params.n in
+  let f = env.params.Ssba_core.Params.f in
+  let g = Rng.int rng n in
+  let v = Rng.pick_list rng values in
+  match Rng.int rng 9 with
+  | 0 -> Initiator { g; v }
+  | 1 -> Ia { kind = Support; g; v }
+  | 2 -> Ia { kind = Approve; g; v }
+  | 3 -> Ia { kind = Ready; g; v }
+  | c ->
+      let kind = match c with 4 -> Init | 5 -> Echo | 6 -> Init2 | _ -> Echo2 in
+      let p = Rng.int rng n in
+      let k = 1 + Rng.int rng (max 1 (f + 1)) in
+      Mb { kind; p; g; v; k }
+
+let halves env =
+  let n = env.params.Ssba_core.Params.n in
+  let rec split acc_even acc_odd i =
+    if i < 0 then (acc_even, acc_odd)
+    else if i mod 2 = 0 then split (i :: acc_even) acc_odd (i - 1)
+    else split acc_even (i :: acc_odd) (i - 1)
+  in
+  split [] [] (n - 1)
+
+(* ----- the strategies ---------------------------------------------------- *)
+
+let silent env = on_message env (fun _ -> ())
+
+let spam ~period ~values env =
+  on_message env (fun _ -> ());
+  every env ~period (fun () -> send_all env (random_message env ~values))
+
+(* Each distinct payload is re-sent at most once: without the cap, two mimics
+   (or a mimic and an equivocator) amplify each other's output exponentially. *)
+let mimic ~delay env =
+  let seen : (message, unit) Hashtbl.t = Hashtbl.create 64 in
+  on_message env (fun m ->
+      let payload = m.Ssba_net.Msg.payload in
+      match payload with
+      | Initiator _ -> ()  (* cannot forge another General's identity *)
+      | Ia _ | Mb _ ->
+          if not (Hashtbl.mem seen payload) then begin
+            Hashtbl.replace seen payload ();
+            after env ~delay (fun () -> send_all env payload)
+          end)
+
+let two_faced_general ~v1 ~v2 ~at:time env =
+  on_message env (fun _ -> ());
+  let g = env.self in
+  let d = env.params.Ssba_core.Params.d in
+  at env ~time (fun () ->
+      let evens, odds = halves env in
+      send_to env ~dsts:evens (Initiator { g; v = v1 });
+      send_to env ~dsts:odds (Initiator { g; v = v2 });
+      (* Push both values through the support/approve/ready stages. *)
+      after env ~delay:(0.5 *. d) (fun () ->
+          send_to env ~dsts:evens (Ia { kind = Support; g; v = v1 });
+          send_to env ~dsts:odds (Ia { kind = Support; g; v = v2 }));
+      after env ~delay:(1.5 *. d) (fun () ->
+          send_all env (Ia { kind = Approve; g; v = v1 });
+          send_all env (Ia { kind = Approve; g; v = v2 }));
+      after env ~delay:(2.5 *. d) (fun () ->
+          send_all env (Ia { kind = Ready; g; v = v1 });
+          send_all env (Ia { kind = Ready; g; v = v2 })))
+
+let stagger_general ~v ~at:start ~gap env =
+  on_message env (fun _ -> ());
+  let g = env.self in
+  let n = env.params.Ssba_core.Params.n in
+  for dst = 0 to n - 1 do
+    at env ~time:(start +. (float_of_int dst *. gap)) (fun () ->
+        send env ~dst (Initiator { g; v }))
+  done
+
+let partial_general ~v ~at:time ~targets env =
+  on_message env (fun _ -> ());
+  let g = env.self in
+  at env ~time (fun () ->
+      send_to env ~dsts:targets (Initiator { g; v });
+      (* The faulty General still supports its own value towards its
+         targets, like a correct participant would. *)
+      let d = env.params.Ssba_core.Params.d in
+      after env ~delay:(0.5 *. d) (fun () ->
+          send_to env ~dsts:targets (Ia { kind = Support; g; v })))
+
+(* A faulty General that paces the Initiator-Accept stages so correct nodes'
+   decisions land exactly on the protocol's comparison boundaries instead of
+   safely inside them. One burst: Initiator at [at], Support a d later,
+   Approve a d after that — anchoring every correct node early — then the
+   Ready wave is withheld and released per destination, staggered from
+   [at + 4d] across a 3d window to [at + 7d]. The resulting I-accepts probe
+   block R's [tau - tau_g <= 4d] (or 5d) gate from both sides and stretch
+   decision skew against the 3d deadline; the burst repeats at
+   [at + 2 Delta_rmv + 9d], the same-value separation guard's own decay
+   boundary, so the second initiation lands exactly where block K's guard
+   flips from rejecting to admitting. *)
+let gate_edge ~v ~at:first env =
+  on_message env (fun _ -> ());
+  let g = env.self in
+  let p = env.params in
+  let d = p.Ssba_core.Params.d in
+  let n = p.Ssba_core.Params.n in
+  let burst start =
+    at env ~time:start (fun () -> send_all env (Initiator { g; v }));
+    at env ~time:(start +. d) (fun () ->
+        send_all env (Ia { kind = Support; g; v }));
+    at env ~time:(start +. (2.0 *. d)) (fun () ->
+        send_all env (Ia { kind = Approve; g; v }));
+    let step = 3.0 *. d /. float_of_int (max 1 (n - 1)) in
+    for dst = 0 to n - 1 do
+      let off = (4.0 *. d) +. (float_of_int dst *. step) in
+      at env ~time:(start +. off) (fun () ->
+          send env ~dst (Ia { kind = Ready; g; v }))
+    done
+  in
+  burst first;
+  burst (first +. (2.0 *. p.Ssba_core.Params.delta_rmv) +. (9.0 *. d))
+
+(* A Byzantine *participant* (not General): echoes support/approve/ready for
+   value [v1] to one half and [v2] to the other, for any General it hears
+   about — rate-limited to one burst per General per d, so colluding
+   equivocators cannot amplify each other without bound. *)
+let equivocator ~v1 ~v2 env =
+  let last_burst : (general, float) Hashtbl.t = Hashtbl.create 8 in
+  on_message env (fun m ->
+      match m.Ssba_net.Msg.payload with
+      | Initiator { g; _ } | Ia { g; _ } ->
+          let now = Ssba_sim.Engine.now env.engine in
+          let d = env.params.Ssba_core.Params.d in
+          let recent =
+            match Hashtbl.find_opt last_burst g with
+            | Some t -> now -. t < d
+            | None -> false
+          in
+          if not recent then begin
+            Hashtbl.replace last_burst g now;
+            let evens, odds = halves env in
+            send_to env ~dsts:evens (Ia { kind = Support; g; v = v1 });
+            send_to env ~dsts:odds (Ia { kind = Support; g; v = v2 });
+            send_to env ~dsts:evens (Ia { kind = Approve; g; v = v1 });
+            send_to env ~dsts:odds (Ia { kind = Approve; g; v = v2 });
+            send_to env ~dsts:evens (Ia { kind = Ready; g; v = v1 });
+            send_to env ~dsts:odds (Ia { kind = Ready; g; v = v2 })
+          end
+      | Mb _ -> ())
+
+(* A fully scripted adversary: a fixed list of (absolute engine time,
+   destination, payload) sends and nothing else. The model checker's
+   counterexample export compiles a Byzantine node's chosen menu into this —
+   a deterministic, input-oblivious transcript the fuzzer CLI can replay. *)
+let scripted ~steps env =
+  on_message env (fun _ -> ());
+  List.iter
+    (fun (time, dst, msg) ->
+      at env ~time (fun () ->
+          match dst with
+          | None -> send_all env msg
+          | Some dst -> send env ~dst msg))
+    steps
+
+let flip_flop ~period ~values env =
+  on_message env (fun _ -> ());
+  let noisy = ref false in
+  every env ~period (fun () -> noisy := not !noisy);
+  every env
+    ~period:(period /. 8.0)
+    (fun () -> if !noisy then send_all env (random_message env ~values))
+
+let install ~d entry env =
+  match entry with
+  | Silent -> silent env
+  | Spam { period_d; values } -> spam ~period:(period_d *. d) ~values env
+  | Mimic { delay_d } -> mimic ~delay:(delay_d *. d) env
+  | Two_faced_general { v1; v2; at } -> two_faced_general ~v1 ~v2 ~at env
   | Stagger_general { v; at; gap_d } ->
-      Strategies.stagger_general ~v ~at ~gap:(gap_d *. d)
-  | Partial_general { v; at; targets } -> Strategies.partial_general ~v ~at ~targets
-  | Equivocator { v1; v2 } -> Strategies.equivocator ~v1 ~v2
-  | Flip_flop { period_d; values } ->
-      Strategies.flip_flop ~period:(period_d *. d) ~values
-  | Gate_edge { v; at } -> Strategies.gate_edge ~v ~at
-  | Scripted { steps } -> Strategies.scripted ~steps
+      stagger_general ~v ~at ~gap:(gap_d *. d) env
+  | Partial_general { v; at; targets } -> partial_general ~v ~at ~targets env
+  | Equivocator { v1; v2 } -> equivocator ~v1 ~v2 env
+  | Flip_flop { period_d; values } -> flip_flop ~period:(period_d *. d) ~values env
+  | Gate_edge { v; at } -> gate_edge ~v ~at env
+  | Scripted { steps } -> scripted ~steps env
+
+(* ----- the catalog as data ----------------------------------------------- *)
 
 let activity_times = function
   | Two_faced_general { at; _ } | Stagger_general { at; _ }
@@ -131,5 +324,3 @@ let pp ppf t =
       Fmt.pf ppf "flip-flop(period=%gd, %d values)" period_d (List.length values)
   | Gate_edge { v; at } -> Fmt.pf ppf "gate-edge(%S at %g)" v at
   | Scripted { steps } -> Fmt.pf ppf "scripted(%d steps)" (List.length steps)
-
-let equal (a : t) (b : t) = a = b

@@ -55,12 +55,13 @@ type t = {
   r_slack : r_slack;  (* block R gate variant; see above *)
 }
 
+(* Every check is written so that NaN fails it. *)
 let make ~n ~f ~delta ~pi ~rho =
   if n <= 0 then invalid_arg "Params.make: n must be positive";
   if f < 0 then invalid_arg "Params.make: f must be non-negative";
-  if delta <= 0.0 then invalid_arg "Params.make: delta must be positive";
-  if pi < 0.0 then invalid_arg "Params.make: pi must be non-negative";
-  if rho < 0.0 || rho >= 1.0 then invalid_arg "Params.make: rho out of [0,1)";
+  if not (delta > 0.0) then invalid_arg "Params.make: delta must be positive";
+  if not (pi >= 0.0) then invalid_arg "Params.make: pi must be non-negative";
+  if not (rho >= 0.0 && rho < 1.0) then invalid_arg "Params.make: rho out of [0,1)";
   let d = (delta +. pi) *. (1.0 +. rho) in
   let tau_skew = 6.0 *. d in
   let phi = tau_skew +. (2.0 *. d) in
@@ -71,6 +72,9 @@ let make ~n ~f ~delta ~pi ~rho =
   let delta_node = delta_v +. delta_agr in
   let delta_reset = (20.0 *. d) +. (4.0 *. delta_rmv) in
   let delta_stb = 2.0 *. delta_reset in
+  (* the largest derived constant: the others are finite when it is *)
+  if not (Float.is_finite delta_stb) then
+    invalid_arg "Params.make: delta and pi too large, Delta_stb is not finite";
   {
     n;
     f;

@@ -39,7 +39,8 @@ type t = {
 
 (** Build the full constant cascade from the base quantities, with
     [r_slack = default_r_slack]. Raises [Invalid_argument] on nonsensical
-    inputs. *)
+    inputs: a NaN [delta], [pi] or [rho] included, and base quantities so
+    large that a derived constant is not finite. *)
 val make : n:int -> f:int -> delta:float -> pi:float -> rho:float -> t
 
 (** Same cascade, different block-R gate variant. *)

@@ -62,30 +62,19 @@ let digest_of_digests arr =
     arr;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* Failures surface in iteration order with shrinking deferred to a single
-   serial pass, so a parallel campaign reports byte-identically to a serial
-   one (shrinking is a pure function of the failing spec). *)
-let finalize config raw_failures =
-  List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) raw_failures
-  |> List.map (fun (index, spec, report) ->
-         let shrunk =
-           if config.shrink then
-             Some
-               (Shrink.minimize ~config:config.oracle
-                  ~max_attempts:config.max_shrink_attempts spec report)
-           else None
-         in
-         { index; spec; report; shrunk })
-
 (* One deterministic engine per domain: workers pull the next iteration
    index from an atomic counter, run it in isolation (every scenario builds
    its own engine/RNG from (seed, i) alone), and write the result digest
-   into slot [i]. The index-ordered fold over the slot array then matches
-   the serial digest byte for byte, whatever order the slots were filled
-   in. With a time budget the digest covers the completed *prefix* —
-   stragglers past the first unfinished slot are discarded from the digest
-   (budgeted campaigns are not digest-stable in either mode). *)
-let run_parallel ?progress ~jobs config =
+   into slot [i]; with one job the calling domain is the only worker. The
+   index-ordered fold over the slot array gives the same digest whatever
+   order the slots were filled in. Failures are shrunk after the loop, in
+   iteration order (shrinking is a pure function of the failing spec), so
+   the summary does not depend on [jobs]. With a time budget the digest
+   covers the completed *prefix* — stragglers past the first unfinished
+   slot are discarded (budgeted campaigns are not digest-stable). *)
+let run ?progress ?(jobs = 1) config =
+  if jobs < 1 then invalid_arg "Campaign.run: jobs must be >= 1";
+  if config.runs < 0 then invalid_arg "Campaign.run: runs must be >= 0";
   let deadline =
     Option.map (fun b -> Unix.gettimeofday () +. b) config.time_budget
   in
@@ -135,47 +124,20 @@ let run_parallel ?progress ~jobs config =
   while !executed < runs && completed.(!executed) do
     incr executed
   done;
+  let failed =
+    List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) (Atomic.get failures)
+    |> List.map (fun (index, spec, report) ->
+           let shrunk =
+             if config.shrink then
+               Some
+                 (Shrink.minimize ~config:config.oracle
+                    ~max_attempts:config.max_shrink_attempts spec report)
+             else None
+           in
+           { index; spec; report; shrunk })
+  in
   {
     executed = !executed;
-    failed = finalize config (Atomic.get failures);
+    failed;
     corpus_digest = digest_of_digests (Array.sub digests 0 !executed);
   }
-
-let run_serial ?progress config =
-  let deadline =
-    Option.map (fun b -> Unix.gettimeofday () +. b) config.time_budget
-  in
-  let digests = Buffer.create 256 in
-  let failed = ref [] in
-  let executed = ref 0 in
-  (try
-     for i = 0 to config.runs - 1 do
-       (match deadline with
-       | Some t when Unix.gettimeofday () > t -> raise Exit
-       | Some _ | None -> ());
-       let spec = spec_of_iteration ~seed:config.seed ~gen:config.gen i in
-       let _, report = Oracle.run ~config:config.oracle spec in
-       incr executed;
-       Buffer.add_string digests report.Oracle.digest;
-       Buffer.add_char digests '\n';
-       (match progress with Some f -> f i spec report | None -> ());
-       if Oracle.failed report then
-         let shrunk =
-           if config.shrink then
-             Some
-               (Shrink.minimize ~config:config.oracle
-                  ~max_attempts:config.max_shrink_attempts spec report)
-           else None
-         in
-         failed := { index = i; spec; report; shrunk } :: !failed
-     done
-   with Exit -> ());
-  {
-    executed = !executed;
-    failed = List.rev !failed;
-    corpus_digest = Digest.to_hex (Digest.string (Buffer.contents digests));
-  }
-
-let run ?progress ?(jobs = 1) config =
-  if jobs <= 1 then run_serial ?progress config
-  else run_parallel ?progress ~jobs config

@@ -48,14 +48,15 @@ val spec_of_iteration : seed:int -> gen:Gen.config -> int -> Spec.t
     sensitivity. *)
 val digest_of_digests : string array -> string
 
-(** Run a campaign. [progress] is called after every scenario (under a
-    mutex when [jobs > 1]). [jobs] > 1 runs scenarios on that many domains
-    — one deterministic engine per domain, scenarios pulled from a shared
+(** Run a campaign. [progress] is called after every scenario, under a
+    mutex. [jobs] (default 1) runs scenarios on that many domains — one
+    deterministic engine per domain, scenarios pulled from a shared
     counter; every iteration is a pure function of [(seed, i)], and the
     digest folds per-iteration results in index order, so the summary
-    (digest, executed count, failure set, shrunk reproductions) is
-    byte-identical to [jobs = 1]. With a [time_budget] the parallel digest
-    covers only the completed prefix of iterations. *)
+    (digest, executed count, failure set, shrunk reproductions) is the same
+    for every [jobs]. With a [time_budget] the digest covers only the
+    completed prefix of iterations. Raises [Invalid_argument] when [jobs <
+    1] or [config.runs < 0]. *)
 val run :
   ?progress:(int -> Spec.t -> Oracle.report -> unit) ->
   ?jobs:int ->

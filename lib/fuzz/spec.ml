@@ -125,12 +125,9 @@ let validate t =
            t.events)
     then err "event probability outside [0, 1] (or bad reorder/surge knob)"
     else
-      match t.transport with
-      | Some c
-        when not (c.T.rto > 0.0 && c.T.retries >= 0 && c.T.window > 0 && c.T.dedup > 0)
-        ->
-          err "nonsensical transport config"
-      | Some _ | None -> (
+      match params t with
+      | exception Invalid_argument e -> err "params: %s" e
+      | _ -> (
           match t.service with
           | None -> Ok ()
           | Some w -> (
@@ -458,12 +455,12 @@ let transport_to_json (c : T.config) =
     ]
 
 let transport_of_json j =
-  {
-    T.rto = get_float "rto" j;
-    retries = get_int "retries" j;
-    window = get_int "window" j;
-    dedup = get_int "dedup" j;
-  }
+  match
+    T.config ~rto:(get_float "rto" j) ~retries:(get_int "retries" j)
+      ~window:(get_int "window" j) ~dedup:(get_int "dedup" j) ()
+  with
+  | c -> c
+  | exception Invalid_argument e -> fail "field \"transport\": %s" e
 
 let proposal_to_json (p : S.proposal) =
   J.Obj [ ("g", int p.S.g); ("v", str p.S.v); ("at", num p.S.at) ]

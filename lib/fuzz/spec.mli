@@ -58,7 +58,8 @@ val max_referenced_id : t -> int
 
 (** Structural sanity: [n > 3f], cast within the fault budget and node
     range, events sorted and inside the horizon, proposals in range, every
-    delay and fault parameter in range ({!Ssba_net.Delay.valid}). NaN fails
+    delay and fault parameter in range ({!Ssba_net.Delay.valid}), and
+    {!params} can be built (every derived constant finite). NaN fails
     every check. *)
 val validate : t -> (unit, string) result
 

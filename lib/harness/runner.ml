@@ -174,7 +174,39 @@ let transport_iface ~engine ~params ~delay ~rng ~config n =
       else data rng ~values)
     ~pool_garbage:data
 
-let run_with ?on_driver ~execute (sc : Scenario.t) =
+(* The run's counts are read by name from the registry the network and the
+   transport fed; a transport counter is absent when no transport ran. *)
+let finish scenario engine engine_stats ~returns ~observations ~correct ~clocks
+    ~nodes ~proposal_results =
+  let metrics = Engine.metrics engine in
+  let count name = Option.value (Metrics.find_counter metrics name) ~default:0 in
+  {
+    scenario;
+    returns = List.sort (fun a b -> compare a.rt_ret b.rt_ret) returns;
+    observations = List.rev observations;
+    correct;
+    clocks;
+    nodes;
+    proposal_results = List.rev proposal_results;
+    engine_stats;
+    messages_sent = count "net.sent";
+    messages_delivered = count "net.delivered";
+    messages_dropped = count "net.dropped";
+    messages_duplicated = count "net.duplicated";
+    messages_in_flight =
+      int_of_float
+        (Option.value (Metrics.find_gauge metrics "net.in_flight") ~default:0.0);
+    messages_by_kind = Metrics.counters_with_prefix metrics "net.sent.";
+    transport_retransmits = count "transport.retransmits";
+    transport_dup_suppressed = count "transport.dup_suppressed";
+    transport_expired = count "transport.expired";
+    transport_retries_exhausted = count "transport.retries_exhausted";
+    transport_evicted = count "transport.evicted";
+    metrics;
+    trace = Engine.trace engine;
+  }
+
+let run ?on_driver ?speed (sc : Scenario.t) =
   let params = sc.Scenario.params in
   let n = params.Params.n in
   let root = Rng.create sc.Scenario.seed in
@@ -247,15 +279,13 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
     match List.assoc_opt id sc.Scenario.cast with
     | None -> ()
     | Some entry ->
-        Ssba_adversary.Behavior.install
-          (Ssba_adversary.Catalog.to_behavior ~d:params.Params.d entry)
+        Ssba_adversary.Catalog.install ~d:params.Params.d entry
           {
-            Ssba_adversary.Behavior.self = id;
+            Ssba_adversary.Catalog.self = id;
             params;
             engine;
             rng = Rng.split adv_rng;
             link = behavior_link;
-            clock = clocks.(id);
           }
   done;
   (* Arbitrary-state vocabulary for reformed nodes: the run's proposal values
@@ -374,48 +404,14 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
           drv_on_return = (fun cb -> return_hooks := !return_hooks @ [ cb ]);
         })
     on_driver;
-  let engine_stats = execute ~until:sc.Scenario.horizon engine in
-  (* The run's counts, read by name from the registry the network and the
-     transport fed. A transport counter is absent when no transport ran. *)
-  let metrics = Engine.metrics engine in
-  let count name = Option.value (Metrics.find_counter metrics name) ~default:0 in
-  {
-    scenario = sc;
-    returns =
-      List.sort (fun a b -> compare a.rt_ret b.rt_ret) !returns;
-    observations = List.rev !observations;
-    correct =
-      List.sort compare
-        (Scenario.correct_ids sc
-        @ List.filter (fun id -> reformed.(id)) (Scenario.byzantine_ids sc));
-    clocks;
-    nodes = !live_nodes;
-    proposal_results = List.rev !proposal_results;
-    engine_stats;
-    messages_sent = count "net.sent";
-    messages_delivered = count "net.delivered";
-    messages_dropped = count "net.dropped";
-    messages_duplicated = count "net.duplicated";
-    messages_in_flight =
-      int_of_float
-        (Option.value (Metrics.find_gauge metrics "net.in_flight") ~default:0.0);
-    messages_by_kind = Metrics.counters_with_prefix metrics "net.sent.";
-    transport_retransmits = count "transport.retransmits";
-    transport_dup_suppressed = count "transport.dup_suppressed";
-    transport_expired = count "transport.expired";
-    transport_retries_exhausted = count "transport.retries_exhausted";
-    transport_evicted = count "transport.evicted";
-    metrics;
-    trace;
-  }
-
-let run ?on_driver sc =
-  run_with ?on_driver
-    ~execute:(fun ~until engine -> Engine.run ~until engine)
-    sc
-
-(* Same run, paced against the wall clock (live-demo mode). *)
-let run_paced ?(speed = 1.0) sc =
-  run_with
-    ~execute:(fun ~until engine -> Engine.run_realtime ~speed ~until engine)
-    sc
+  let engine_stats =
+    match speed with
+    | None -> Engine.run ~until:sc.Scenario.horizon engine
+    | Some speed -> Engine.run_realtime ~speed ~until:sc.Scenario.horizon engine
+  in
+  finish sc engine engine_stats ~returns:!returns ~observations:!observations
+    ~correct:
+      (List.sort compare
+         (Scenario.correct_ids sc
+         @ List.filter (fun id -> reformed.(id)) (Scenario.byzantine_ids sc)))
+    ~clocks ~nodes:!live_nodes ~proposal_results:!proposal_results

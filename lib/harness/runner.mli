@@ -73,9 +73,26 @@ type driver = {
 }
 
 (** Run a scenario to its horizon. [on_driver], if given, receives the
-    {!driver} hook after setup and before the engine runs. *)
-val run : ?on_driver:(driver -> unit) -> Scenario.t -> result
+    {!driver} hook after setup and before the engine runs. With [speed] the
+    run is paced against the wall clock at [speed] virtual seconds per wall
+    second (live-demo mode); the result is the same as without. *)
+val run : ?on_driver:(driver -> unit) -> ?speed:float -> Scenario.t -> result
 
-(** Same run, paced against the wall clock at [speed] virtual seconds per
-    wall second (live-demo mode); results are identical to {!run}. *)
-val run_paced : ?speed:float -> Scenario.t -> result
+(** [finish sc engine stats ~returns ~observations ~correct ~clocks ~nodes
+    ~proposal_results] packages a stopped run of [sc] on [engine] as {!run}
+    does: [returns] sorted by real time, [observations] and
+    [proposal_results] (each collected newest first) put in chronological
+    order, and the eleven counts read by name from the engine's registry.
+    A caller that builds its own world (the model checker) packages it
+    with this. *)
+val finish :
+  Scenario.t ->
+  Ssba_sim.Engine.t ->
+  Ssba_sim.Engine.stats ->
+  returns:return_info list ->
+  observations:observation list ->
+  correct:node_id list ->
+  clocks:Ssba_sim.Clock.t array ->
+  nodes:(node_id * Ssba_core.Node.t) list ->
+  proposal_results:(Scenario.proposal * proposal_outcome) list ->
+  result

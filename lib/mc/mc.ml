@@ -318,7 +318,7 @@ let execute (cfg : Config.t) ~por ~visited ~scratch ~fingerprint_from prefix =
               h m));
     }
   in
-  (* World construction mirrors Runner.run_with: correct nodes in id order,
+  (* World construction mirrors Runner.run: correct nodes in id order,
      then the Byzantine schedules, then the proposals — the engine breaks
      time ties by scheduling order, and counterexample replay through the
      Runner depends on reproducing it. *)
@@ -385,50 +385,19 @@ let execute (cfg : Config.t) ~por ~visited ~scratch ~fingerprint_from prefix =
     if !pruned then ([], [])
     else begin
       let scenario =
-        {
-          Scenario.name = cfg.Config.name;
-          params;
-          seed = 0;
-          delay = Delay.fixed cfg.Config.default_delay;
-          clocks = Scenario.Perfect;
-          cast = List.map (fun id -> (id, Catalog.Silent)) (Config.byz_ids cfg);
-          proposals = cfg.Config.proposals;
-          events = [];
-          horizon = cfg.Config.horizon;
-          channels = 1;
-          record_trace = false;
-          record_observations = true;
-          transport = None;
-          session_capacity = cfg.Config.session_capacity;
-          blackout = cfg.Config.blackout;
-          admission = false;
-        }
+        Scenario.default ~name:cfg.Config.name ~seed:0
+          ~horizon:cfg.Config.horizon ~record_observations:true
+          ~delay:(Delay.fixed cfg.Config.default_delay) ~clocks:Scenario.Perfect
+          ~cast:(List.map (fun id -> (id, Catalog.Silent)) (Config.byz_ids cfg))
+          ~proposals:cfg.Config.proposals
+          ?session_capacity:cfg.Config.session_capacity
+          ~blackout:cfg.Config.blackout params
       in
       let result =
-        {
-          Runner.scenario;
-          returns =
-            List.sort (fun a b -> compare a.rt_ret b.rt_ret) !returns;
-          observations = List.rev !observations;
-          correct = Config.correct_ids cfg;
-          clocks = Array.init n (fun _ -> Clock.perfect);
-          nodes = !nodes;
-          proposal_results = List.rev !proposal_results;
-          engine_stats = stats;
-          messages_sent = Network.messages_sent net;
-          messages_delivered = Network.messages_delivered net;
-          messages_dropped = Network.messages_dropped net;
-          messages_duplicated = Network.messages_duplicated net;
-          messages_in_flight = Network.messages_in_flight net;
-          messages_by_kind = Network.sent_by_kind net;
-          transport_retransmits = 0;
-          transport_dup_suppressed = 0;
-          transport_expired = 0;
-          transport_retries_exhausted = 0;
-          transport_evicted = 0;
-          metrics = Engine.metrics engine;
-          trace = Engine.trace engine;
-        }
+        Runner.finish scenario engine stats ~returns:!returns
+          ~observations:!observations ~correct:(Config.correct_ids cfg)
+          ~clocks:(Array.make n Clock.perfect) ~nodes:!nodes
+          ~proposal_results:!proposal_results
       in
       ( Checks.pairwise_agreement ~settle:0.0 result @ Invariants.check result,
         split_decisions params !returns )

@@ -68,9 +68,10 @@ type config = {
 }
 
 let config ?(retries = 12) ?(window = 64) ?(dedup = 256) ~rto () =
-  if not (rto > 0.0 && rto < infinity) then
-    invalid_arg "Transport.config: rto must be finite and positive";
+  if not (rto > 0.0) then invalid_arg "Transport.config: rto must be positive";
   if retries < 0 then invalid_arg "Transport.config: retries must be >= 0";
+  if not (Float.is_finite (ldexp rto retries)) then
+    invalid_arg "Transport.config: the last backoff rto * 2^retries must be finite";
   if window <= 0 then invalid_arg "Transport.config: window must be positive";
   if dedup <= 0 then invalid_arg "Transport.config: dedup must be positive";
   { rto; retries; window; dedup }

@@ -22,7 +22,7 @@ type 'a frame = Data of { seq : int; payload : 'a } | Ack of { seq : int }
     classifier; acks are labeled ["ack"]. *)
 val kind_of : ('a -> string) -> 'a frame -> string
 
-type config = {
+type config = private {
   rto : float;  (** first retransmission timeout; doubles per attempt *)
   retries : int;  (** max retransmissions per frame *)
   window : int;  (** per-ordered-pair in-flight ring capacity *)
@@ -30,8 +30,9 @@ type config = {
 }
 
 (** [config ~rto ()] with defaults [retries = 12], [window = 64],
-    [dedup = 256]. Raises [Invalid_argument] on nonsensical inputs, a NaN
-    or infinite [rto] included. *)
+    [dedup = 256]: the only way to build a {!config}. Raises
+    [Invalid_argument] on nonsensical inputs, a NaN or infinite [rto]
+    included, and when the last backoff [rto * 2^retries] is not finite. *)
 val config : ?retries:int -> ?window:int -> ?dedup:int -> rto:float -> unit -> config
 
 type 'a t

@@ -81,17 +81,43 @@ let prop_strategy_simplifies_to_silent =
       in
       descend c 0)
 
-(* --- catalog/behaviour consistency --- *)
+(* --- catalog entries as installed --- *)
 
-let test_catalog_names () =
-  let rng = Ssba_sim.Rng.create 7 in
-  for _ = 1 to 50 do
-    let c =
-      C.generate rng ~values:[ "a"; "b" ] ~at_lo:0.0 ~at_hi:1.0 ~n:7
+(* [Catalog.install] scales an entry's durations by the run's d: a staggered
+   General's initiations land [gap_d] d apart, one per destination, and a
+   spammer's broadcasts [period_d] d apart. *)
+let test_install_scales_by_d () =
+  let params = Ssba_core.Params.default 7 in
+  let d = params.Ssba_core.Params.d in
+  let horizon = 0.2 in
+  let sends_of_6 entry =
+    let sc =
+      S.default ~name:"install" ~seed:5 ~horizon ~record_trace:true
+        ~cast:[ (6, entry) ] params
     in
-    check_str "catalog name matches instantiated behaviour" (C.name c)
-      (Ssba_adversary.Behavior.name (C.to_behavior ~d:0.0011 c))
-  done
+    let res = Ssba_harness.Runner.run sc in
+    List.filter_map
+      (fun (e : Ssba_sim.Trace.entry) ->
+        match e.Ssba_sim.Trace.event with
+        | Ssba_sim.Trace.Send { src = 6; dst; _ } -> Some (dst, e.Ssba_sim.Trace.time)
+        | _ -> None)
+      (Ssba_sim.Trace.to_list res.Ssba_harness.Runner.trace)
+  in
+  let at = 0.01 in
+  let stagger = sends_of_6 (C.Stagger_general { v = "s"; at; gap_d = 2.0 }) in
+  check_int "one initiation per node" 7 (List.length stagger);
+  List.iter
+    (fun (dst, t) ->
+      check_float "initiation time" (at +. (float_of_int dst *. 2.0 *. d)) t)
+    stagger;
+  let period = 4.0 *. d in
+  let spam = sends_of_6 (C.Spam { period_d = 4.0; values = [ "a" ] }) in
+  let times = List.sort_uniq compare (List.map snd spam) in
+  check_int "one broadcast per period" (int_of_float (horizon /. period))
+    (List.length times);
+  List.iteri
+    (fun i t -> check_float "broadcast time" (float_of_int (i + 1) *. period) t)
+    times
 
 (* --- replay: files and digests --- *)
 
@@ -622,7 +648,7 @@ let suite =
     qcheck prop_json_roundtrip;
     qcheck prop_event_roundtrip;
     qcheck prop_strategy_simplifies_to_silent;
-    case "catalog names match behaviours" test_catalog_names;
+    case "catalog install scales durations by d" test_install_scales_by_d;
     case "replay file round-trips and reproduces the digest" test_replay_file_roundtrip;
     case "run digest is deterministic" test_run_digest_deterministic;
     slow_case "smoke campaign: 50 scenarios, seed 42, no failures" test_smoke_campaign;

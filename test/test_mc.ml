@@ -224,6 +224,70 @@ let test_fingerprints_pinned () =
   pin "knife [0;1;0;1;1;2;4] por=off" knife ~por:false [| 0; 1; 0; 1; 1; 2; 4 |]
     "e38a121bbd1741774ee11441ec16a683"
 
+(* --- two sends on one link at one instant ---
+
+   Byzantine node 3 sends node 0 an Initiator and then a Support, on one
+   link with one delay, so both arrive at the same time. The Initiator's
+   delivery makes node 0 support the value, and node 0's supports branch,
+   so a choice point falls between the two deliveries. Its fingerprint must
+   list the Support still in flight: a delivery clears the first undelivered
+   send (in send order) that matches its link and arrival time, which is the
+   one the network delivered. Never regenerate the values. *)
+let same_instant () =
+  let params = Ssba_core.Params.default ~f:1 4 in
+  let d = params.Ssba_core.Params.d in
+  let x = "x" in
+  {
+    Config.name = "same-instant";
+    params;
+    byz =
+      [
+        {
+          Config.byz_id = 3;
+          steps =
+            [
+              {
+                Config.step_at = d;
+                step_label = "pair";
+                options =
+                  [
+                    [
+                      (Some 0, Ssba_core.Types.Initiator { g = 3; v = x });
+                      (Some 0, Ssba_core.Types.Ia { kind = Support; g = 3; v = x });
+                    ];
+                  ];
+              };
+            ];
+        };
+      ];
+    proposals = [];
+    session_capacity = None;
+    blackout = true;
+    horizon = 20.0 *. d;
+    default_delay = 0.4 *. d;
+    lattice = [| 0.4 *. d; 1.1 *. d |];
+    lattices = [];
+    branch =
+      (fun ~src ~dst:_ msg ->
+        match msg with
+        | Ssba_core.Types.Ia { kind = Support; _ } when src <> 3 ->
+            Some ("S" ^ string_of_int src)
+        | _ -> None);
+  }
+
+let test_same_instant_deliveries_pinned () =
+  let pin ~por expected =
+    let r = Mc.run_vector (same_instant ()) ~por [||] in
+    check_bool "a choice point falls between the deliveries" true
+      (r.Mc.fingerprints <> []);
+    check_str
+      (Printf.sprintf "same-instant por=%b fingerprints pinned" por)
+      expected
+      (Digest.to_hex (Digest.string (String.concat "" r.Mc.fingerprints)))
+  in
+  pin ~por:true "d4f97becabb1d487dd95b0aace4223d7";
+  pin ~por:false "d4f97becabb1d487dd95b0aace4223d7"
+
 (* The fingerprints' number writers append what [Printf]'s "%h" and "%d"
    append: on the edge cases (signed zeros, subnormals, infinities, NaNs of
    both signs, min_int) and on 200,000 random bit patterns of each. *)
@@ -292,6 +356,8 @@ let suite =
     case "POR prunes the commuted branch" test_por_prunes_commuted_branch;
     case "fingerprint text pinned on smoke and knife vectors"
       test_fingerprints_pinned;
+    case "same-instant deliveries on one link pinned"
+      test_same_instant_deliveries_pinned;
     case "number writers append what %h and %d append" test_number_writers_exact;
     slow_case "POR and full exploration agree on the smoke space"
       test_por_full_equivalence_smoke;

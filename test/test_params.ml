@@ -64,7 +64,14 @@ let test_bad_inputs () =
   expect_invalid (fun () -> P.make ~n:4 ~f:(-1) ~delta:1.0 ~pi:0.0 ~rho:0.0);
   expect_invalid (fun () -> P.make ~n:4 ~f:1 ~delta:0.0 ~pi:0.0 ~rho:0.0);
   expect_invalid (fun () -> P.make ~n:4 ~f:1 ~delta:1.0 ~pi:(-0.1) ~rho:0.0);
-  expect_invalid (fun () -> P.make ~n:4 ~f:1 ~delta:1.0 ~pi:0.0 ~rho:1.0)
+  expect_invalid (fun () -> P.make ~n:4 ~f:1 ~delta:1.0 ~pi:0.0 ~rho:1.0);
+  (* NaN, and a delta so large that Delta_stb overflows: refused here, not
+     met mid-run as a NaN engine delay *)
+  List.iter
+    (fun delta -> expect_invalid (fun () -> P.make ~n:4 ~f:1 ~delta ~pi:0.0 ~rho:0.0))
+    [ infinity; nan; 1e307 ];
+  expect_invalid (fun () -> P.make ~n:4 ~f:1 ~delta:1.0 ~pi:nan ~rho:0.0);
+  expect_invalid (fun () -> P.make ~n:4 ~f:1 ~delta:1.0 ~pi:0.0 ~rho:nan)
 
 (* Golden test for the printed cascade. Regression: [pp] used to skip
    delta_node entirely, silently misreporting the parameter cascade. With

@@ -88,6 +88,12 @@ let test_config_rejects_non_finite_rto () =
       | _ -> Alcotest.failf "rto %h accepted" rto)
     [ nan; infinity; neg_infinity ]
 
+(* So is a finite rto whose last backoff, rto * 2^retries, overflows. *)
+let test_config_rejects_overflowing_backoff () =
+  match T.config ~rto:0.003 ~retries:2000 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "retries 2000 accepted"
+
 (* A frame abandoned at the retry cap is a silent reliability give-up no
    more: the [transport.retries_exhausted] counter and the typed
    [Retries_exhausted] trace event both account for every one. *)
@@ -440,6 +446,8 @@ let suite =
     case "exactly-once under duplication" test_dedup_exactly_once;
     case "retry cap on a dead link" test_expiry_on_dead_link;
     case "config rejects a NaN or infinite rto" test_config_rejects_non_finite_rto;
+    case "config rejects an overflowing last backoff"
+      test_config_rejects_overflowing_backoff;
     case "retries-exhausted counter and trace event"
       test_retries_exhausted_accounted;
     case "retransmissions keep their backoff times" test_backoff_schedule;
