@@ -33,15 +33,17 @@ let bad flag reason =
   exit 2
 
 (* Every numeric check is written so that NaN fails it; an infinite horizon,
-   duration or rate would never end. [--rto] is checked where the transport
-   config and the timeout cascade are built. *)
-let check_flags ~n ~general ~propose_at ~horizon ~realtime ~loss ~dup ~reorder
-    ~service ~service_rate =
+   duration or rate would never end. [--rto]'s value is checked where the
+   transport config and the timeout cascade are built; without [--transport]
+   it would change nothing. *)
+let check_flags ~n ~general ~propose_at ~horizon ~realtime ~transport_flag ~rto
+    ~loss ~dup ~reorder ~service ~service_rate =
   (match Core.Params.default n with
   | exception Invalid_argument reason -> bad "-n" reason
   | _ -> ());
   if not (general >= 0 && general < n) then
     bad "--general" (Printf.sprintf "must lie in [0, %d)" n);
+  if rto <> None && not transport_flag then bad "--rto" "needs --transport";
   List.iter
     (fun (flag, p) -> if not (p >= 0.0 && p <= 1.0) then bad flag "must lie in [0, 1]")
     [ ("--loss", loss); ("--dup", dup); ("--reorder", reorder) ];
@@ -60,8 +62,8 @@ let check_flags ~n ~general ~propose_at ~horizon ~realtime ~loss ~dup ~reorder
 let run n seed general value attack scramble chaos sessions propose_at horizon
     trace_flag trace_out metrics_out realtime transport_flag rto loss dup
     reorder service service_rate =
-  check_flags ~n ~general ~propose_at ~horizon ~realtime ~loss ~dup ~reorder
-    ~service ~service_rate;
+  check_flags ~n ~general ~propose_at ~horizon ~realtime ~transport_flag ~rto
+    ~loss ~dup ~reorder ~service ~service_rate;
   let chaos =
     match chaos with
     | None -> None
@@ -457,7 +459,7 @@ let rto_arg =
     value
     & opt (some float) None
     & info [ "rto" ] ~docv:"SEC"
-        ~doc:"Transport retransmission timeout (default: 3 delta).")
+        ~doc:"Transport retransmission timeout (default: 3 delta); needs --transport.")
 
 let loss_arg =
   Arg.(

@@ -39,12 +39,17 @@ module Params = Ssba_core.Params
 module Engine = Ssba_sim.Engine
 module Clock = Ssba_sim.Clock
 module Network = Ssba_net.Network
+module Stamps = Ssba_core.Stamps
 
+(* The rules only count distinct senders, so each message class is a
+   segment of per-sender stamps, as in the core's msgd-broadcast: [st] is
+   echo | init' | echo', n slots each, with their counts beside it. *)
 type trip = {
   mutable init_from_p : float option;
-  echo : Ssba_core.Recv_log.t;
-  init2 : Ssba_core.Recv_log.t;
-  echo2 : Ssba_core.Recv_log.t;
+  st : float array;
+  mutable n_echo : int;
+  mutable n_init2 : int;
+  mutable n_echo2 : int;
   mutable sent_echo : bool;
   mutable sent_init2 : bool;
   mutable sent_echo2 : bool;
@@ -75,9 +80,10 @@ let trip_of t key =
       let tr =
         {
           init_from_p = None;
-          echo = Ssba_core.Recv_log.create ();
-          init2 = Ssba_core.Recv_log.create ();
-          echo2 = Ssba_core.Recv_log.create ();
+          st = Array.make (3 * t.params.Params.n) Float.nan;
+          n_echo = 0;
+          n_init2 = 0;
+          n_echo2 = 0;
           sent_echo = false;
           sent_init2 = false;
           sent_echo2 = false;
@@ -159,27 +165,27 @@ let eval_trip t b (p, v, k) tr =
     send t Echo ~p ~v ~k
   end;
   if b = (2 * k) + 2 then begin
-    if Ssba_core.Recv_log.count tr.echo >= n_2f && not tr.sent_init2 then begin
+    if tr.n_echo >= n_2f && not tr.sent_init2 then begin
       tr.sent_init2 <- true;
       send t Init2 ~p ~v ~k
     end;
-    if Ssba_core.Recv_log.count tr.echo >= n_f && tr.accepted_at_phase = None
+    if tr.n_echo >= n_f && tr.accepted_at_phase = None
     then tr.accepted_at_phase <- Some b
   end;
   if b = (2 * k) + 3 then begin
-    if Ssba_core.Recv_log.count tr.init2 >= n_2f then
+    if tr.n_init2 >= n_2f then
       Hashtbl.replace t.broadcasters p ();
-    if Ssba_core.Recv_log.count tr.init2 >= n_f && not tr.sent_echo2 then begin
+    if tr.n_init2 >= n_f && not tr.sent_echo2 then begin
       tr.sent_echo2 <- true;
       send t Echo2 ~p ~v ~k
     end
   end;
   if b >= (2 * k) + 3 then begin
-    if Ssba_core.Recv_log.count tr.echo2 >= n_2f && not tr.sent_echo2 then begin
+    if tr.n_echo2 >= n_2f && not tr.sent_echo2 then begin
       tr.sent_echo2 <- true;
       send t Echo2 ~p ~v ~k
     end;
-    if Ssba_core.Recv_log.count tr.echo2 >= n_f && tr.accepted_at_phase = None
+    if tr.n_echo2 >= n_f && tr.accepted_at_phase = None
     then tr.accepted_at_phase <- Some b
   end
 
@@ -237,11 +243,15 @@ let create ~id ~params ~clock ~engine ~net ~g ~t_start =
         ->
           let tau = local_time t in
           let tr = trip_of t (p, v, k) in
+          let n = params.Params.n in
           (match kind with
           | Init -> if sender = p && tr.init_from_p = None then tr.init_from_p <- Some tau
-          | Echo -> Ssba_core.Recv_log.note tr.echo ~sender ~at:tau
-          | Init2 -> Ssba_core.Recv_log.note tr.init2 ~sender ~at:tau
-          | Echo2 -> Ssba_core.Recv_log.note tr.echo2 ~sender ~at:tau)
+          | Echo -> tr.n_echo <- tr.n_echo + Stamps.note tr.st ~off:0 ~n ~sender ~at:tau
+          | Init2 ->
+              tr.n_init2 <- tr.n_init2 + Stamps.note tr.st ~off:n ~n ~sender ~at:tau
+          | Echo2 ->
+              tr.n_echo2 <-
+                tr.n_echo2 + Stamps.note tr.st ~off:(2 * n) ~n ~sender ~at:tau)
       | Mb _ | Initiator _ | Ia _ -> ());
   (* Schedule every phase boundary up front (the protocol is time-driven). *)
   let phi = params.Params.phi in

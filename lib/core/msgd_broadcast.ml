@@ -19,19 +19,32 @@
      Y  — by tau_g + (2k+2)*Phi: n-2f init' => p joins broadcasters;
           n-f init' => send echo';
      Z  — untimed: n-2f echo' => relay echo'; n-f echo' => accept (once);
-     cleanup — decay anything older than (2f+3)*Phi. *)
+     cleanup — decay anything older than (2f+3)*Phi.
+
+   Every condition counts distinct senders; none asks when they arrived.
+   So a triplet keeps its echo, init' and echo' arrivals as per-sender
+   stamps ([Stamps]) in one flat array of 3n slots with three counts beside
+   it, and the broadcasters set is an n-slot stamp array with a count: an
+   arrival is one slot read and write, a quorum test reads a count, block
+   Y's membership test reads a slot, and a decay is one pass per non-empty
+   segment. Senders and broadcasters outside [0, n) hold no slot: the
+   network never delivers from such a sender, and such a broadcaster never
+   joins the set. *)
 
 open Types
 
 (* [tv]/[tk] repeat the triplet's value and round tag from its key, so the
-   per-broadcaster index can match a trip without its key. *)
+   per-broadcaster index can match a trip without its key. [st] is three
+   stamp segments of n slots, echo | init' | echo', whose distinct-sender
+   counts are [n_echo], [n_init2] and [n_echo2]. *)
 type trip = {
   tv : value;
   tk : int;
   mutable init_from_p : float option;  (* arrival of (init,...) actually from p *)
-  echo : Recv_log.t;
-  init2 : Recv_log.t;
-  echo2 : Recv_log.t;
+  st : float array;
+  mutable n_echo : int;
+  mutable n_init2 : int;
+  mutable n_echo2 : int;
   mutable sent_echo : bool;
   mutable sent_init2 : bool;
   mutable sent_echo2 : bool;
@@ -42,6 +55,7 @@ type trip = {
 type t = {
   g : general;
   ctx : ctx;
+  n : int;
   trips : (node_id * value * int, trip) Hashtbl.t;
       (* the only structure that is ever iterated: replay order (and so the
          order of the sends it triggers), cleanup and fingerprints all
@@ -53,19 +67,24 @@ type t = {
          instead of hashing a fresh key tuple; an out-of-range [p] (only
          Byzantine garbage) goes through [trips]. Kept in step wherever
          trips are added or removed. *)
-  broadcasters : Recv_log.t;  (* node -> local time added; same decay rules *)
+  broadcasters : float array;
+      (* node -> local time added, n stamp slots; same decay rules *)
+  mutable n_broadcasters : int;
   mutable tau_g : float option;
   mutable on_accept : p:node_id -> v:value -> k:int -> unit;
   mutable on_broadcaster : node_id -> unit;
 }
 
 let create ~ctx ~g =
+  let n = ctx.params.Params.n in
   {
     g;
     ctx;
+    n;
     trips = Hashtbl.create 8;
-    by_p = Array.make ctx.params.Params.n [];
-    broadcasters = Recv_log.create ();
+    by_p = Array.make n [];
+    broadcasters = Array.make n Float.nan;
+    n_broadcasters = 0;
     tau_g = None;
     on_accept = (fun ~p:_ ~v:_ ~k:_ -> ());
     on_broadcaster = (fun _ -> ());
@@ -77,7 +96,7 @@ let set_on_broadcaster t f = t.on_broadcaster <- f
 let now t = t.ctx.local_time ()
 let prm t = t.ctx.params
 
-let indexed t p = p >= 0 && p < Array.length t.by_p
+let indexed t p = p >= 0 && p < t.n
 
 let new_trip t ((p, v, k) as key) =
   let tr =
@@ -85,9 +104,10 @@ let new_trip t ((p, v, k) as key) =
       tv = v;
       tk = k;
       init_from_p = None;
-      echo = Recv_log.create ();
-      init2 = Recv_log.create ();
-      echo2 = Recv_log.create ();
+      st = Array.make (3 * t.n) Float.nan;
+      n_echo = 0;
+      n_init2 = 0;
+      n_echo2 = 0;
       sent_echo = false;
       sent_init2 = false;
       sent_echo2 = false;
@@ -123,8 +143,26 @@ let remove_trips t doomed =
       if indexed t p then t.by_p.(p) <- List.filter (fun x -> x != tr) t.by_p.(p))
     doomed
 
-let broadcaster_count t = Recv_log.count t.broadcasters
-let broadcasters t = Recv_log.senders t.broadcasters
+let broadcaster_count t = t.n_broadcasters
+
+let broadcasters t =
+  List.filter
+    (fun p -> Stamps.mem t.broadcasters ~off:0 ~n:t.n ~sender:p)
+    (List.init t.n Fun.id)
+
+(* Drop the stamps before [lo] or after [hi] from each non-empty segment. *)
+let prune_trip t tr ~lo ~hi =
+  let n = t.n in
+  if tr.n_echo > 0 then tr.n_echo <- tr.n_echo - Stamps.prune tr.st ~off:0 ~n ~lo ~hi;
+  if tr.n_init2 > 0 then
+    tr.n_init2 <- tr.n_init2 - Stamps.prune tr.st ~off:n ~n ~lo ~hi;
+  if tr.n_echo2 > 0 then
+    tr.n_echo2 <- tr.n_echo2 - Stamps.prune tr.st ~off:(2 * n) ~n ~lo ~hi
+
+let prune_broadcasters t ~lo ~hi =
+  if t.n_broadcasters > 0 then
+    t.n_broadcasters <-
+      t.n_broadcasters - Stamps.prune t.broadcasters ~off:0 ~n:t.n ~lo ~hi
 
 let send t kind ~p ~v ~k = t.ctx.send_all (Mb { kind; p; g = t.g; v; k })
 
@@ -160,34 +198,39 @@ let eval t ~tau ~p tr =
       end;
       (* X *)
       if tau <= deadline1 then begin
-        if Recv_log.count tr.echo >= n_2f && not tr.sent_init2 then begin
+        if tr.n_echo >= n_2f && not tr.sent_init2 then begin
           tr.sent_init2 <- true;
           send t Init2 ~p ~v ~k
         end;
-        if Recv_log.count tr.echo >= n_f && tr.accepted_at = None then
+        if tr.n_echo >= n_f && tr.accepted_at = None then
           do_accept t ~tau ~p tr
       end;
       (* Y *)
       if tau <= deadline2 then begin
-        if Recv_log.count tr.init2 >= n_2f && not (Recv_log.mem t.broadcasters ~sender:p)
+        (* [note] fills an absent in-range slot and returns 1; an
+           out-of-range [p] holds no slot and never joins. *)
+        if
+          tr.n_init2 >= n_2f
+          && (not (Stamps.mem t.broadcasters ~off:0 ~n:t.n ~sender:p))
+          && Stamps.note t.broadcasters ~off:0 ~n:t.n ~sender:p ~at:tau = 1
         then begin
-          Recv_log.note t.broadcasters ~sender:p ~at:tau;
+          t.n_broadcasters <- t.n_broadcasters + 1;
           t.ctx.trace
             (Ssba_sim.Trace.Mb_broadcaster
                { g = t.g; p; total = broadcaster_count t });
           t.on_broadcaster p
         end;
-        if Recv_log.count tr.init2 >= n_f && not tr.sent_echo2 then begin
+        if tr.n_init2 >= n_f && not tr.sent_echo2 then begin
           tr.sent_echo2 <- true;
           send t Echo2 ~p ~v ~k
         end
       end;
       (* Z *)
-      if Recv_log.count tr.echo2 >= n_2f && not tr.sent_echo2 then begin
+      if tr.n_echo2 >= n_2f && not tr.sent_echo2 then begin
         tr.sent_echo2 <- true;
         send t Echo2 ~p ~v ~k
       end;
-      if Recv_log.count tr.echo2 >= n_f && tr.accepted_at = None then
+      if tr.n_echo2 >= n_f && tr.accepted_at = None then
         do_accept t ~tau ~p tr
 
 (* Block V: this node broadcasts (p = self). *)
@@ -213,9 +256,7 @@ let set_anchor t tau_g =
   let doomed = ref [] in
   Hashtbl.iter
     (fun key tr ->
-      Recv_log.decay tr.echo ~horizon;
-      Recv_log.decay tr.init2 ~horizon;
-      Recv_log.decay tr.echo2 ~horizon;
+      prune_trip t tr ~lo:horizon ~hi:Float.infinity;
       (match tr.init_from_p with
       | Some at when at < horizon -> tr.init_from_p <- None
       | Some _ | None -> ());
@@ -223,13 +264,12 @@ let set_anchor t tau_g =
       | Some at when at < horizon -> tr.accepted_at <- None
       | Some _ | None -> ());
       if
-        Recv_log.is_empty tr.echo && Recv_log.is_empty tr.init2
-        && Recv_log.is_empty tr.echo2
+        tr.n_echo = 0 && tr.n_init2 = 0 && tr.n_echo2 = 0
         && tr.init_from_p = None && tr.accepted_at = None
       then doomed := (key, tr) :: !doomed)
     t.trips;
   remove_trips t !doomed;
-  Recv_log.decay t.broadcasters ~horizon;
+  prune_broadcasters t ~lo:horizon ~hi:Float.infinity;
   t.ctx.trace (Ssba_sim.Trace.Anchor_set { g = t.g; tau_g });
   let tau = now t in
   Hashtbl.iter (fun (p, _, _) tr -> eval t ~tau ~p tr) t.trips
@@ -242,13 +282,15 @@ let handle_message t ~sender ~kind ~p ~v ~k =
      cannot inflate memory. *)
   if k >= 1 && k <= (prm t).Params.f + 1 then begin
     let tau = now t in
+    let n = t.n in
     let tr = trip_of_parts t ~p ~v ~k in
     tr.last_activity <- tau;
     (match kind with
     | Init -> if sender = p && tr.init_from_p = None then tr.init_from_p <- Some tau
-    | Echo -> Recv_log.note tr.echo ~sender ~at:tau
-    | Init2 -> Recv_log.note tr.init2 ~sender ~at:tau
-    | Echo2 -> Recv_log.note tr.echo2 ~sender ~at:tau);
+    | Echo -> tr.n_echo <- tr.n_echo + Stamps.note tr.st ~off:0 ~n ~sender ~at:tau
+    | Init2 -> tr.n_init2 <- tr.n_init2 + Stamps.note tr.st ~off:n ~n ~sender ~at:tau
+    | Echo2 ->
+        tr.n_echo2 <- tr.n_echo2 + Stamps.note tr.st ~off:(2 * n) ~n ~sender ~at:tau);
     eval t ~tau ~p tr
   end
 
@@ -263,12 +305,7 @@ let cleanup t =
     let doomed = ref [] in
     Hashtbl.iter
       (fun key tr ->
-        Recv_log.sanitize tr.echo ~now:tau;
-        Recv_log.sanitize tr.init2 ~now:tau;
-        Recv_log.sanitize tr.echo2 ~now:tau;
-        Recv_log.decay tr.echo ~horizon;
-        Recv_log.decay tr.init2 ~horizon;
-        Recv_log.decay tr.echo2 ~horizon;
+        prune_trip t tr ~lo:horizon ~hi:tau;
         (match tr.init_from_p with
         | Some at when at > tau || at < horizon -> tr.init_from_p <- None
         | Some _ | None -> ());
@@ -280,8 +317,7 @@ let cleanup t =
       t.trips;
     remove_trips t !doomed
   end;
-  Recv_log.sanitize t.broadcasters ~now:tau;
-  Recv_log.decay t.broadcasters ~horizon;
+  prune_broadcasters t ~lo:horizon ~hi:tau;
   match t.tau_g with
   | Some tg when tg > tau -> t.tau_g <- None  (* corrupt future anchor *)
   | Some _ | None -> ()
@@ -289,30 +325,32 @@ let cleanup t =
 let reset t =
   Hashtbl.reset t.trips;
   Array.fill t.by_p 0 (Array.length t.by_p) [];
-  Recv_log.clear t.broadcasters;
+  Stamps.clear t.broadcasters ~off:0 ~n:t.n;
+  t.n_broadcasters <- 0;
   t.tau_g <- None
 
 (* Indistinguishable from a freshly created instance: eligible for session
    garbage collection. *)
 let quiescent t =
   Hashtbl.length t.trips = 0
-  && Recv_log.is_empty t.broadcasters
+  && t.n_broadcasters = 0
   && t.tau_g = None
 
 (* Canonical state fingerprint for the model checker's visited set: trips in
-   sorted key order, receive logs in their canonical entry order, floats
-   printed exactly. *)
+   sorted key order, each stamp segment in ascending (time, sender) order
+   (the order the sorted receive logs it replaced printed, so the bytes are
+   the same), floats printed exactly. *)
 let fingerprint buf t =
   let add = Buffer.add_string and int = Ssba_sim.Fp_text.int in
   let float = Ssba_sim.Fp_text.float in
   let fopt = function None -> add buf "-" | Some x -> float buf x in
-  let log l =
-    Recv_log.iter_entries l (fun ~sender ~at ->
+  let log a ~off =
+    Stamps.iter a ~off ~n:t.n (fun ~sender ~at ->
         int buf sender; add buf "@"; float buf at; add buf ",")
   in
   add buf "mb{g="; int buf t.g; add buf ";tg="; fopt t.tau_g; add buf ";";
   Buffer.add_string buf "bc=";
-  log t.broadcasters;
+  log t.broadcasters ~off:0;
   Buffer.add_char buf ';';
   let trips =
     List.sort
@@ -323,11 +361,11 @@ let fingerprint buf t =
     (fun ((p, v, k), tr) ->
       add buf "t:"; int buf p; add buf "/"; add buf v; add buf "/"; int buf k;
       add buf "=ip"; fopt tr.init_from_p; add buf "|e";
-      log tr.echo;
+      log tr.st ~off:0;
       Buffer.add_string buf "|i2";
-      log tr.init2;
+      log tr.st ~off:t.n;
       Buffer.add_string buf "|e2";
-      log tr.echo2;
+      log tr.st ~off:(2 * t.n);
       add buf "|"; add buf (string_of_bool tr.sent_echo);
       add buf (string_of_bool tr.sent_init2); add buf (string_of_bool tr.sent_echo2);
       add buf "|a"; fopt tr.accepted_at; add buf "|la"; float buf tr.last_activity;
@@ -350,13 +388,20 @@ let scramble rng ~values t =
     let tr = trip_of t (p, v, k) in
     if Ssba_sim.Rng.bool rng then tr.init_from_p <- Some (rtime ());
     for _ = 1 to Ssba_sim.Rng.int rng (n + 1) do
-      Recv_log.corrupt tr.echo ~sender:(Ssba_sim.Rng.int rng n) ~at:(rtime ())
+      tr.n_echo <-
+        tr.n_echo
+        + Stamps.put tr.st ~off:0 ~n ~sender:(Ssba_sim.Rng.int rng n) ~at:(rtime ())
     done;
     for _ = 1 to Ssba_sim.Rng.int rng (n + 1) do
-      Recv_log.corrupt tr.init2 ~sender:(Ssba_sim.Rng.int rng n) ~at:(rtime ())
+      tr.n_init2 <-
+        tr.n_init2
+        + Stamps.put tr.st ~off:n ~n ~sender:(Ssba_sim.Rng.int rng n) ~at:(rtime ())
     done;
     for _ = 1 to Ssba_sim.Rng.int rng (n + 1) do
-      Recv_log.corrupt tr.echo2 ~sender:(Ssba_sim.Rng.int rng n) ~at:(rtime ())
+      tr.n_echo2 <-
+        tr.n_echo2
+        + Stamps.put tr.st ~off:(2 * n) ~n ~sender:(Ssba_sim.Rng.int rng n)
+            ~at:(rtime ())
     done;
     tr.sent_echo <- Ssba_sim.Rng.bool rng;
     tr.sent_init2 <- Ssba_sim.Rng.bool rng;
@@ -364,6 +409,9 @@ let scramble rng ~values t =
     if Ssba_sim.Rng.bool rng then tr.accepted_at <- Some (rtime ())
   done;
   for _ = 1 to Ssba_sim.Rng.int rng (pm.Params.f + 1) do
-    Recv_log.corrupt t.broadcasters ~sender:(Ssba_sim.Rng.int rng n) ~at:(rtime ())
+    t.n_broadcasters <-
+      t.n_broadcasters
+      + Stamps.put t.broadcasters ~off:0 ~n ~sender:(Ssba_sim.Rng.int rng n)
+          ~at:(rtime ())
   done;
   if Ssba_sim.Rng.bool rng then t.tau_g <- Some (rtime ())

@@ -1,14 +1,16 @@
 (* Timestamped per-sender receive log.
 
-   Each Initiator-Accept / msgd-broadcast message class keeps one log per
-   (General, value[, round]) key. The primitives only ever ask questions of
-   the form "did >= k distinct senders deliver this message within the local
-   window [tau - alpha, tau]?", so it suffices to remember, per sender, the
-   most recent arrival time: re-sends refresh the entry, and older arrivals
-   can never enlarge a suffix window's sender count.
+   Initiator-Accept keeps one log per message class (support, approve,
+   ready) and (General, value) key. Its blocks ask questions of the form
+   "did >= k distinct senders deliver this message within the local window
+   [tau - alpha, tau]?", so it suffices to remember, per sender, the most
+   recent arrival time: re-sends refresh the entry, and older arrivals can
+   never enlarge a suffix window's sender count. (msgd-broadcast only counts
+   senders and asks no window query, so it keeps flat per-sender stamps
+   instead; see [Stamps].)
 
-   Window queries run on every arrival, so they are the broadcast hot path.
-   The log is a sorted array of (time, sender) pairs — parallel flat
+   Window queries run on every arrival, so they are Initiator-Accept's hot
+   path. The log is a sorted array of (time, sender) pairs — parallel flat
    float/int arrays, ascending by (time, sender) — so every query is a
    binary search: O(log m), monomorphic comparisons, no allocation. Each
    sender appears at most once, so the sender -> latest-arrival lookup is a

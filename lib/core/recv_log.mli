@@ -1,10 +1,12 @@
-(** Timestamped per-sender receive log with sliding-window queries.
+(** Timestamped per-sender receive log with sliding-window queries, for
+    Initiator-Accept (its one client; msgd-broadcast counts senders with
+    {!Stamps}).
 
     Stores the most recent arrival local-time per sender for one message
-    class, supporting the primitives' "[>= k] distinct senders within
+    class, supporting Initiator-Accept's "[>= k] distinct senders within
     [\[tau - alpha, tau\]]" conditions and the paper's decay rules.
 
-    Queries run on every message arrival (the broadcast hot path), so the
+    Queries run on every Initiator-Accept arrival (its hot path), so the
     log is one array of entries kept sorted by (time, sender), with no
     per-sender table beside it: {!count}, {!latest} are O(1),
     {!count_in_window} and {!shortest_window} are allocation-free O(log m)

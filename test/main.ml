@@ -16,6 +16,7 @@ let () =
       ("pool", Test_pool.suite);
       ("delay", Test_delay.suite);
       ("recv-log", Test_recv_log.suite);
+      ("stamps", Test_stamps.suite);
       ("params", Test_params.suite);
       ("initiator-accept", Test_initiator_accept.suite);
       ("msgd-broadcast", Test_msgd_broadcast.suite);

@@ -15,7 +15,7 @@ type h = {
   accepts : (int * Types.value * int) list ref;  (* (p, v, k) *)
 }
 
-let mk ?(self = 0) ?(anchor = `Now) () =
+let mk ?(params = params) ?(self = 0) ?(anchor = `Now) () =
   let fake, ctx = Fake.make ~self params in
   let mb = Mb.create ~ctx ~g:6 in
   let accepts = ref [] in
@@ -172,8 +172,9 @@ let index_of s sub ~from =
   in
   go from
 
-(* The trips table as the fingerprint prints it: (p, v, k) -> echo count.
-   The fingerprint walks the table itself, never the arrival path's index. *)
+(* The trips table as the fingerprint prints it: (p, v, k) -> the senders
+   of its echo stamps. The fingerprint walks the table itself, never the
+   arrival path's index. *)
 let table h =
   let buf = Buffer.create 256 in
   Mb.fingerprint buf h.mb;
@@ -185,26 +186,34 @@ let table h =
            | [ p; v; k ] ->
                let e = index_of piece "|e" ~from:eq + 2 in
                let log = String.sub piece e (index_of piece "|i2" ~from:e - e) in
-               let echoes =
-                 List.length (List.filter (( = ) ',') (List.of_seq (String.to_seq log)))
+               let senders =
+                 String.split_on_char ',' log
+                 |> List.filter (( <> ) "")
+                 |> List.map (fun entry ->
+                        int_of_string (String.sub entry 0 (String.index entry '@')))
                in
-               Some ((int_of_string p, v, int_of_string k), echoes)
+               Some ((int_of_string p, v, int_of_string k), senders)
            | _ -> None
          else None)
 
-let fresh_sender = ref 100
-
-(* Deliver an echo from a never-seen sender to [key] and check it landed in
-   the table's trip for [key], with exactly one more echo than before. A
-   stale index entry would swallow the echo outside the table; a missing one
-   would start a second trip and drop the first one's echoes. *)
+(* Deliver an echo to [key] from the least sender its trip in the table has
+   not logged (any sender, if the table has no such trip) and check it
+   landed in that trip, with exactly one more echo than before. A stale
+   index entry would swallow the echo outside the table; a missing one would
+   start a second trip and drop the first one's echoes. The sender is always
+   in [0, n), the only senders the network delivers from. *)
 let check_arrival label h ((p, v, k) as key) =
-  let before = Option.value ~default:0 (List.assoc_opt key (table h)) in
-  incr fresh_sender;
-  msg h ~sender:!fresh_sender Types.Echo ~p ~v ~k;
+  let before = Option.value ~default:[] (List.assoc_opt key (table h)) in
+  let rec unlogged s = if List.mem s before then unlogged (s + 1) else s in
+  let sender = unlogged 0 in
+  if sender >= h.fake.Fake.params.Params.n then
+    Alcotest.failf "%s: (%d, %s, %d) has every sender logged" label p v k;
+  msg h ~sender Types.Echo ~p ~v ~k;
   match List.assoc_opt key (table h) with
   | Some after ->
-      check_int (Printf.sprintf "%s: (%d, %s, %d)" label p v k) (before + 1) after
+      check_int
+        (Printf.sprintf "%s: (%d, %s, %d)" label p v k)
+        (List.length before + 1) (List.length after)
   | None -> Alcotest.failf "%s: the echo for (%d, %s, %d) missed the table" label p v k
 
 (* Every key the table holds, plus every key ever probed (so a trip that
@@ -213,8 +222,12 @@ let check_all label h known =
   let keys = List.sort_uniq compare (known @ List.map fst (table h)) in
   List.iter (check_arrival label h) keys
 
+(* n = 31 leaves room for every probe's sender in [0, n), next to the
+   stamps a scramble plants. *)
 let test_index_tracks_table () =
-  let h = mk ~anchor:`None () in
+  let params = Params.default 31 in
+  let d = params.Params.d and phi = params.Params.phi in
+  let h = mk ~params ~anchor:`None () in
   let n = params.Params.n in
   let keys =
     List.concat_map
@@ -282,6 +295,60 @@ let test_out_of_range_broadcasters () =
   check_bool "all three in the table" true
     (List.sort compare (List.map fst (table h)) = List.sort compare trips)
 
+(* A broadcaster id outside [0, n) holds no broadcasters slot: n-2f init'
+   for it neither joins the set (whose count feeds block T) nor fires the
+   broadcaster callback or trace event. An in-range one still does. *)
+let test_out_of_range_broadcaster_never_joins () =
+  let h = mk () in
+  let n = params.Params.n in
+  let joined = ref [] in
+  Mb.set_on_broadcaster h.mb (fun p -> joined := p :: !joined);
+  List.iter
+    (fun p -> List.iter (fun s -> msg h ~sender:s Types.Init2 ~p ~v:"m" ~k:1) [ 1; 2; 3 ])
+    [ -1; n; n + 5 ];
+  check_int "no out-of-range broadcaster counted" 0 (Mb.broadcaster_count h.mb);
+  check_bool "no callback" true (!joined = []);
+  check_bool "no broadcaster trace event" true
+    (not
+       (List.exists
+          (function Ssba_sim.Trace.Mb_broadcaster _ -> true | _ -> false)
+          h.fake.Fake.traced));
+  List.iter (fun s -> msg h ~sender:s Types.Init2 ~p:3 ~v:"m" ~k:1) [ 1; 2; 3 ];
+  check_int "an in-range broadcaster joins" 1 (Mb.broadcaster_count h.mb);
+  check_bool "callback for it" true (!joined = [ 3 ]);
+  check_bool "listed" true (Mb.broadcasters h.mb = [ 3 ])
+
+(* The stamps ignore a sender outside [0, n): it counts towards no quorum. *)
+let test_out_of_range_sender_ignored () =
+  let h = mk () in
+  let n = params.Params.n in
+  List.iter (fun s -> msg h ~sender:s Types.Echo ~p:3 ~v:"m" ~k:1) [ 1; 2; -1; n ];
+  check_int "2 in-range echoes < n-2f: no init'" 0 (Fake.count_kind h.fake "init'");
+  check_bool "only the in-range senders logged" true
+    (List.assoc_opt (3, "m", 1) (table h) = Some [ 1; 2 ]);
+  msg h ~sender:3 Types.Echo ~p:3 ~v:"m" ~k:1;
+  check_int "a third in-range sender reaches n-2f" 1 (Fake.count_kind h.fake "init'")
+
+(* A cleanup decays stale stamps out of a trip that stays live, and out of
+   the broadcasters set; the counts fall with them. *)
+let test_cleanup_decays_live_trip () =
+  let h = mk () in
+  List.iter (fun s -> msg h ~sender:s Types.Echo2 ~p:3 ~v:"m" ~k:1) [ 1; 2 ];
+  List.iter (fun s -> msg h ~sender:s Types.Init2 ~p:4 ~v:"m" ~k:1) [ 1; 2; 3 ];
+  check_int "broadcaster joined" 1 (Mb.broadcaster_count h.mb);
+  let horizon = float_of_int ((2 * params.Params.f) + 3) *. phi in
+  Fake.advance h.fake (horizon /. 2.0);
+  (* a late echo keeps (3, m, 1) live through the cleanup *)
+  msg h ~sender:6 Types.Echo ~p:3 ~v:"m" ~k:1;
+  Fake.advance h.fake ((horizon /. 2.0) +. d);
+  Mb.cleanup h.mb;
+  check_int "broadcaster decayed" 0 (Mb.broadcaster_count h.mb);
+  check_bool "the live trip stays" true
+    (List.assoc_opt (3, "m", 1) (table h) = Some [ 6 ]);
+  List.iter (fun s -> msg h ~sender:s Types.Echo2 ~p:3 ~v:"m" ~k:1) [ 3; 4; 5 ];
+  check_int "3 fresh echo' relay" 1 (Fake.count_kind h.fake "echo'");
+  check_bool "decayed echo' complete no quorum" true (!(h.accepts) = [])
+
 let suite =
   [
     case "init triggers echo (W)" test_init_triggers_echo;
@@ -307,4 +374,7 @@ let suite =
     case "one broadcaster, two values, two rounds" test_one_broadcaster_interleaved;
     case "out-of-range broadcasters go through the table"
       test_out_of_range_broadcasters;
+    case "out-of-range broadcaster never joins" test_out_of_range_broadcaster_never_joins;
+    case "out-of-range sender counts towards no quorum" test_out_of_range_sender_ignored;
+    case "cleanup decays the stamps of a live trip" test_cleanup_decays_live_trip;
   ]
