@@ -5,8 +5,8 @@
      ssba-fuzz --replay corpus/fail-17.min.json     # re-judge one spec
      ssba-fuzz --seed 42 --iteration 17             # rebuild scenario 17
 
-   A campaign without --time-budget is a pure function of its flags: the
-   printed corpus digest is identical across runs, so CI can pin it. Exit
+   A campaign is a pure function of its flags: the printed corpus digest is
+   identical across runs and at every --jobs, so CI can pin it. Exit
    status 0 means every oracle passed; 1 means at least one failure (each is
    shrunk to a locally-minimal scenario and, with --out, saved both raw and
    minimized). *)
@@ -77,23 +77,18 @@ let rebuild ~gen seed iteration =
 (* A flag value outside its domain is a usage error: one line on stderr
    and exit 2, before anything runs. Each check is written so that NaN
    fails it. *)
-let check_flags ~runs ~jobs ~time_budget ~max_disruptions =
+let check_flags ~runs ~jobs ~max_disruptions =
   let bad flag reason =
     Fmt.epr "ssba-fuzz: %s: %s@." flag reason;
     exit 2
   in
   if runs < 1 then bad "--runs" "must be >= 1";
   if jobs < 1 then bad "--jobs" "must be >= 1";
-  Option.iter
-    (fun b ->
-      if not (Float.is_finite b && b > 0.0) then
-        bad "--time-budget" "must be finite and > 0")
-    time_budget;
   if max_disruptions < 0 then bad "--max-disruptions" "must be >= 0"
 
-let fuzz seed runs time_budget replay_file iteration out max_n max_disruptions
-    lossy chaos overload r_slack edge_delays no_shrink verbose jobs =
-  check_flags ~runs ~jobs ~time_budget ~max_disruptions;
+let fuzz seed runs replay_file iteration out max_n max_disruptions lossy chaos
+    overload r_slack edge_delays no_shrink verbose jobs =
+  check_flags ~runs ~jobs ~max_disruptions;
   let base_gen =
     if overload then F.Gen.overload_config
     else if chaos then F.Gen.chaos_config
@@ -109,7 +104,6 @@ let fuzz seed runs time_budget replay_file iteration out max_n max_disruptions
           F.Campaign.default_config with
           F.Campaign.seed;
           runs;
-          time_budget;
           shrink = not no_shrink;
           gen =
             {
@@ -160,15 +154,6 @@ let seed_arg =
 
 let runs_arg =
   Arg.(value & opt int 100 & info [ "runs" ] ~doc:"Number of scenarios to generate.")
-
-let time_budget_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "time-budget" ] ~docv:"SEC"
-        ~doc:
-          "Stop after $(docv) wall-clock seconds (determinism of the corpus \
-           digest is only guaranteed without a budget).")
 
 let replay_arg =
   Arg.(
@@ -293,7 +278,7 @@ let cmd =
   Cmd.v
     (Cmd.info "ssba-fuzz" ~doc)
     Term.(
-      const fuzz $ seed_arg $ runs_arg $ time_budget_arg $ replay_arg
+      const fuzz $ seed_arg $ runs_arg $ replay_arg
       $ iteration_arg $ out_arg $ max_n_arg $ max_disruptions_arg $ lossy_arg
       $ chaos_arg $ overload_arg $ r_slack_arg $ edge_delays_arg
       $ no_shrink_arg $ verbose_arg $ jobs_arg)

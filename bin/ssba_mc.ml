@@ -32,8 +32,8 @@ let key_of (s, _) = s
 let apply_r_slack cfg r_slack =
   { cfg with Config.params = P.with_r_slack cfg.Config.params r_slack }
 
-let explore_and_report cfg ~por ~depth ~max_runs ~jobs =
-  let r = Mc.explore ~max_runs ~jobs cfg ~por ~depth in
+let explore_and_report cfg ~por ~depth ~max_runs =
+  let r = Mc.explore ~max_runs cfg ~por ~depth in
   Fmt.pr "%a" Mc.pp_report r;
   r
 
@@ -56,7 +56,7 @@ let export_counterexample cfg (r : Mc.report) path =
    runs under strands correct sessions through eviction with or without the
    blackout, so relay/coverage oracle noise is expected either way — what the
    knob controls is whether the IA-4 split itself is reachable. *)
-let run_one config blackout r_slack por depth max_runs jobs export =
+let run_one config blackout r_slack por depth max_runs export =
   let cfg, kind =
     match config with
     | "smoke" -> (Config.smoke (), `Clean)
@@ -64,7 +64,7 @@ let run_one config blackout r_slack por depth max_runs jobs export =
     | _ (* "knife": [main] rejects any other name *) -> (Config.knife (), `Knife)
   in
   let cfg = apply_r_slack cfg r_slack in
-  let r = explore_and_report cfg ~por ~depth ~max_runs ~jobs in
+  let r = explore_and_report cfg ~por ~depth ~max_runs in
   (match export with None -> () | Some path -> export_counterexample cfg r path);
   if r.Mc.truncated then begin
     Fmt.pr "exploration truncated by --max-runs: no verdict@.";
@@ -126,11 +126,9 @@ let run_one config blackout r_slack por depth max_runs jobs export =
 (* The CI gate: exhaust the smoke config under both POR modes. Passing means
    zero violations either way, the same verdict set (POR soundness
    cross-check), and a reduction factor strictly above 1. *)
-let run_smoke depth max_runs jobs =
-  let on = explore_and_report (Config.smoke ()) ~por:true ~depth ~max_runs ~jobs in
-  let off =
-    explore_and_report (Config.smoke ()) ~por:false ~depth ~max_runs ~jobs
-  in
+let run_smoke depth max_runs =
+  let on = explore_and_report (Config.smoke ()) ~por:true ~depth ~max_runs in
+  let off = explore_and_report (Config.smoke ()) ~por:false ~depth ~max_runs in
   let factor = float_of_int off.Mc.explored /. float_of_int on.Mc.explored in
   Fmt.pr "POR reduction factor: %.2fx (%d -> %d runs)@." factor
     off.Mc.explored on.Mc.explored;
@@ -158,12 +156,12 @@ let run_smoke depth max_runs jobs =
    default gate and under --r-slack legacy, each in both POR modes. Passing
    means the default exhausts clean, the legacy gate rediscovers at least one
    stranded-abort violation, and POR never changes a verdict set. *)
-let run_knife depth max_runs jobs =
+let run_knife depth max_runs =
   let half label r_slack ~expect_violation =
     let cfg = apply_r_slack (Config.knife ()) r_slack in
     Fmt.pr "--- knife under the %s gate ---@." label;
-    let on = explore_and_report cfg ~por:true ~depth ~max_runs ~jobs in
-    let off = explore_and_report cfg ~por:false ~depth ~max_runs ~jobs in
+    let on = explore_and_report cfg ~por:true ~depth ~max_runs in
+    let off = explore_and_report cfg ~por:false ~depth ~max_runs in
     let problems = ref [] in
     let check cond msg =
       if not cond then problems := Fmt.str "%s: %s" label msg :: !problems
@@ -197,7 +195,7 @@ let run_knife depth max_runs jobs =
 
 (* --smoke fixes the config's knobs itself: a flag it would not honour is a
    usage error (exit 2), never a silent pass. *)
-let main config blackout r_slack por depth max_runs jobs export smoke =
+let main config blackout r_slack por depth max_runs export smoke =
   if not (List.mem config [ "smoke"; "split"; "knife" ]) then begin
     Fmt.epr "ssba-mc: --config: unknown config %S (smoke|split|knife)@." config;
     2
@@ -215,8 +213,8 @@ let main config blackout r_slack por depth max_runs jobs export smoke =
         ]
     with
     | [] ->
-        if config = "knife" then run_knife depth max_runs jobs
-        else run_smoke depth max_runs jobs
+        if config = "knife" then run_knife depth max_runs
+        else run_smoke depth max_runs
     | ignored ->
         Fmt.epr
           "ssba-mc: --smoke runs the smoke or knife config under its own \
@@ -228,7 +226,7 @@ let main config blackout r_slack por depth max_runs jobs export smoke =
       (Option.value blackout ~default:true)
       (Option.value r_slack ~default:P.default_r_slack)
       (Option.value por ~default:true)
-      depth max_runs jobs export
+      depth max_runs export
 
 let config_t =
   Arg.(value & opt string "smoke" & info [ "config" ] ~docv:"NAME"
@@ -276,13 +274,6 @@ let max_runs_t =
          ~doc:"Safety valve on expanded prefixes (the report's explored \
                count).")
 
-let jobs_t =
-  Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
-         ~doc:"Shard exploration at the root choice point onto $(docv) \
-               domains. Verdict sets and witnesses are identical to --jobs 1 \
-               under exhaustion; raw state counts can differ (per-shard \
-               visited sets forfeit cross-subtree pruning).")
-
 let export_t =
   Arg.(value & opt (some string) None & info [ "export" ] ~docv:"PATH"
          ~doc:"Save the minimal split counterexample as a fuzz replay spec.")
@@ -299,6 +290,6 @@ let cmd =
     (Cmd.info "ssba-mc" ~doc)
     Term.(
       const main $ config_t $ blackout_t $ r_slack_t $ por_t $ depth_t
-      $ max_runs_t $ jobs_t $ export_t $ smoke_t)
+      $ max_runs_t $ export_t $ smoke_t)
 
 let () = exit (Cmd.eval' cmd)

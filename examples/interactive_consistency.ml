@@ -41,7 +41,10 @@ let () =
             Sim.Clock.random (Sim.Rng.split rng) ~rho:params.Core.Params.rho
               ~max_offset:0.1
           in
-          let node = Core.Node.create ~id ~params ~clock ~engine ~net () in
+          let node =
+            Core.Node.create_on ~id ~params ~clock ~engine
+              ~link:(Net.Network.link net) ()
+          in
           Core.Node.subscribe node (fun r ->
               match r.Core.Types.outcome with
               | Core.Types.Decided v ->

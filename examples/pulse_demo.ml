@@ -41,7 +41,10 @@ let () =
                Sim.Clock.random (Sim.Rng.split rng) ~rho:params.Core.Params.rho
                  ~max_offset:0.02
              in
-             let node = Core.Node.create ~id ~params ~clock ~engine ~net () in
+             let node =
+               Core.Node.create_on ~id ~params ~clock ~engine
+                 ~link:(Net.Network.link net) ()
+             in
              Some (Pulse.create ~node ~cycle_len:(1.3 *. Pulse.min_cycle params) ())
            end)
   in

@@ -31,7 +31,8 @@ let () =
           Sim.Clock.random (Sim.Rng.split rng) ~rho:params.Core.Params.rho
             ~max_offset:1.0
         in
-        Core.Node.create ~id ~params ~clock ~engine ~net ())
+        Core.Node.create_on ~id ~params ~clock ~engine
+          ~link:(Net.Network.link net) ())
   in
   (* Node 0 is the General: broadcast (Initiator, 0, "launch"). *)
   (match Core.Node.propose nodes.(0) "launch" with

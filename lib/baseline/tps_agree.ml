@@ -113,42 +113,15 @@ let do_return t outcome =
     t.on_return outcome ~tau_ret:tau
   end
 
-(* Matching of rounds 1..r to distinct accepted broadcasters of value [v]
-   (same augmenting-path construction as the core protocol). *)
-let matches_rounds t ~v ~r =
-  let candidates i =
-    Hashtbl.fold
-      (fun (p, v', k) tr acc ->
-        if k = i && p <> t.g && String.equal v v' && tr.accepted_at_phase <> None
-        then p :: acc
-        else acc)
-      t.trips []
-  in
-  let matched = Hashtbl.create 8 in
-  let rec augment i visited =
-    List.exists
-      (fun p ->
-        if List.mem p !visited then false
-        else begin
-          visited := p :: !visited;
-          match Hashtbl.find_opt matched p with
-          | None ->
-              Hashtbl.replace matched p i;
-              true
-          | Some j ->
-              if augment j visited then begin
-                Hashtbl.replace matched p i;
-                true
-              end
-              else false
-        end)
-      (candidates i)
-  in
-  let ok = ref true in
-  for i = 1 to r do
-    if !ok then ok := augment i (ref [])
-  done;
-  !ok
+(* The senders of round [i]'s accepted broadcasts of value [v], the General
+   excluded; block S's matching over them is the core protocol's. *)
+let accepted_senders t ~v i =
+  Hashtbl.fold
+    (fun (p, v', k) tr acc ->
+      if k = i && p <> t.g && String.equal v v' && tr.accepted_at_phase <> None
+      then p :: acc
+      else acc)
+    t.trips []
 
 let accepted_general_value t =
   Hashtbl.fold
@@ -198,7 +171,10 @@ let eval_agreement t b =
         let rec try_r r =
           if r > f then ()
           else if b > (2 * r) + 2 then try_r (r + 1)
-          else if matches_rounds t ~v ~r then begin
+          else if
+            Ssba_core.Ss_byz_agree.matches_rounds
+              ~candidates:(accepted_senders t ~v) ~r
+          then begin
             if r < f then send t Init ~p:t.id ~v ~k:(r + 1);
             do_return t (Decided v)
           end

@@ -13,7 +13,6 @@ module Trace = Ssba_sim.Trace
 module Metrics = Ssba_sim.Metrics
 module Fp_text = Ssba_sim.Fp_text
 
-type net = message Ssba_net.Network.t
 type link = message Ssba_net.Link.t
 
 type t = {
@@ -242,7 +241,7 @@ let start_cleanup t =
 
 let create_on ?(channels = 1) ?session_capacity ?(blackout = true)
     ?(admission = false) ~id ~params ~clock ~engine ~link () =
-  if channels < 1 then invalid_arg "Node.create: channels must be >= 1";
+  if channels < 1 then invalid_arg "Node.create_on: channels must be >= 1";
   let capacity =
     (* Every logical General can be live at once, so that is the natural
        floor; a smaller table would evict under normal operation. *)
@@ -286,11 +285,6 @@ let create_on ?(channels = 1) ?session_capacity ?(blackout = true)
   Ssba_net.Link.set_handler link id (fun env -> handle_envelope t env);
   start_cleanup t;
   t
-
-let create ?channels ?session_capacity ?blackout ?admission ~id ~params ~clock
-    ~engine ~net () =
-  create_on ?channels ?session_capacity ?blackout ?admission ~id ~params
-    ~clock ~engine ~link:(Ssba_net.Network.link net) ()
 
 (* ----- the General role ------------------------------------------------ *)
 

@@ -5,7 +5,6 @@
 open Types
 
 type t
-type net = message Ssba_net.Network.t
 type link = message Ssba_net.Link.t
 
 type propose_error =
@@ -19,8 +18,10 @@ type propose_error =
 
 val string_of_propose_error : propose_error -> string
 
-(** Create a node and register it as the network handler for [id]. Starts
-    the periodic (every [d]) cleanup tick.
+(** Create a node over a sending surface — the raw network
+    ([Ssba_net.Network.link]) or a reliable transport session
+    ([Ssba_transport.Transport.link]) — and register it as the handler for
+    [id]. Starts the periodic (every [d]) cleanup tick.
 
     [channels] (default 1) enables the paper's footnote-9 extension:
     concurrent invocations by one General are differentiated by an index.
@@ -42,21 +43,6 @@ val string_of_propose_error : propose_error -> string
     counted by the table as [rejected_at_capacity]) instead of evicting the
     least-recently-active session. Message receipt keeps the evicting
     path. *)
-val create :
-  ?channels:int ->
-  ?session_capacity:int ->
-  ?blackout:bool ->
-  ?admission:bool ->
-  id:node_id ->
-  params:Params.t ->
-  clock:Ssba_sim.Clock.t ->
-  engine:Ssba_sim.Engine.t ->
-  net:net ->
-  unit ->
-  t
-
-(** Like {!create}, but over an arbitrary sending surface — the raw network
-    or a reliable transport session ([Ssba_transport.Transport.link]). *)
 val create_on :
   ?channels:int ->
   ?session_capacity:int ->

@@ -112,14 +112,6 @@ let note t ~sender ~at =
 
 let count t = t.size
 
-let mem t ~sender = find_sender t sender >= 0
-
-let senders t =
-  let rec collect i acc =
-    if i < 0 then acc else collect (i - 1) (t.who.(i) :: acc)
-  in
-  List.sort_uniq Int.compare (collect (t.size - 1) [])
-
 (* Senders whose latest arrival lies in [now - width, now]. *)
 let count_in_window t ~now ~width =
   let hi = upper_bound_time t now in
@@ -134,8 +126,6 @@ let shortest_window t ~now ~count =
     let hi = upper_bound_time t now in
     if hi < count then None else Some (now -. t.times.(hi - count))
   end
-
-let latest t = if t.size = 0 then None else Some t.times.(t.size - 1)
 
 (* Drop entries that arrived before [horizon] — an ascending-order prefix. *)
 let decay t ~horizon =

@@ -8,11 +8,10 @@
 
     Queries run on every Initiator-Accept arrival (its hot path), so the
     log is one array of entries kept sorted by (time, sender), with no
-    per-sender table beside it: {!count}, {!latest} are O(1),
-    {!count_in_window} and {!shortest_window} are allocation-free O(log m)
-    binary searches, and {!note} and {!mem} find a sender's entry by a
-    linear scan of the sender column, O(m), where m <= n is the number of
-    distinct senders logged. *)
+    per-sender table beside it: {!count} is O(1), {!count_in_window} and
+    {!shortest_window} are allocation-free O(log m) binary searches, and
+    {!note} finds a sender's entry by a linear scan of the sender column,
+    O(m), where m <= n is the number of distinct senders logged. *)
 
 type t
 
@@ -25,12 +24,6 @@ val note : t -> sender:int -> at:float -> unit
 (** Number of distinct senders currently logged. *)
 val count : t -> int
 
-(** Has this sender an entry? O(m): a scan of the sender column. *)
-val mem : t -> sender:int -> bool
-
-(** Distinct senders, sorted. *)
-val senders : t -> int list
-
 (** Senders whose latest arrival lies in [\[now - width, now\]]. *)
 val count_in_window : t -> now:float -> width:float -> int
 
@@ -38,9 +31,6 @@ val count_in_window : t -> now:float -> width:float -> int
     [\[now - alpha, now\]], or [None] if there are fewer than [count]
     (non-future) arrivals. *)
 val shortest_window : t -> now:float -> count:int -> float option
-
-(** Most recent arrival time, if any. *)
-val latest : t -> float option
 
 (** Drop entries that arrived before [horizon]. *)
 val decay : t -> horizon:float -> unit

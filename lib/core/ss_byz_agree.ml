@@ -77,17 +77,10 @@ let set_observer t f = t.observer <- f
 
 (* ----- block S matching ----------------------------------------------- *)
 
-(* Try to match every round 1..r to a distinct broadcaster of value [v]
-   (classic augmenting paths; r <= f, so this is tiny). *)
-let matches_rounds t ~v ~r =
-  let candidates i =
-    match Hashtbl.find_opt t.accepts i with
-    | None -> []
-    | Some l ->
-        List.filter_map
-          (fun (p, v', _) -> if String.equal v v' then Some p else None)
-          l
-  in
+(* Can every round 1..r be matched to a distinct broadcaster, round [i]'s
+   drawn from [candidates i]? Classic augmenting paths; r <= f, so this is
+   tiny. *)
+let matches_rounds ~candidates ~r =
   let matched : (node_id, int) Hashtbl.t = Hashtbl.create 8 in
   let rec augment i visited =
     List.exists
@@ -113,6 +106,15 @@ let matches_rounds t ~v ~r =
     if !ok then ok := augment i (ref [])
   done;
   !ok
+
+(* The senders of round [i]'s accepted broadcasts of value [v]. *)
+let accepted_senders t ~v i =
+  match Hashtbl.find_opt t.accepts i with
+  | None -> []
+  | Some l ->
+      List.filter_map
+        (fun (p, v', _) -> if String.equal v v' then Some p else None)
+        l
 
 let candidate_values t ~r =
   let vs = Hashtbl.create 4 in
@@ -174,7 +176,11 @@ let try_block_s t =
         else if tau > tg +. (float_of_int ((2 * r) + 1) *. phi) then try_r (r + 1)
         else begin
           let vs = candidate_values t ~r in
-          match List.find_opt (fun v -> matches_rounds t ~v ~r) vs with
+          match
+            List.find_opt
+              (fun v -> matches_rounds ~candidates:(accepted_senders t ~v) ~r)
+              vs
+          with
           | Some v -> decide t v ~round:r
           | None -> try_r (r + 1)
         end

@@ -64,6 +64,12 @@ val general : t -> general
 val initiator_accept : t -> Initiator_accept.t
 val msgd_broadcast : t -> Msgd_broadcast.t
 
+(** Block S's round matching: can every round [1..r] be given a distinct
+    broadcaster, round [i]'s drawn from [candidates i]? An augmenting-path
+    search ([r <= f], so it is tiny); the baseline [Tps_agree] runs the
+    same one over its own accepts. *)
+val matches_rounds : candidates:(int -> node_id list) -> r:int -> bool
+
 (** Append a canonical state fingerprint of the instance and both
     primitives (the shared separation guard and the timer-invalidations
     [epoch] counter excluded) — the model checker's visited-set encoding. *)

@@ -10,7 +10,6 @@ module Rng = Ssba_sim.Rng
 type config = {
   seed : int;
   runs : int;
-  time_budget : float option;
   gen : Gen.config;
   oracle : Oracle.config;
   shrink : bool;
@@ -21,7 +20,6 @@ let default_config =
   {
     seed = 1;
     runs = 100;
-    time_budget = None;
     gen = Gen.default_config;
     oracle = Oracle.default_config;
     shrink = true;
@@ -69,18 +67,12 @@ let digest_of_digests arr =
    index-ordered fold over the slot array gives the same digest whatever
    order the slots were filled in. Failures are shrunk after the loop, in
    iteration order (shrinking is a pure function of the failing spec), so
-   the summary does not depend on [jobs]. With a time budget the digest
-   covers the completed *prefix* — stragglers past the first unfinished
-   slot are discarded (budgeted campaigns are not digest-stable). *)
+   the summary does not depend on [jobs]. *)
 let run ?progress ?(jobs = 1) config =
   if jobs < 1 then invalid_arg "Campaign.run: jobs must be >= 1";
   if config.runs < 0 then invalid_arg "Campaign.run: runs must be >= 0";
-  let deadline =
-    Option.map (fun b -> Unix.gettimeofday () +. b) config.time_budget
-  in
   let runs = config.runs in
   let digests = Array.make runs "" in
-  let completed = Array.make runs false in
   let next = Atomic.make 0 in
   let failures = Atomic.make [] in
   let progress_mutex = Mutex.create () in
@@ -89,41 +81,33 @@ let run ?progress ?(jobs = 1) config =
     while !continue do
       let i = Atomic.fetch_and_add next 1 in
       if i >= runs then continue := false
-      else
-        match deadline with
-        | Some t when Unix.gettimeofday () > t -> continue := false
-        | Some _ | None ->
-            let spec = spec_of_iteration ~seed:config.seed ~gen:config.gen i in
-            let _, report = Oracle.run ~config:config.oracle spec in
-            digests.(i) <- report.Oracle.digest;
-            completed.(i) <- true;
-            (match progress with
-            | Some f ->
-                Mutex.lock progress_mutex;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock progress_mutex)
-                  (fun () -> f i spec report)
-            | None -> ());
-            if Oracle.failed report then begin
-              let rec push () =
-                let cur = Atomic.get failures in
-                if
-                  not
-                    (Atomic.compare_and_set failures cur
-                       ((i, spec, report) :: cur))
-                then push ()
-              in
-              push ()
-            end
+      else begin
+        let spec = spec_of_iteration ~seed:config.seed ~gen:config.gen i in
+        let _, report = Oracle.run ~config:config.oracle spec in
+        digests.(i) <- report.Oracle.digest;
+        (match progress with
+        | Some f ->
+            Mutex.lock progress_mutex;
+            Fun.protect
+              ~finally:(fun () -> Mutex.unlock progress_mutex)
+              (fun () -> f i spec report)
+        | None -> ());
+        if Oracle.failed report then begin
+          let rec push () =
+            let cur = Atomic.get failures in
+            if
+              not
+                (Atomic.compare_and_set failures cur ((i, spec, report) :: cur))
+            then push ()
+          in
+          push ()
+        end
+      end
     done
   in
   let helpers = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
   worker ();
   List.iter Domain.join helpers;
-  let executed = ref 0 in
-  while !executed < runs && completed.(!executed) do
-    incr executed
-  done;
   let failed =
     List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) (Atomic.get failures)
     |> List.map (fun (index, spec, report) ->
@@ -136,8 +120,4 @@ let run ?progress ?(jobs = 1) config =
            in
            { index; spec; report; shrunk })
   in
-  {
-    executed = !executed;
-    failed;
-    corpus_digest = digest_of_digests (Array.sub digests 0 !executed);
-  }
+  { executed = runs; failed; corpus_digest = digest_of_digests digests }

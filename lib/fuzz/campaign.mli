@@ -4,13 +4,12 @@
     Scenario [i] of a campaign with seed [s] is
     [Gen.spec (rng_of_iteration ~seed:s i) gen], independent of every other
     iteration — any failure reproduces from [(seed, i)] alone, or from the
-    saved replay file. Without a time budget, a campaign is a pure function
-    of its config: two runs produce the same [corpus_digest]. *)
+    saved replay file. A campaign is a pure function of its config: two
+    runs produce the same [corpus_digest]. *)
 
 type config = {
   seed : int;
   runs : int;
-  time_budget : float option;  (** wall-clock seconds; [None] = unlimited *)
   gen : Gen.config;
   oracle : Oracle.config;
   shrink : bool;  (** minimize failures before reporting *)
@@ -27,7 +26,7 @@ type failure_case = {
 }
 
 type summary = {
-  executed : int;  (** scenarios actually run (time budget may cut short) *)
+  executed : int;  (** scenarios run: every one of [config.runs] *)
   failed : failure_case list;  (** chronological *)
   corpus_digest : string;
       (** hex digest over every executed run's result digest *)
@@ -54,9 +53,8 @@ val digest_of_digests : string array -> string
     counter; every iteration is a pure function of [(seed, i)], and the
     digest folds per-iteration results in index order, so the summary
     (digest, executed count, failure set, shrunk reproductions) is the same
-    for every [jobs]. With a [time_budget] the digest covers only the
-    completed prefix of iterations. Raises [Invalid_argument] when [jobs <
-    1] or [config.runs < 0]. *)
+    for every [jobs]. Raises [Invalid_argument] when [jobs < 1] or
+    [config.runs < 0]. *)
 val run :
   ?progress:(int -> Spec.t -> Oracle.report -> unit) ->
   ?jobs:int ->

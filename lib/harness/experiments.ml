@@ -531,7 +531,10 @@ let e8_pulse () =
                Clock.random (Rng.split rng) ~rho:params.Params.rho
                  ~max_offset:0.01
              in
-             let node = Node.create ~id ~params ~clock ~engine ~net () in
+             let node =
+               Node.create_on ~id ~params ~clock ~engine
+                 ~link:(Network.link net) ()
+             in
              Some (Ssba_pulse.Pulse_sync.create ~node ~cycle_len ())
            end)
   in

@@ -106,11 +106,10 @@ let split_decisions (params : Params.t) returns =
     decided;
   List.rev !pairs
 
-(* Fingerprint workspace, reused by every run of one explorer loop and never
-   shared between domains: the text buffer, and a byte copy to digest in
-   place (a Buffer exposes no view of its bytes). Both outgrow the minor
-   heap, so fresh ones per fingerprint or per run would be major-heap
-   garbage. *)
+(* Fingerprint workspace, reused by every run of one exploration: the text
+   buffer, and a byte copy to digest in place (a Buffer exposes no view of
+   its bytes). Both outgrow the minor heap, so fresh ones per fingerprint or
+   per run would be major-heap garbage. *)
 type scratch = { buf : Buffer.t; mutable bytes : Bytes.t }
 
 let scratch () = { buf = Buffer.create 4096; bytes = Bytes.create 4096 }
@@ -453,14 +452,13 @@ let spine_of (r : run) =
    its first choice point beyond the prefix is [s.(k)]. *)
 type job = Execute of int array | Spine of int array * (string * int) array * int
 
-(* The breadth-first worklist loop, seeded with an arbitrary set of root
-   jobs and an (optionally pre-populated) visited set — the serial explorer
-   seeds it with the empty prefix; the parallel explorer runs one loop per
-   root-choice subtree. Only prefixes that are empty or end in a non-default
-   choice are executed, and each of those is judged. *)
-let explore_bfs ~max_runs (cfg : Config.t) ~por ~depth ~visited roots =
+(* Breadth-first over choice-vector prefixes, from the empty one. Only
+   prefixes that are empty or end in a non-default choice are executed, and
+   each of those is judged. *)
+let explore ?(max_runs = 200_000) (cfg : Config.t) ~por ~depth =
+  let visited = Hashtbl.create 4096 in
   let q = Queue.create () in
-  List.iter (fun j -> Queue.add j q) roots;
+  Queue.add (Execute [||]) q;
   let scratch = scratch () in
   let explored = ref 0
   and judged = ref 0
@@ -532,122 +530,6 @@ let explore_bfs ~max_runs (cfg : Config.t) ~por ~depth ~visited roots =
     counterexample = !counterexample;
     truncated = !truncated;
   }
-
-(* (length, then lexicographic) order on choice prefixes — exactly the order
-   breadth-first search discovers them in, so the minimum over any set of
-   witnesses for the same verdict is the one serial BFS would report first. *)
-let prefix_order a b =
-  let c = Int.compare (Array.length a) (Array.length b) in
-  if c <> 0 then c else Stdlib.compare a b
-
-(* Fold one shard's (verdict, witness) list into the accumulated one:
-   verdict-set union, keeping per verdict the minimal witness under
-   [prefix_order]. First-appearance order of verdicts is preserved, and
-   shards are folded in root-option order, so the merged report is a pure
-   function of the config — independent of domain scheduling. *)
-let merge_witnesses base found =
-  List.fold_left
-    (fun acc (label, p) ->
-      match List.assoc_opt label acc with
-      | None -> acc @ [ (label, p) ]
-      | Some q when prefix_order p q < 0 ->
-          List.map (fun (l, w) -> if l = label then (l, p) else (l, w)) acc
-      | Some _ -> acc)
-    base found
-
-let explore ?(max_runs = 200_000) ?(jobs = 1) (cfg : Config.t) ~por ~depth =
-  if jobs <= 1 || depth < 1 then
-    explore_bfs ~max_runs cfg ~por ~depth ~visited:(Hashtbl.create 4096)
-      [ Execute [||] ]
-  else begin
-    (* Run the empty prefix once to judge the all-defaults world and discover
-       the first branching point; its options become the shards. *)
-    let root = run_vector cfg ~por [||] in
-    match root.next with
-    | None ->
-        (* the whole choice space is the single root run *)
-        explore_bfs ~max_runs cfg ~por ~depth ~visited:(Hashtbl.create 16)
-          [ Execute [||] ]
-    | Some (root_fp, options, _) ->
-        (* One BFS per root option, each with its own visited set (seeded
-           with the root fingerprint, as serial exploration would). Workers
-           pull shard indices from an atomic counter and write reports into
-           their own slot; the merge below reads slots in index order, so the
-           result does not depend on which domain ran which shard. Per-shard
-           visited sets forfeit cross-subtree pruning: counts (explored,
-           pruned, frontier) can differ from a serial run, but under
-           exhaustion the verdict SET cannot — a pruned subtree's default
-           continuation is byte-identical to the continuation from the
-           already-visited state, so its verdicts are duplicates. Shard 0
-           is the root run itself, expanded from its spine. *)
-        let root_spine = spine_of root in
-        let results : report option array = Array.make options None in
-        let next_shard = Atomic.make 0 in
-        let worker () =
-          let continue = ref true in
-          while !continue do
-            let s = Atomic.fetch_and_add next_shard 1 in
-            if s >= options then continue := false
-            else begin
-              let visited = Hashtbl.create 4096 in
-              Hashtbl.replace visited root_fp ();
-              results.(s) <-
-                Some
-                  (explore_bfs ~max_runs cfg ~por ~depth ~visited
-                     [
-                       (if s = 0 then Spine ([| 0 |], root_spine, 1)
-                        else Execute [| s |]);
-                     ])
-            end
-          done
-        in
-        let helpers =
-          List.init (min jobs options - 1) (fun _ -> Domain.spawn worker)
-        in
-        worker ();
-        List.iter Domain.join helpers;
-        let shards = Array.to_list results |> List.filter_map Fun.id in
-        let sum f = List.fold_left (fun acc r -> acc + f r) 0 shards in
-        let violations =
-          List.fold_left merge_witnesses
-            (List.map (fun v -> (v, [||])) root.violations)
-            (List.map (fun r -> r.violations) shards)
-        in
-        let splits =
-          List.fold_left merge_witnesses
-            (List.map (fun v -> (v, [||])) root.splits)
-            (List.map (fun r -> r.splits) shards)
-        in
-        let counterexample =
-          let candidates =
-            (if root.splits <> [] then [ root ] else [])
-            @ List.filter_map (fun r -> r.counterexample) shards
-          in
-          match candidates with
-          | [] -> None
-          | c :: cs ->
-              Some
-                (List.fold_left
-                   (fun best r ->
-                     if prefix_order r.prefix best.prefix < 0 then r else best)
-                   c cs)
-        in
-        {
-          config_name = cfg.Config.name;
-          por;
-          depth;
-          explored = 1 + sum (fun r -> r.explored);
-          judged = 1 + sum (fun r -> r.judged);
-          pruned = sum (fun r -> r.pruned);
-          frontier = sum (fun r -> r.frontier);
-          deepest =
-            List.fold_left (fun acc r -> max acc r.deepest) 0 shards;
-          violations;
-          splits;
-          counterexample;
-          truncated = List.exists (fun r -> r.truncated) shards;
-        }
-  end
 
 let pp_prefix ppf p =
   Fmt.pf ppf "[%a]" Fmt.(array ~sep:(Fmt.any ";") int) p

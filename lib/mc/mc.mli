@@ -73,20 +73,8 @@ type report = {
 (** Breadth-first exhaustive exploration of the choice tree to [depth]
     branching points, with visited-state pruning. [max_runs] (default
     200_000) is a safety valve on expanded prefixes (the [explored] count);
-    [truncated] reports if it fired.
-
-    [jobs] > 1 shards exploration at the root choice point: one BFS per root
-    option, each on its own domain with its own visited set, then a
-    deterministic merge — verdict-set union with per-verdict minimal
-    witnesses (shortest prefix, then lexicographic — exactly the order
-    serial BFS discovers witnesses in), counterexample minimal under the
-    same order, counts summed in root-option order. The merged verdict sets
-    equal the serial ones under exhaustion; the raw counts ([explored],
-    [pruned], [frontier]) can be higher because per-shard visited sets
-    forfeit cross-subtree pruning, and [max_runs] bounds each shard
-    separately. *)
-val explore :
-  ?max_runs:int -> ?jobs:int -> Config.t -> por:bool -> depth:int -> report
+    [truncated] reports if it fired. *)
+val explore : ?max_runs:int -> Config.t -> por:bool -> depth:int -> report
 
 val pp_prefix : Format.formatter -> int array -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -160,18 +160,7 @@ let[@inline] is_muted t node =
   node >= 0 && node < t.n && Array.unsafe_get t.muted node
 let set_delay_override t f = t.delay_override <- f
 
-let messages_sent t = Metrics.value t.c_sent
 let messages_delivered t = Metrics.value t.c_delivered
-let messages_dropped t = Metrics.value t.c_dropped
-let messages_duplicated t = Metrics.value t.c_duplicated
-let messages_reordered t = Metrics.value t.c_reordered
-let messages_attempted t = messages_sent t + messages_duplicated t
-let messages_in_flight t = int_of_float (Metrics.gauge_value t.g_in_flight)
-
-(* A kind's counter is registered by its first send, so every kind listed
-   has sent at least once. *)
-let sent_by_kind t =
-  Metrics.counters_with_prefix (Engine.metrics t.engine) "net.sent."
 
 let kind_of_payload t payload =
   match t.kind_of with None -> None | Some f -> Some (f payload)
@@ -473,7 +462,6 @@ let scramble_pool t ~payload =
     done
   done
 
-let pool_fanouts_allocated t = Metrics.value t.c_pool_fanouts
 let pool_slots_allocated t = Metrics.value t.c_pool_slots
 let pool_free t = t.pool_top
 

@@ -89,29 +89,15 @@ val link : 'a t -> 'a Link.t
     at the destination). On any quiescent network
     [attempts = delivered + dropped + in_flight] holds, with
     [attempts = sent + duplicated]; the harness checks it after every run.
-    Counters also appear in the engine's metrics registry under [net.sent],
-    [net.delivered], [net.dropped], [net.duplicated], [net.reordered],
-    [net.in_flight] and [net.sent.<kind>]. *)
-val messages_sent : 'a t -> int
+    The counts live in the engine's metrics registry, read by name:
+    [net.sent], [net.delivered], [net.dropped], [net.duplicated],
+    [net.reordered] (deliveries stretched by the reordering fault, no
+    conservation impact), the [net.in_flight] gauge (scheduled, not yet
+    delivered or dropped) and, with a [kind_of] classifier,
+    [net.sent.<kind>]. *)
 
+(** [net.delivered]. *)
 val messages_delivered : 'a t -> int
-val messages_dropped : 'a t -> int
-
-(** Fault-injected second copies ([net.duplicated]). *)
-val messages_duplicated : 'a t -> int
-
-(** Deliveries stretched by the reordering fault (no conservation impact). *)
-val messages_reordered : 'a t -> int
-
-(** [messages_sent + messages_duplicated] — the left side of conservation. *)
-val messages_attempted : 'a t -> int
-
-(** Messages scheduled but not yet delivered or dropped. *)
-val messages_in_flight : 'a t -> int
-
-(** Per-kind send counts (requires [kind_of] at creation), sorted by kind:
-    the registry's [net.sent.<kind>] counters. *)
-val sent_by_kind : 'a t -> (string * int) list
 
 (** {2 Delivery arena}
 
@@ -127,9 +113,6 @@ val sent_by_kind : 'a t -> (string * int) list
     slots beyond the peak concurrent need; the registry tracks
     [net.pool.fanouts] / [net.pool.slots] (allocations over the network's
     life) and [net.pool.in_use]. *)
-
-(** Fan-out descriptors ever allocated ([net.pool.fanouts]). *)
-val pool_fanouts_allocated : 'a t -> int
 
 (** Delivery slots ever allocated ([net.pool.slots]): [n] per descriptor,
     plus growth for duplicated copies. *)

@@ -102,7 +102,8 @@ module Cluster = struct
           if List.mem id skip then None
           else begin
             let node =
-              Node.create ~id ~params ~clock:clocks.(id) ~engine ~net ()
+              Node.create_on ~id ~params ~clock:clocks.(id) ~engine
+                ~link:(Ssba_net.Network.link net) ()
             in
             Node.subscribe node (fun r -> returns := r :: !returns);
             Some node
@@ -267,3 +268,9 @@ let slow_case name f = Alcotest.test_case name `Slow f
 (* Deterministic qcheck wrapper: a fixed RNG per property so `dune runtest`
    is reproducible run to run (qcheck otherwise self-seeds). *)
 let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xBA5E; 42 |]) t
+
+(* A counter of the engine's metrics registry, read by name as the Runner
+   reads it (0 when absent). *)
+let counter engine name =
+  Option.value ~default:0
+    (Ssba_sim.Metrics.find_counter (Ssba_sim.Engine.metrics engine) name)

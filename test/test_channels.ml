@@ -24,7 +24,10 @@ let mk ?(n = 7) ?(channels = 3) ?(seed = 51) () =
           Ssba_sim.Clock.random (Ssba_sim.Rng.split rng) ~rho:params.Params.rho
             ~max_offset:0.1
         in
-        let node = Node.create ~channels ~id ~params ~clock ~engine ~net () in
+        let node =
+          Node.create_on ~channels ~id ~params ~clock ~engine
+            ~link:(Ssba_net.Network.link net) ()
+        in
         Node.subscribe node (fun r -> returns := r :: !returns);
         node)
   in
@@ -92,8 +95,8 @@ let test_forged_logical_initiator () =
   let returns = ref [] in
   for id = 0 to 6 do
     let node =
-      Node.create ~channels:2 ~id ~params ~clock:Ssba_sim.Clock.perfect ~engine
-        ~net ()
+      Node.create_on ~channels:2 ~id ~params ~clock:Ssba_sim.Clock.perfect
+        ~engine ~link:(Ssba_net.Network.link net) ()
     in
     Node.subscribe node (fun r -> returns := r :: !returns)
   done;

@@ -12,6 +12,12 @@ let mk ?(n = 3) ?(delay = Delay.fixed 0.1) () =
   let net = Net.create ~engine ~n ~delay ~rng:(Rng.create 1) () in
   (engine, net)
 
+(* The [net.in_flight] gauge, read by name as the Runner reads it. *)
+let in_flight engine =
+  int_of_float
+    (Option.value ~default:0.0
+       (Ssba_sim.Metrics.find_gauge (Engine.metrics engine) "net.in_flight"))
+
 let test_delivery_timing () =
   let engine, net = mk () in
   let arrived = ref None in
@@ -32,12 +38,12 @@ let test_delivery_timing () =
 let test_no_handler_counts_as_drop () =
   let engine, net = mk () in
   Net.send net ~src:0 ~dst:2 "x";
-  check_int "in flight until delivery" 1 (Net.messages_in_flight net);
+  check_int "in flight until delivery" 1 (in_flight engine);
   ignore (Engine.run engine);
-  check_int "sent counted" 1 (Net.messages_sent net);
-  check_int "nothing delivered" 0 (Net.messages_delivered net);
-  check_int "counted as dropped" 1 (Net.messages_dropped net);
-  check_int "nothing left in flight" 0 (Net.messages_in_flight net)
+  check_int "sent counted" 1 (counter engine "net.sent");
+  check_int "nothing delivered" 0 (counter engine "net.delivered");
+  check_int "counted as dropped" 1 (counter engine "net.dropped");
+  check_int "nothing left in flight" 0 (in_flight engine)
 
 let test_broadcast_includes_self () =
   let engine, net = mk () in
@@ -76,7 +82,7 @@ let test_mute () =
   Net.send net ~src:0 ~dst:1 "back";
   ignore (Engine.run engine);
   check_int "unmuted delivers" 2 !got;
-  check_int "drops counted" 1 (Net.messages_dropped net);
+  check_int "drops counted" 1 (counter engine "net.dropped");
   List.iter
     (fun node ->
       check_bool "is_muted outside [0, n)" false (Net.is_muted net node);
@@ -124,11 +130,11 @@ let test_forged () =
   Net.inject_forged net ~claimed_src:2 ~dst:1 ~delay:0.5 "fake";
   (* Regression: forged injections used to be delivered without ever being
      counted as sent, leaving delivered > sent. *)
-  check_int "forged counts as sent" 1 (Net.messages_sent net);
-  check_int "forged is in flight" 1 (Net.messages_in_flight net);
+  check_int "forged counts as sent" 1 (counter engine "net.sent");
+  check_int "forged is in flight" 1 (in_flight engine);
   ignore (Engine.run engine);
-  check_int "forged delivered" 1 (Net.messages_delivered net);
-  check_int "nothing left in flight" 0 (Net.messages_in_flight net);
+  check_int "forged delivered" 1 (counter engine "net.delivered");
+  check_int "nothing left in flight" 0 (in_flight engine);
   match !seen with
   | Some m ->
       check_int "claimed src" 2 m.Msg.src;
@@ -184,7 +190,9 @@ let test_kind_stats () =
   Net.send net ~src:0 ~dst:1 "a";
   Net.send net ~src:0 ~dst:1 "a";
   Net.send net ~src:0 ~dst:1 "b";
-  check_bool "per-kind counts" true (Net.sent_by_kind net = [ ("a", 2); ("b", 1) ])
+  check_bool "per-kind counts" true
+    (Ssba_sim.Metrics.counters_with_prefix (Engine.metrics engine) "net.sent."
+    = [ ("a", 2); ("b", 1) ])
 
 let test_bad_destination () =
   let _, net = mk () in
@@ -237,11 +245,11 @@ let test_duplicate () =
   done;
   ignore (Engine.run engine);
   check_int "every message delivered twice at dup=1" 20 !got;
-  check_int "duplicates counted" 10 (Net.messages_duplicated net);
+  check_int "duplicates counted" 10 (counter engine "net.duplicated");
   check_int "conservation: attempts all accounted"
-    (Net.messages_sent net + Net.messages_duplicated net)
-    (Net.messages_delivered net + Net.messages_dropped net
-   + Net.messages_in_flight net)
+    (counter engine "net.sent" + counter engine "net.duplicated")
+    (counter engine "net.delivered" + counter engine "net.dropped"
+   + in_flight engine)
 
 let test_reorder () =
   let engine, net = mk () in
@@ -254,7 +262,7 @@ let test_reorder () =
   done;
   ignore (Engine.run engine);
   check_int "all delivered" 20 (List.length !times);
-  check_int "all stretched" 20 (Net.messages_reordered net);
+  check_int "all stretched" 20 (counter engine "net.reordered");
   List.iter
     (fun t -> check_bool "within [0.1, 0.6]" true (t >= 0.1 && t <= 0.6 +. 1e-9))
     !times;
@@ -305,10 +313,10 @@ let test_rng_streams_independent () =
    and at ANY point of the drain (including mid-flight),
    attempts = sent + duplicated = delivered + dropped + in_flight. *)
 let prop_conservation =
-  let invariant net =
-    Net.messages_sent net + Net.messages_duplicated net
-    = Net.messages_delivered net + Net.messages_dropped net
-      + Net.messages_in_flight net
+  let invariant engine =
+    counter engine "net.sent" + counter engine "net.duplicated"
+    = counter engine "net.delivered" + counter engine "net.dropped"
+      + in_flight engine
   in
   QCheck.Test.make ~name:"sent = delivered + dropped + in_flight" ~count:100
     QCheck.(pair small_int (small_list int))
@@ -347,11 +355,11 @@ let prop_conservation =
                  else None)
           | _ -> Net.broadcast net ~src:(i mod n) "b")
         ops;
-      let mid = invariant net in
+      let mid = invariant engine in
       ignore (Engine.run ~until:0.04 engine);
-      let partial = invariant net in
+      let partial = invariant engine in
       ignore (Engine.run engine);
-      mid && partial && invariant net && Net.messages_in_flight net = 0)
+      mid && partial && invariant engine && in_flight engine = 0)
 
 let suite =
   [

@@ -208,8 +208,8 @@ let test_guard_lifecycle () =
   in
   let nodes =
     Array.init n (fun id ->
-        Node.create ~channels:2 ~id ~params ~clock:Ssba_sim.Clock.perfect
-          ~engine ~net ())
+        Node.create_on ~channels:2 ~id ~params ~clock:Ssba_sim.Clock.perfect
+          ~engine ~link:(Ssba_net.Network.link net) ())
   in
   let g = n + 1 and low = 2 in
   let now = ref (0.5 *. d) in
@@ -291,8 +291,8 @@ let lone_node ~capacity =
       ~rng:(Ssba_sim.Rng.create 5) ()
   in
   let node =
-    Node.create ~session_capacity:capacity ~id:0 ~params
-      ~clock:Ssba_sim.Clock.perfect ~engine ~net ()
+    Node.create_on ~session_capacity:capacity ~id:0 ~params
+      ~clock:Ssba_sim.Clock.perfect ~engine ~link:(Ssba_net.Network.link net) ()
   in
   (params, engine, node)
 

@@ -1,12 +1,11 @@
 (* Serial-vs-parallel determinism suite.
 
-   The multi-core campaign driver and the sharded model-checker explorer
-   both promise that parallelism is unobservable: `--jobs N` must produce
-   byte-identical campaign summaries (corpus digest, executed count, failure
-   set) and identical checker verdict sets/witnesses. These tests hold each
-   `--jobs 4` surface to its `--jobs 1` twin across all three fuzz tiers and
-   the mc smoke/knife configurations — on any host, including single-core
-   ones, where the domains simply time-share.
+   The multi-core campaign driver promises that parallelism is
+   unobservable: `--jobs N` must produce byte-identical campaign summaries
+   (corpus digest, executed count, failure set, shrunk reproductions). These
+   tests hold `--jobs 4` to its `--jobs 1` twin across all three fuzz tiers
+   — on any host, including single-core ones, where the domains simply
+   time-share.
 
    The weakened-fold test is the suite's own sensitivity check: the corpus
    digest fold is deliberately order-DEPENDENT, because that is exactly what
@@ -17,9 +16,6 @@
 
 open Helpers
 module F = Ssba_fuzz
-module Mc = Ssba_mc.Mc
-module Mc_config = Ssba_mc.Config
-module P = Ssba_core.Params
 
 (* ----- fuzz campaigns: three tiers, jobs 1 vs 4 ------------------------- *)
 
@@ -88,35 +84,6 @@ let test_parallel_shrink_identical () =
   check_bool "shrunk reproductions byte-identical" true
     (shrunk_reprs serial = shrunk_reprs parallel)
 
-(* ----- the checker: smoke and knife, jobs 1 vs 4 ------------------------ *)
-
-let verdicts (r : Mc.report) =
-  ( List.map (fun (v, w) -> (v, Array.to_list w)) r.Mc.violations,
-    List.map (fun (v, w) -> (v, Array.to_list w)) r.Mc.splits )
-
-let test_mc_smoke_parallel () =
-  let serial = Mc.explore ~jobs:1 (Mc_config.smoke ()) ~por:true ~depth:10 in
-  let parallel = Mc.explore ~jobs:4 (Mc_config.smoke ()) ~por:true ~depth:10 in
-  check_bool "smoke verdict sets equal" true
-    (verdicts serial = verdicts parallel);
-  check_int "smoke judged equal" serial.Mc.judged parallel.Mc.judged;
-  check_bool "smoke clean under both" true
-    (serial.Mc.violations = [] && serial.Mc.splits = [])
-
-let test_mc_knife_parallel () =
-  let cfg base =
-    { base with Mc_config.params = P.with_r_slack base.Mc_config.params P.Legacy }
-  in
-  let serial = Mc.explore ~jobs:1 (cfg (Mc_config.knife ())) ~por:true ~depth:7 in
-  let parallel =
-    Mc.explore ~jobs:4 (cfg (Mc_config.knife ())) ~por:true ~depth:7
-  in
-  (* a config with real violations: sets AND minimal witnesses must agree *)
-  check_bool "knife-legacy found the stranded abort" true
-    (serial.Mc.violations <> []);
-  check_bool "knife-legacy verdict sets and witnesses equal" true
-    (verdicts serial = verdicts parallel)
-
 (* ----- fold sensitivity ------------------------------------------------- *)
 
 (* The order-independent fold a careless refactor might introduce. *)
@@ -160,7 +127,5 @@ let suite =
   [
     case "fuzz tiers: --jobs 4 is byte-identical" test_fuzz_tiers;
     case "parallel shrinking is byte-identical" test_parallel_shrink_identical;
-    case "mc smoke: sharded explore matches serial" test_mc_smoke_parallel;
-    case "mc knife: verdicts and witnesses match" test_mc_knife_parallel;
     case "corpus fold is order-sensitive" test_fold_order_sensitivity;
   ]

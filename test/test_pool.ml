@@ -30,8 +30,8 @@ let test_slot_reuse_after_pop () =
   let engine, net = mk () in
   Net.broadcast net ~src:0 "warm";
   ignore (Engine.run engine);
-  let fanouts = Net.pool_fanouts_allocated net in
-  let slots = Net.pool_slots_allocated net in
+  let fanouts = counter engine "net.pool.fanouts" in
+  let slots = counter engine "net.pool.slots" in
   let free = Net.pool_free net in
   check_bool "warm-up allocated a descriptor" true (fanouts >= 1);
   check_bool "descriptor back in the free stack" true (free >= 1);
@@ -40,9 +40,9 @@ let test_slot_reuse_after_pop () =
     ignore (Engine.run engine)
   done;
   check_int "no new descriptors in steady state" fanouts
-    (Net.pool_fanouts_allocated net);
+    (counter engine "net.pool.fanouts");
   check_int "no new delivery slots in steady state" slots
-    (Net.pool_slots_allocated net);
+    (counter engine "net.pool.slots");
   check_int "free stack back to its resting level" free (Net.pool_free net)
 
 (* The allocation-counter assertion, against the shared metrics registry:
@@ -102,14 +102,15 @@ let test_scramble_preserves_pool_shape () =
   let engine, net = mk () in
   Net.broadcast net ~src:0 "warm";
   ignore (Engine.run engine);
-  let fanouts = Net.pool_fanouts_allocated net in
-  let slots = Net.pool_slots_allocated net in
+  let fanouts = counter engine "net.pool.fanouts" in
+  let slots = counter engine "net.pool.slots" in
   let free = Net.pool_free net in
   Net.scramble_pool net ~payload:(fun rng ->
       Printf.sprintf "garbage-%d" (Rng.int rng 1000));
   check_int "scramble kept every descriptor" fanouts
-    (Net.pool_fanouts_allocated net);
-  check_int "scramble kept every slot" slots (Net.pool_slots_allocated net);
+    (counter engine "net.pool.fanouts");
+  check_int "scramble kept every slot" slots
+    (counter engine "net.pool.slots");
   check_int "scramble kept occupancy" free (Net.pool_free net);
   (* recycled slots were trashed, yet the next broadcast delivers clean *)
   let got = ref [] in
@@ -122,7 +123,7 @@ let test_scramble_preserves_pool_shape () =
   check_bool "no garbage leaked into deliveries" true
     (List.for_all (String.equal "clean") !got);
   check_int "and still no fresh allocation" fanouts
-    (Net.pool_fanouts_allocated net)
+    (counter engine "net.pool.fanouts")
 
 (* Scrambling must not perturb the delivery schedule either: the arena has
    its own RNG stream, so a run with mid-flight pool scrambles draws the
@@ -159,13 +160,15 @@ let test_slots_per_descriptor () =
   done;
   Net.broadcast net ~src:0 "one";
   ignore (Engine.run engine);
-  check_int "one descriptor" 1 (Net.pool_fanouts_allocated net);
-  check_int "n slots for n receivers" n (Net.pool_slots_allocated net);
+  check_int "one descriptor" 1 (counter engine "net.pool.fanouts");
+  check_int "n slots for n receivers" n (counter engine "net.pool.slots");
   Net.set_dup_prob net 1.0;
   Net.broadcast net ~src:1 "twice";
   ignore (Engine.run engine);
-  check_int "the same descriptor, recycled" 1 (Net.pool_fanouts_allocated net);
-  check_int "duplicates grew it to 2n" (2 * n) (Net.pool_slots_allocated net);
+  check_int "the same descriptor, recycled" 1
+    (counter engine "net.pool.fanouts");
+  check_int "duplicates grew it to 2n" (2 * n)
+    (counter engine "net.pool.slots");
   check_int "every copy delivered" (n + (2 * n)) !got
 
 (* Every handler gets its own id as [dst] and the sender's src, sent_at,
@@ -210,11 +213,13 @@ let test_shared_envelope_fields () =
         end)
   done;
   ignore (Engine.run engine);
-  check_int "conservation" (Net.messages_attempted net)
-    (Net.messages_delivered net + Net.messages_dropped net);
+  check_int "conservation"
+    (counter engine "net.sent" + counter engine "net.duplicated")
+    (counter engine "net.delivered" + counter engine "net.dropped");
   check_bool "descriptors grew past n slots" true
-    (Net.pool_slots_allocated net > n * Net.pool_fanouts_allocated net);
-  check_int "every delivery reached a handler" (Net.messages_delivered net)
+    (counter engine "net.pool.slots" > n * counter engine "net.pool.fanouts");
+  check_int "every delivery reached a handler"
+    (counter engine "net.delivered")
     (List.length !got);
   List.iter
     (fun (i, dst, src, sent_at, forged, payload) ->
