@@ -123,9 +123,20 @@ let run_one config blackout r_slack por depth max_runs export =
     1
   end
 
+(* A gate's verdict holds only for a space it exhausted: choice points left
+   beyond the depth bound are unexplored runs. *)
+let check_exhausted check ~depth (on : Mc.report) (off : Mc.report) =
+  check
+    (on.Mc.frontier = 0 && off.Mc.frontier = 0)
+    (Fmt.str
+       "exploration not exhausted: frontier %d (POR on), %d (POR off) at \
+        --depth %d; raise --depth"
+       on.Mc.frontier off.Mc.frontier depth)
+
 (* The CI gate: exhaust the smoke config under both POR modes. Passing means
-   zero violations either way, the same verdict set (POR soundness
-   cross-check), and a reduction factor strictly above 1. *)
+   an exhausted space (no truncation, frontier 0) and zero violations either
+   way, the same verdict set (POR soundness cross-check), and a reduction
+   factor strictly above 1. *)
 let run_smoke depth max_runs =
   let on = explore_and_report (Config.smoke ()) ~por:true ~depth ~max_runs in
   let off = explore_and_report (Config.smoke ()) ~por:false ~depth ~max_runs in
@@ -135,6 +146,7 @@ let run_smoke depth max_runs =
   let problems = ref [] in
   let check cond msg = if not cond then problems := msg :: !problems in
   check (not on.Mc.truncated && not off.Mc.truncated) "exploration truncated";
+  check_exhausted check ~depth on off;
   check (on.Mc.violations = []) "violations under POR";
   check (off.Mc.violations = []) "violations under full exploration";
   check (on.Mc.splits = []) "split decisions under POR";
@@ -155,7 +167,8 @@ let run_smoke depth max_runs =
 (* The knife gate (ISSUE 8): the same config explored under the shipped
    default gate and under --r-slack legacy, each in both POR modes. Passing
    means the default exhausts clean, the legacy gate rediscovers at least one
-   stranded-abort violation, and POR never changes a verdict set. *)
+   stranded-abort violation, and POR never changes a verdict set; each half
+   must exhaust its space. *)
 let run_knife depth max_runs =
   let half label r_slack ~expect_violation =
     let cfg = apply_r_slack (Config.knife ()) r_slack in
@@ -167,6 +180,7 @@ let run_knife depth max_runs =
       if not cond then problems := Fmt.str "%s: %s" label msg :: !problems
     in
     check (not on.Mc.truncated && not off.Mc.truncated) "exploration truncated";
+    check_exhausted check ~depth on off;
     check
       (List.map key_of on.Mc.violations = List.map key_of off.Mc.violations
       && List.map key_of on.Mc.splits = List.map key_of off.Mc.splits)

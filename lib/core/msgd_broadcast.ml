@@ -36,7 +36,9 @@ open Types
 (* [tv]/[tk] repeat the triplet's value and round tag from its key, so the
    per-broadcaster index can match a trip without its key. [st] is three
    stamp segments of n slots, echo | init' | echo', whose distinct-sender
-   counts are [n_echo], [n_init2] and [n_echo2]. *)
+   counts are [n_echo], [n_init2] and [n_echo2], then one slot for the
+   trip's last activity: a float field of the record would box a fresh
+   float on every arrival. *)
 type trip = {
   tv : value;
   tk : int;
@@ -49,7 +51,6 @@ type trip = {
   mutable sent_init2 : bool;
   mutable sent_echo2 : bool;
   mutable accepted_at : float option;
-  mutable last_activity : float;
 }
 
 type t = {
@@ -98,13 +99,17 @@ let prm t = t.ctx.params
 
 let indexed t p = p >= 0 && p < t.n
 
+(* The trip's last activity, in the slot after its three segments. *)
+let last_activity t tr = tr.st.(3 * t.n)
+let set_last_activity t tr at = tr.st.(3 * t.n) <- at
+
 let new_trip t ((p, v, k) as key) =
   let tr =
     {
       tv = v;
       tk = k;
       init_from_p = None;
-      st = Array.make (3 * t.n) Float.nan;
+      st = Array.make ((3 * t.n) + 1) Float.nan;
       n_echo = 0;
       n_init2 = 0;
       n_echo2 = 0;
@@ -112,9 +117,9 @@ let new_trip t ((p, v, k) as key) =
       sent_init2 = false;
       sent_echo2 = false;
       accepted_at = None;
-      last_activity = now t;
     }
   in
+  set_last_activity t tr (now t);
   Hashtbl.replace t.trips key tr;
   if indexed t p then t.by_p.(p) <- tr :: t.by_p.(p);
   tr
@@ -284,7 +289,7 @@ let handle_message t ~sender ~kind ~p ~v ~k =
     let tau = now t in
     let n = t.n in
     let tr = trip_of_parts t ~p ~v ~k in
-    tr.last_activity <- tau;
+    set_last_activity t tr tau;
     (match kind with
     | Init -> if sender = p && tr.init_from_p = None then tr.init_from_p <- Some tau
     | Echo -> tr.n_echo <- tr.n_echo + Stamps.note tr.st ~off:0 ~n ~sender ~at:tau
@@ -312,7 +317,8 @@ let cleanup t =
         (match tr.accepted_at with
         | Some at when at > tau -> tr.accepted_at <- None
         | Some _ | None -> ());
-        if tr.last_activity < horizon || tr.last_activity > tau then
+        let active = last_activity t tr in
+        if active < horizon || active > tau then
           doomed := (key, tr) :: !doomed)
       t.trips;
     remove_trips t !doomed
@@ -368,7 +374,7 @@ let fingerprint buf t =
       log tr.st ~off:(2 * t.n);
       add buf "|"; add buf (string_of_bool tr.sent_echo);
       add buf (string_of_bool tr.sent_init2); add buf (string_of_bool tr.sent_echo2);
-      add buf "|a"; fopt tr.accepted_at; add buf "|la"; float buf tr.last_activity;
+      add buf "|a"; fopt tr.accepted_at; add buf "|la"; float buf (last_activity t tr);
       add buf ";")
     trips;
   Buffer.add_char buf '}'

@@ -39,12 +39,14 @@ type 'a slot = {
   mutable sl_g : Types.general;
   mutable sl_anchor : float option;
   mutable sl_payload : 'a option;  (* None = free slot *)
-  mutable sl_active : float;  (* last activity, local time *)
   mutable sl_stamp : int;  (* creation sequence, eviction tie-break *)
 }
 
 type 'a t = {
   slots : 'a slot array;
+  actives : float array;
+      (* slot -> last activity, local time: a flat column, so a touch on
+         the arrival path stores a raw float instead of boxing one *)
   mutable index : int array;  (* General id -> slot, -1 = absent *)
   mutable seq : int;
   mutable live : int;
@@ -59,7 +61,8 @@ let create ~capacity =
   {
     slots =
       Array.init capacity (fun _ ->
-          { sl_g = -1; sl_anchor = None; sl_payload = None; sl_active = 0.0; sl_stamp = 0 });
+          { sl_g = -1; sl_anchor = None; sl_payload = None; sl_stamp = 0 });
+    actives = Array.make capacity 0.0;
     index = Array.make capacity (-1);
     seq = 0;
     live = 0;
@@ -110,16 +113,16 @@ let free_slot t =
    time, creation order breaking ties. *)
 let evict t =
   let best = ref (-1) in
+  let act = t.actives in
   Array.iteri
     (fun i sl ->
       if sl.sl_payload <> None then
         match !best with
         | -1 -> best := i
         | b ->
-            let bs = t.slots.(b) in
             if
-              sl.sl_active < bs.sl_active
-              || (sl.sl_active = bs.sl_active && sl.sl_stamp < bs.sl_stamp)
+              act.(i) < act.(b)
+              || (act.(i) = act.(b) && sl.sl_stamp < t.slots.(b).sl_stamp)
             then best := i)
     t.slots;
   let i = !best in
@@ -155,7 +158,7 @@ let insert_reporting t ~g ~now payload =
   sl.sl_g <- g;
   sl.sl_anchor <- None;
   sl.sl_payload <- Some payload;
-  sl.sl_active <- now;
+  t.actives.(i) <- now;
   sl.sl_stamp <- t.seq;
   reindex t g i;
   t.live <- t.live + 1;
@@ -186,9 +189,7 @@ let try_insert t ~g ~now payload =
 let touch t g ~now =
   match slot_of t g with
   | -1 -> ()
-  | i ->
-      let sl = t.slots.(i) in
-      if now > sl.sl_active then sl.sl_active <- now
+  | i -> if now > t.actives.(i) then t.actives.(i) <- now
 
 let set_anchor t g anchor =
   match slot_of t g with -1 -> () | i -> t.slots.(i).sl_anchor <- Some anchor
@@ -206,12 +207,12 @@ let remove t g =
    must cover it, since two tables with the same sessions but different
    activity orders evict differently under pressure. *)
 let iter_detail t f =
-  Array.iter
-    (fun sl ->
+  Array.iteri
+    (fun i sl ->
       match sl.sl_payload with
       | None -> ()
       | Some p ->
-          f ~g:sl.sl_g ~anchor:sl.sl_anchor ~active:sl.sl_active
+          f ~g:sl.sl_g ~anchor:sl.sl_anchor ~active:t.actives.(i)
             ~stamp:sl.sl_stamp p)
     t.slots
 
@@ -233,7 +234,7 @@ let sweep t ~f ~dead =
     for i = 0 to Array.length slots - 1 do
       let sl = slots.(i) in
       match sl.sl_payload with
-      | Some p when dead ~active:sl.sl_active p ->
+      | Some p when dead ~active:t.actives.(i) p ->
           unindex t sl.sl_g;
           sl.sl_payload <- None;
           t.live <- t.live - 1;
@@ -247,13 +248,13 @@ let sweep t ~f ~dead =
    the capacity are structural and survive any scramble, exactly like the
    transport rings. *)
 let scramble rng ~rtime ~corrupt t =
-  Array.iter
-    (fun sl ->
+  Array.iteri
+    (fun i sl ->
       match sl.sl_payload with
       | None -> ()
       | Some p ->
           if Ssba_sim.Rng.bool rng then
             sl.sl_anchor <- (if Ssba_sim.Rng.bool rng then Some (rtime ()) else None);
-          if Ssba_sim.Rng.bool rng then sl.sl_active <- rtime ();
+          if Ssba_sim.Rng.bool rng then t.actives.(i) <- rtime ();
           corrupt p)
     t.slots

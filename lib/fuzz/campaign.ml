@@ -34,7 +34,6 @@ type failure_case = {
 }
 
 type summary = {
-  executed : int;
   failed : failure_case list;
   corpus_digest : string;
 }
@@ -120,4 +119,4 @@ let run ?progress ?(jobs = 1) config =
            in
            { index; spec; report; shrunk })
   in
-  { executed = runs; failed; corpus_digest = digest_of_digests digests }
+  { failed; corpus_digest = digest_of_digests digests }

@@ -25,11 +25,11 @@ type failure_case = {
   shrunk : (Spec.t * Oracle.report * Shrink.stats) option;
 }
 
+(** A campaign runs every one of [config.runs] scenarios. *)
 type summary = {
-  executed : int;  (** scenarios run: every one of [config.runs] *)
   failed : failure_case list;  (** chronological *)
   corpus_digest : string;
-      (** hex digest over every executed run's result digest *)
+      (** hex digest over every run's result digest *)
 }
 
 (** The RNG that generates iteration [i]. *)
@@ -52,7 +52,7 @@ val digest_of_digests : string array -> string
     deterministic engine per domain, scenarios pulled from a shared
     counter; every iteration is a pure function of [(seed, i)], and the
     digest folds per-iteration results in index order, so the summary
-    (digest, executed count, failure set, shrunk reproductions) is the same
+    (digest, failure set, shrunk reproductions) is the same
     for every [jobs]. Raises [Invalid_argument] when [jobs < 1] or
     [config.runs < 0]. *)
 val run :

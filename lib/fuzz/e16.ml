@@ -37,9 +37,6 @@ let run () =
       let t0 = Unix.gettimeofday () in
       let s = Campaign.run ~jobs config in
       let wall = Unix.gettimeofday () -. t0 in
-      if s.Campaign.executed <> runs then
-        Fmt.failwith "E16: --jobs %d executed %d/%d scenarios" jobs
-          s.Campaign.executed runs;
       if jobs = 1 then begin
         serial_wall := wall;
         serial_digest := s.Campaign.corpus_digest

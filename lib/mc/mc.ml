@@ -279,8 +279,7 @@ let execute (cfg : Config.t) ~por ~visited ~scratch ~fingerprint_from prefix =
   let sends = ref [] in
   Network.set_delay_override net
     (Some
-       (fun (m : message Msg.t) ->
-         let src = m.Msg.src and dst = m.Msg.dst and payload = m.Msg.payload in
+       (fun ~src ~dst payload ->
          let delay =
            match
              if por && Config.is_byz cfg dst then None

@@ -1,7 +1,7 @@
 (* Bounded-delay authenticated point-to-point network (paper §2, Def. 2).
 
-   Delivery is realized by scheduling closures on the engine. While the
-   network is *correct* every send is delivered within the configured delay
+   Delivery is realized by fan-out descriptors on the engine's queue (see
+   the arena below), one per send call. While the network is *correct* every send is delivered within the configured delay
    policy and the sender identity is authentic. Scenario code can make the
    network *faulty* (the incoherent period preceding stabilization, or a
    persistently lossy deployment link) by setting a drop probability,
@@ -37,22 +37,20 @@ type 'a handler = 'a Msg.t -> unit
 
 type reorder = { prob : float; extra : float }
 
-(* A pooled fan-out: one engine batch entry (the sub-event keys live in
-   [fan_batch]), ONE envelope shared by all of its deliveries, and a
-   destination column parallel to the batch's key slots. The sub-events of a
-   fan-out differ only in their destination, so [fire_fanout] writes the
-   slot's destination into the shared envelope just before the handler runs
-   (handlers may not retain an envelope, see {!Msg}). A descriptor starts
-   with [n] slots and grows only when duplicated copies need room.
-   Descriptors are recycled through a free stack once the last sub-event has
-   fired, so steady-state delivery allocates nothing beyond the peak number
-   of concurrently in-flight broadcasts. *)
-type 'a fanout = {
-  fan_batch : Event_queue.batch;
-  fan_msg : 'a Msg.t;
-  mutable fan_dsts : int array;
-}
+(* A free stack of descriptor ids. *)
+type free = { mutable ids : int array; mutable top : int }
 
+(* The delivery arena. A descriptor is an engine batch whose id names its
+   row in the network's columns: the sender in [srcs] and the payload in
+   [payloads], shared by all of its sub-events, and its size class in
+   [wide]. A sub-event's tag is its destination. So a delivery reads the
+   batch, one key triple and the payload, writes them into the network's
+   one envelope and calls the handler; every descriptor fires through the
+   same closure, [fire]. A single send or forged injection takes a 1-slot
+   descriptor off [narrow], a broadcast an n-slot one off [wide_free]; only
+   a duplicated copy grows one. A descriptor goes back on its stack once
+   its last sub-event has fired, so steady-state delivery allocates nothing
+   beyond the peak number of sends in flight. *)
 type 'a t = {
   engine : Engine.t;
   n : int;
@@ -63,8 +61,17 @@ type 'a t = {
   mutable pool_rng : Rng.t;
       (* drives [scramble_pool] garbage; its own stream so scrambling the
          arena never shifts the samples any fault concern sees *)
-  mutable pool : 'a fanout array;  (* free stack of recycled descriptors *)
-  mutable pool_top : int;
+  mutable batches : Event_queue.batch array;  (* id -> descriptor *)
+  mutable srcs : int array;  (* id -> sender (claimed, for a forged one) *)
+  mutable payloads : 'a array;  (* id -> payload *)
+  mutable wide : bool array;  (* id -> made for broadcasts *)
+  mutable descs : int;  (* descriptors made: ids [0, descs) *)
+  narrow : free;  (* free 1-slot descriptors *)
+  wide_free : free;  (* free n-slot descriptors *)
+  mutable env : 'a Msg.t option;
+      (* the one envelope of every delivery, made with the first descriptor
+         (making it takes a payload) *)
+  mutable fire : Event_queue.batch -> int -> unit;  (* every descriptor's *)
   c_pool_fanouts : Metrics.counter;  (* descriptors ever allocated *)
   c_pool_slots : Metrics.counter;  (* delivery slots ever allocated *)
   g_pool_in_use : Metrics.gauge;  (* descriptors currently armed *)
@@ -79,14 +86,14 @@ type 'a t = {
          delay, letting later sends overtake it *)
   mutable blocked : (src:int -> dst:int -> bool) option;  (* partition predicate *)
   muted : bool array;  (* crashed senders, by node: sends silently dropped *)
-  mutable delay_override : ('a Msg.t -> float option) option;
+  mutable delay_override : (src:int -> dst:int -> 'a -> float option) option;
       (* adversary-chosen delivery delay for selected messages; the paper's
          model lets a faulty sender's messages be arbitrarily late (masked as
          part of the f faults) *)
   kind_of : ('a -> string) option;  (* classifier for per-kind statistics *)
-  kind_counters : (string, Metrics.counter) Hashtbl.t;
-  mutable last_kind : string;  (* 1-entry cache: kind_of returns literals *)
-  mutable last_kind_counter : Metrics.counter;
+  mutable kinds : string array;  (* the kinds seen, [0, n_kinds) *)
+  mutable kind_counters : Metrics.counter array;  (* kind -> [net.sent.<kind>] *)
+  mutable n_kinds : int;
   c_sent : Metrics.counter;
   c_delivered : Metrics.counter;
   c_dropped : Metrics.counter;
@@ -94,53 +101,6 @@ type 'a t = {
   c_reordered : Metrics.counter;
   g_in_flight : Metrics.gauge;  (* scheduled, undelivered: moves by exactly 1.0 *)
 }
-
-let create ?(drop_prob = 0.0) ?(dup_prob = 0.0) ?reorder ?kind_of ~engine ~n
-    ~delay ~rng () =
-  if n <= 0 then invalid_arg "Network.create: n must be positive";
-  let metrics = Engine.metrics engine in
-  let t = {
-    engine;
-    n;
-    (* The four fault streams split inside the record literal, exactly as
-       they always have: their split order is pinned by every corpus digest.
-       [pool_rng] is initialised to the parent and re-split strictly after
-       the record is built, so adding the arena stream moved no existing
-       stream. *)
-    loss_rng = Rng.split rng;
-    delay_rng = Rng.split rng;
-    dup_rng = Rng.split rng;
-    reorder_rng = Rng.split rng;
-    pool_rng = rng;
-    pool = [||];
-    pool_top = 0;
-    c_pool_fanouts = Metrics.counter metrics "net.pool.fanouts";
-    c_pool_slots = Metrics.counter metrics "net.pool.slots";
-    g_pool_in_use = Metrics.gauge metrics "net.pool.in_use";
-    delay;
-    delay_counts = Delay.counters ();
-    handlers = Array.make n None;
-    drop_prob;
-    dup_prob;
-    reorder;
-    blocked = None;
-    muted = Array.make n false;
-    delay_override = None;
-    kind_of;
-    kind_counters = Hashtbl.create 16;
-    (* A runtime-built string: never physically equal to a classifier kind. *)
-    last_kind = String.concat "-" [ "no"; "kind" ];
-    last_kind_counter = Metrics.counter metrics "net.sent";
-    c_sent = Metrics.counter metrics "net.sent";
-    c_delivered = Metrics.counter metrics "net.delivered";
-    c_dropped = Metrics.counter metrics "net.dropped";
-    c_duplicated = Metrics.counter metrics "net.duplicated";
-    c_reordered = Metrics.counter metrics "net.reordered";
-    g_in_flight = Metrics.gauge metrics "net.in_flight";
-  }
-  in
-  t.pool_rng <- Rng.split rng;
-  t
 
 let size t = t.n
 let set_handler t node h = t.handlers.(node) <- Some h
@@ -165,34 +125,47 @@ let messages_delivered t = Metrics.value t.c_delivered
 let kind_of_payload t payload =
   match t.kind_of with None -> None | Some f -> Some (f payload)
 
-(* One hash lookup per kind *change*, not per send: classifiers return
-   string literals, so consecutive sends of the same kind hit the physical-
-   equality cache (a miss merely falls back to the table — correctness never
-   depends on sharing). *)
-let count_kind t kind =
-  let c =
-    if kind == t.last_kind then t.last_kind_counter
-    else begin
-      let c =
-        match Hashtbl.find_opt t.kind_counters kind with
-        | Some c -> c
-        | None ->
-            let c =
-              Metrics.counter (Engine.metrics t.engine) ("net.sent." ^ kind)
-            in
-            Hashtbl.replace t.kind_counters kind c;
-            c
-      in
-      t.last_kind <- kind;
-      t.last_kind_counter <- c;
-      c
+(* Register the counter of a kind not seen before. The arrays double by
+   [Array.append]; the first ones are made with the new entry as filler. *)
+let new_kind t kind =
+  let c = Metrics.counter (Engine.metrics t.engine) ("net.sent." ^ kind) in
+  let k = t.n_kinds in
+  if k = Array.length t.kinds then begin
+    if k = 0 then begin
+      t.kinds <- Array.make 4 kind;
+      t.kind_counters <- Array.make 4 c
     end
-  in
-  Metrics.incr c
+    else begin
+      t.kinds <- Array.append t.kinds t.kinds;
+      t.kind_counters <- Array.append t.kind_counters t.kind_counters
+    end
+  end;
+  t.kinds.(k) <- kind;
+  t.kind_counters.(k) <- c;
+  t.n_kinds <- k + 1;
+  c
 
-let count_sent t payload =
-  Metrics.incr t.c_sent;
-  match t.kind_of with None -> () | Some f -> count_kind t (f payload)
+(* The counter of [kind] among the few kinds seen. Classifiers return
+   string literals, so a scan by physical equality finds it; a string built
+   at run time falls back to a scan by value, and a new kind registers.
+   Both scans are top-level functions: local ones would allocate their
+   closures on every send. *)
+let rec kind_by_value t kind i =
+  if i = t.n_kinds then new_kind t kind
+  else if String.equal t.kinds.(i) kind then t.kind_counters.(i)
+  else kind_by_value t kind (i + 1)
+
+let rec kind_counter t kind i =
+  if i = t.n_kinds then kind_by_value t kind 0
+  else if t.kinds.(i) == kind then t.kind_counters.(i)
+  else kind_counter t kind (i + 1)
+
+(* [count] sends of one payload: classified once. *)
+let count_sent t ~count payload =
+  Metrics.incr_by t.c_sent count;
+  match t.kind_of with
+  | None -> ()
+  | Some f -> Metrics.incr_by (kind_counter t (f payload) 0) count
 
 let trace_msg t payload =
   (* Only rendered when a trace record is actually built (enabled traces). *)
@@ -205,134 +178,179 @@ let count_dropped t ~src ~dst ~reason payload =
     Engine.record t.engine ~node:(-1)
       (Trace.Drop { src; dst; msg = trace_msg t payload; reason })
 
-let deliver t (m : 'a Msg.t) =
+(* ---- the delivery arena -------------------------------------------------- *)
+
+let push_free st id =
+  if st.top = Array.length st.ids then begin
+    let ids = Array.make (max 8 (2 * st.top)) 0 in
+    Array.blit st.ids 0 ids 0 st.top;
+    st.ids <- ids
+  end;
+  st.ids.(st.top) <- id;
+  st.top <- st.top + 1
+
+let release t (b : Event_queue.batch) =
+  b.b_count <- 0;
+  b.b_next <- 0;
+  let id = b.b_id in
+  push_free (if t.wide.(id) then t.wide_free else t.narrow) id;
+  Metrics.add t.g_pool_in_use (-1.0)
+
+(* Sub-event [j] of descriptor [b] pops: write its sender, destination and
+   payload into the envelope, deliver, and recycle the descriptor once the
+   last sub-event has fired. Release happens after the handler returns, so
+   no send made inside the handler can take this descriptor; and a send
+   never writes the envelope (the delay override gets the fields), so the
+   handler reads its own delivery until it returns. *)
+let fire t (b : Event_queue.batch) j =
+  let id = b.b_id in
+  let src = Array.unsafe_get t.srcs id in
+  let dst = Event_queue.key_tag b j in
+  let payload = Array.unsafe_get t.payloads id in
   Metrics.add t.g_in_flight (-1.0);
-  match t.handlers.(m.Msg.dst) with
-  | None ->
-      (* A destination without a handler (a skipped slot) consumes the
-         message: it must leave the in-flight set as a drop or the
-         conservation invariant cannot be stated. *)
-      count_dropped t ~src:m.Msg.src ~dst:m.Msg.dst ~reason:"no-handler"
-        m.Msg.payload
-  | Some h ->
+  (match (t.handlers.(dst), t.env) with
+  | Some h, Some m ->
       Metrics.incr t.c_delivered;
       let tr = Engine.trace t.engine in
       if Trace.is_enabled tr then
-        Engine.record t.engine ~node:m.Msg.dst
-          (Trace.Deliver
-             { src = m.Msg.src; dst = m.Msg.dst; msg = trace_msg t m.Msg.payload });
+        Engine.record t.engine ~node:dst
+          (Trace.Deliver { src; dst; msg = trace_msg t payload });
+      Msg.set m ~src ~dst payload;
       h m
+  | _ ->
+      (* A destination without a handler (a skipped slot) consumes the
+         message: it must leave the in-flight set as a drop or the
+         conservation invariant cannot be stated. *)
+      count_dropped t ~src ~dst ~reason:"no-handler" payload);
+  if b.b_next >= b.b_count then release t b
 
-(* ---- the fan-out pool (delivery arena) ---------------------------------- *)
+(* Double every column. The first columns are made with the new row as
+   filler; later ones by [Array.append], since [Array.make] past 256 slots
+   with a young filler forces a minor collection. Rows past [descs] are
+   never read before they are written. *)
+let grow_columns t b payload =
+  if t.descs = 0 then begin
+    t.batches <- Array.make 8 b;
+    t.srcs <- Array.make 8 0;
+    t.payloads <- Array.make 8 payload;
+    t.wide <- Array.make 8 false
+  end
+  else begin
+    t.batches <- Array.append t.batches t.batches;
+    t.srcs <- Array.append t.srcs t.srcs;
+    t.payloads <- Array.append t.payloads t.payloads;
+    t.wide <- Array.append t.wide t.wide
+  end
 
-let release_fanout t fo =
-  let b = fo.fan_batch in
-  b.Event_queue.b_count <- 0;
-  b.Event_queue.b_next <- 0;
-  if t.pool_top = Array.length t.pool then
-    (* Doubled by [Array.append], not by [Array.make] with [fo] as filler:
-       [fo] is usually young, and [Array.make] past 256 slots with a young
-       filler forces a minor collection. Slots beyond [pool_top] are never
-       read before a later release overwrites them. *)
-    t.pool <-
-      (if t.pool_top = 0 then Array.make 8 fo
-       else Array.append t.pool t.pool);
-  t.pool.(t.pool_top) <- fo;
-  t.pool_top <- t.pool_top + 1;
-  Metrics.add t.g_pool_in_use (-1.0)
-
-(* Sub-event [j] of a batch pops: point the shared envelope at slot [j]'s
-   destination, deliver it, and recycle the descriptor once the last
-   sub-event has fired. Release happens after the handler returns, so the
-   envelope stays valid for the duration of the call; re-entrant sends from
-   inside the handler acquire other descriptors. *)
-let fire_fanout t fo j =
-  let b = fo.fan_batch in
-  let m = fo.fan_msg in
-  m.Msg.dst <- fo.fan_dsts.(j);
-  deliver t m;
-  if b.Event_queue.b_next >= b.Event_queue.b_count then release_fanout t fo
-
-let new_fanout t msg =
+let new_descriptor t ~wide payload =
+  let id = t.descs in
+  let capacity = if wide then t.n else 1 in
+  let b = Event_queue.make_batch ~capacity ~id () in
+  b.b_fire <- t.fire;
+  if id = Array.length t.batches then grow_columns t b payload;
+  t.batches.(id) <- b;
+  t.wide.(id) <- wide;
+  t.descs <- id + 1;
+  if t.env = None then t.env <- Some (Msg.make ~src:0 ~dst:0 payload);
   Metrics.incr t.c_pool_fanouts;
-  Metrics.incr_by t.c_pool_slots t.n;
-  let fo =
-    {
-      fan_batch = Event_queue.make_batch ~capacity:t.n ();
-      fan_msg = msg;
-      fan_dsts = Array.make t.n 0;
-    }
-  in
-  fo.fan_batch.Event_queue.b_fire <- (fun j -> fire_fanout t fo j);
-  fo
+  Metrics.incr_by t.c_pool_slots capacity;
+  id
 
-(* Take a descriptor off the free stack (or allocate one) and stamp its
-   envelope with the fields every sub-event shares. *)
-let acquire_fanout t ~src ~dst ~sent_at ~forged payload =
+(* Take a descriptor of the send's size off its free stack (or make one)
+   and write the row every sub-event shares. *)
+let acquire t ~wide ~src payload =
   Metrics.add t.g_pool_in_use 1.0;
-  let fo =
-    if t.pool_top > 0 then begin
-      t.pool_top <- t.pool_top - 1;
-      t.pool.(t.pool_top)
+  let st = if wide then t.wide_free else t.narrow in
+  let id =
+    if st.top > 0 then begin
+      st.top <- st.top - 1;
+      st.ids.(st.top)
     end
-    else new_fanout t (Msg.make ~src ~dst ~sent_at payload)
+    else new_descriptor t ~wide payload
   in
-  Msg.set fo.fan_msg ~src ~dst ~sent_at ~forged payload;
-  fo
+  t.srcs.(id) <- src;
+  t.payloads.(id) <- payload;
+  t.batches.(id)
 
 (* Arm slot [i] for [dst]: record its delivery time and reserve its
    tie-break seq — in the very order the per-entry scheme called
    [Engine.schedule], which is what keeps batched runs bit-identical to the
    old per-send scheme. A slot past the descriptor's capacity (only a
-   duplicated copy can need one) grows the key arrays and the destination
-   column in lockstep, counted in [net.pool.slots]. *)
-let arm_slot t fo i ~dst ~at =
-  let b = fo.fan_batch in
-  let olen = Array.length fo.fan_dsts in
-  if i >= olen then begin
+   duplicated copy can need one) grows its key array, counted in
+   [net.pool.slots]. *)
+let arm_slot t b i ~dst ~at =
+  let cap = Event_queue.batch_capacity b in
+  if i >= cap then begin
     Event_queue.ensure_batch_capacity b (i + 1);
-    let cap = Event_queue.batch_capacity b in
-    Metrics.incr_by t.c_pool_slots (cap - olen);
-    let dsts = Array.make cap 0 in
-    Array.blit fo.fan_dsts 0 dsts 0 olen;
-    fo.fan_dsts <- dsts
+    Metrics.incr_by t.c_pool_slots (Event_queue.batch_capacity b - cap)
   end;
-  fo.fan_dsts.(i) <- dst;
-  b.Event_queue.b_ats.(i) <- at;
-  b.Event_queue.b_seqs.(i) <- Engine.next_seq t.engine;
+  Event_queue.set_key b i ~at ~seq:(Engine.next_seq t.engine) ~tag:dst;
   Metrics.add t.g_in_flight 1.0
 
-(* Sort the armed prefix by (at, seq) and hand the descriptor to the engine
-   as ONE heap entry. Slots were armed in ascending seq order, so this is a
-   stable insertion sort on the delivery times — counts are small (<= 2n)
-   and the arrays are the descriptor's own, so nothing allocates. *)
-let finish_fanout t fo count =
-  if count = 0 then release_fanout t fo
+(* Sort the armed slots by (at, seq) and hand the descriptor to the engine
+   as ONE heap entry. *)
+let finish t (b : Event_queue.batch) count =
+  if count = 0 then release t b
   else begin
-    let b = fo.fan_batch in
-    let ats = b.Event_queue.b_ats
-    and seqs = b.Event_queue.b_seqs
-    and dsts = fo.fan_dsts in
-    for i = 1 to count - 1 do
-      let at = ats.(i) and seq = seqs.(i) and dst = dsts.(i) in
-      let j = ref i in
-      while
-        !j > 0
-        && (ats.(!j - 1) > at || (ats.(!j - 1) = at && seqs.(!j - 1) > seq))
-      do
-        ats.(!j) <- ats.(!j - 1);
-        seqs.(!j) <- seqs.(!j - 1);
-        dsts.(!j) <- dsts.(!j - 1);
-        decr j
-      done;
-      ats.(!j) <- at;
-      seqs.(!j) <- seq;
-      dsts.(!j) <- dst
-    done;
-    b.Event_queue.b_count <- count;
-    b.Event_queue.b_next <- 0;
+    b.b_count <- count;
+    b.b_next <- 0;
+    Event_queue.sort_batch b;
     Engine.schedule_batch t.engine b
   end
+
+let create ?(drop_prob = 0.0) ?(dup_prob = 0.0) ?reorder ?kind_of ~engine ~n
+    ~delay ~rng () =
+  if n <= 0 then invalid_arg "Network.create: n must be positive";
+  let metrics = Engine.metrics engine in
+  let t = {
+    engine;
+    n;
+    (* The four fault streams split inside the record literal, exactly as
+       they always have: their split order is pinned by every corpus digest.
+       [pool_rng] is initialised to the parent and re-split strictly after
+       the record is built, so adding the arena stream moved no existing
+       stream. *)
+    loss_rng = Rng.split rng;
+    delay_rng = Rng.split rng;
+    dup_rng = Rng.split rng;
+    reorder_rng = Rng.split rng;
+    pool_rng = rng;
+    batches = [||];
+    srcs = [||];
+    payloads = [||];
+    wide = [||];
+    descs = 0;
+    narrow = { ids = [||]; top = 0 };
+    wide_free = { ids = [||]; top = 0 };
+    env = None;
+    fire = (fun _ _ -> ());
+    c_pool_fanouts = Metrics.counter metrics "net.pool.fanouts";
+    c_pool_slots = Metrics.counter metrics "net.pool.slots";
+    g_pool_in_use = Metrics.gauge metrics "net.pool.in_use";
+    delay;
+    delay_counts = Delay.counters ();
+    handlers = Array.make n None;
+    drop_prob;
+    dup_prob;
+    reorder;
+    blocked = None;
+    muted = Array.make n false;
+    delay_override = None;
+    kind_of;
+    kinds = [||];
+    kind_counters = [||];
+    n_kinds = 0;
+    c_sent = Metrics.counter metrics "net.sent";
+    c_delivered = Metrics.counter metrics "net.delivered";
+    c_dropped = Metrics.counter metrics "net.dropped";
+    c_duplicated = Metrics.counter metrics "net.duplicated";
+    c_reordered = Metrics.counter metrics "net.reordered";
+    g_in_flight = Metrics.gauge metrics "net.in_flight";
+  }
+  in
+  t.pool_rng <- Rng.split rng;
+  t.fire <- (fun b j -> fire t b j);
+  t
 
 (* ---- sending ------------------------------------------------------------ *)
 
@@ -351,14 +369,13 @@ let check_delay d =
    sample, which is drawn even for messages that end up muted, partitioned
    or lost. Toggling any one fault therefore never shifts the samples
    another concern (or a surviving message) observes. *)
-let send_range t ~src ~first ~last payload =
+let send_range t ~wide ~src ~first ~last payload =
   let tr = Engine.trace t.engine in
   let now = Engine.now t.engine in
-  let fo = acquire_fanout t ~src ~dst:first ~sent_at:now ~forged:false payload in
-  let m = fo.fan_msg in
+  count_sent t ~count:(last - first + 1) payload;
+  let b = acquire t ~wide ~src payload in
   let count = ref 0 in
   for dst = first to last do
-    count_sent t payload;
     if Trace.is_enabled tr then
       Engine.record t.engine ~node:src
         (Trace.Send { src; dst; msg = trace_msg t payload });
@@ -379,7 +396,6 @@ let send_range t ~src ~first ~last payload =
     else if blocked then count_dropped t ~src ~dst ~reason:"partition" payload
     else if lost then count_dropped t ~src ~dst ~reason:"loss" payload
     else begin
-      m.Msg.dst <- dst;
       let extra =
         match t.reorder with
         | Some { prob; extra } when reorder_roll < prob && extra > 0.0 ->
@@ -389,12 +405,15 @@ let send_range t ~src ~first ~last payload =
       in
       let delay =
         match t.delay_override with
-        | Some f -> ( match f m with Some delay -> delay | None -> drawn_delay)
+        | Some f -> (
+            match f ~src ~dst payload with
+            | Some delay -> delay
+            | None -> drawn_delay)
         | None -> drawn_delay
       in
       let d = delay +. extra in
       check_delay d;
-      arm_slot t fo !count ~dst ~at:(now +. d);
+      arm_slot t b !count ~dst ~at:(now +. d);
       incr count;
       if dup_roll < t.dup_prob then begin
         (* A duplicated copy enters the accounting as [duplicated] (not sent)
@@ -411,18 +430,19 @@ let send_range t ~src ~first ~last payload =
         in
         let d2 = dup_delay +. extra in
         check_delay d2;
-        arm_slot t fo !count ~dst ~at:(now +. d2);
+        arm_slot t b !count ~dst ~at:(now +. d2);
         incr count
       end
     end
   done;
-  finish_fanout t fo !count
+  finish t b !count
 
 let send t ~src ~dst payload =
   if dst < 0 || dst >= t.n then invalid_arg "Network.send: bad destination";
-  send_range t ~src ~first:dst ~last:dst payload
+  send_range t ~wide:false ~src ~first:dst ~last:dst payload
 
-let broadcast t ~src payload = send_range t ~src ~first:0 ~last:(t.n - 1) payload
+let broadcast t ~src payload =
+  send_range t ~wide:true ~src ~first:0 ~last:(t.n - 1) payload
 
 (* Incoherent-period garbage: deliver a message claiming to come from
    [claimed_src] after [delay]. Used by the transient-fault injector only.
@@ -431,39 +451,40 @@ let broadcast t ~src payload = send_range t ~src ~first:0 ~last:(t.n - 1) payloa
    draws no fault samples: injection is itself adversary-scheduled. *)
 let inject_forged t ~claimed_src ~dst ~delay payload =
   check_delay delay;
-  count_sent t payload;
+  count_sent t ~count:1 payload;
   let now = Engine.now t.engine in
-  let fo =
-    acquire_fanout t ~src:claimed_src ~dst ~sent_at:now ~forged:true payload
-  in
-  arm_slot t fo 0 ~dst ~at:(now +. delay);
-  finish_fanout t fo 1
+  let b = acquire t ~wide:false ~src:claimed_src payload in
+  arm_slot t b 0 ~dst ~at:(now +. delay);
+  finish t b 1
 
 (* ---- arena scrambling (transient-fault injection) ----------------------- *)
 
-(* Corrupt every FREE descriptor's envelope and destination column — the
-   Session_table safety pattern: a transient fault may trash values, never
-   the pool's capacity or occupancy. A free descriptor's envelope and slots
-   are fully overwritten on acquire and arm, so this is semantically
-   invisible to subsequent deliveries; the test suite pins both properties.
-   Draws come from the arena's own stream, so scrambling never shifts a
-   fault-concern sample. *)
+(* Corrupt every FREE descriptor's row and key slots — the Session_table
+   safety pattern: a transient fault may trash values, never the pool's
+   capacity or occupancy. A free descriptor's row and slots are fully
+   overwritten on acquire and arm, so this is semantically invisible to
+   subsequent deliveries; the test suite pins both properties. Draws come
+   from the arena's own stream, so scrambling never shifts a fault-concern
+   sample. *)
 let scramble_pool t ~payload =
   let rng = t.pool_rng in
-  for k = 0 to t.pool_top - 1 do
-    let fo = t.pool.(k) in
-    Msg.set fo.fan_msg
-      ~src:(Rng.int rng (max 1 t.n))
-      ~dst:(Rng.int rng (max 1 t.n))
-      ~sent_at:(Rng.float rng 1.0e9)
-      ~forged:(Rng.bool rng) (payload rng);
-    for i = 0 to Array.length fo.fan_dsts - 1 do
-      fo.fan_dsts.(i) <- Rng.int rng (max 1 t.n)
+  let scramble st =
+    for k = 0 to st.top - 1 do
+      let id = st.ids.(k) in
+      t.srcs.(id) <- Rng.int rng t.n;
+      t.payloads.(id) <- payload rng;
+      let b = t.batches.(id) in
+      for i = 0 to Event_queue.batch_capacity b - 1 do
+        Event_queue.set_key b i ~at:(Rng.float rng 1.0e9)
+          ~seq:(Rng.int rng 1_000_000) ~tag:(Rng.int rng t.n)
+      done
     done
-  done
+  in
+  scramble t.narrow;
+  scramble t.wide_free
 
 let pool_slots_allocated t = Metrics.value t.c_pool_slots
-let pool_free t = t.pool_top
+let pool_free t = t.narrow.top + t.wide_free.top
 
 let link t =
   {

@@ -33,6 +33,9 @@ val create :
 (** Number of nodes. *)
 val size : 'a t -> int
 
+(** Install node [i]'s handler. Every delivery hands it the network's one
+    envelope, rewritten per delivery: read it during the call, never keep
+    it (see {!Msg}). *)
 val set_handler : 'a t -> int -> 'a handler -> unit
 val set_delay : 'a t -> Delay.t -> unit
 
@@ -62,11 +65,13 @@ val set_muted : 'a t -> int -> bool -> unit
 val is_muted : 'a t -> int -> bool
 
 (** Per-message adversarial delivery delay: when the callback returns
-    [Some d], it replaces the policy-drawn delay. The paper's model allows a
-    {e faulty} sender's messages to be arbitrarily late (masked as part of
-    the [f] faults); scenario code must only target faulty senders once the
-    system is meant to be coherent. *)
-val set_delay_override : 'a t -> ('a Msg.t -> float option) option -> unit
+    [Some d] for a send's [src], [dst] and payload, it replaces the
+    policy-drawn delay. The paper's model allows a {e faulty} sender's
+    messages to be arbitrarily late (masked as part of the [f] faults);
+    scenario code must only target faulty senders once the system is meant
+    to be coherent. *)
+val set_delay_override :
+  'a t -> (src:int -> dst:int -> 'a -> float option) option -> unit
 
 (** [send t ~src ~dst payload] delivers [payload] to [dst] after a
     policy-drawn delay, with authentic [src]. *)
@@ -101,31 +106,34 @@ val messages_delivered : 'a t -> int
 
 (** {2 Delivery arena}
 
-    Broadcasts (and unicast sends) are batched: each send call arms ONE
-    engine heap entry — a fan-out descriptor expanding to its per-receiver
-    deliveries in the exact (at, seq) order the per-entry scheme produced.
-    A descriptor holds one envelope shared by all of its deliveries and a
-    destination per delivery slot; the slot's destination is written into
-    the envelope just before its handler (or the delay override) sees it.
-    A descriptor starts with [n] slots and grows only when duplicated copies
-    need more. Descriptors live in a pooled arena, recycled when the last
-    sub-event fires, so steady-state delivery allocates no descriptors or
-    slots beyond the peak concurrent need; the registry tracks
+    Sends are batched: each send call arms ONE engine heap entry — a fan-out
+    descriptor expanding to its per-receiver deliveries in the exact
+    (at, seq) order the per-entry scheme produced. A descriptor is one key
+    array of (at, seq, destination) triples; its sender and payload sit in
+    columns of the network indexed by the descriptor's id. Every delivery
+    writes its sender, destination and payload into the network's one
+    envelope just before the handler sees it, and every descriptor fires
+    through one closure. A single send or forged injection takes a 1-slot
+    descriptor, a broadcast an [n]-slot one, each from its own free stack;
+    only duplicated copies grow one. Descriptors are recycled when their
+    last sub-event fires, so steady-state delivery allocates no descriptors
+    or slots beyond the peak concurrent need; the registry tracks
     [net.pool.fanouts] / [net.pool.slots] (allocations over the network's
-    life) and [net.pool.in_use]. *)
+    life) and [net.pool.in_use]. The columns start empty and grow by
+    doubling. *)
 
-(** Delivery slots ever allocated ([net.pool.slots]): [n] per descriptor,
-    plus growth for duplicated copies. *)
+(** Delivery slots ever allocated ([net.pool.slots]): 1 per single-send
+    descriptor, [n] per broadcast one, plus growth for duplicated copies. *)
 val pool_slots_allocated : 'a t -> int
 
-(** Descriptors currently sitting in the free stack. *)
+(** Descriptors currently sitting in the two free stacks. *)
 val pool_free : 'a t -> int
 
-(** [scramble_pool t ~payload] overwrites every free descriptor's envelope
-    and destination slots with garbage drawn from the arena's own RNG stream
-    ([payload] builds a garbage payload from it) — transient-fault injection
-    for the arena, on the [Session_table] safety pattern: values may be
-    trashed, capacity and occupancy never. Free descriptors are fully
-    overwritten on acquire, so results are unaffected; armed (in-flight)
-    descriptors are not touched. *)
+(** [scramble_pool t ~payload] overwrites every free descriptor's sender,
+    payload and key slots with garbage drawn from the arena's own RNG
+    stream ([payload] builds a garbage payload from it) — transient-fault
+    injection for the arena, on the [Session_table] safety pattern: values
+    may be trashed, capacity and occupancy never. Free descriptors are
+    fully overwritten on acquire, so results are unaffected; armed
+    (in-flight) descriptors are not touched. *)
 val scramble_pool : 'a t -> payload:(Ssba_sim.Rng.t -> 'a) -> unit

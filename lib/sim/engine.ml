@@ -81,12 +81,12 @@ let[@inline] schedule_after t ~delay run =
 (* A lane timer gets the key [schedule_after] would have given it: the same
    [now +. delay] (a non-negative delay never needs [schedule]'s clamp), the
    same seq, the same [engine.scheduled] bump. Only the heap entry is
-   shared. *)
-let[@inline] append_after t lane ~delay =
+   shared; [tag] rides beside the key for the lane's owner. *)
+let[@inline] append_after t lane ~delay ~tag =
   check_delay delay;
   Event_queue.append t.queue lane
     ~at:(Array.unsafe_get t.now_cell 0 +. delay)
-    ~seq:t.seq;
+    ~seq:t.seq ~tag;
   t.seq <- t.seq + 1;
   Metrics.incr t.c_scheduled
 

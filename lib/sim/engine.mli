@@ -40,14 +40,15 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
     [Invalid_argument] unless [delay >= 0] (so also on NaN). *)
 val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 
-(** [append_after t lane ~delay] arms one more timer on [lane] (see the lane
-    contract of {!Event_queue.type-batch}) after [delay]: the key, the
-    checks and their messages, and the [engine.scheduled] count are exactly
-    those of {!schedule_after}, so a timer moved onto a lane changes no run.
-    Keys of timers that all share one [delay] ascend on their own, since
-    the clock never runs backwards. Raises [Invalid_argument] unless
-    [delay >= 0], and when the key would not come after the lane's last. *)
-val append_after : t -> Event_queue.batch -> delay:float -> unit
+(** [append_after t lane ~delay ~tag] arms one more timer on [lane] (see
+    the lane contract of {!Event_queue.type-batch}) after [delay], carrying
+    [tag] for the lane's owner: the key, the checks and their messages, and
+    the [engine.scheduled] count are exactly those of {!schedule_after}, so
+    a timer moved onto a lane changes no run. Keys of timers that all share
+    one [delay] ascend on their own, since the clock never runs backwards.
+    Raises [Invalid_argument] unless [delay >= 0], when the key would not
+    come after the lane's last, and where {!Event_queue.set_key} does. *)
+val append_after : t -> Event_queue.batch -> delay:float -> tag:int -> unit
 
 (** Reserve the next tie-break sequence number for a fan-out sub-event.
     Counts as one scheduled event (metrics-identical to {!schedule}); the

@@ -28,12 +28,15 @@
    Ordering is (at, seq) lexicographic, so events at equal times pop in
    scheduling order — the engine's determinism contract. Both sifts move a
    "hole" instead of swapping, storing each displaced slot once. No key is
-   NaN: [push_batch] and [append] reject one and [Engine.schedule] never
-   passes one.
+   NaN: [set_key], the only writer of a batch's keys, rejects one, and
+   [Engine.schedule] never passes one.
 
    Fan-out batches (broadcast deliveries): a [batch] is ONE heap entry
    carrying [b_count] sub-events whose (at, seq) keys are pre-sorted
-   ascending. The entry sits in the heap keyed at its next unfired sub-event;
+   ascending. Each sub-event is one (at, seq, tag) triple of a single
+   [float array]: the owner's tag (the network's destination, the
+   transport's link) sits beside the key, so a delivery reads one slot of
+   one array. The entry sits in the heap keyed at its next unfired sub-event;
    popping a non-final sub-event re-keys the root to the following sub-key
    and sifts it down in place — one sift instead of a pop + push — so the
    heap holds one entry per broadcast instead of one per receiver while the
@@ -53,49 +56,111 @@
    timer. A full lane first blits its fired prefix away and grows only
    when more than half of it is still pending.
 
-   [sift_up], [sift_down], [remove_root], [push] and [append] are
-   [@inline], so a float key read from an array never crosses a call
-   boundary inside this module and is never boxed: a push/pop cycle and a
-   lane's append/pop cycle allocate nothing (test_event_queue.ml pins 0
-   minor words). [min_at] is [@inline] too, so that release builds hand
-   the engine's loop the root key unboxed. *)
+   [sift_up], [sift_down], [remove_root], [push], [append] and the key
+   accessors are [@inline], so a float key read from an array never
+   crosses a call boundary inside this module and is never boxed: a
+   push/pop cycle and a lane's append/pop cycle allocate nothing
+   (test_event_queue.ml pins 0 minor words). [min_at] is [@inline] too, so
+   that release builds hand the engine's loop the root key unboxed. *)
 
 let nop () = ()
 
 type batch = {
-  mutable b_ats : float array;  (* sub-event keys, sorted by (at, seq) *)
-  mutable b_seqs : int array;
-  mutable b_count : int;        (* sub-events armed in this cycle *)
-  mutable b_next : int;         (* next sub-event to fire *)
-  mutable b_fire : int -> unit; (* receives the sub-event index *)
+  mutable b_keys : float array;  (* (at, seq, tag) triples, sorted by (at, seq) *)
+  mutable b_count : int;         (* sub-events armed in this cycle *)
+  mutable b_next : int;          (* next sub-event to fire *)
+  mutable b_fire : batch -> int -> unit;  (* receives itself and the index *)
+  b_id : int;                    (* the owner's name for the descriptor *)
 }
 
-let null_batch =
-  { b_ats = [||]; b_seqs = [||]; b_count = 0; b_next = 0; b_fire = ignore }
+(* Slot [j]'s triple sits at [3j], [3j + 1], [3j + 2]. Seqs and tags are
+   ints below 2^53, so a float holds each exactly; [set_key] is the only
+   writer and checks that. *)
+let stride = 3
 
-let make_batch ?(capacity = 8) () =
+let[@inline] key_at b j = b.b_keys.(stride * j)
+let[@inline] key_seq b j = int_of_float b.b_keys.((stride * j) + 1)
+let[@inline] key_tag b j = int_of_float b.b_keys.((stride * j) + 2)
+
+(* [lsr] turns a negative int into one above 2^53, so one test covers both
+   ends of [0, 2^53) for seq and tag. [at <> at] is NaN's test. *)
+let[@inline] set_key b j ~at ~seq ~tag =
+  if at <> at then invalid_arg "Event_queue.set_key: NaN time";
+  if (seq lor tag) lsr 53 <> 0 then
+    invalid_arg "Event_queue.set_key: seq or tag outside [0, 2^53)";
+  let k = stride * j in
+  let keys = b.b_keys in
+  keys.(k) <- at;
+  keys.(k + 1) <- float_of_int seq;
+  keys.(k + 2) <- float_of_int tag
+
+(* Move [len] triples from slot [src] to slot [dst] of the same key array
+   or another one. *)
+let[@inline] move_keys ~from ~src ~into ~dst ~len =
+  Array.blit from (stride * src) into (stride * dst) (stride * len)
+
+let null_batch =
+  { b_keys = [||]; b_count = 0; b_next = 0; b_fire = (fun _ _ -> ()); b_id = -1 }
+
+let make_batch ?(capacity = 8) ?(id = 0) () =
   let capacity = max capacity 1 in
   {
-    b_ats = Array.make capacity 0.0;
-    b_seqs = Array.make capacity 0;
+    b_keys = Array.make (stride * capacity) 0.0;
     b_count = 0;
     b_next = 0;
-    b_fire = ignore;
+    b_fire = (fun _ _ -> ());
+    b_id = id;
   }
 
-let batch_capacity b = Array.length b.b_ats
+let batch_capacity b = Array.length b.b_keys / stride
 
 let ensure_batch_capacity b want =
-  let cap = Array.length b.b_ats in
+  let cap = batch_capacity b in
   if want > cap then begin
-    let cap' = max want (2 * max cap 1) in
-    let ats = Array.make cap' 0.0 in
-    let seqs = Array.make cap' 0 in
-    Array.blit b.b_ats 0 ats 0 cap;
-    Array.blit b.b_seqs 0 seqs 0 cap;
-    b.b_ats <- ats;
-    b.b_seqs <- seqs
+    let keys = Array.make (stride * max want (2 * max cap 1)) 0.0 in
+    move_keys ~from:b.b_keys ~src:0 ~into:keys ~dst:0 ~len:cap;
+    b.b_keys <- keys
   end
+
+(* (at, seq) of slot [i] strictly before that of slot [j]. Written so that
+   a NaN time fails it. *)
+let[@inline] key_before b i j =
+  let ai = key_at b i and aj = key_at b j in
+  ai < aj || (ai = aj && key_seq b i < key_seq b j)
+
+(* A stable insertion sort of the armed slots by (at, seq). A fan-out arms
+   its slots in ascending seq order and its times are mostly close to
+   sorted, so it moves little; the key array is the descriptor's own, so
+   nothing allocates. It works on the raw triples: the keys came through
+   [set_key], so seqs compare exactly as floats, and a triple moves as
+   three float stores (a one-slot [Array.blit] would be a C call per
+   inversion). *)
+let sort_batch b =
+  let keys = b.b_keys in
+  if b.b_count > batch_capacity b then
+    invalid_arg "Event_queue.sort_batch: count exceeds the key array";
+  for i = 1 to b.b_count - 1 do
+    let k = stride * i in
+    let at = Array.unsafe_get keys k
+    and seq = Array.unsafe_get keys (k + 1)
+    and tag = Array.unsafe_get keys (k + 2) in
+    let j = ref k in
+    while
+      !j > 0
+      &&
+      let a = Array.unsafe_get keys (!j - stride) in
+      a > at || (a = at && Array.unsafe_get keys (!j - stride + 1) > seq)
+    do
+      let p = !j - stride in
+      Array.unsafe_set keys !j (Array.unsafe_get keys p);
+      Array.unsafe_set keys (!j + 1) (Array.unsafe_get keys (p + 1));
+      Array.unsafe_set keys (!j + 2) (Array.unsafe_get keys (p + 2));
+      j := p
+    done;
+    Array.unsafe_set keys !j at;
+    Array.unsafe_set keys (!j + 1) seq;
+    Array.unsafe_set keys (!j + 2) tag
+  done
 
 type t = {
   mutable ats : float array;            (* position -> time key, unboxed *)
@@ -184,20 +249,17 @@ let[@inline] push t ~at ~seq run =
 let push_batch t b =
   if b.b_count < 1 then invalid_arg "Event_queue.push_batch: empty batch";
   if b.b_next <> 0 then invalid_arg "Event_queue.push_batch: batch in flight";
-  if b.b_count > Array.length b.b_ats || b.b_count > Array.length b.b_seqs
-  then invalid_arg "Event_queue.push_batch: count exceeds key arrays";
-  (* Written so that a NaN key fails: it is neither before, equal to nor
-     after its neighbour. *)
-  let a0 = b.b_ats.(0) in
+  if b.b_count > batch_capacity b then
+    invalid_arg "Event_queue.push_batch: count exceeds the key array";
+  let a0 = key_at b 0 in
   if a0 <> a0 then invalid_arg "Event_queue.push_batch: NaN time";
   for i = 0 to b.b_count - 2 do
-    let a0 = b.b_ats.(i) and a1 = b.b_ats.(i + 1) in
-    if not (a0 < a1 || (a0 = a1 && b.b_seqs.(i) < b.b_seqs.(i + 1))) then
+    if not (key_before b i (i + 1)) then
       invalid_arg "Event_queue.push_batch: sub-events not sorted by (at, seq)"
   done;
   let h = free_handle t in
   Array.unsafe_set t.bats h b;
-  sift_up t ~at:a0 ~seq:b.b_seqs.(0) h;
+  sift_up t ~at:a0 ~seq:(key_seq b 0) h;
   t.live <- t.live + b.b_count
 
 (* Make room for one more sub-event on a full lane: drop the fired prefix,
@@ -208,22 +270,19 @@ let compact_lane b =
   let fired = b.b_next in
   let pending = b.b_count - fired in
   if fired > 0 then begin
-    Array.blit b.b_ats fired b.b_ats 0 pending;
-    Array.blit b.b_seqs fired b.b_seqs 0 pending;
+    move_keys ~from:b.b_keys ~src:fired ~into:b.b_keys ~dst:0 ~len:pending;
     b.b_next <- 0;
     b.b_count <- pending
   end;
-  let cap = Array.length b.b_ats in
+  let cap = batch_capacity b in
   if 2 * pending > cap then ensure_batch_capacity b (cap + 1)
 
-let[@inline] append t b ~at ~seq =
+let[@inline] append t b ~at ~seq ~tag =
   let c = b.b_count in
   if b.b_next >= c then begin
     (* Idle: nothing of [b] is in the heap. Restart at slot 0 as a new
-       entry. [at <> at] is NaN's test. *)
-    if at <> at then invalid_arg "Event_queue.append: NaN time";
-    b.b_ats.(0) <- at;
-    b.b_seqs.(0) <- seq;
+       entry; [set_key] rejects a NaN time before anything moves. *)
+    set_key b 0 ~at ~seq ~tag;
     b.b_count <- 1;
     b.b_next <- 0;
     let h = free_handle t in
@@ -233,13 +292,12 @@ let[@inline] append t b ~at ~seq =
   else begin
     (* Armed: the heap entry is keyed at the head, which stays. Written so
        that a NaN key fails. *)
-    let last = b.b_ats.(c - 1) in
-    if not (last < at || (last = at && b.b_seqs.(c - 1) < seq)) then
+    let last = key_at b (c - 1) in
+    if not (last < at || (last = at && key_seq b (c - 1) < seq)) then
       invalid_arg "Event_queue.append: key not after the lane's last key";
-    if c = Array.length b.b_ats then compact_lane b;
+    if c = batch_capacity b then compact_lane b;
     let c = b.b_count in
-    b.b_ats.(c) <- at;
-    b.b_seqs.(c) <- seq;
+    set_key b c ~at ~seq ~tag;
     b.b_count <- c + 1
   end;
   t.live <- t.live + 1
@@ -316,10 +374,10 @@ let pop_invoke t =
     let j = b.b_next in
     b.b_next <- j + 1;
     if j + 1 < b.b_count then
-      sift_down t ~bound:t.n ~at:b.b_ats.(j + 1) ~seq:b.b_seqs.(j + 1) h
+      sift_down t ~bound:t.n ~at:(key_at b (j + 1)) ~seq:(key_seq b (j + 1)) h
     else begin
       Array.unsafe_set t.bats h null_batch;
       remove_root t h
     end;
-    b.b_fire j
+    b.b_fire b j
   end

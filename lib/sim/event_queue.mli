@@ -20,13 +20,24 @@ type t
 
 (** A fan-out descriptor: one heap entry expanding to [b_count] sub-events.
 
-    Contract for {!push_batch}: slots [0 .. b_count-1] of [b_ats]/[b_seqs]
-    filled, sorted ascending by (at, seq) (strict — seqs are unique),
-    [b_next = 0], and [b_fire] set. The queue calls [b_fire i] once per
-    sub-event [i], in sorted order interleaved with the rest of the heap
-    exactly as [b_count] separate entries would have been. After the last
-    sub-event fires the queue drops its reference ([b_fire] observes
-    [b_next = b_count] then), so the owner may recycle the record.
+    Sub-event [i] is the triple (at, seq, tag) in slot [i] of [b_keys], one
+    [float array] for the whole descriptor: the (at, seq) key the per-entry
+    scheme would have given it, and an int tag that the owner chooses (the
+    network's destination, the transport's link) and reads back with
+    {!key_tag} when the sub-event fires. Seq and tag are held exactly as
+    floats, so both must lie in [\[0, 2^53)]. Slots are written only through
+    {!set_key} and read through {!key_at}, {!key_seq} and {!key_tag}; no
+    caller indexes [b_keys] by hand.
+
+    Contract for {!push_batch}: slots [0 .. b_count-1] filled, sorted
+    ascending by (at, seq) (strict — seqs are unique), [b_next = 0], and
+    [b_fire] set. The queue calls [b_fire b i] once per sub-event [i], in
+    sorted order interleaved with the rest of the heap exactly as [b_count]
+    separate entries would have been. After the last sub-event fires the
+    queue drops its reference ([b_fire] observes [b_next = b_count] then),
+    so the owner may recycle the record. [b_fire] receives the descriptor
+    itself, so one closure serves every descriptor of an owner, which tells
+    them apart by [b_id].
 
     A {e lane} is a descriptor that keeps accepting sub-events while it is
     armed, for an owner whose keys arrive in ascending (at, seq) order —
@@ -39,29 +50,46 @@ type t
     heap as a new entry. An append to an armed lane only writes the next
     slot, and its key must come strictly after the lane's last. A full lane
     drops its fired prefix, so slot indices shift: the index [b_fire]
-    receives is valid only until the next append, and the owner keeps its
-    own FIFO beside the lane (one element pushed per append, one popped per
-    fire). [b_fire] may append to its own lane, also when its sub-event was
-    the last one and the lane has just gone idle. *)
+    receives is valid only until the next append (read its tag first), and
+    the owner keeps its own FIFO beside the lane when a tag does not say
+    enough (one element pushed per append, one popped per fire). [b_fire]
+    may append to its own lane, also when its sub-event was the last one
+    and the lane has just gone idle. *)
 type batch = {
-  mutable b_ats : float array;
-  mutable b_seqs : int array;
+  mutable b_keys : float array;
   mutable b_count : int;
   mutable b_next : int;
-  mutable b_fire : int -> unit;
+  mutable b_fire : batch -> int -> unit;
+  b_id : int;
 }
 
 (** Fresh descriptor with [b_count = 0], reusable across {!push_batch}
-    cycles and usable as a lane. Key arrays start at [capacity] slots
-    (default 8). *)
-val make_batch : ?capacity:int -> unit -> batch
+    cycles and usable as a lane. Its key array starts at [capacity] slots
+    (default 8); [id] (default 0) is the owner's name for it. *)
+val make_batch : ?capacity:int -> ?id:int -> unit -> batch
 
-(** Current length of the descriptor's key arrays. *)
+(** Slots the descriptor's key array holds. *)
 val batch_capacity : batch -> int
 
-(** [ensure_batch_capacity b n] grows the key arrays to at least [n] slots,
-    preserving filled prefixes. *)
+(** [ensure_batch_capacity b n] grows the key array to at least [n] slots,
+    preserving filled slots. *)
 val ensure_batch_capacity : batch -> int -> unit
+
+(** [set_key b i ~at ~seq ~tag] writes slot [i]: the only writer of a
+    descriptor's keys. Raises [Invalid_argument] on a NaN [at] and on a
+    [seq] or [tag] outside [\[0, 2^53)], before writing anything. *)
+val set_key : batch -> int -> at:float -> seq:int -> tag:int -> unit
+
+(** Time, seq and tag of slot [i]. *)
+val key_at : batch -> int -> float
+
+val key_seq : batch -> int -> int
+val key_tag : batch -> int -> int
+
+(** Sort slots [0 .. b_count-1] by (at, seq) in place, as {!push_batch}
+    wants them; stable, and quick on the nearly sorted slots of a fan-out
+    armed in seq order. Allocates nothing. *)
+val sort_batch : batch -> unit
 
 (** [create ?capacity ()] builds an empty queue. The backing arrays grow by
     doubling. *)
@@ -86,17 +114,17 @@ val push : t -> at:float -> seq:int -> (unit -> unit) -> unit
     or unsorted descriptor, and on a NaN sub-event time. *)
 val push_batch : t -> batch -> unit
 
-(** [append t lane ~at ~seq] adds one sub-event to [lane] (see the lane
-    contract of {!type-batch}). Raises [Invalid_argument] when [lane] is
-    armed and (at, seq) does not come strictly after its last key, and on a
-    NaN [at]. *)
-val append : t -> batch -> at:float -> seq:int -> unit
+(** [append t lane ~at ~seq ~tag] adds one sub-event to [lane] (see the
+    lane contract of {!type-batch}). Raises [Invalid_argument] when [lane]
+    is armed and (at, seq) does not come strictly after its last key, and
+    where {!set_key} does. *)
+val append : t -> batch -> at:float -> seq:int -> tag:int -> unit
 
 (** Time key of the minimum pending sub-event. Raises [Invalid_argument]
     when empty. *)
 val min_at : t -> float
 
 (** Remove the minimum sub-event and run it: a plain event's closure, or
-    [b_fire] of the batch it belongs to. Raises [Invalid_argument] when
+    [b_fire b i] of the batch [b] it belongs to. Raises [Invalid_argument] when
     empty. *)
 val pop_invoke : t -> unit

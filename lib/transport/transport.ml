@@ -31,12 +31,17 @@
    in ascending (at, seq) order: each level is a FIFO. Each level owns one
    engine lane ([Engine.append_after]), which keeps a single heap entry for
    the level's whole FIFO while every timer keeps the key it would have had
-   as its own heap entry, so runs are unchanged event for event. Beside
-   each lane a ring holds the (src, dst, entry) triples its timers guard,
-   in the same order: an arm pushes one, a fire pops the head, and ring and
-   lane advance in lockstep. The rings grow by [Array.append]: an
-   [Array.make] past 256 slots with a young entry as filler would force a
-   minor collection.
+   as its own heap entry, so runs are unchanged event for event. Each
+   timer carries its link [src * n + dst] as the lane's tag, and beside
+   each lane a ring holds the entries its timers guard, in the same order:
+   an arm pushes one, a fire pops the head, and ring and lane advance in
+   lockstep. Every lane fires through one closure, which finds its level
+   by the lane's id. The rings grow by [Array.append]: an [Array.make] past
+   256 slots with a young entry as filler would force a minor collection.
+
+   Delivery: a data frame's payload reaches its handler in the transport's
+   one envelope, rewritten per frame, under the network's contract (read
+   it during the call, never retain it).
 
    Accounting: all transport traffic (data, retransmissions, acks) goes
    through [Network.send], so the network's conservation identity
@@ -78,11 +83,11 @@ let config ?(retries = 12) ?(window = 64) ?(dedup = 256) ~rto () =
 
 type 'a entry = { seq : int; payload : 'a; mutable attempt : int }
 
-(* One backoff level: its engine lane and, beside it, the ring of the
-   frames its pending timers guard, oldest at [head]. *)
+(* One backoff level: its engine lane (whose tags are the timers' links,
+   src * n + dst) and, beside it, the ring of the frames its pending timers
+   guard, oldest at [head]. *)
 type 'a level = {
   lane : Event_queue.batch;
-  mutable links : int array;  (* src * n + dst *)
   mutable frames : 'a entry array;
   mutable head : int;
   mutable len : int;
@@ -98,6 +103,8 @@ type 'a t = {
   pending : 'a entry option array array array;  (* [src].[dst].[seq mod window] *)
   seen : int array array array;  (* [dst].[src].[seq mod dedup]; -1 = empty *)
   handlers : ('a Msg.t -> unit) option array;  (* payload handlers, per node *)
+  mutable env : 'a Msg.t option;
+      (* the one envelope of every unwrapped frame, made with the first *)
   levels : 'a level array;  (* [attempt], for attempts 0 .. retries *)
   c_retransmits : Metrics.counter;
   c_dup_suppressed : Metrics.counter;
@@ -115,31 +122,26 @@ let retransmit_deadline cfg attempt =
      rto * 2^k past attempt k's send, i.e. backoff doubles per retry. *)
   cfg.rto *. ldexp 1.0 attempt
 
-(* Double a full ring. Its [len = cap] triples, [head] on, sit contiguous
+(* Double a full ring. Its [len = cap] entries, [head] on, sit contiguous
    and in order in [x ++ x], so [head] stays and the tail moves to
    [head + cap]. *)
 let grow_ring lv e =
-  if Array.length lv.frames = 0 then begin
-    lv.links <- Array.make 8 0;
-    lv.frames <- Array.make 8 e
-  end
-  else begin
-    lv.links <- Array.append lv.links lv.links;
-    lv.frames <- Array.append lv.frames lv.frames
-  end
+  lv.frames <-
+    (if Array.length lv.frames = 0 then Array.make 8 e
+     else Array.append lv.frames lv.frames)
 
 (* Arm the retransmission timer of [e]'s current attempt on pair
-   (src, dst): one more sub-event on the attempt's lane, one more triple in
-   its ring. *)
+   (src, dst): one more sub-event on the attempt's lane, tagged with the
+   link, and one more entry in its ring. *)
 let arm_timer t ~src ~dst (e : 'a entry) =
   let lv = t.levels.(e.attempt) in
   Engine.append_after t.engine lv.lane
-    ~delay:(retransmit_deadline t.cfg e.attempt);
+    ~delay:(retransmit_deadline t.cfg e.attempt)
+    ~tag:((src * t.n) + dst);
   if lv.len = Array.length lv.frames then grow_ring lv e;
   let cap = Array.length lv.frames in
   let k = lv.head + lv.len in
   let k = if k >= cap then k - cap else k in
-  lv.links.(k) <- (src * t.n) + dst;
   lv.frames.(k) <- e;
   lv.len <- lv.len + 1
 
@@ -187,11 +189,14 @@ let on_timer t ~src ~dst (e : 'a entry) =
       end
   | _ -> ()
 
-(* The head of [lv]'s lane fired: pop the ring's head first, because the
-   timer may re-arm into this very lane (a scramble can lower [attempt]). *)
-let fire t lv =
+(* Sub-event [j] of level [lane.b_id]'s lane fired: read its link and pop
+   the ring's head first, because the timer may re-arm into this very lane
+   (a scramble can lower [attempt]), which can shift the lane's slots. *)
+let fire t (lane : Event_queue.batch) j =
+  let lv = t.levels.(lane.b_id) in
+  let link = Event_queue.key_tag lane j in
   let k = lv.head in
-  let link = lv.links.(k) and e = lv.frames.(k) in
+  let e = lv.frames.(k) in
   lv.head <- (if k + 1 = Array.length lv.frames then 0 else k + 1);
   lv.len <- lv.len - 1;
   on_timer t ~src:(link / t.n) ~dst:(link mod t.n) e
@@ -216,11 +221,23 @@ let broadcast t ~src payload =
     send t ~src ~dst payload
   done
 
+(* The transport's envelope, written for one delivery. *)
+let envelope t ~src ~dst payload =
+  match t.env with
+  | Some m ->
+      Msg.set m ~src ~dst payload;
+      m
+  | None ->
+      let m = Msg.make ~src ~dst payload in
+      t.env <- Some m;
+      m
+
 (* Frame arrival at [node] (installed once per node on the underlying
    network). Acks clear the matching pending entry; data frames are acked
    unconditionally — even suppressed duplicates, because the duplicate means
    the previous ack was lost — then deduped and handed to the payload
-   handler with the envelope (and its forged flag) preserved. *)
+   handler in the transport's envelope, with the frame's src and dst. The
+   network's envelope [m] is read before the ack is sent. *)
 let on_frame t node (m : 'a frame Msg.t) =
   let peer = m.Msg.src in
   match m.Msg.payload with
@@ -244,7 +261,7 @@ let on_frame t node (m : 'a frame Msg.t) =
       else begin
         ring.(slot) <- seq;
         match t.handlers.(node) with
-        | Some h -> h (Msg.with_payload m payload)
+        | Some h -> h (envelope t ~src:peer ~dst:node payload)
         | None -> ()
       end
 
@@ -262,11 +279,11 @@ let create ?kind_of:payload_kind ~engine ~net ~config:cfg () =
       pending = Array.init n (fun _ -> Array.init n (fun _ -> Array.make cfg.window None));
       seen = Array.init n (fun _ -> Array.init n (fun _ -> Array.make cfg.dedup (-1)));
       handlers = Array.make n None;
+      env = None;
       levels =
-        Array.init (cfg.retries + 1) (fun _ ->
+        Array.init (cfg.retries + 1) (fun attempt ->
             {
-              lane = Event_queue.make_batch ~capacity:1 ();
-              links = [||];
+              lane = Event_queue.make_batch ~capacity:1 ~id:attempt ();
               frames = [||];
               head = 0;
               len = 0;
@@ -279,9 +296,8 @@ let create ?kind_of:payload_kind ~engine ~net ~config:cfg () =
       c_retries_exhausted = Metrics.counter metrics "transport.retries_exhausted";
     }
   in
-  Array.iter
-    (fun lv -> lv.lane.Event_queue.b_fire <- (fun _ -> fire t lv))
-    t.levels;
+  let fire_lane lane j = fire t lane j in
+  Array.iter (fun lv -> lv.lane.Event_queue.b_fire <- fire_lane) t.levels;
   for node = 0 to n - 1 do
     Network.set_handler net node (fun m -> on_frame t node m)
   done;

@@ -49,9 +49,10 @@ val create :
   unit ->
   'a t
 
-(** The transport as a sending surface for protocol code. The envelope a
-    payload handler sees preserves the underlying frame's src/dst/sent_at
-    and forged flag. *)
+(** The transport as a sending surface for protocol code. A payload
+    handler sees the underlying frame's src and dst in the transport's one
+    envelope, rewritten for every delivery: read it during the call, never
+    retain it (see {!Ssba_net.Msg}). *)
 val link : 'a t -> 'a Ssba_net.Link.t
 
 (** Corrupt every piece of transport state within its type (next-seq

@@ -159,12 +159,14 @@ let take_seq w =
 let rec lane_q w k chain =
   let s = w.seq_q in
   w.seq_q <- s + 1;
-  Q.append w.q w.lanes.(k) ~at:(w.now +. lane_delays.(k)) ~seq:s;
+  Q.append w.q w.lanes.(k) ~at:(w.now +. lane_delays.(k)) ~seq:s ~tag:s;
   Queue.push (s, chain) w.fifos.(k)
 
-and fire_q w k j =
+and fire_q w k b j =
   let s, chain = Queue.pop w.fifos.(k) in
-  check_int "the fired slot is the FIFO's head" s w.lanes.(k).Q.b_seqs.(j);
+  check_bool "the lane fires itself" true (b == w.lanes.(k));
+  check_int "the fired slot is the FIFO's head" s (Q.key_seq b j);
+  check_int "its tag rode along" s (Q.key_tag b j);
   w.ran_q <- s :: w.ran_q;
   match chain with [] -> () | k' :: rest -> lane_q w k' rest
 
@@ -186,7 +188,7 @@ let make_world () =
       ran_q = [];
       ran_r = [];
       lanes =
-        Array.map (fun _ -> Q.make_batch ~capacity:1 ()) lane_delays;
+        Array.mapi (fun k _ -> Q.make_batch ~capacity:1 ~id:k ()) lane_delays;
       fifos = Array.map (fun _ -> Queue.create ()) lane_delays;
     }
   in
@@ -219,15 +221,10 @@ let push_fanout w offs =
       keyed
   in
   let b = Q.make_batch ~capacity:(List.length sorted) () in
-  List.iteri
-    (fun i (at, s) ->
-      b.Q.b_ats.(i) <- at;
-      b.Q.b_seqs.(i) <- s)
-    sorted;
-  let seq_of = Array.of_list (List.map snd sorted) in
+  List.iteri (fun i (at, s) -> Q.set_key b i ~at ~seq:s ~tag:s) sorted;
   b.Q.b_count <- List.length sorted;
   b.Q.b_next <- 0;
-  b.Q.b_fire <- (fun i -> w.ran_q <- seq_of.(i) :: w.ran_q);
+  b.Q.b_fire <- (fun b i -> w.ran_q <- Q.key_tag b i :: w.ran_q);
   Q.push_batch w.q b
 
 let lane_both w k chain =

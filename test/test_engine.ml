@@ -113,20 +113,20 @@ let test_nan_rejected () =
   Alcotest.check_raises "schedule_after a NaN delay"
     (Invalid_argument "Engine.schedule_after: NaN delay") (fun () ->
       Engine.schedule_after e ~delay:Float.nan (fun () -> ()));
+  (* A batch's keys have one writer, which rejects a NaN time, so no NaN
+     sub-event reaches [schedule_batch]. *)
   let b = Ssba_sim.Event_queue.make_batch () in
-  b.b_ats.(0) <- Float.nan;
-  b.b_seqs.(0) <- Engine.next_seq e;
-  b.b_count <- 1;
-  Alcotest.check_raises "schedule_batch with a NaN sub-event"
-    (Invalid_argument "Event_queue.push_batch: NaN time") (fun () ->
-      Engine.schedule_batch e b);
+  Alcotest.check_raises "a NaN sub-event time never enters a batch"
+    (Invalid_argument "Event_queue.set_key: NaN time") (fun () ->
+      Ssba_sim.Event_queue.set_key b 0 ~at:Float.nan ~seq:(Engine.next_seq e)
+        ~tag:0);
   let lane = Ssba_sim.Event_queue.make_batch () in
   Alcotest.check_raises "append_after a NaN delay"
     (Invalid_argument "Engine.schedule_after: NaN delay") (fun () ->
-      Engine.append_after e lane ~delay:Float.nan);
+      Engine.append_after e lane ~delay:Float.nan ~tag:0);
   Alcotest.check_raises "append_after a negative delay"
     (Invalid_argument "Engine.schedule_after: negative delay") (fun () ->
-      Engine.append_after e lane ~delay:(-1.0));
+      Engine.append_after e lane ~delay:(-1.0) ~tag:0);
   check_int "nothing queued" 0 (Engine.pending e);
   let ran = ref 0 in
   Engine.schedule e ~at:1.0 (fun () -> incr ran);

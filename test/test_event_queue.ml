@@ -58,14 +58,10 @@ let test_growth () =
   check_int "size after growth" 1000 (Q.size q);
   check_float "min correct" 1.0 (Q.min_at q)
 
-(* A descriptor armed with [ats] and seqs [0, 1, ...]. *)
+(* A descriptor armed with [ats], seqs [0, 1, ...] and the same tags. *)
 let batch_of ats fire =
   let b = Q.make_batch ~capacity:(Array.length ats) () in
-  Array.iteri
-    (fun i at ->
-      b.Q.b_ats.(i) <- at;
-      b.Q.b_seqs.(i) <- i)
-    ats;
+  Array.iteri (fun i at -> Q.set_key b i ~at ~seq:i ~tag:i) ats;
   b.Q.b_count <- Array.length ats;
   b.Q.b_fire <- fire;
   b
@@ -76,7 +72,7 @@ let test_nan_batch_rejected () =
   let q = Q.create () in
   List.iter
     (fun ats ->
-      match Q.push_batch q (batch_of ats ignore) with
+      match Q.push_batch q (batch_of ats (fun _ _ -> ())) with
       | exception Invalid_argument _ -> ()
       | () -> Alcotest.fail "a NaN sub-event time must be rejected")
     [ [| Float.nan |]; [| Float.nan; 1.0 |]; [| 1.0; Float.nan |];
@@ -94,20 +90,56 @@ let test_lane_append_rejected () =
   let q = Q.create () in
   let lane = Q.make_batch ~capacity:1 () in
   rejects "a NaN time on an idle lane" (fun () ->
-      Q.append q lane ~at:Float.nan ~seq:0);
+      Q.append q lane ~at:Float.nan ~seq:0 ~tag:0);
   check_bool "nothing armed" true (Q.is_empty q);
-  Q.append q lane ~at:1.0 ~seq:5;
-  rejects "an earlier time" (fun () -> Q.append q lane ~at:0.5 ~seq:6);
-  rejects "the last key again" (fun () -> Q.append q lane ~at:1.0 ~seq:5);
+  Q.append q lane ~at:1.0 ~seq:5 ~tag:0;
+  rejects "an earlier time" (fun () -> Q.append q lane ~at:0.5 ~seq:6 ~tag:0);
+  rejects "the last key again" (fun () ->
+      Q.append q lane ~at:1.0 ~seq:5 ~tag:0);
   rejects "an equal time with an earlier seq" (fun () ->
-      Q.append q lane ~at:1.0 ~seq:4);
+      Q.append q lane ~at:1.0 ~seq:4 ~tag:0);
   rejects "a NaN time on an armed lane" (fun () ->
-      Q.append q lane ~at:Float.nan ~seq:6);
+      Q.append q lane ~at:Float.nan ~seq:6 ~tag:0);
   check_int "one sub-event armed" 1 (Q.size q);
-  Q.append q lane ~at:1.0 ~seq:6;
-  Q.append q lane ~at:2.0 ~seq:7;
+  Q.append q lane ~at:1.0 ~seq:6 ~tag:0;
+  Q.append q lane ~at:2.0 ~seq:7 ~tag:0;
   check_int "three sub-events" 3 (Q.size q);
   check_int "one heap entry" 1 (Q.entries q)
+
+(* Seq and tag ride in a float array, exact below 2^53: the one writer
+   refuses a seq or tag outside [0, 2^53) and a NaN time, before it writes
+   anything, and lane appends go through it. *)
+let test_key_writer_bounds () =
+  let b = Q.make_batch ~capacity:2 () in
+  Q.set_key b 0 ~at:1.0 ~seq:0 ~tag:0;
+  let top = (1 lsl 53) - 1 in
+  Q.set_key b 1 ~at:2.0 ~seq:top ~tag:top;
+  check_int "the largest seq is exact" top (Q.key_seq b 1);
+  check_int "the largest tag is exact" top (Q.key_tag b 1);
+  List.iter
+    (fun (what, at, seq, tag) ->
+      rejects what (fun () -> Q.set_key b 0 ~at ~seq ~tag))
+    [
+      ("a NaN time", Float.nan, 1, 1);
+      ("a negative seq", 1.5, -1, 1);
+      ("a seq of 2^53", 1.5, 1 lsl 53, 1);
+      ("the least seq", 1.5, min_int, 1);
+      ("a negative tag", 1.5, 1, -1);
+      ("a tag of 2^53", 1.5, 1, 1 lsl 53);
+      ("the largest tag", 1.5, 1, max_int);
+    ];
+  check_float "a refused write left the time" 1.0 (Q.key_at b 0);
+  check_int "and the seq" 0 (Q.key_seq b 0);
+  check_int "and the tag" 0 (Q.key_tag b 0);
+  let q = Q.create () in
+  let lane = Q.make_batch ~capacity:1 () in
+  rejects "an idle lane's append with a tag of 2^53" (fun () ->
+      Q.append q lane ~at:1.0 ~seq:0 ~tag:(1 lsl 53));
+  check_bool "nothing armed" true (Q.is_empty q);
+  Q.append q lane ~at:1.0 ~seq:0 ~tag:0;
+  rejects "an armed lane's append with a negative seq" (fun () ->
+      Q.append q lane ~at:2.0 ~seq:(-1) ~tag:0);
+  check_int "one sub-event armed" 1 (Q.size q)
 
 (* A capacity-4 lane that keeps two to four timers pending: every full
    append compacts the fired prefix away instead of growing. Plain entries
@@ -119,15 +151,16 @@ let test_lane_compaction () =
   let popped = ref [] in
   let log at s = popped := (at, s) :: !popped in
   lane.Q.b_fire <-
-    (fun j ->
+    (fun b j ->
       let at, s = Queue.pop fifo in
-      check_int "the fired slot holds the FIFO's head" s lane.Q.b_seqs.(j);
+      check_int "the fired slot holds the FIFO's head" s (Q.key_seq b j);
+      check_int "its tag moved with it" (s + 1) (Q.key_tag b j);
       log at s);
   let seq = ref 0 in
   let next () = let s = !seq in incr seq; s in
   let append at =
     let s = next () in
-    Q.append q lane ~at ~seq:s;
+    Q.append q lane ~at ~seq:s ~tag:(s + 1);
     Queue.push (at, s) fifo
   in
   append 0.0;
@@ -159,7 +192,7 @@ let[@inline never] arm_plain q ~at ~seq fired =
   w
 
 let[@inline never] arm_batch q ats fired =
-  let b = batch_of ats (fun _ -> incr fired) in
+  let b = batch_of ats (fun _ _ -> incr fired) in
   let w = Weak.create 1 in
   Weak.set w 0 (Some b);
   Q.push_batch q b;
@@ -212,7 +245,7 @@ let test_no_allocation () =
   let q = Q.create ~capacity:1 () in
   let fired = ref 0 in
   let runs = Array.init 4 (fun _ () -> incr fired) in
-  let b = batch_of [| 0.5; 1.5; 2.5 |] (fun _ -> incr fired) in
+  let b = batch_of [| 0.5; 1.5; 2.5 |] (fun _ _ -> incr fired) in
   cycle q runs b;
   (* warmed: the arrays have grown to their final size *)
   let w0 = Gc.minor_words () in
@@ -226,11 +259,11 @@ let test_no_allocation () =
    appends at literal keys fill the capacity-2 lane, a pop fires its head,
    a third append compacts it in place, and the drain leaves it idle. *)
 let lane_cycle q lane run =
-  Q.append q lane ~at:1.0 ~seq:20;
+  Q.append q lane ~at:1.0 ~seq:20 ~tag:1;
   Q.push q ~at:1.5 ~seq:21 run;
-  Q.append q lane ~at:2.0 ~seq:22;
+  Q.append q lane ~at:2.0 ~seq:22 ~tag:2;
   Q.pop_invoke q;
-  Q.append q lane ~at:3.0 ~seq:23;
+  Q.append q lane ~at:3.0 ~seq:23 ~tag:3;
   while not (Q.is_empty q) do
     Q.pop_invoke q
   done
@@ -240,7 +273,7 @@ let test_lane_no_allocation () =
   let fired = ref 0 in
   let run () = incr fired in
   let lane = Q.make_batch ~capacity:2 () in
-  lane.Q.b_fire <- (fun _ -> incr fired);
+  lane.Q.b_fire <- (fun _ _ -> incr fired);
   lane_cycle q lane run;
   let w0 = Gc.minor_words () in
   lane_cycle q lane run;
@@ -249,6 +282,28 @@ let test_lane_no_allocation () =
   check_int "every event fired" 12 !fired;
   check_int "the lane never grew" 2 (Q.batch_capacity lane);
   check_float "minor words for two warmed cycles" 0.0 words
+
+(* --- sort_batch: the network's fan-out sort --- *)
+
+(* Slots armed in ascending seq order at random times on a coarse grid (so
+   equal times are common) come out sorted by (at, seq), each tag still
+   beside its key, as [List.sort] orders the same triples. *)
+let prop_sort_batch =
+  QCheck.Test.make ~name:"sort_batch orders by (at, seq), tags riding along"
+    ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 40) (int_bound 6))
+    (fun grid ->
+      let triples =
+        List.mapi (fun i g -> (float_of_int g /. 2.0, 10 + i, 100 + (7 * i))) grid
+      in
+      let b = Q.make_batch ~capacity:(List.length triples) () in
+      List.iteri (fun i (at, seq, tag) -> Q.set_key b i ~at ~seq ~tag) triples;
+      b.Q.b_count <- List.length triples;
+      Q.sort_batch b;
+      let got =
+        List.init b.Q.b_count (fun i -> (Q.key_at b i, Q.key_seq b i, Q.key_tag b i))
+      in
+      got = List.sort compare triples)
 
 (* --- model test: random ops vs a sorted-list reference --- *)
 
@@ -327,7 +382,10 @@ let suite =
     case "popped entries are released" test_release;
     case "push/pop cycle allocates nothing" test_no_allocation;
     case "lane append out of order or NaN rejected" test_lane_append_rejected;
+    case "key writer rejects a seq or tag outside [0, 2^53) and a NaN time"
+      test_key_writer_bounds;
     case "lane compaction keeps the order" test_lane_compaction;
     case "lane append/pop cycle allocates nothing" test_lane_no_allocation;
+    Helpers.qcheck prop_sort_batch;
     Helpers.qcheck prop_model;
   ]

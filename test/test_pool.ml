@@ -3,10 +3,12 @@
    The fan-out pool makes "steady-state delivery allocates nothing"
    checkable: descriptors and delivery slots are counted by monotonic
    metrics ([net.pool.fanouts] / [net.pool.slots]), so a recycling bug
-   shows up as counter growth, not as a profiler session. A descriptor
-   shares one envelope across its deliveries and rewrites [dst] per slot;
-   the envelope tests pin what every handler (and the delay override) must
-   still see. The scramble tests hold the arena to the Session_table safety
+   shows up as counter growth, not as a profiler session. The sizing test
+   pins that a single send takes a 1-slot descriptor and a broadcast an
+   n-slot one, each from its own free stack. One envelope serves every
+   delivery of the network, rewritten per delivery; the envelope tests pin
+   what every handler (and the delay override) must still see. The
+   scramble tests hold the arena to the Session_table safety
    pattern: a transient fault may trash pooled VALUES, never the pool's
    capacity or occupancy — and since free descriptors are fully overwritten
    on acquire, delivered payloads are unaffected. *)
@@ -77,13 +79,13 @@ let test_zero_alloc_beyond_peak () =
   check_bool "zero delivery slots allocated beyond peak" true
     (Metrics.find_counter m "net.pool.slots" = peak_slots)
 
-(* Growing the free stack past 256 slots must not force a minor collection.
-   The stack used to double by [Array.make] with the released descriptor as
-   filler, and [Array.make] past 256 words with a young filler runs a minor
-   collection first. 300 broadcasts in flight at once, made after a
-   [Gc.minor ()] so every descriptor is young, grow the stack to 512 slots
-   when they drain; their allocation stays well below the minor heap's
-   256k words. *)
+(* Growing the arena past 256 descriptors must not force a minor
+   collection. Its descriptor and payload columns hold young values, and
+   [Array.make] past 256 words with a young filler runs a minor collection
+   first. 300 broadcasts in flight at once, made after a [Gc.minor ()] so
+   every descriptor is young, grow the columns and the free stack to 512
+   rows; their allocation stays well below the minor heap's 256k
+   words. *)
 let test_free_stack_growth_no_minor_gc () =
   let engine, net = mk () in
   Gc.minor ();
@@ -171,11 +173,11 @@ let test_slots_per_descriptor () =
     (counter engine "net.pool.slots");
   check_int "every copy delivered" (n + (2 * n)) !got
 
-(* Every handler gets its own id as [dst] and the sender's src, sent_at,
-   forged flag and payload, although one envelope serves the whole fan-out
-   — under loss, duplication at probability 1 (which pushes descriptors
-   past their n slots), reordering, forged injections and a delay override
-   that reads [dst]. *)
+(* Every handler gets its own id as [dst] and the sender's src and
+   payload, although one envelope serves every delivery — under loss,
+   duplication at probability 1 (which pushes descriptors past their
+   slots), reordering, forged injections and a delay override that reads
+   [dst]. *)
 let test_shared_envelope_fields () =
   let n = 7 in
   let engine, net = mk ~n ~delay:(Delay.uniform ~lo:0.01 ~hi:0.2) () in
@@ -186,29 +188,26 @@ let test_shared_envelope_fields () =
   let routed = ref [] in
   Net.set_delay_override net
     (Some
-       (fun m ->
-         routed := (m.Msg.payload, m.Msg.dst) :: !routed;
-         if m.Msg.dst mod 2 = 0 then Some (0.05 *. float_of_int (m.Msg.dst + 1))
-         else None));
+       (fun ~src:_ ~dst payload ->
+         routed := (payload, dst) :: !routed;
+         if dst mod 2 = 0 then Some (0.05 *. float_of_int (dst + 1)) else None));
   let got = ref [] in
   for i = 0 to n - 1 do
     Net.set_handler net i (fun m ->
-        got :=
-          (i, m.Msg.dst, m.Msg.src, m.Msg.sent_at, m.Msg.forged, m.Msg.payload)
-          :: !got)
+        got := (i, m.Msg.dst, m.Msg.src, m.Msg.payload) :: !got)
   done;
-  (* payload -> (src, sent_at, forged) *)
+  (* payload -> (src, forged) *)
   let sent = Hashtbl.create 16 in
   for k = 0 to 11 do
     let at = 0.04 *. float_of_int k in
     Engine.schedule engine ~at (fun () ->
         let payload = Printf.sprintf "m%d" k in
         if k mod 4 = 3 then begin
-          Hashtbl.replace sent payload (5, at, true);
+          Hashtbl.replace sent payload (5, true);
           Net.inject_forged net ~claimed_src:5 ~dst:(k mod n) ~delay:0.1 payload
         end
         else begin
-          Hashtbl.replace sent payload (k mod n, at, false);
+          Hashtbl.replace sent payload (k mod n, false);
           Net.broadcast net ~src:(k mod n) payload
         end)
   done;
@@ -216,25 +215,26 @@ let test_shared_envelope_fields () =
   check_int "conservation"
     (counter engine "net.sent" + counter engine "net.duplicated")
     (counter engine "net.delivered" + counter engine "net.dropped");
-  check_bool "descriptors grew past n slots" true
-    (counter engine "net.pool.slots" > n * counter engine "net.pool.fanouts");
+  (* the forged injections, never two in flight at once, share one 1-slot
+     descriptor; the rest are broadcast descriptors of n slots and more *)
+  check_bool "broadcast descriptors grew past n slots" true
+    (counter engine "net.pool.slots" - 1
+    > n * (counter engine "net.pool.fanouts" - 1));
   check_int "every delivery reached a handler"
     (counter engine "net.delivered")
     (List.length !got);
   List.iter
-    (fun (i, dst, src, sent_at, forged, payload) ->
-      let src', at', forged' = Hashtbl.find sent payload in
+    (fun (i, dst, src, payload) ->
+      let src', _ = Hashtbl.find sent payload in
       check_int "dst is the receiving handler's id" i dst;
-      check_int (payload ^ ": src") src' src;
-      check_float (payload ^ ": sent_at") at' sent_at;
-      check_bool (payload ^ ": forged") forged' forged)
+      check_int (payload ^ ": src") src' src)
     !got;
   (* each routed (payload, dst) arrives twice (dup_prob 1), and nothing
      arrives that the override did not route, forged injections aside *)
   let broadcast_deliveries =
     List.filter_map
-      (fun (i, _, _, _, forged, payload) ->
-        if forged then None else Some (payload, i))
+      (fun (i, _, _, payload) ->
+        if snd (Hashtbl.find sent payload) then None else Some (payload, i))
       !got
     |> List.sort compare
   in
@@ -243,6 +243,45 @@ let test_shared_envelope_fields () =
   in
   check_bool "the override saw every delivered slot's dst" true
     (broadcast_deliveries = routed_twice)
+
+(* A single send or forged injection takes a 1-slot descriptor, a
+   broadcast an n-slot one, each from its own free stack: singles first
+   (four in flight at once), then a broadcast once they have drained, so a
+   1-slot descriptor on the wrong stack would serve the broadcast and grow.
+   A second identical round allocates nothing. A duplicated copy grows a
+   single send's descriptor by one slot. *)
+let test_descriptor_sizing () =
+  let n = 7 in
+  let engine, net = mk ~n () in
+  let got = ref 0 in
+  for i = 0 to n - 1 do
+    Net.set_handler net i (fun _ -> incr got)
+  done;
+  let round () =
+    for k = 0 to 2 do
+      Net.send net ~src:k ~dst:(k + 1) "single"
+    done;
+    Net.inject_forged net ~claimed_src:5 ~dst:0 ~delay:0.1 "forged";
+    ignore (Engine.run engine);
+    Net.broadcast net ~src:0 "wide";
+    ignore (Engine.run engine)
+  in
+  round ();
+  check_int "four 1-slot descriptors and one n-slot one" 5
+    (counter engine "net.pool.fanouts");
+  check_int "4 + n slots" (4 + n) (counter engine "net.pool.slots");
+  check_int "all five free again" 5 (Net.pool_free net);
+  round ();
+  check_int "the second round made no descriptor" 5
+    (counter engine "net.pool.fanouts");
+  check_int "and no slot" (4 + n) (counter engine "net.pool.slots");
+  check_int "every delivery arrived" (2 * (4 + n)) !got;
+  Net.set_dup_prob net 1.0;
+  Net.send net ~src:1 ~dst:2 "twice";
+  ignore (Engine.run engine);
+  check_int "the duplicate grew a 1-slot descriptor to 2" (4 + n + 1)
+    (counter engine "net.pool.slots");
+  check_int "still five descriptors" 5 (counter engine "net.pool.fanouts")
 
 let suite =
   [
@@ -255,4 +294,6 @@ let suite =
     case "shared envelope: per-slot dst, sender's fields" test_shared_envelope_fields;
     case "free-stack growth forces no minor collection"
       test_free_stack_growth_no_minor_gc;
+    case "descriptors sized to their send: 1 slot per single, n per broadcast"
+      test_descriptor_sizing;
   ]

@@ -131,7 +131,6 @@ let test_fuzz_batch () =
         }
       in
       let s = F.Campaign.run ~jobs:(soak_jobs ()) config in
-      check_int "all soak scenarios executed" runs s.F.Campaign.executed;
       List.iter
         (fun (fc : F.Campaign.failure_case) ->
           List.iter
@@ -164,7 +163,6 @@ let test_churn_batch () =
         }
       in
       let s = F.Campaign.run ~jobs:(soak_jobs ()) config in
-      check_int "all churn scenarios executed" runs s.F.Campaign.executed;
       List.iter
         (fun (fc : F.Campaign.failure_case) ->
           List.iter
