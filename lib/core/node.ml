@@ -36,6 +36,10 @@ type t = {
       (* the per-General separation guards, indexed by logical General id
          (length n * channels); they outlive their sessions and are only
          dropped once fully decayed (and no session holds them) *)
+  guard_ids : int array;
+      (* the ids of the guards that exist, ascending, in [0, n_guards): the
+         tick walks these instead of every id *)
+  mutable n_guards : int;
   guard_due : float array;
       (* per guard: the local time before which the tick need not sweep it
          while no session holds it ([Separation.next_due]); [neg_infinity]
@@ -90,6 +94,17 @@ let ctx_of t =
     trace = (fun event -> Engine.record t.engine ~node:t.id event);
   }
 
+(* Insert [g] into the ascending ids of the guards that exist. *)
+let add_guard_id t g =
+  let ids = t.guard_ids in
+  let k = ref t.n_guards in
+  while !k > 0 && ids.(!k - 1) > g do
+    ids.(!k) <- ids.(!k - 1);
+    decr k
+  done;
+  ids.(!k) <- g;
+  t.n_guards <- t.n_guards + 1
+
 (* Attaching a session resets the guard's due time: only a live session
    writes a guard, and one may write it and be evicted before the next
    tick. *)
@@ -100,6 +115,7 @@ let guard_of t g =
   | None ->
       let s = Separation.create () in
       t.guards.(g) <- Some s;
+      add_guard_id t g;
       s
 
 (* A fresh session joins the table as (g, None) and is re-keyed to
@@ -198,7 +214,12 @@ let handle_envelope t (env : message Ssba_net.Msg.t) =
    evicted or collected session reaches only its return and reset, which
    leave the guard alone), so it is swept only once its due time has come.
    Cleanup is idempotent at one tau, and a sweep before the due time
-   changes nothing, so none of this is observable. *)
+   changes nothing, so none of this is observable.
+
+   The guard loop walks the ids of the guards that exist, in ascending id,
+   as a walk over every id would meet them, and drops a decayed guard's id
+   as it goes. Nothing in the loop creates a guard (only a session does,
+   and the loop creates none), so the ids it compacts stay put. *)
 let start_cleanup t =
   if not t.cleanup_running then begin
     t.cleanup_running <- true;
@@ -216,22 +237,38 @@ let start_cleanup t =
          Initiator is still in flight. *)
       Session_table.sweep t.instances ~f:cleanup_session ~dead:(fun ~active inst ->
           tau -. active > 4.0 *. d && Ss_byz_agree.quiescent inst);
-      let guards = t.guards in
-      for g = 0 to Array.length guards - 1 do
+      let guards = t.guards and ids = t.guard_ids in
+      let kept = ref 0 in
+      for k = 0 to t.n_guards - 1 do
+        let g = ids.(k) in
         match guards.(g) with
         | None -> ()
         | Some sep ->
-            if Session_table.find t.instances g = None then begin
-              if tau >= t.guard_due.(g) then begin
-                Separation.cleanup sep ~params:t.params ~now:tau;
-                if Separation.is_idle sep then guards.(g) <- None
-                else
-                  t.guard_due.(g) <- Separation.next_due sep ~params:t.params ~now:tau
+            let keep =
+              if Session_table.find t.instances g = None then begin
+                if tau >= t.guard_due.(g) then begin
+                  Separation.cleanup sep ~params:t.params ~now:tau;
+                  if Separation.is_idle sep then false
+                  else begin
+                    t.guard_due.(g) <- Separation.next_due sep ~params:t.params ~now:tau;
+                    true
+                  end
+                end
+                else true
               end
+              else begin
+                if t.guard_swept.(g) <> t.ticks then
+                  Separation.cleanup sep ~params:t.params ~now:tau;
+                true
+              end
+            in
+            if keep then begin
+              ids.(!kept) <- g;
+              incr kept
             end
-            else if t.guard_swept.(g) <> t.ticks then
-              Separation.cleanup sep ~params:t.params ~now:tau
+            else guards.(g) <- None
       done;
+      t.n_guards <- !kept;
       Engine.schedule_after t.engine
         ~delay:(Clock.real_of_local_duration t.clock d)
         tick
@@ -261,6 +298,8 @@ let create_on ?(channels = 1) ?session_capacity ?(blackout = true)
       admission;
       instances = Session_table.create ~capacity;
       guards = Array.make (params.Params.n * channels) None;
+      guard_ids = Array.make (params.Params.n * channels) 0;
+      n_guards = 0;
       guard_due = Array.make (params.Params.n * channels) neg_infinity;
       guard_swept = Array.make (params.Params.n * channels) 0;
       ticks = 0;
@@ -309,7 +348,9 @@ let string_of_propose_error = function
    quiet period on failure. *)
 let watch_own_invocation t ~logical =
   let d = t.params.Params.d in
-  (ctx_of t).after_local (7.0 *. d) (fun () ->
+  Engine.schedule_after t.engine
+    ~delay:(Clock.real_of_local_duration t.clock (7.0 *. d))
+    (fun () ->
       (* Resolve the session at fire time, not at proposal time: the report
          lives in the separation guard, which survives the session being
          collected and recreated in between. *)

@@ -48,6 +48,9 @@ type 'a t = {
       (* slot -> last activity, local time: a flat column, so a touch on
          the arrival path stores a raw float instead of boxing one *)
   mutable index : int array;  (* General id -> slot, -1 = absent *)
+  mutable top : int;
+      (* one past the highest occupied slot: [free_slot] fills from slot 0,
+         so the walk stops here instead of at the capacity *)
   mutable seq : int;
   mutable live : int;
   mutable peak_live : int;
@@ -64,6 +67,7 @@ let create ~capacity =
           { sl_g = -1; sl_anchor = None; sl_payload = None; sl_stamp = 0 });
     actives = Array.make capacity 0.0;
     index = Array.make capacity (-1);
+    top = 0;
     seq = 0;
     live = 0;
     peak_live = 0;
@@ -105,9 +109,24 @@ let find t g =
 let anchor t g =
   match slot_of t g with -1 -> None | i -> t.slots.(i).sl_anchor
 
+let[@inline] is_free sl = match sl.sl_payload with None -> true | Some _ -> false
+
 let free_slot t =
-  let rec scan i = if t.slots.(i).sl_payload = None then i else scan (i + 1) in
+  let rec scan i = if is_free t.slots.(i) then i else scan (i + 1) in
   scan 0
+
+(* Empty slot [i]. When it was the highest occupied slot, [top] drops past
+   the free slots below it. An insert takes the lowest free slot, so it
+   raises [top] by at most one, and the drops are amortised O(1). *)
+let vacate t i =
+  t.slots.(i).sl_payload <- None;
+  if i = t.top - 1 then begin
+    let top = ref i in
+    while !top > 0 && is_free t.slots.(!top - 1) do
+      decr top
+    done;
+    t.top <- !top
+  end
 
 (* Deterministic eviction: the occupied slot with the smallest last-activity
    time, creation order breaking ties. *)
@@ -126,10 +145,9 @@ let evict t =
             then best := i)
     t.slots;
   let i = !best in
-  let sl = t.slots.(i) in
-  let victim = sl.sl_g in
+  let victim = t.slots.(i).sl_g in
   unindex t victim;
-  sl.sl_payload <- None;
+  vacate t i;
   t.live <- t.live - 1;
   t.evicted <- t.evicted + 1;
   (i, victim)
@@ -143,8 +161,7 @@ let insert_reporting t ~g ~now payload =
   | -1 -> ()
   | i ->
       (* replacing the session for g in place *)
-      let sl = t.slots.(i) in
-      sl.sl_payload <- None;
+      vacate t i;
       unindex t g;
       t.live <- t.live - 1);
   let i, victim =
@@ -160,6 +177,7 @@ let insert_reporting t ~g ~now payload =
   sl.sl_payload <- Some payload;
   t.actives.(i) <- now;
   sl.sl_stamp <- t.seq;
+  if i >= t.top then t.top <- i + 1;
   reindex t g i;
   t.live <- t.live + 1;
   if t.live > t.peak_live then t.peak_live <- t.live;
@@ -198,7 +216,7 @@ let remove t g =
   match slot_of t g with
   | -1 -> ()
   | i ->
-      t.slots.(i).sl_payload <- None;
+      vacate t i;
       unindex t g;
       t.live <- t.live - 1
 
@@ -223,25 +241,32 @@ let iter_detail t f =
    evicts and touches sessions — so a session inserted into a slot ahead of
    the loop is visited, one inserted behind it is not, and collection judges
    the table [f] left behind. The phases cannot fuse: a slot freed by
-   collection could then be refilled by a later [f] in the same walk. *)
+   collection could then be refilled by a later [f] in the same walk.
+
+   Both loops stop at [top], re-read at every step. When a loop stops,
+   every slot from there on is free, and nothing can fill one before the
+   phase ends (only [f] inserts), so a loop over all [capacity] slots would
+   call back for exactly the same sessions. *)
 let sweep t ~f ~dead =
-  if t.live > 0 then begin
-    let slots = t.slots in
-    for i = 0 to Array.length slots - 1 do
-      let sl = slots.(i) in
-      match sl.sl_payload with None -> () | Some p -> f ~g:sl.sl_g p
-    done;
-    for i = 0 to Array.length slots - 1 do
-      let sl = slots.(i) in
-      match sl.sl_payload with
-      | Some p when dead ~active:t.actives.(i) p ->
-          unindex t sl.sl_g;
-          sl.sl_payload <- None;
-          t.live <- t.live - 1;
-          t.gced <- t.gced + 1
-      | Some _ | None -> ()
-    done
-  end
+  let slots = t.slots in
+  let i = ref 0 in
+  while !i < t.top do
+    let sl = slots.(!i) in
+    (match sl.sl_payload with None -> () | Some p -> f ~g:sl.sl_g p);
+    incr i
+  done;
+  let i = ref 0 in
+  while !i < t.top do
+    let sl = slots.(!i) in
+    (match sl.sl_payload with
+    | Some p when dead ~active:t.actives.(!i) p ->
+        unindex t sl.sl_g;
+        vacate t !i;
+        t.live <- t.live - 1;
+        t.gced <- t.gced + 1
+    | Some _ | None -> ());
+    incr i
+  done
 
 (* Transient-fault injection: corrupt anchors, activity times and (via the
    callback) the session payloads — but occupancy, the index and above all

@@ -85,6 +85,12 @@ val iter_detail :
     visited and one inserted behind it is not; collection judges the table
     as [f] left it.
 
+    Inserts fill the lowest free slot, so both phases stop one past the
+    highest occupied slot, a bound re-read at every step: a table holding
+    few sessions costs a walk over few slots, and the sessions visited and
+    collected are exactly those of a walk over all [capacity] slots. The
+    bound is derived from the slots' occupancy.
+
     [dead] also sees the session's last-activity time: callers must
     grace-period recently-active sessions, because a session is momentarily
     indistinguishable from a dead one between its creation and its first

@@ -21,11 +21,13 @@
    so exports see them under the net.* names.
 
    Determinism: each fault concern (loss, delay, duplication, reordering)
-   owns a dedicated RNG stream split off the creation RNG, and [send] draws
-   from every stream unconditionally, once per send. Toggling one fault knob
-   mid-run therefore never shifts the samples another concern sees, and two
-   scenarios that differ only in a fault schedule stay sample-for-sample
-   comparable. *)
+   owns a dedicated RNG stream split off the creation RNG, and [send]
+   advances every stream unconditionally, once per destination (twice for
+   reordering): by drawing, or on a fault-free send by skipping ahead
+   ([Rng.skip]) past rolls that could change nothing. Toggling one fault
+   knob mid-run therefore never shifts the samples another concern sees,
+   and two scenarios that differ only in a fault schedule stay
+   sample-for-sample comparable. *)
 
 module Rng = Ssba_sim.Rng
 module Engine = Ssba_sim.Engine
@@ -272,29 +274,31 @@ let acquire t ~wide ~src payload =
   t.payloads.(id) <- payload;
   t.batches.(id)
 
+(* Grow [b]'s key array to hold slot [i]: only a duplicated copy can need
+   it. The growth counts in [net.pool.slots]. *)
+let grow_slots t b i =
+  let cap = Event_queue.batch_capacity b in
+  Event_queue.ensure_batch_capacity b (i + 1);
+  Metrics.incr_by t.c_pool_slots (Event_queue.batch_capacity b - cap)
+
 (* Arm slot [i] for [dst]: record its delivery time and reserve its
    tie-break seq — in the very order the per-entry scheme called
    [Engine.schedule], which is what keeps batched runs bit-identical to the
-   old per-send scheme. A slot past the descriptor's capacity (only a
-   duplicated copy can need one) grows its key array, counted in
-   [net.pool.slots]. *)
-let arm_slot t b i ~dst ~at =
-  let cap = Event_queue.batch_capacity b in
-  if i >= cap then begin
-    Event_queue.ensure_batch_capacity b (i + 1);
-    Metrics.incr_by t.c_pool_slots (Event_queue.batch_capacity b - cap)
-  end;
+   old per-send scheme. [@inline], so that [at] reaches the key array
+   unboxed: a float argument of a call that is not inlined is boxed, two
+   words per armed slot. *)
+let[@inline] arm_slot t b i ~dst ~at =
+  if i >= Event_queue.batch_capacity b then grow_slots t b i;
   Event_queue.set_key b i ~at ~seq:(Engine.next_seq t.engine) ~tag:dst;
   Metrics.add t.g_in_flight 1.0
 
-(* Sort the armed slots by (at, seq) and hand the descriptor to the engine
-   as ONE heap entry. *)
+(* Hand the descriptor to the engine as ONE heap entry; the engine sorts
+   the armed slots by (at, seq). *)
 let finish t (b : Event_queue.batch) count =
   if count = 0 then release t b
   else begin
     b.b_count <- count;
     b.b_next <- 0;
-    Event_queue.sort_batch b;
     Engine.schedule_batch t.engine b
   end
 
@@ -361,19 +365,33 @@ let check_delay d =
       (if d < 0.0 then "Engine.schedule_after: negative delay"
        else "Engine.schedule_after: NaN delay")
 
-(* One send per destination in [first, last], batched into a single pooled
-   fan-out descriptor. The per-destination draw schedule, fault gauntlet,
-   counter updates and seq reservations replicate the per-entry scheme
-   sample-for-sample: one sample per concern per send, from that concern's
-   own stream, whether or not the fault is active — including the delay
-   sample, which is drawn even for messages that end up muted, partitioned
-   or lost. Toggling any one fault therefore never shifts the samples
-   another concern (or a surviving message) observes. *)
-let send_range t ~wide ~src ~first ~last payload =
-  let tr = Engine.trace t.engine in
+(* The delay of one copy: the override's, when it names one, or the
+   policy's draw. *)
+let[@inline] delay_of t ~src ~dst payload drawn =
+  match t.delay_override with
+  | None -> drawn
+  | Some f -> ( match f ~src ~dst payload with Some d -> d | None -> drawn)
+
+(* No fault can touch a send from [src]: no loss or duplication
+   probability, no reordering, an unmuted sender, no partition, and no
+   trace to write. *)
+let fault_free t tr ~src =
+  (not (t.drop_prob > 0.0))
+  && (not (t.dup_prob > 0.0))
+  && (match (t.reorder, t.blocked) with None, None -> true | _ -> false)
+  && (not (is_muted t src))
+  && not (Trace.is_enabled tr)
+
+(* The general loop: one send per destination in [first, last], batched
+   into a single pooled fan-out descriptor. The per-destination draw
+   schedule, fault gauntlet, counter updates and seq reservations replicate
+   the per-entry scheme sample-for-sample: one sample per concern per send,
+   from that concern's own stream, whether or not the fault is active —
+   including the delay sample, which is drawn even for messages that end up
+   muted, partitioned or lost. Toggling any one fault therefore never shifts
+   the samples another concern (or a surviving message) observes. *)
+let send_general t tr b ~src ~first ~last payload =
   let now = Engine.now t.engine in
-  count_sent t ~count:(last - first + 1) payload;
-  let b = acquire t ~wide ~src payload in
   let count = ref 0 in
   for dst = first to last do
     if Trace.is_enabled tr then
@@ -403,15 +421,7 @@ let send_range t ~wide ~src ~first ~last payload =
             reorder_frac *. extra
         | _ -> 0.0
       in
-      let delay =
-        match t.delay_override with
-        | Some f -> (
-            match f ~src ~dst payload with
-            | Some delay -> delay
-            | None -> drawn_delay)
-        | None -> drawn_delay
-      in
-      let d = delay +. extra in
+      let d = delay_of t ~src ~dst payload drawn_delay +. extra in
       check_delay d;
       arm_slot t b !count ~dst ~at:(now +. d);
       incr count;
@@ -436,6 +446,36 @@ let send_range t ~wide ~src ~first ~last payload =
     end
   done;
   finish t b !count
+
+(* The loop of a fault-free send. The general loop would draw each
+   destination's loss and duplication rolls and two reorder rolls and then
+   ignore them all, so the three streams skip ahead in O(1) to exactly where
+   those draws leave them. What is left per destination is what the general
+   loop does when no fault applies: draw the delay, ask the override,
+   check, arm. *)
+let send_fault_free t b ~src ~first ~last payload =
+  let k = last - first + 1 in
+  Rng.skip t.loss_rng k;
+  Rng.skip t.dup_rng k;
+  Rng.skip t.reorder_rng (2 * k);
+  let now = Engine.now t.engine in
+  for dst = first to last do
+    let drawn =
+      Delay.draw t.delay ~rng:t.delay_rng ~counters:t.delay_counts ~src ~dst
+    in
+    let d = delay_of t ~src ~dst payload drawn in
+    check_delay d;
+    arm_slot t b (dst - first) ~dst ~at:(now +. d)
+  done;
+  finish t b k
+
+(* A send to every destination in [first, last], as one descriptor. *)
+let send_range t ~wide ~src ~first ~last payload =
+  let tr = Engine.trace t.engine in
+  count_sent t ~count:(last - first + 1) payload;
+  let b = acquire t ~wide ~src payload in
+  if fault_free t tr ~src then send_fault_free t b ~src ~first ~last payload
+  else send_general t tr b ~src ~first ~last payload
 
 let send t ~src ~dst payload =
   if dst < 0 || dst >= t.n then invalid_arg "Network.send: bad destination";

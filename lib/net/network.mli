@@ -8,8 +8,18 @@
 
     Determinism: each fault concern (loss, delay, duplication, reordering)
     owns a dedicated RNG stream split off the creation RNG, and every send
-    draws from every stream unconditionally — toggling one fault knob mid-run
-    never shifts the samples another concern sees. *)
+    advances every stream by the same count whether or not its fault is on
+    — toggling one fault knob mid-run never shifts the samples another
+    concern sees.
+
+    Fast path: a send that no fault can touch — drop and duplication
+    probabilities not [> 0], no reordering, an unmuted sender, no partition
+    and a disabled trace — does not draw its loss, duplication and reorder
+    rolls, which could change nothing. It advances those streams in O(1)
+    ({!Ssba_sim.Rng.skip}) to where the draws would leave them, then per
+    destination draws the delay, asks the delay override, checks the delay
+    and arms the slot, as the general loop does. Every stream, seq, counter
+    and delivery is what the general loop gives. *)
 
 type 'a t
 type 'a handler = 'a Msg.t -> unit
@@ -69,7 +79,14 @@ val is_muted : 'a t -> int -> bool
     policy-drawn delay. The paper's model allows a {e faulty} sender's
     messages to be arbitrarily late (masked as part of the [f] faults);
     scenario code must only target faulty senders once the system is meant
-    to be coherent. *)
+    to be coherent.
+
+    The callback runs in the middle of a send, once per destination, after
+    the fault settings were read for the whole send: it must not send on
+    the network, change its faults, mute or partition it, or switch its
+    trace on. It may read, schedule on, record to and stop the engine:
+    both loops call it at the same point of the same per-destination
+    order. *)
 val set_delay_override :
   'a t -> (src:int -> dst:int -> 'a -> float option) option -> unit
 

@@ -92,16 +92,19 @@ let[@inline] append_after t lane ~delay ~tag =
 
 (* Fan-out batches: the caller (network broadcast) reserves one sequence
    number per sub-event via [next_seq] — in the exact order the per-entry
-   scheme would have called [schedule] — then arms the filled descriptor.
-   Each reservation counts as one scheduled event so metrics are identical
-   to n separate [schedule] calls. *)
+   scheme would have called [schedule] — then arms the filled descriptor,
+   which [schedule_batch] sorts with the queue's scratch. Each reservation
+   counts as one scheduled event so metrics are identical to n separate
+   [schedule] calls. *)
 let next_seq t =
   let s = t.seq in
   t.seq <- t.seq + 1;
   Metrics.incr t.c_scheduled;
   s
 
-let schedule_batch t b = Event_queue.push_batch t.queue b
+let schedule_batch t b =
+  Event_queue.sort_batch t.queue b;
+  Event_queue.push_batch t.queue b
 
 let stop t = t.stopped <- true
 

@@ -57,10 +57,11 @@ val append_after : t -> Event_queue.batch -> delay:float -> tag:int -> unit
     called {!schedule} is what keeps batched runs bit-identical. *)
 val next_seq : t -> int
 
-(** Arm a filled fan-out descriptor (see {!Event_queue.push_batch}): one
-    heap entry expanding to its sub-events in exact (at, seq) order. All
-    sub-event times must be >= {!now} — the network computes them as
-    [now + delay] with validated non-negative delays. Raises
+(** Sort a filled fan-out descriptor's slots ({!Event_queue.sort_batch})
+    and arm it ({!Event_queue.push_batch}): one heap entry expanding to its
+    sub-events in exact (at, seq) order. The slots may be filled in any
+    order. All sub-event times must be >= {!now} — the network computes
+    them as [now + delay] with validated non-negative delays. Raises
     [Invalid_argument] on a NaN sub-event time. *)
 val schedule_batch : t -> Event_queue.batch -> unit
 

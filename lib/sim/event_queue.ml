@@ -128,18 +128,14 @@ let[@inline] key_before b i j =
   let ai = key_at b i and aj = key_at b j in
   ai < aj || (ai = aj && key_seq b i < key_seq b j)
 
-(* A stable insertion sort of the armed slots by (at, seq). A fan-out arms
-   its slots in ascending seq order and its times are mostly close to
-   sorted, so it moves little; the key array is the descriptor's own, so
-   nothing allocates. It works on the raw triples: the keys came through
-   [set_key], so seqs compare exactly as floats, and a triple moves as
-   three float stores (a one-slot [Array.blit] would be a C call per
-   inversion). *)
-let sort_batch b =
-  let keys = b.b_keys in
-  if b.b_count > batch_capacity b then
-    invalid_arg "Event_queue.sort_batch: count exceeds the key array";
-  for i = 1 to b.b_count - 1 do
+(* A stable insertion sort of slots [0, count) of [keys] by (at, seq). It
+   works on the raw triples: the keys came through [set_key], so seqs
+   compare exactly as floats, and a triple moves as three float stores (a
+   one-slot [Array.blit] would be a C call per inversion). The [float array]
+   annotation matters: without it the accesses and compares are
+   polymorphic and box. *)
+let insertion_sort (keys : float array) count =
+  for i = 1 to count - 1 do
     let k = stride * i in
     let at = Array.unsafe_get keys k
     and seq = Array.unsafe_get keys (k + 1)
@@ -170,6 +166,8 @@ type t = {
   mutable bats : batch array;           (* handle -> batch, [null_batch] if plain *)
   mutable n : int;                      (* heap entries *)
   mutable live : int;                   (* pending sub-events (>= n) *)
+  mutable sort_keys : float array;      (* [sort_batch]'s scattered triples *)
+  mutable sort_counts : int array;      (* [sort_batch]'s bucket offsets *)
 }
 
 let create ?(capacity = 64) () =
@@ -182,6 +180,8 @@ let create ?(capacity = 64) () =
     bats = Array.make capacity null_batch;
     n = 0;
     live = 0;
+    sort_keys = [||];
+    sort_counts = [||];
   }
 
 let size t = t.live
@@ -208,6 +208,72 @@ let grow t =
   t.hs <- hs;
   t.runs <- runs;
   t.bats <- bats
+
+(* Fan-outs of at most this many slots skip the bucket pass. *)
+let small_batch = 16
+
+(* The bucket of a time in [mn, mn + count / scale]: monotone in [at], so
+   the buckets come out in time order. *)
+let[@inline] bucket_of at ~mn ~scale ~count =
+  let k = int_of_float ((at -. mn) *. scale) in
+  if k >= count then count - 1 else k
+
+(* Scatter slots [0, count) of [keys] stably into [count] buckets by time
+   over [min, max], through the queue's scratch, and copy them back: each
+   slot then sits in its bucket, in arming order, and the insertion sort
+   after it moves a slot only past the slots of its own bucket. Skipped
+   when every time is equal (the slots are then in seq order already) or
+   the span cannot be scaled to [count] buckets. The least and greatest
+   times are tracked by slot, not in float refs, so nothing boxes. *)
+let bucket_pass t (keys : float array) count =
+  let lo = ref 0 and hi = ref 0 in
+  for i = 1 to count - 1 do
+    let a = Array.unsafe_get keys (stride * i) in
+    if a < Array.unsafe_get keys (stride * !lo) then lo := i
+    else if a > Array.unsafe_get keys (stride * !hi) then hi := i
+  done;
+  let mn = Array.unsafe_get keys (stride * !lo) in
+  let span = Array.unsafe_get keys (stride * !hi) -. mn in
+  let scale = float_of_int count /. span in
+  if span > 0.0 && span < infinity && scale < infinity then begin
+    if Array.length t.sort_counts <= count then
+      t.sort_counts <- Array.make (max (count + 1) (2 * Array.length t.sort_counts)) 0;
+    if Array.length t.sort_keys < stride * count then
+      t.sort_keys <- Array.make (max (stride * count) (2 * Array.length t.sort_keys)) 0.0;
+    let starts = t.sort_counts and out = t.sort_keys in
+    for k = 0 to count do
+      Array.unsafe_set starts k 0
+    done;
+    for i = 0 to count - 1 do
+      let k = bucket_of (Array.unsafe_get keys (stride * i)) ~mn ~scale ~count in
+      Array.unsafe_set starts (k + 1) (Array.unsafe_get starts (k + 1) + 1)
+    done;
+    for k = 1 to count - 1 do
+      Array.unsafe_set starts k (Array.unsafe_get starts k + Array.unsafe_get starts (k - 1))
+    done;
+    for i = 0 to count - 1 do
+      let src = stride * i in
+      let k = bucket_of (Array.unsafe_get keys src) ~mn ~scale ~count in
+      let p = Array.unsafe_get starts k in
+      Array.unsafe_set starts k (p + 1);
+      let dst = stride * p in
+      Array.unsafe_set out dst (Array.unsafe_get keys src);
+      Array.unsafe_set out (dst + 1) (Array.unsafe_get keys (src + 1));
+      Array.unsafe_set out (dst + 2) (Array.unsafe_get keys (src + 2))
+    done;
+    Array.blit out 0 keys 0 (stride * count)
+  end
+
+(* Expected O(count) for times spread over their span, as a fan-out's
+   drawn delays are; a batch whose times bunch into few buckets costs what
+   the insertion sort does. Keys are unique, so the result is the one
+   order by (at, seq) however it is reached. *)
+let sort_batch t b =
+  let count = b.b_count in
+  if count > batch_capacity b then
+    invalid_arg "Event_queue.sort_batch: count exceeds the key array";
+  if count > small_batch then bucket_pass t b.b_keys count;
+  insertion_sort b.b_keys count
 
 (* All unsafe accesses below are at positions < t.n <= Array.length t.ats
    or at handles taken from [hs]; the five arrays always have equal

@@ -86,10 +86,19 @@ val key_at : batch -> int -> float
 val key_seq : batch -> int -> int
 val key_tag : batch -> int -> int
 
-(** Sort slots [0 .. b_count-1] by (at, seq) in place, as {!push_batch}
-    wants them; stable, and quick on the nearly sorted slots of a fan-out
-    armed in seq order. Allocates nothing. *)
-val sort_batch : batch -> unit
+(** [sort_batch t b] sorts slots [0 .. b_count-1] of [b] by (at, seq) in
+    place, as {!push_batch} wants them. Up to 16 slots, or when every time
+    is equal, it is an insertion sort, linear on the seq-ordered slots a
+    fan-out arms. A larger batch is first scattered stably into [b_count]
+    buckets by time over its [\[min, max\]] and finished by one insertion
+    pass: expected O([b_count]) for times spread over their span, as drawn
+    delays are. The scatter goes through scratch space that belongs to
+    [t] (one queue per world, so worlds on several domains share none),
+    grown to the largest batch it has sorted; a sort that does not grow it
+    allocates nothing. Keys are unique, so the result is the one (at, seq)
+    order. Raises [Invalid_argument] when [b_count] exceeds the key
+    array. *)
+val sort_batch : t -> batch -> unit
 
 (** [create ?capacity ()] builds an empty queue. The backing arrays grow by
     doubling. *)

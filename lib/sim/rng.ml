@@ -38,6 +38,13 @@ let split t = of_int64 (mix64 (next_int64 t))
 
 let copy t = of_int64 (Bytes.get_int64_ne t.state 0)
 
+(* A draw adds one Weyl constant to the counter before mixing, so [k]
+   draws add [k * golden_gamma] (mod 2^64) whatever they return. *)
+let skip t k =
+  if k < 0 then invalid_arg "Rng.skip: negative count";
+  let s = Bytes.get_int64_ne t.state 0 in
+  Bytes.set_int64_ne t.state 0 (Int64.add s (Int64.mul (Int64.of_int k) golden_gamma))
+
 let[@inline always] bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let[@inline always] int t bound =

@@ -16,6 +16,12 @@ val split : t -> t
 (** [copy t] snapshots the generator state. *)
 val copy : t -> t
 
+(** [skip t k] advances [t] in O(1) to exactly where [k] single draws
+    would leave it: {!bits}, {!int}, {!int_in_range}, {!float},
+    {!float_in_range}, {!bool} and {!pick} each take one, whatever they
+    return. Raises [Invalid_argument] if [k < 0]. *)
+val skip : t -> int -> unit
+
 (** [bits t] returns 62 fresh pseudo-random bits as a non-negative [int]. *)
 val bits : t -> int
 

@@ -299,11 +299,122 @@ let prop_sort_batch =
       let b = Q.make_batch ~capacity:(List.length triples) () in
       List.iteri (fun i (at, seq, tag) -> Q.set_key b i ~at ~seq ~tag) triples;
       b.Q.b_count <- List.length triples;
-      Q.sort_batch b;
+      Q.sort_batch (Q.create ()) b;
       let got =
         List.init b.Q.b_count (fun i -> (Q.key_at b i, Q.key_seq b i, Q.key_tag b i))
       in
       got = List.sort compare triples)
+
+(* Batches past the insertion-sort cutoff go through the bucket pass. Each
+   shape arms [count] slots in slot order with ascending seqs, as the
+   network reserves them: times spread over a span, all equal, two distinct
+   times, strictly descending, spread with one far outlier, and a
+   descriptor made for [n] slots and grown past it by duplicated copies
+   (each copy armed right after its original, a little later). One queue
+   sorts every case, so its scratch is reused across sizes. *)
+type shape = Spread | All_equal | Two_times | Reversed | Outlier | Grown
+
+let shape_name = function
+  | Spread -> "spread"
+  | All_equal -> "all equal"
+  | Two_times -> "two times"
+  | Reversed -> "reversed"
+  | Outlier -> "outlier"
+  | Grown -> "grown by duplicates"
+
+let gen_sort_case =
+  QCheck.Gen.(
+    oneofl [ Spread; All_equal; Two_times; Reversed; Outlier; Grown ] >>= fun shape ->
+    int_range 1 256 >>= fun count ->
+    list_repeat count (float_bound_exclusive 1.0) >>= fun us ->
+    list_repeat count (int_bound 1000) >>= fun tags ->
+    int_bound 1_000_000 >>= fun seq0 ->
+    return (shape, count, us, tags, seq0))
+
+let sort_case_times (shape, count, us, _, _) =
+  let us = Array.of_list us in
+  match shape with
+  | Spread -> Array.map (fun u -> 5.0 +. (0.05 *. u)) us
+  | All_equal -> Array.make count 3.25
+  | Two_times -> Array.map (fun u -> if u < 0.5 then 1.0 else 2.0) us
+  | Reversed -> Array.init count (fun i -> 100.0 -. (0.001 *. float_of_int i))
+  | Outlier ->
+      let a = Array.map (fun u -> 5.0 +. (0.05 *. u)) us in
+      a.(int_of_float (us.(0) *. float_of_int count)) <- 1.0e6;
+      a
+  | Grown ->
+      (* slot i is an original when us.(i) < 0.6, else a copy of the slot
+         before it *)
+      let a = Array.make count 0.0 in
+      Array.iteri
+        (fun i u ->
+          a.(i) <-
+            (if i = 0 || u < 0.6 then 5.0 +. (0.05 *. u)
+             else a.(i - 1) +. (0.01 *. u)))
+        us;
+      a
+
+let prop_sort_matches_list_sort =
+  let q = Q.create () in
+  QCheck.Test.make ~name:"sort_batch matches List.sort by (at, seq), 1..256 slots"
+    ~count:600
+    (QCheck.make
+       ~print:(fun ((shape, count, _, _, seq0) as c) ->
+         Printf.sprintf "%s, %d slots from seq %d: [%s]" (shape_name shape) count
+           seq0
+           (String.concat "; "
+              (Array.to_list (Array.map string_of_float (sort_case_times c)))))
+       gen_sort_case)
+    (fun ((shape, count, _, tags, seq0) as c) ->
+      let times = sort_case_times c in
+      let triples = List.mapi (fun i tag -> (times.(i), seq0 + i, tag)) tags in
+      let b =
+        match shape with
+        | Grown -> Q.make_batch ~capacity:((count / 2) + 1) ()
+        | _ -> Q.make_batch ~capacity:count ()
+      in
+      List.iteri
+        (fun i (at, seq, tag) ->
+          Q.ensure_batch_capacity b (i + 1);
+          Q.set_key b i ~at ~seq ~tag)
+        triples;
+      b.Q.b_count <- count;
+      Q.sort_batch q b;
+      let by_key (a1, s1, _) (a2, s2, _) =
+        if a1 < a2 then -1 else if a1 > a2 then 1 else Int.compare s1 s2
+      in
+      List.init count (fun i -> (Q.key_at b i, Q.key_seq b i, Q.key_tag b i))
+      = List.sort by_key triples)
+
+(* Sorting a warm batch, one the queue's scratch has already held, and a
+   small one allocates nothing. *)
+let test_sort_no_allocation () =
+  let q = Q.create () in
+  let big = Q.make_batch ~capacity:200 () and small = Q.make_batch ~capacity:12 () in
+  let fill b count =
+    for i = 0 to count - 1 do
+      Q.set_key b i ~at:(float_of_int ((i * 7919) mod 211) /. 8.0) ~seq:i ~tag:i
+    done;
+    b.Q.b_count <- count
+  in
+  fill big 200;
+  Q.sort_batch q big;
+  fill big 200;
+  fill small 12;
+  let w0 = Gc.minor_words () in
+  Q.sort_batch q big;
+  Q.sort_batch q small;
+  let words = Gc.minor_words () -. w0 in
+  let sorted b =
+    let ok = ref true in
+    for i = 1 to b.Q.b_count - 1 do
+      let a = Q.key_at b (i - 1) and a' = Q.key_at b i in
+      if a > a' || (a = a' && Q.key_seq b (i - 1) > Q.key_seq b i) then ok := false
+    done;
+    !ok
+  in
+  check_bool "both sorted" true (sorted big && sorted small);
+  check_float "minor words for two warm sorts" 0.0 words
 
 (* --- model test: random ops vs a sorted-list reference --- *)
 
@@ -388,4 +499,6 @@ let suite =
     case "lane append/pop cycle allocates nothing" test_lane_no_allocation;
     Helpers.qcheck prop_sort_batch;
     Helpers.qcheck prop_model;
+    Helpers.qcheck prop_sort_matches_list_sort;
+    case "sorting a warm batch allocates nothing" test_sort_no_allocation;
   ]

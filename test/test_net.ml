@@ -388,6 +388,88 @@ let prop_conservation =
       ignore (Engine.run engine);
       mid && partial && invariant engine && in_flight engine = 0)
 
+(* A fault-free send skips its idle loss, duplication and reorder streams
+   instead of drawing them. Two identical networks make the same sends: one
+   takes that path, the other is held on the general loop by an idle
+   reorder fault or by an enabled trace. Under a delay override and under a
+   scripted delay policy, and then with loss, duplication and reordering
+   switched on (whose rolls come out the same only if the skipped streams
+   stand where the drawn ones do), both deliver the same copies at the
+   same times in the same order, and every counter agrees. *)
+let test_fast_path_matches_general_loop () =
+  let world ~force ~delay ~override =
+    let trace = Ssba_sim.Trace.create ~enabled:(force = `Trace) () in
+    let engine = Engine.create ~trace () in
+    let net =
+      Net.create ~engine ~n:5 ~delay ~rng:(Rng.create 29)
+        ~kind_of:(fun p -> if p.[0] = 'b' then "bcast" else "single")
+        ()
+    in
+    if force = `Reorder then
+      Net.set_reorder net (Some { Net.prob = 0.0; extra = 1.0 });
+    if override then
+      Net.set_delay_override net
+        (Some
+           (fun ~src ~dst _ ->
+             if (src + dst) mod 3 = 0 then Some (0.002 *. float_of_int (dst + 1))
+             else None));
+    let log = ref [] in
+    for i = 0 to 4 do
+      Net.set_handler net i (fun m ->
+          log := (Engine.now engine, m.Msg.src, m.Msg.dst, m.Msg.payload) :: !log)
+    done;
+    let round tag =
+      let t0 = Engine.now engine in
+      for k = 0 to 11 do
+        Engine.schedule engine ~at:(t0 +. (0.003 *. float_of_int k)) (fun () ->
+            Net.broadcast net ~src:(k mod 5) (Printf.sprintf "b%s%d" tag k);
+            Net.send net ~src:((k + 1) mod 5) ~dst:(k * 3 mod 5)
+              (Printf.sprintf "s%s%d" tag k))
+      done;
+      ignore (Engine.run engine)
+    in
+    round "quiet";
+    Net.set_drop_prob net 0.3;
+    Net.set_dup_prob net 0.3;
+    Net.set_reorder net (Some { Net.prob = 0.5; extra = 0.004 });
+    round "lossy";
+    let names =
+      [ "net.sent"; "net.delivered"; "net.dropped"; "net.duplicated";
+        "net.reordered"; "net.sent.bcast"; "net.sent.single";
+        "engine.scheduled"; "engine.events" ]
+    in
+    (List.rev !log, List.map (fun name -> (name, counter engine name)) names,
+     in_flight engine)
+  in
+  let scripted =
+    Delay.Scripted
+      {
+        default = 0.004;
+        links =
+          [ ((0, 1), [ 0.001; 0.009; 0.002 ]); ((2, 2), [ 0.0; 0.007 ]);
+            ((3, 0), [ 0.005 ]) ];
+      }
+  in
+  List.iter
+    (fun (what, delay, override) ->
+      let fast_log, fast_counts, fast_in_flight = world ~force:`None ~delay ~override in
+      check_bool (what ^ ": the lossy round dropped, duplicated and reordered") true
+        (List.assoc "net.dropped" fast_counts > 0
+        && List.assoc "net.duplicated" fast_counts > 0
+        && List.assoc "net.reordered" fast_counts > 0);
+      List.iter
+        (fun (held, force) ->
+          let log, counts, in_flight = world ~force ~delay ~override in
+          let what = Printf.sprintf "%s, %s" what held in
+          check_int (what ^ ": deliveries") (List.length log) (List.length fast_log);
+          check_bool (what ^ ": same copies, times and order") true (fast_log = log);
+          List.iter2
+            (fun (name, fast) (_, general) -> check_int (what ^ ": " ^ name) general fast)
+            fast_counts counts;
+          check_int (what ^ ": in flight") in_flight fast_in_flight)
+        [ ("idle reorder", `Reorder); ("trace on", `Trace) ])
+    [ ("override", Delay.uniform ~lo:0.001 ~hi:0.01, true); ("scripted", scripted, false) ]
+
 let suite =
   [
     case "delivery timing + authentication" test_delivery_timing;
@@ -410,4 +492,6 @@ let suite =
     case "envelope re-entrancy: a handler's sends leave its envelope"
       test_envelope_reentrancy;
     Helpers.qcheck prop_conservation;
+    case "fault-free sends skip their idle streams like the general loop"
+      test_fast_path_matches_general_loop;
   ]

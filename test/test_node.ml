@@ -386,6 +386,67 @@ let test_guard_swept_when_inserted_behind_the_walk () =
       check_bool "the future send time was swept at 6d" false
         (contains (guard_text g) "sr:y=")
 
+(* The tick walks only the guards that exist, in ascending id. With eight
+   channels (logical Generals 0..31), node 0 opens a session for a General
+   every d, in an order that is not ascending, and stamps last(G) in its
+   guard at that moment. The guard outlives its collected session until the
+   stamp's horizon, so the guards drop in the order they were made, not by
+   id, and a dropped General comes back with a fresh guard. After every
+   tick the guards printed are exactly those whose stamp that tick kept. *)
+let test_guards_made_and_dropped_out_of_order () =
+  let params = Params.default 4 in
+  let d = params.Params.d in
+  let horizon = Separation.last_g_expiry params /. d in
+  check_bool "last(G) outlives the session's grace" true (horizon > 5.0);
+  let engine = Engine.create () in
+  let net =
+    Ssba_net.Network.create ~engine ~n:4
+      ~delay:(Ssba_net.Delay.fixed (0.1 *. d))
+      ~rng:(Ssba_sim.Rng.create 5) ()
+  in
+  let node =
+    Node.create_on ~channels:8 ~id:0 ~params ~clock:Ssba_sim.Clock.perfect
+      ~engine ~link:(Ssba_net.Network.link net) ()
+  in
+  (* (k, g): General g's guard is stamped at (k + 1/2) d *)
+  let stamps =
+    [ (0, 21); (1, 6); (2, 30); (3, 1); (4, 14); (5, 9); (6, 25); (9, 21); (10, 3) ]
+  in
+  List.iter
+    (fun (k, g) ->
+      Engine.schedule engine ~at:((float_of_int k +. 0.5) *. d) (fun () ->
+          let guard =
+            Initiator_accept.guard (Ss_byz_agree.initiator_accept (Node.instance node g))
+          in
+          guard.Separation.last_g <- Some (Node.local_time node)))
+    stamps;
+  let dropped = ref [] and before = ref [] in
+  for m = 0 to 20 do
+    ignore (Engine.run ~until:((float_of_int m +. 0.5) *. d) engine);
+    let buf = Buffer.create 256 in
+    Node.fingerprint buf node;
+    let ids = List.map fst (guards_of (Buffer.contents buf)) in
+    (* the tick at m d keeps a stamp set at (k + 1/2) d while
+       m - k - 1/2 <= horizon *)
+    let latest g =
+      List.fold_left (fun acc (k, g') -> if g' = g && k <= m then max acc k else acc) (-1) stamps
+    in
+    let expected =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun (_, g) ->
+             let k = latest g in
+             if k >= 0 && float_of_int m -. float_of_int k -. 0.5 <= horizon then Some g
+             else None)
+           stamps)
+    in
+    Alcotest.(check (list int)) (Printf.sprintf "guards after the tick at %dd" m) expected ids;
+    List.iter (fun g -> if not (List.mem g ids) then dropped := g :: !dropped) !before;
+    before := ids
+  done;
+  Alcotest.(check (list int)) "dropped in the order they were made"
+    [ 21; 6; 30; 1; 14; 9; 25; 21; 3 ] (List.rev !dropped)
+
 let suite =
   suite
   @ [
@@ -394,4 +455,6 @@ let suite =
       case "evicted session's guard swept next tick" test_guard_swept_after_eviction;
       case "guard swept when inserted behind the walk"
         test_guard_swept_when_inserted_behind_the_walk;
+      case "guards made and dropped out of id order, channels = 8"
+        test_guards_made_and_dropped_out_of_order;
     ]

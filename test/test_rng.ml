@@ -141,6 +141,45 @@ let prop_float_bounds =
       let x = Rng.float r bound in
       x >= 0.0 && x < bound)
 
+(* [skip t k] lands exactly where [k] draws leave the stream: the next 64
+   draws of each kind agree. The real draws mix the kinds, since each takes
+   one step whatever it returns. *)
+let draw_kinds r = List.init 64 (fun _ -> (Rng.bits r, Rng.float r 1.0, Rng.int r 1000))
+
+let prop_skip_matches_draws =
+  QCheck.Test.make ~name:"skip k lands where k draws do" ~count:60
+    QCheck.(pair int (oneof [ always 0; always 1; int_range 0 1_000_000 ]))
+    (fun (seed, k) ->
+      let drawn = Rng.create seed and skipped = Rng.create seed in
+      for i = 1 to k do
+        match i land 3 with
+        | 0 -> ignore (Rng.bits drawn)
+        | 1 -> ignore (Rng.float drawn 1.0)
+        | 2 -> ignore (Rng.int drawn 7)
+        | _ -> ignore (Rng.bool drawn)
+      done;
+      Rng.skip skipped k;
+      draw_kinds drawn = draw_kinds skipped)
+
+(* Far past any real draw: skipping a then b is skipping a + b, for a and b
+   in [2^60, 2^61), so a + b stays below [max_int]. *)
+let prop_skip_adds =
+  QCheck.Test.make ~name:"skip a then b is skip (a + b) near 2^62" ~count:200
+    QCheck.(triple int int int)
+    (fun (seed, x, y) ->
+      let big v = (v land ((1 lsl 60) - 1)) lor (1 lsl 60) in
+      let a = big x and b = big y in
+      let twice = Rng.create seed and once = Rng.create seed in
+      Rng.skip twice a;
+      Rng.skip twice b;
+      Rng.skip once (a + b);
+      draw_kinds twice = draw_kinds once)
+
+let test_skip_rejects_negative () =
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Rng.skip: negative count") (fun () ->
+      Rng.skip (Rng.create 1) (-1))
+
 let suite =
   [
     case "determinism" test_determinism;
@@ -160,4 +199,7 @@ let suite =
     case "subset" test_subset;
     Helpers.qcheck prop_int_bounds;
     Helpers.qcheck prop_float_bounds;
+    Helpers.qcheck prop_skip_matches_draws;
+    Helpers.qcheck prop_skip_adds;
+    case "skip rejects a negative count" test_skip_rejects_negative;
   ]

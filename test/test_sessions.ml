@@ -378,6 +378,240 @@ let prop_sweep_matches_walks =
           layout t = layout r && St.stats t = { (St.stats r) with St.gced = !r_gced })
         steps)
 
+(* ----- the bounded walk against a walk over every slot ------------------ *)
+
+(* [sweep]'s two loops stop one past the highest occupied slot. The model
+   below keeps its own slot array, fills and evicts it as the table does,
+   and sweeps by walking every one of its [capacity] slots in both phases.
+   Random inserts, admission-controlled inserts, removes and touches under
+   capacity pressure (ids 0..11 over at most 6 slots) alternate with
+   sweeps whose [f] inserts, touches or removes a session, as a return hook
+   can. The visits, the collections (in order), the slot layout and every
+   counter must agree after each step. *)
+type wslot = { wg : int; wp : int; mutable wact : float; wstamp : int }
+
+type walk_model = {
+  wslots : wslot option array;
+  mutable wseq : int;
+  mutable wlive : int;
+  mutable wpeak : int;
+  mutable wevicted : int;
+  mutable wgced : int;
+  mutable wrejected : int;
+}
+
+let w_slot_of w g =
+  let found = ref (-1) in
+  Array.iteri
+    (fun i s -> match s with Some s when s.wg = g -> found := i | _ -> ())
+    w.wslots;
+  !found
+
+let w_insert w ~g ~now p =
+  (match w_slot_of w g with
+  | -1 -> ()
+  | i ->
+      w.wslots.(i) <- None;
+      w.wlive <- w.wlive - 1);
+  let i =
+    if w.wlive >= Array.length w.wslots then begin
+      let best = ref (-1) in
+      Array.iteri
+        (fun i s ->
+          match (s, !best) with
+          | None, _ -> ()
+          | Some _, -1 -> best := i
+          | Some s, b ->
+              let o = Option.get w.wslots.(b) in
+              if s.wact < o.wact || (s.wact = o.wact && s.wstamp < o.wstamp) then
+                best := i)
+        w.wslots;
+      w.wslots.(!best) <- None;
+      w.wlive <- w.wlive - 1;
+      w.wevicted <- w.wevicted + 1;
+      !best
+    end
+    else begin
+      let i = ref 0 in
+      while w.wslots.(!i) <> None do
+        incr i
+      done;
+      !i
+    end
+  in
+  w.wseq <- w.wseq + 1;
+  w.wslots.(i) <- Some { wg = g; wp = p; wact = now; wstamp = w.wseq };
+  w.wlive <- w.wlive + 1;
+  w.wpeak <- max w.wpeak w.wlive
+
+let w_try_insert w ~g ~now p =
+  if w_slot_of w g >= 0 || w.wlive < Array.length w.wslots then begin
+    w_insert w ~g ~now p;
+    true
+  end
+  else begin
+    w.wrejected <- w.wrejected + 1;
+    false
+  end
+
+let w_touch w g ~now =
+  match w_slot_of w g with
+  | -1 -> ()
+  | i ->
+      let s = Option.get w.wslots.(i) in
+      if now > s.wact then s.wact <- now
+
+let w_remove w g =
+  match w_slot_of w g with
+  | -1 -> ()
+  | i ->
+      w.wslots.(i) <- None;
+      w.wlive <- w.wlive - 1
+
+let w_sweep w ~f ~dead =
+  let cap = Array.length w.wslots in
+  for i = 0 to cap - 1 do
+    match w.wslots.(i) with Some s -> f ~g:s.wg s.wp | None -> ()
+  done;
+  for i = 0 to cap - 1 do
+    match w.wslots.(i) with
+    | Some s when dead ~active:s.wact s.wp ->
+        w.wslots.(i) <- None;
+        w.wlive <- w.wlive - 1;
+        w.wgced <- w.wgced + 1
+    | Some _ | None -> ()
+  done
+
+(* What [f] does on visiting session [g] with payload [p]: the same for the
+   table and the model. *)
+type reaction = R_insert of int * float * int | R_touch of int * float | R_remove of int | R_none
+
+let reaction ~seed ~g p =
+  match (p + (3 * g) + seed) mod 6 with
+  | 0 -> R_insert ((g + seed) mod 12, float_of_int (seed mod 9), (p * 31) + g + 1)
+  | 1 -> R_insert ((g + 5) mod 12, 4.5, p + 1000)
+  | 2 -> R_touch ((g + 1) mod 12, float_of_int ((seed + p) mod 11))
+  | 3 -> R_remove ((g + seed) mod 12)
+  | _ -> R_none
+
+type wstep =
+  | W_insert of int * float * int
+  | W_try of int * float * int
+  | W_remove of int
+  | W_touch of int * float
+  | W_sweep of float * int  (* cutoff, reaction seed *)
+
+let print_wstep = function
+  | W_insert (g, t, p) -> Printf.sprintf "insert %d@%g=%d" g t p
+  | W_try (g, t, p) -> Printf.sprintf "try_insert %d@%g=%d" g t p
+  | W_remove g -> Printf.sprintf "remove %d" g
+  | W_touch (g, t) -> Printf.sprintf "touch %d@%g" g t
+  | W_sweep (c, seed) -> Printf.sprintf "sweep <%g seed %d" c seed
+
+let gen_wsteps =
+  QCheck.Gen.(
+    let id = int_bound 11 and time = map float_of_int (int_bound 10) in
+    pair (int_range 1 6)
+      (list_size (int_range 1 80)
+         (frequency
+            [
+              (5, map3 (fun g t p -> W_insert (g, t, p)) id time small_nat);
+              (3, map3 (fun g t p -> W_try (g, t, p)) id time small_nat);
+              (2, map (fun g -> W_remove g) id);
+              (2, map2 (fun g t -> W_touch (g, t)) id time);
+              (3, map2 (fun c seed -> W_sweep (float_of_int c, seed)) (int_bound 12) small_nat);
+            ])))
+
+let prop_bounded_walk_matches_full_walk =
+  QCheck.Test.make ~name:"bounded sweep visits and collects as a walk over every slot"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (cap, steps) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map print_wstep steps)))
+       gen_wsteps)
+    (fun (cap, steps) ->
+      let t : int St.t = St.create ~capacity:cap in
+      let w =
+        {
+          wslots = Array.make cap None;
+          wseq = 0;
+          wlive = 0;
+          wpeak = 0;
+          wevicted = 0;
+          wgced = 0;
+          wrejected = 0;
+        }
+      in
+      let layout_of_model () =
+        List.filter_map
+          (fun s -> Option.map (fun s -> (s.wg, s.wact, s.wstamp, s.wp)) s)
+          (Array.to_list w.wslots)
+      in
+      let layout_of_table () =
+        let l = ref [] in
+        St.iter_detail t (fun ~g ~anchor:_ ~active ~stamp p ->
+            l := (g, active, stamp, p) :: !l);
+        List.rev !l
+      in
+      List.for_all
+        (fun step ->
+          let same =
+            match step with
+            | W_insert (g, now, p) ->
+                St.insert t ~g ~now p;
+                w_insert w ~g ~now p;
+                true
+            | W_try (g, now, p) -> St.try_insert t ~g ~now p = w_try_insert w ~g ~now p
+            | W_remove g ->
+                St.remove t g;
+                w_remove w g;
+                true
+            | W_touch (g, now) ->
+                St.touch t g ~now;
+                w_touch w g ~now;
+                true
+            | W_sweep (cutoff, seed) ->
+                let visits_t = ref [] and visits_w = ref [] in
+                let gc_t = ref [] and gc_w = ref [] in
+                let dead gc ~active p =
+                  let d = active < cutoff || p mod 7 = 0 in
+                  if d then gc := p :: !gc;
+                  d
+                in
+                St.sweep t
+                  ~f:(fun ~g p ->
+                    visits_t := (g, p) :: !visits_t;
+                    match reaction ~seed ~g p with
+                    | R_insert (g', now, p') -> St.insert t ~g:g' ~now p'
+                    | R_touch (g', now) -> St.touch t g' ~now
+                    | R_remove g' -> St.remove t g'
+                    | R_none -> ())
+                  ~dead:(dead gc_t);
+                w_sweep w
+                  ~f:(fun ~g p ->
+                    visits_w := (g, p) :: !visits_w;
+                    match reaction ~seed ~g p with
+                    | R_insert (g', now, p') -> w_insert w ~g:g' ~now p'
+                    | R_touch (g', now) -> w_touch w g' ~now
+                    | R_remove g' -> w_remove w g'
+                    | R_none -> ())
+                  ~dead:(dead gc_w);
+                !visits_t = !visits_w && !gc_t = !gc_w
+          in
+          same
+          && layout_of_table () = layout_of_model ()
+          && St.stats t
+             = {
+                 St.capacity = cap;
+                 live = w.wlive;
+                 peak_live = w.wpeak;
+                 evicted = w.wevicted;
+                 gced = w.wgced;
+                 rejected_at_capacity = w.wrejected;
+               })
+        steps)
+
 let test_negative_ids_absent () =
   let t : int St.t = St.create ~capacity:2 in
   St.insert t ~g:0 ~now:1.0 10;
@@ -407,4 +641,5 @@ let suite =
     qcheck prop_matches_model;
     qcheck prop_sweep_matches_walks;
     case "negative ids absent, never raise" test_negative_ids_absent;
+    qcheck prop_bounded_walk_matches_full_walk;
   ]

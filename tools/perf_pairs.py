@@ -19,13 +19,17 @@ drift in host load hits both sides alike. Any run whose result says
 For every end-to-end metric of BENCHMARK.json the summary gives each side's
 median and quartiles, the ratio change/REV of the medians, how many pairs
 the change wins (by the metric's "better"), and REV's spread: its quartile
-distance over its median. Nothing is written under perfbench/.
+distance over its median. A second table gives each pair's heap_peak_mb and
+setup_s on both sides, seed by seed: heap_peak_mb can sit in one of two
+modes by seed, and a mode flip on one side reads as a memory change in the
+medians. Nothing is written under perfbench/.
 
 --record FILE appends the comparison to FILE as one JSON line: REV's commit,
 the commit the working tree is based on and whether it had uncommitted
 changes, the workload, seeds, pairs, run length, the OCaml version, and per
-metric both sides' median and quartiles, the ratio, the wins and the spread.
-The repository keeps these lines in perf_trajectory.jsonl.
+metric both sides' median and quartiles, the ratio, the wins and the spread,
+and per pair its seed and both sides' heap_peak_mb and setup_s. The
+repository keeps these lines in perf_trajectory.jsonl.
 """
 
 import argparse
@@ -39,6 +43,7 @@ import tempfile
 
 BUILD_TIMEOUT_S = 850
 RUN_TIMEOUT_S = 170
+PER_PAIR = ("heap_peak_mb", "setup_s")
 
 
 def build(root, build_dir):
@@ -111,6 +116,13 @@ def summarize(metrics, base, change):
     return rows
 
 
+def per_pair(seeds, base, change):
+    return [{"seed": seed,
+             "base": {m: b.get(m) for m in PER_PAIR},
+             "change": {m: c.get(m) for m in PER_PAIR}}
+            for seed, b, c in zip(seeds, base, change)]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the git revision to compare against")
@@ -175,6 +187,15 @@ def main():
             nan if row["ratio"] is None else row["ratio"], row["wins"],
             args.pairs, nan if row["spread"] is None else row["spread"]))
 
+    seeds = [args.seed_base + i for i in range(args.pairs)]
+    pairs = per_pair(seeds, base, change)
+    print("%-8s %-24s %-24s" % ("seed", "heap_peak_mb base/change",
+                                "setup_s base/change"))
+    for p in pairs:
+        print("%-8d %-24s %-24s" % (p["seed"], "%.2f / %.2f" % (
+            p["base"]["heap_peak_mb"], p["change"]["heap_peak_mb"]),
+            "%.4f / %.4f" % (p["base"]["setup_s"], p["change"]["setup_s"])))
+
     if args.record:
         line = {
             "rev": base_commit,
@@ -186,6 +207,7 @@ def main():
             "run_seconds": seconds,
             "ocaml": ocaml_version(),
             "metrics": rows,
+            "per_pair": pairs,
         }
         with open(args.record, "a") as f:
             f.write(json.dumps(line, sort_keys=True) + "\n")
